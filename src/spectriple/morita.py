@@ -5,23 +5,34 @@ Everything is phrased on the ambient space C^n (x) C^n (x) H.  The algebra
 M_n(A) acts there twice: through the left leg (``pi_big``) and, conjugated by
 the real structure, through the right leg (``pi_hat_big``).  A connection is
 an n x n matrix of universal one-forms B with e B e = B; its represented
-action on a base operator inserts one commutator per universal pair.  The
+action on a base operator is one commutator term pi(x) [base, pi(y)] per
+universal pair x d(y), placed in the cell of its entry.  The
 module twist of D can then be computed in two orders -- left leg first or
 right leg first -- and the two agree identically, which is the analogue of
 the transitivity of ordinary inner fluctuations.
+
+Connections arrive as pair lists, but they are validated and applied through
+their faithful coefficients in A (x) A: x d(y) -> x (x) y - xy (x) 1, over
+the ambient matrix units of A (see :func:`conn_coefficients`).  The check
+e B e = B becomes two matrix products on those coefficients, and the
+represented action of a whole connection becomes one sum over the matrix
+units instead of one commutator per universal pair, so neither cost grows
+with the length of the pair lists.  This assumes, like the comparison of
+one-forms through ``one_form_cf``, that the representation is a unital
+*-homomorphism of the complex algebra (true of tilings in ``plain`` mode).
 """
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from .matrix_core import AntilinearOp, adjoint, commutator, frob_norm, identity, matrix_unit
 from .perturbation import (
     UniversalOneForm,
     one_form_add,
-    one_form_cf,
     one_form_lmul,
     one_form_rmul,
     one_form_scale,
@@ -39,7 +50,9 @@ from .spectral_triple import (
 __all__ = [
     "MoritaData",
     "check_idempotent_identity",
+    "compress_coefficients",
     "compress_connection",
+    "conn_coefficients",
     "corner",
     "corner_projector",
     "d_big",
@@ -52,8 +65,7 @@ __all__ = [
     "pi_hat_big",
     "random_conn_form",
     "random_idempotent",
-    "rep_conn_hat",
-    "rep_conn_pi",
+    "rep_conn",
     "twisted_dirac_left",
     "twisted_dirac_right",
     "zeroth_order_induced",
@@ -92,8 +104,8 @@ def elem_mat_unit(spec: AlgebraSpec, n: int):
 
 
 def _elem_mat_defect(x, y) -> float:
-    return max(
-        (a - b).norm() for row_x, row_y in zip(x, y) for a, b in zip(row_x, row_y)
+    return float(
+        np.max([(a - b).norm() for row_x, row_y in zip(x, y) for a, b in zip(row_x, row_y)])
     )
 
 
@@ -105,61 +117,57 @@ def _elem_mat_scale(x) -> float:
 # Representations on C^n (x) C^n (x) H
 
 
+def _on_leg(cells: np.ndarray, hatted: bool) -> np.ndarray:
+    """
+    Place cell operators on C^n (x) C^n (x) H: ``cells[..., i, k]`` (each on H)
+    fills cell (i, k) of the left C^n leg, or of the right leg when ``hatted``,
+    with the identity on the other leg.  Leading axes are kept.
+    """
+    n, dim_h = cells.shape[-3], cells.shape[-1]
+    layout = "...jkhg,il->...ijhlkg" if hatted else "...ikhg,jl->...ijhklg"
+    dim = n * n * dim_h
+    return np.einsum(layout, cells, identity(n)).reshape(cells.shape[:-4] + (dim, dim))
+
+
 def pi_big(t: FiniteSpectralTriple, n: int, x) -> np.ndarray:
     """M_n(A) acting through the left C^n leg."""
-    dim = n * n * t.dim_h
-    out = np.zeros((dim, dim), dtype=complex)
-    eye = identity(n)
-    for i in range(n):
-        for k in range(n):
-            out += np.kron(matrix_unit(n, i, k), np.kron(eye, represent(t, x[i][k])))
-    return out
+    return _on_leg(np.array([[represent(t, a) for a in row] for row in x]), hatted=False)
 
 
 def pi_hat_big(t: FiniteSpectralTriple, n: int, x) -> np.ndarray:
     """M_n(A) acting through the right C^n leg, with hatted fibre operators."""
-    dim = n * n * t.dim_h
-    out = np.zeros((dim, dim), dtype=complex)
-    eye = identity(n)
-    for j in range(n):
-        for k in range(n):
-            out += np.kron(eye, np.kron(matrix_unit(n, j, k), t.hat(represent(t, x[j][k]))))
-    return out
+    return _on_leg(np.array([[t.hat(represent(t, a)) for a in row] for row in x]), hatted=True)
 
 
 def d_big(t: FiniteSpectralTriple, n: int) -> np.ndarray:
     return np.kron(identity(n * n), t.d)
 
 
-def rep_conn_pi(t: FiniteSpectralTriple, n: int, conn, base: np.ndarray) -> np.ndarray:
+def rep_conn(
+    t: FiniteSpectralTriple, n: int, omega: np.ndarray, base: np.ndarray, hatted: bool = False
+) -> np.ndarray:
     """
-    Left-leg action of a connection on ``base``: for every entry (i,k) and
-    universal pair (x, y), add  (E_ik (x) 1 (x) pi(x)) [base, 1 (x) 1 (x) pi(y)].
+    Action on ``base`` of a connection with coefficients ``omega`` (see
+    :func:`conn_coefficients`) through one leg:
+
+        sum_beta L_beta base (1 (x) 1 (x) rho(e_beta)),
+
+    where e_beta runs over the ambient matrix units of A, rho is pi on the
+    left leg and hat o pi on the hatted right leg, and L_beta puts
+    rho(Omega^ik_beta), Omega^ik_beta = sum_alpha omega[i, k, alpha, beta] e_alpha,
+    in cell (i, k) of that leg.  Pair by pair this is
+    (E_ik (x) 1 (x) rho(x)) [base, 1 (x) 1 (x) rho(y)], because
+    rho(x) rho(y) = rho(xy) and rho(1) = 1.  hat o pi is antilinear, so its
+    cells take the conjugated coefficients.
     """
-    out = np.zeros_like(base)
-    eye = identity(n)
-    eye_nn = identity(n * n)
-    for i in range(n):
-        for k in range(n):
-            for x, y in conn[i][k].pairs:
-                lx = np.kron(matrix_unit(n, i, k), np.kron(eye, represent(t, x)))
-                ry = np.kron(eye_nn, represent(t, y))
-                out += lx @ commutator(base, ry)
-    return out
-
-
-def rep_conn_hat(t: FiniteSpectralTriple, n: int, conn, base: np.ndarray) -> np.ndarray:
-    """Right-leg action of a connection: same shape with hatted operators."""
-    out = np.zeros_like(base)
-    eye = identity(n)
-    eye_nn = identity(n * n)
-    for j in range(n):
-        for k in range(n):
-            for x, y in conn[j][k].pairs:
-                lx = np.kron(eye, np.kron(matrix_unit(n, j, k), t.hat(represent(t, x))))
-                ry = np.kron(eye_nn, t.hat(represent(t, y)))
-                out += lx @ commutator(base, ry)
-    return out
+    units = spanning_set(AlgebraSpec(t.algebra.summands))
+    rho = np.array([represent(t, u) for u in units])
+    if hatted:
+        rho = np.array([t.hat(r) for r in rho])
+        omega = np.conj(omega)
+    lefts = _on_leg(np.einsum("ikab,ahg->bikhg", omega, rho), hatted)
+    rights = np.array([np.kron(identity(n * n), r) for r in rho])
+    return (lefts @ base @ rights).sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +206,46 @@ def compress_connection(e, conn):
     return tuple(out)
 
 
+def conn_coefficients(spec: AlgebraSpec, conn) -> np.ndarray:
+    """
+    Faithful coefficients of an n x n connection, shape (n, n, d, d) with d
+    the ambient dimension of A: entry (i, k) is the image
+    sum_j x_j (x) y_j - x_j y_j (x) 1 of conn[i][k] in A (x) A, over the
+    ambient matrix units (rows for the first factor).  These are the entries
+    of ``one_form_cf(spec, conn[i][k])`` gathered from its block layout into
+    one d x d matrix, so equal coefficients mean equal universal one-forms.
+    """
+    d = spec.ambient_dim
+    unit = spec.unit().vec()
+    out = np.zeros((len(conn), len(conn), d, d), dtype=complex)
+    for i, row in enumerate(conn):
+        for k, w in enumerate(row):
+            xs = np.array([x.vec() for x, _ in w.pairs]).reshape(-1, d)
+            ys = np.array([y.vec() for _, y in w.pairs]).reshape(-1, d)
+            xy = np.array([(x * y).vec() for x, y in w.pairs]).reshape(-1, d)
+            out[i, k] = xs.T @ ys - np.outer(xy.sum(axis=0), unit)
+    return out
+
+
+def compress_coefficients(e, omega: np.ndarray) -> np.ndarray:
+    """
+    e B e on coefficients: entry (i, l) is sum_jk (e_ij (x) 1) omega_jk (1 (x) e_kl),
+    left multiplication by e_ij on the first factor and right multiplication
+    by e_kl on the second.
+    """
+    n, _, d, _ = omega.shape
+    left = np.block([
+        [block_diag(*(np.kron(b, identity(len(b))) for b in a.blocks)) for a in row]
+        for row in e
+    ])
+    right = np.block([
+        [block_diag(*(np.kron(identity(len(b)), b) for b in a.blocks)) for a in row]
+        for row in e
+    ])
+    big = omega.transpose(0, 2, 1, 3).reshape(n * d, n * d)
+    return (left @ big @ right).reshape(n, d, n, d).transpose(0, 2, 1, 3)
+
+
 def random_conn_form(
     t: FiniteSpectralTriple,
     n: int,
@@ -234,9 +282,11 @@ class MoritaData:
     """
     An idempotent e in M_n(A) together with an optional compressed connection.
 
-    Validation checks e^2 = e, membership of all entries in the algebra, and
-    (when a connection is present) the compression identity e B e = B via the
-    faithful universal realization of each entry.
+    The faithful coefficients of the connection (:func:`conn_coefficients`)
+    are computed once and kept as ``omega``; the twists apply them.
+    Validation checks that every entry is finite, e^2 = e, membership of all
+    entries in the algebra, and (when a connection is present) the
+    compression identity e B e = B on the coefficients.
     """
 
     triple: FiniteSpectralTriple
@@ -244,6 +294,7 @@ class MoritaData:
     idem: tuple
     conn: tuple | None = None
     validate: InitVar[bool] = True
+    omega: np.ndarray | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self, validate: bool):
         n = self.size
@@ -257,50 +308,61 @@ class MoritaData:
                 raise ValueError(f"connection must be an {n}x{n} matrix of one-forms")
             object.__setattr__(self, "conn", conn)
         if validate:
-            self._validate()
+            self._validate_entries()
+        if self.conn is not None:
+            object.__setattr__(self, "omega", conn_coefficients(self.triple.algebra, self.conn))
+            if validate:
+                self._validate_compressed()
 
-    def _validate(self, tol: float = 1e-8):
+    def _validate_entries(self, tol: float = 1e-8):
         spec = self.triple.algebra
+        if not all(_finite(a) for row in self.idem for a in row):
+            raise ValueError("idempotent has non-finite entries")
+        if self.conn is not None and not all(
+            _finite(a) for row in self.conn for w in row for pair in w.pairs for a in pair
+        ):
+            raise ValueError("connection has non-finite entries")
         for row in self.idem:
             for entry in row:
                 if not spec.contains(entry):
                     raise ValueError("idempotent entry is not in the algebra")
         sq = elem_mat_mul(self.idem, self.idem)
         scale = max(1.0, _elem_mat_scale(self.idem) ** 2)
-        if _elem_mat_defect(sq, self.idem) > tol * scale:
+        if not _elem_mat_defect(sq, self.idem) <= tol * scale:
             raise ValueError("matrix is not idempotent")
-        if self.conn is not None:
-            pressed = compress_connection(self.idem, self.conn)
-            for row_p, row_c in zip(pressed, self.conn):
-                for wp, wc in zip(row_p, row_c):
-                    cp = one_form_cf(spec, wp)
-                    cc = one_form_cf(spec, wc)
-                    if frob_norm(cp - cc) > tol * max(1.0, frob_norm(cc)):
-                        raise ValueError("connection is not compressed: e B e != B")
+
+    def _validate_compressed(self, tol: float = 1e-8):
+        defect = np.linalg.norm(
+            compress_coefficients(self.idem, self.omega) - self.omega, axis=(2, 3)
+        )
+        bound = tol * np.maximum(1.0, np.linalg.norm(self.omega, axis=(2, 3)))
+        if not np.all(defect <= bound):
+            raise ValueError("connection is not compressed: e B e != B")
 
 
-def _one_sided(t, n, e, conn, base, hatted: bool):
-    if hatted:
-        proj = pi_hat_big(t, n, e)
-        twist = rep_conn_hat(t, n, conn, base) if conn is not None else 0.0
-    else:
-        proj = pi_big(t, n, e)
-        twist = rep_conn_pi(t, n, conn, base) if conn is not None else 0.0
-    return proj @ base + twist
+def _finite(a: AlgebraElement) -> bool:
+    return all(np.isfinite(b).all() for b in a.blocks)
+
+
+def _one_sided(md: MoritaData, base: np.ndarray, hatted: bool) -> np.ndarray:
+    t, n = md.triple, md.size
+    proj = pi_hat_big(t, n, md.idem) if hatted else pi_big(t, n, md.idem)
+    out = proj @ base
+    if md.omega is not None:
+        out = out + rep_conn(t, n, md.omega, base, hatted)
+    return out
 
 
 def twisted_dirac_left(md: MoritaData) -> np.ndarray:
     """Twist through the left leg first, then through the hatted right leg."""
-    t, n = md.triple, md.size
-    o1 = _one_sided(t, n, md.idem, md.conn, d_big(t, n), hatted=False)
-    return _one_sided(t, n, md.idem, md.conn, o1, hatted=True)
+    o1 = _one_sided(md, d_big(md.triple, md.size), hatted=False)
+    return _one_sided(md, o1, hatted=True)
 
 
 def twisted_dirac_right(md: MoritaData) -> np.ndarray:
     """Twist through the hatted right leg first, then through the left leg."""
-    t, n = md.triple, md.size
-    o2 = _one_sided(t, n, md.idem, md.conn, d_big(t, n), hatted=True)
-    return _one_sided(t, n, md.idem, md.conn, o2, hatted=False)
+    o2 = _one_sided(md, d_big(md.triple, md.size), hatted=True)
+    return _one_sided(md, o2, hatted=False)
 
 
 def corner_projector(md: MoritaData) -> np.ndarray:
@@ -321,18 +383,13 @@ def check_idempotent_identity(t: FiniteSpectralTriple, n: int, e) -> float:
     """
     Max norm over (i, l) of  sum_{jk} pi(e_ij) [D, pi(e_jk)] pi(e_kl),
     which vanishes identically for idempotent e (it is e de e in disguise).
+    Computed as the (i, l) blocks of P [1 (x) D, P] P with P = pi(e) on
+    C^n (x) H; a NaN anywhere gives NaN.
     """
-    reps = [[represent(t, e[j][k]) for k in range(n)] for j in range(n)]
-    comms = [[commutator(t.d, reps[j][k]) for k in range(n)] for j in range(n)]
-    worst = 0.0
-    for i in range(n):
-        for l in range(n):
-            acc = np.zeros((t.dim_h, t.dim_h), dtype=complex)
-            for j in range(n):
-                for k in range(n):
-                    acc += reps[i][j] @ comms[j][k] @ reps[k][l]
-            worst = max(worst, frob_norm(acc))
-    return worst
+    p = np.block([[represent(t, entry) for entry in row] for row in e])
+    acc = p @ commutator(np.kron(identity(n), t.d), p) @ p
+    blocks = acc.reshape(n, t.dim_h, n, t.dim_h)
+    return float(np.max(np.linalg.norm(blocks, axis=(1, 3))))
 
 
 def induced_real_structure(t: FiniteSpectralTriple, n: int) -> AntilinearOp:
@@ -347,7 +404,7 @@ def induced_real_structure(t: FiniteSpectralTriple, n: int) -> AntilinearOp:
 def zeroth_order_induced(t: FiniteSpectralTriple, n: int) -> float:
     """
     Max commutator norm between the left action of M_n(A) and the conjugate
-    of its adjoint under the induced real structure.
+    of its adjoint under the induced real structure (NaN if any norm is NaN).
     """
     jp = induced_real_structure(t, n)
     eye = identity(n)
@@ -359,11 +416,9 @@ def zeroth_order_induced(t: FiniteSpectralTriple, n: int) -> float:
                     np.kron(matrix_unit(n, i, j), np.kron(eye, represent(t, s)))
                 )
     rights = [jp.conjugate(adjoint(op)) for op in lefts]
-    worst = 0.0
-    for left in lefts:
-        for right in rights:
-            worst = max(worst, frob_norm(commutator(left, right)))
-    return worst
+    return float(
+        np.max([frob_norm(commutator(left, right)) for left in lefts for right in rights])
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -82,16 +82,34 @@ def _unit_like(e: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(tuple(identity(b.shape[0]) for b in e.blocks))
 
 
+def _stacked(summands, elements) -> list:
+    """Per summand, the blocks of ``elements`` stacked along a leading axis."""
+    return [
+        np.array([e.blocks[s] for e in elements], dtype=complex).reshape(-1, n, n)
+        for s, n in enumerate(summands)
+    ]
+
+
+def _kron_sum(lefts, rights, opposite: bool) -> np.ndarray:
+    """
+    Block-diagonal matrix, over ordered pairs (i, k) of summands, of
+    sum_j kron(lefts[i][j], rights[k][j]) for stacked blocks; the right
+    factor enters transposed when ``opposite`` (the A^op leg).
+    """
+    subs = "jab,jdc->acbd" if opposite else "jab,jcd->acbd"
+    blocks = []
+    for left in lefts:
+        for right in rights:
+            size = left.shape[1] * right.shape[1]
+            blocks.append(np.einsum(subs, left, right).reshape(size, size))
+    return block_diag(*blocks)
+
+
 def _cf_of_pairs(summands, pairs) -> np.ndarray:
     """Block-diagonal canonical form of sum_j a_j (x) b_j over summand pairs."""
-    blocks = []
-    for i, ni in enumerate(summands):
-        for k, nk in enumerate(summands):
-            c = np.zeros((ni * nk, ni * nk), dtype=complex)
-            for a, b in pairs:
-                c += np.kron(a.blocks[i], b.blocks[k].T)
-            blocks.append(c)
-    return block_diag(*blocks)
+    lefts = _stacked(summands, [a for a, _ in pairs])
+    rights = _stacked(summands, [b for _, b in pairs])
+    return _kron_sum(lefts, rights, opposite=True)
 
 
 # ---------------------------------------------------------------------------
@@ -158,15 +176,11 @@ def one_form_cf(spec: AlgebraSpec, w: UniversalOneForm) -> np.ndarray:
 
     Equality of these matrices is equality of universal one-forms.
     """
-    blocks = []
-    for i, ni in enumerate(spec.summands):
-        for k, nk in enumerate(spec.summands):
-            c = np.zeros((ni * nk, ni * nk), dtype=complex)
-            for x, y in w.pairs:
-                c += np.kron(x.blocks[i], y.blocks[k])
-                c -= np.kron((x * y).blocks[i], identity(nk))
-            blocks.append(c)
-    return block_diag(*blocks)
+    xs = _stacked(spec.summands, [x for x, _ in w.pairs])
+    ys = _stacked(spec.summands, [y for _, y in w.pairs])
+    xy = [np.einsum("jab,jbc->ac", x, y)[None] for x, y in zip(xs, ys)]
+    ones = [identity(n)[None] for n in spec.summands]
+    return _kron_sum(xs, ys, opposite=False) - _kron_sum(xy, ones, opposite=False)
 
 
 def random_one_form(spec: AlgebraSpec, rng: np.random.Generator, n_pairs: int = 2) -> UniversalOneForm:

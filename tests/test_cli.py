@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from spectriple import build_toy, fluctuate_combined, random_pert
+from spectriple import build_toy, fluctuate_combined, morita, random_pert
 from spectriple.action import PI_SQ
 from spectriple.cli import main
 from spectriple.model_io import (
@@ -184,6 +184,12 @@ def test_stabilizer_chain(tmp_path, capsys):
 def test_morita_check_passes(capsys):
     assert main(["morita-check"]) == 0
     assert "status: ok" in capsys.readouterr().out
+
+
+def test_morita_check_fails_on_a_nan_residual(capsys, monkeypatch):
+    monkeypatch.setattr(morita, "check_idempotent_identity", lambda t, n, e: math.nan)
+    assert main(["morita-check"]) == 1
+    assert "status: FAILED" in capsys.readouterr().out
 
 
 def test_semigroup_verify_passes_and_fails_by_tolerance(capsys):

@@ -6,11 +6,21 @@ ampliated Dirac operator from both sides; the two orderings must coincide.
 import numpy as np
 import pytest
 
-from spectriple import MoritaData, twisted_dirac_left, twisted_dirac_right
-from spectriple.matrix_core import adjoint, approx_eq, frob_norm, identity, kron, matrix_unit
+from spectriple import MoritaData, morita, twisted_dirac_left, twisted_dirac_right
+from spectriple.matrix_core import (
+    adjoint,
+    approx_eq,
+    commutator,
+    frob_norm,
+    identity,
+    kron,
+    matrix_unit,
+)
 from spectriple.morita import (
     check_idempotent_identity,
+    compress_coefficients,
     compress_connection,
+    conn_coefficients,
     corner,
     corner_projector,
     d_big,
@@ -23,15 +33,45 @@ from spectriple.morita import (
     pi_hat_big,
     random_conn_form,
     random_idempotent,
-    rep_conn_pi,
+    rep_conn,
     zeroth_order_induced,
 )
 from spectriple.perturbation import UniversalOneForm
-from spectriple.spectral_triple import random_element
+from spectriple.spectral_triple import random_element, represent
 
 
 def _rel(a, b):
     return frob_norm(a - b) / max(1.0, frob_norm(b))
+
+
+def _reference_rep_conn(t, n, conn, base, hatted):
+    """
+    The connection action pair by pair: for every entry (i, k) and universal
+    pair (x, y), add  L(x) [base, 1 (x) 1 (x) rho(y)]  with rho = pi and
+    L(x) = E_ik (x) 1 (x) pi(x) on the left leg, rho = hat o pi and
+    L(x) = 1 (x) E_ik (x) hat(pi(x)) on the hatted right leg.
+    """
+    rho = (lambda a: t.hat(represent(t, a))) if hatted else (lambda a: represent(t, a))
+    out = np.zeros_like(base)
+    eye = identity(n)
+    for i in range(n):
+        for k in range(n):
+            cell = kron(eye, matrix_unit(n, i, k)) if hatted else kron(matrix_unit(n, i, k), eye)
+            for x, y in conn[i][k].pairs:
+                out += kron(cell, rho(x)) @ commutator(base, kron(identity(n * n), rho(y)))
+    return out
+
+
+def _raw_conn(spec, n, rng):
+    return tuple(
+        tuple(
+            UniversalOneForm(
+                ((random_element(spec, rng), random_element(spec, rng)),)
+            )
+            for _ in range(n)
+        )
+        for _ in range(n)
+    )
 
 
 def test_rank_one_unit_module_gives_back_d(toy):
@@ -135,7 +175,7 @@ def test_hermitized_connection_represents_self_adjointly(toy, rng):
         for _ in range(n)
     )
     herm = hermitize_connection(raw)
-    op = rep_conn_pi(toy, n, herm, d_big(toy, n))
+    op = rep_conn(toy, n, conn_coefficients(toy.algebra, herm), d_big(toy, n))
     assert approx_eq(op, adjoint(op), 1e-12)
 
 
@@ -153,8 +193,60 @@ def test_compress_connection_is_a_projection(toy, rng):
     MoritaData(toy, 2, e, once)  # construction revalidates e B e = B
     base = d_big(toy, 2)
     assert approx_eq(
-        rep_conn_pi(toy, 2, twice, base), rep_conn_pi(toy, 2, once, base), 1e-10
+        rep_conn(toy, 2, conn_coefficients(toy.algebra, twice), base),
+        rep_conn(toy, 2, conn_coefficients(toy.algebra, once), base),
+        1e-10,
     )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("hatted", [False, True])
+@pytest.mark.parametrize("compressed", [False, True])
+def test_coefficient_action_matches_the_pairwise_loop(toy, n, hatted, compressed):
+    rng = np.random.default_rng(40 + n)
+    conn = _raw_conn(toy.algebra, n, rng)
+    if compressed:
+        e = random_idempotent(toy, n, rng, self_adjoint=False)
+        conn = compress_connection(e, hermitize_connection(conn))
+    dim = n * n * toy.dim_h
+    base = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    got = rep_conn(toy, n, conn_coefficients(toy.algebra, conn), base, hatted)
+    want = _reference_rep_conn(toy, n, conn, base, hatted)
+    assert _rel(got, want) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_compress_coefficients_matches_universal_compression(toy, n):
+    # the validation's e B e on coefficients is the universal e B e
+    rng = np.random.default_rng(50 + n)
+    e = random_idempotent(toy, n, rng, self_adjoint=False)
+    raw = _raw_conn(toy.algebra, n, rng)
+    got = compress_coefficients(e, conn_coefficients(toy.algebra, raw))
+    want = conn_coefficients(toy.algebra, compress_connection(e, raw))
+    assert frob_norm(got - want) < 1e-12 * max(1.0, frob_norm(want))
+
+
+def test_validation_rejects_non_finite_entries(toy):
+    unit = toy.algebra.unit()
+    nan_elem = float("nan") * unit
+    with pytest.raises(ValueError, match="idempotent has non-finite"):
+        MoritaData(toy, 1, ((nan_elem,),))
+    conn = ((UniversalOneForm(((nan_elem, unit),)),),)
+    with pytest.raises(ValueError, match="connection has non-finite"):
+        MoritaData(toy, 1, ((unit,),), conn)
+    inf_elem = toy.algebra.element(np.diag([np.inf, 1.0]), np.eye(2))
+    inf_conn = ((UniversalOneForm(((unit, inf_elem),)),),)
+    with pytest.raises(ValueError, match="connection has non-finite"):
+        MoritaData(toy, 1, ((unit,),), inf_conn)
+
+
+def test_reducers_pass_nan_through(toy, monkeypatch):
+    nan_elem = float("nan") * toy.algebra.unit()
+    assert np.isnan(check_idempotent_identity(toy, 1, ((nan_elem,),)))
+    monkeypatch.setattr(
+        morita, "represent", lambda t, a: np.full((t.dim_h, t.dim_h), np.nan, dtype=complex)
+    )
+    assert np.isnan(zeroth_order_induced(toy, 1))
 
 
 def test_validation_rejects_non_idempotent(toy):

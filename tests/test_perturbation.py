@@ -5,6 +5,9 @@ forms (faithful matrix realizations), never on raw pair lists.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import block_diag
 
 from spectriple import (
     AlgebraElement,
@@ -41,7 +44,7 @@ from spectriple.perturbation import (
     star_swap,
     symmetrize,
 )
-from spectriple.spectral_triple import random_element, random_unitary
+from spectriple.spectral_triple import AlgebraSpec, random_element, random_unitary
 from spectriple.toy_model import ToyParams, a_ev
 
 SPEC = a_ev()
@@ -175,6 +178,34 @@ def test_one_form_cf_respects_the_leibniz_relation(rng):
     dx_y = one_form_rmul(UniversalOneForm(((unit, x),)), y)
     lhs = one_form_cf(SPEC, d_xy)
     rhs = one_form_cf(SPEC, x_dy + dx_y)
+    assert approx_eq(lhs, rhs, 1e-12)
+
+
+def _cf_tensor(spec, a, left: bool):
+    """a (x) 1 (left) or 1 (x) a in the block layout of one_form_cf."""
+    return block_diag(*(
+        np.kron(a.blocks[i], identity(nk)) if left else np.kron(identity(ni), a.blocks[k])
+        for i, ni in enumerate(spec.summands)
+        for k, nk in enumerate(spec.summands)
+    ))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([SPEC, AlgebraSpec((1, 3, 2))]),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 4),
+)
+def test_one_form_cf_intertwines_the_bimodule_action(spec, seed, n_pairs):
+    # cf(a . w . c) = (a (x) 1) cf(w) (1 (x) c): the compression check of a
+    # Morita connection rests on this identity
+    rng = np.random.default_rng(seed)
+    a, c = random_element(spec, rng), random_element(spec, rng)
+    w = UniversalOneForm(
+        tuple((random_element(spec, rng), random_element(spec, rng)) for _ in range(n_pairs))
+    )
+    lhs = one_form_cf(spec, one_form_lmul(a, one_form_rmul(w, c)))
+    rhs = _cf_tensor(spec, a, left=True) @ one_form_cf(spec, w) @ _cf_tensor(spec, c, left=False)
     assert approx_eq(lhs, rhs, 1e-12)
 
 
