@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix_core import adjoint, commutator, frob_norm
+from .matrix_core import adjoint, frob_norm
 from .spectral_triple import FiniteSpectralTriple, anti_hermitian_basis, represent
 from .toy_model import FieldPoint, ToyParams, assemble_dirac, build_toy, closed_dirac
 
@@ -381,11 +381,11 @@ def stabilizer_dim(t: FiniteSpectralTriple, d_op, spec=None) -> int:
     """
     spec = spec if spec is not None else t.algebra
     basis = anti_hermitian_basis(spec)
-    cols = []
-    for xe in basis:
-        k = commutator(represent(t, xe) + t.hat(represent(t, xe)), np.asarray(d_op, dtype=complex))
-        cols.append(np.concatenate([k.ravel().real, k.ravel().imag]))
-    mat = np.column_stack(cols)
+    ops = np.array([represent(t, xe) for xe in basis])
+    ops = ops + t.hat(ops)
+    d_op = np.asarray(d_op, dtype=complex)
+    k = (ops @ d_op - d_op @ ops).reshape(len(basis), -1)
+    mat = np.concatenate([k.real, k.imag], axis=1).T
     svals = np.linalg.svd(mat, compute_uv=False)
     smax = float(svals.max(initial=0.0))
     if smax == 0.0:

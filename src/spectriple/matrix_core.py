@@ -21,13 +21,9 @@ __all__ = [
     "approx_eq",
     "as_matrix",
     "commutator",
-    "conj_by_antilinear",
     "frob_norm",
     "identity",
-    "kron",
-    "mat_mul",
     "matrix_unit",
-    "random_matrix",
 ]
 
 
@@ -50,20 +46,6 @@ def matrix_unit(n: int, i: int, j: int) -> np.ndarray:
     return m
 
 
-def mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """
-    Matrix product with an explicit inner-dimension check.
-
-    Plain ``a @ b`` happily broadcasts some shape mistakes; every product in
-    this package goes through here (or through ``@`` on shapes already
-    validated at construction time).
-    """
-    a, b = as_matrix(a), as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"shape mismatch for product: {a.shape} x {b.shape}")
-    return a @ b
-
-
 def adjoint(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
     return as_matrix(a).conj().T
@@ -75,11 +57,6 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape != b.shape or a.shape[0] != a.shape[1]:
         raise ValueError(f"commutator needs equal square shapes, got {a.shape}, {b.shape}")
     return a @ b - b @ a
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product, (i,k),(j,l) ordering with the a-index major."""
-    return np.kron(as_matrix(a), as_matrix(b))
 
 
 def frob_norm(a: np.ndarray) -> float:
@@ -134,9 +111,9 @@ class AntilinearOp:
         return self.m @ np.conj(xi)
 
     def conjugate(self, t: np.ndarray) -> np.ndarray:
-        """J T J^{-1} for a linear operator t."""
-        t = as_matrix(t)
-        if t.shape != self.m.shape:
+        """J T J^{-1} for a linear operator t, or for each of a stack of them."""
+        t = np.asarray(t, dtype=complex)
+        if t.shape[-2:] != self.m.shape:
             raise ValueError(f"operator shape {t.shape} does not match J dimension {self.m.shape}")
         return self.m @ np.conj(t) @ self._m_inv
 
@@ -150,14 +127,3 @@ class AntilinearOp:
         """J^2 as a linear matrix (equals eps_J * identity for real structures)."""
         return self.compose(self)
 
-
-def conj_by_antilinear(j: AntilinearOp, t: np.ndarray) -> np.ndarray:
-    """Functional form of :meth:`AntilinearOp.conjugate` (the hat operation)."""
-    return j.conjugate(t)
-
-
-def random_matrix(rng: np.random.Generator, rows: int, cols: int | None = None) -> np.ndarray:
-    """Complex standard-normal matrix, the stock randomness for tests/CLI."""
-    if cols is None:
-        cols = rows
-    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))

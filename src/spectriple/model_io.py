@@ -5,7 +5,8 @@ Complex numbers are stored as [re, im] pairs and matrices as nested lists of
 those, so a dump/load cycle is bit-exact (json round-trips Python floats
 through repr).  Model files carry the full triple: algebra summands, an
 optional constraint basis, representation tiling, D, the J matrix, gamma and
-the declared KO signs.
+the declared KO signs.  Every tile is plain, so its ``"mode"`` key must be
+``"plain"``.
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ def triple_to_dict(t: FiniteSpectralTriple) -> dict:
                 "summand": rb.summand,
                 "left": rb.left_mult_dim,
                 "right": rb.right_mult_dim,
-                "mode": rb.mode,
+                "mode": "plain",
                 "offset": rb.offset,
             }
             for rb in t.rep_blocks
@@ -118,12 +119,14 @@ def triple_from_dict(payload: dict, validate: bool = True) -> FiniteSpectralTrip
     if basis is not None:
         basis = tuple(element_from_json(e) for e in basis)
     spec = AlgebraSpec(summands, basis=basis)
+    for rb in payload["rep_blocks"]:
+        if rb.get("mode", "plain") != "plain":
+            raise ValueError(f"unsupported representation mode {rb['mode']!r}: tiles are 'plain'")
     blocks = tuple(
         RepBlock(
             summand=int(rb["summand"]),
             left_mult_dim=int(rb["left"]),
             right_mult_dim=int(rb["right"]),
-            mode=rb.get("mode", "plain"),
             offset=int(rb.get("offset", 0)),
         )
         for rb in payload["rep_blocks"]

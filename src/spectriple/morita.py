@@ -19,7 +19,9 @@ represented action of a whole connection becomes one sum over the matrix
 units instead of one commutator per universal pair, so neither cost grows
 with the length of the pair lists.  This assumes, like the comparison of
 one-forms through ``one_form_cf``, that the representation is a unital
-*-homomorphism of the complex algebra (true of tilings in ``plain`` mode).
+*-homomorphism of the complex algebra, which plain tiles partitioning H
+guarantee; the sum over the matrix units reads the triple's tables
+pi(e_alpha) and hat(pi(e_alpha)).
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from scipy.linalg import block_diag
 from .matrix_core import AntilinearOp, adjoint, commutator, frob_norm, identity, matrix_unit
 from .perturbation import (
     UniversalOneForm,
-    one_form_add,
     one_form_lmul,
     one_form_rmul,
     one_form_scale,
@@ -153,20 +154,19 @@ def rep_conn(
         sum_beta L_beta base (1 (x) 1 (x) rho(e_beta)),
 
     where e_beta runs over the ambient matrix units of A, rho is pi on the
-    left leg and hat o pi on the hatted right leg, and L_beta puts
+    left leg and hat o pi on the hatted right leg (``t.pi_table`` and
+    ``t.pi_hat_table``), and L_beta puts
     rho(Omega^ik_beta), Omega^ik_beta = sum_alpha omega[i, k, alpha, beta] e_alpha,
     in cell (i, k) of that leg.  Pair by pair this is
     (E_ik (x) 1 (x) rho(x)) [base, 1 (x) 1 (x) rho(y)], because
     rho(x) rho(y) = rho(xy) and rho(1) = 1.  hat o pi is antilinear, so its
     cells take the conjugated coefficients.
     """
-    units = spanning_set(AlgebraSpec(t.algebra.summands))
-    rho = np.array([represent(t, u) for u in units])
+    rho = t.pi_hat_table if hatted else t.pi_table
     if hatted:
-        rho = np.array([t.hat(r) for r in rho])
         omega = np.conj(omega)
     lefts = _on_leg(np.einsum("ikab,ahg->bikhg", omega, rho), hatted)
-    rights = np.array([np.kron(identity(n * n), r) for r in rho])
+    rights = np.kron(identity(n * n)[None], rho)
     return (lefts @ base @ rights).sum(axis=0)
 
 
@@ -179,10 +179,8 @@ def hermitize_connection(conn):
     n = len(conn)
     return tuple(
         tuple(
-            one_form_add(
-                one_form_scale(0.5, conn[j][k]),
-                one_form_scale(0.5, one_form_star(conn[k][j])),
-            )
+            one_form_scale(0.5, conn[j][k])
+            + one_form_scale(0.5, one_form_star(conn[k][j]))
             for k in range(n)
         )
         for j in range(n)
@@ -200,7 +198,7 @@ def compress_connection(e, conn):
             for j in range(n):
                 for k in range(n):
                     term = one_form_lmul(e[i][j], one_form_rmul(conn[j][k], e[k][l]))
-                    acc = term if acc is None else one_form_add(acc, term)
+                    acc = term if acc is None else acc + term
             row.append(acc)
         out.append(tuple(row))
     return tuple(out)

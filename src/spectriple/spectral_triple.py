@@ -4,14 +4,17 @@ Finite real spectral triples (A, H, D; J, gamma) and their axiom checks.
 The algebra is a direct sum of full matrix algebras, optionally cut down to a
 subalgebra by an explicit spanning set (that is how the even subalgebra and
 the first-order subalgebra of the toy model are expressed).  The
-representation on H is encoded by tiling blocks of the form
-I_left ⊗ a_summand ⊗ I_right; the right action is never stored, it is always
-derived as pi_op(a) = J pi(a)* J^{-1}.
+representation on H is given by plain tiles I_left ⊗ a_summand ⊗ I_right
+that must partition H, so pi is a unital *-homomorphism.  Each triple keeps
+the values Pi_alpha = pi(e_alpha) on the ambient matrix units and their hats
+J Pi_alpha J^{-1}: pi(a) sums a's coordinates against Pi, and hat(pi(a)) the
+conjugated coordinates against the hats (the e_alpha are real).  The right
+action is derived as pi_op(a) = J pi(a)* J^{-1}.
 """
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 from scipy.linalg import expm
@@ -23,8 +26,6 @@ from .matrix_core import (
     commutator,
     frob_norm,
     identity,
-    matrix_unit,
-    random_matrix,
 )
 
 __all__ = [
@@ -46,8 +47,6 @@ __all__ = [
     "represent_opposite",
     "spanning_set",
 ]
-
-_MODES = ("plain", "transpose", "conjugate", "conjugate-transpose")
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,7 +84,7 @@ class AlgebraElement:
         return AlgebraElement(tuple(adjoint(b) for b in self.blocks))
 
     def vec(self) -> np.ndarray:
-        """Flatten to a single complex coordinate vector (for membership tests)."""
+        """Flatten to one complex coordinate vector over the ambient matrix units."""
         return np.concatenate([b.ravel() for b in self.blocks])
 
     def norm(self) -> float:
@@ -181,44 +180,29 @@ def spanning_set(spec: AlgebraSpec) -> list:
     """
     if spec.basis is not None:
         return list(spec.basis)
-    out = []
-    for s, n in enumerate(spec.summands):
-        for i in range(n):
-            for j in range(n):
-                blocks = [np.zeros((m, m), dtype=complex) for m in spec.summands]
-                blocks[s] = matrix_unit(n, i, j)
-                out.append(AlgebraElement(tuple(blocks)))
-    return out
+    # the matrix units in vec() order are the rows of the identity, cut by summand
+    cuts = np.cumsum([n * n for n in spec.summands])[:-1]
+    return [
+        AlgebraElement(tuple(b.reshape(n, n) for b, n in zip(np.split(u, cuts), spec.summands)))
+        for u in identity(spec.ambient_dim)
+    ]
 
 
 @dataclass(frozen=True)
 class RepBlock:
     """
     One tile of the representation: the summand acts as
-    I_left ⊗ mode(block) ⊗ I_right starting at ``offset`` on H.
+    I_left ⊗ block ⊗ I_right starting at ``offset`` on H.
     """
 
     summand: int
     left_mult_dim: int
     right_mult_dim: int
-    mode: str = "plain"
     offset: int = 0
 
     def __post_init__(self):
-        if self.mode not in _MODES:
-            raise ValueError(f"unknown representation mode {self.mode!r}")
-        if self.left_mult_dim < 1 or self.right_mult_dim < 1:
-            raise ValueError("multiplicity dimensions must be positive")
-
-
-def _apply_mode(block: np.ndarray, mode: str) -> np.ndarray:
-    if mode == "plain":
-        return block
-    if mode == "transpose":
-        return block.T
-    if mode == "conjugate":
-        return np.conj(block)
-    return np.conj(block).T
+        if min(self.left_mult_dim, self.right_mult_dim) < 1 or min(self.summand, self.offset) < 0:
+            raise ValueError(f"{self}: multiplicities must be positive, summand and offset >= 0")
 
 
 @dataclass(frozen=True)
@@ -240,8 +224,11 @@ class FiniteSpectralTriple:
     """
     (A, H, D; J, gamma) with declared KO signs.
 
-    Construction validates the even-triple axioms (D self-adjoint, gamma a
-    self-adjoint involution anticommuting with D and commuting with the
+    Construction checks that the tiles partition H, keeps the read-only tables
+    ``pi_table`` (Pi_alpha = pi(e_alpha) on the ambient matrix units, in
+    ``AlgebraElement.vec()`` order) and ``pi_hat_table`` (J Pi_alpha J^{-1}),
+    and validates the even-triple axioms (finite entries, D self-adjoint, gamma
+    a self-adjoint involution anticommuting with D and commuting with the
     represented algebra, J-matrix consistent with eps_j).  ``validate=False``
     is an escape hatch for deliberately corrupted triples in diagnostics.
     """
@@ -254,6 +241,8 @@ class FiniteSpectralTriple:
     gamma: np.ndarray
     signs: KOSigns
     validate: InitVar[bool] = True
+    pi_table: np.ndarray = field(init=False, repr=False)
+    pi_hat_table: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self, validate: bool):
         object.__setattr__(self, "rep_blocks", tuple(self.rep_blocks))
@@ -265,16 +254,39 @@ class FiniteSpectralTriple:
                 raise ValueError(f"{name} must be {n}x{n}, got {m.shape}")
         if self.j.dim != n:
             raise ValueError("J dimension does not match dim_h")
-        covered = sum(
-            rb.left_mult_dim * self.algebra.summands[rb.summand] * rb.right_mult_dim
-            for rb in self.rep_blocks
-        )
-        if covered != n:
-            raise ValueError(f"representation blocks tile {covered} of {n} dimensions")
+        pi = self._build_table()
+        for name, table in (("pi_table", pi), ("pi_hat_table", self.j.conjugate(pi))):
+            table.flags.writeable = False
+            object.__setattr__(self, name, table)
         if validate:
             self._validate()
 
+    def _build_table(self) -> np.ndarray:
+        """Pi_alpha = pi(e_alpha), tile by tile; the tiles must partition H."""
+        summands, n = self.algebra.summands, self.dim_h
+        starts = np.cumsum((0,) + tuple(m * m for m in summands))
+        table = np.zeros((starts[-1], n, n), dtype=complex)
+        for rb in self.rep_blocks:
+            if rb.summand >= len(summands):
+                raise ValueError(f"summand {rb.summand} out of range for {len(summands)} summands")
+            m = summands[rb.summand]
+            sl = slice(rb.offset, rb.offset + rb.left_mult_dim * m * rb.right_mult_dim)
+            if sl.stop > n:
+                raise ValueError(f"tile at offset {rb.offset} runs past dim_h {n} to {sl.stop}")
+            units = identity(m * m).reshape(m * m, m, m)
+            table[starts[rb.summand]:starts[rb.summand + 1], sl, sl] += np.kron(
+                np.kron(identity(rb.left_mult_dim)[None], units), identity(rb.right_mult_dim)[None])
+        covered = np.tensordot(self.algebra.unit().vec(), table, 1).diagonal().real  # pi(1)
+        if np.any(covered > 1):
+            raise ValueError("representation blocks overlap")
+        if covered.sum() != n:
+            raise ValueError(f"representation blocks tile {int(covered.sum())} of {n} dimensions")
+        return table
+
     def _validate(self, tol: float = 1e-12):
+        for name, m in (("D", self.d), ("gamma", self.gamma), ("J", self.j.m)):
+            if not np.isfinite(m).all():
+                raise ValueError(f"{name} has non-finite entries")
         scale = max(1.0, frob_norm(self.d))
         if frob_norm(self.d - adjoint(self.d)) > tol * scale:
             raise ValueError("D is not self-adjoint")
@@ -297,17 +309,10 @@ class FiniteSpectralTriple:
 
 
 def represent(t: FiniteSpectralTriple, a: AlgebraElement) -> np.ndarray:
-    """Assemble pi(a) on H from the representation blocks."""
+    """pi(a) = sum_alpha a_alpha Pi_alpha, read from the triple's table."""
     if tuple(b.shape[0] for b in a.blocks) != t.algebra.summands:
         raise ValueError("element does not match the triple's algebra")
-    out = np.zeros((t.dim_h, t.dim_h), dtype=complex)
-    for rb in t.rep_blocks:
-        block = _apply_mode(a.blocks[rb.summand], rb.mode)
-        tile = np.kron(identity(rb.left_mult_dim), np.kron(block, identity(rb.right_mult_dim)))
-        size = tile.shape[0]
-        sl = slice(rb.offset, rb.offset + size)
-        out[sl, sl] += tile
-    return out
+    return np.tensordot(a.vec(), t.pi_table, 1)
 
 
 def represent_opposite(t: FiniteSpectralTriple, a: AlgebraElement) -> np.ndarray:
@@ -326,6 +331,22 @@ class CheckReport:
         return self.max_defect <= tol
 
 
+def _worst_pair(t: FiniteSpectralTriple, spec: AlgebraSpec, with_d: bool) -> CheckReport:
+    """
+    Max over spanning pairs (a, b) of ||[L(a), pi_op(b)]||_F, L(a) = [D, pi(a)] if
+    ``with_d`` else pi(a), at the first maximal pair in row-major order; NaN comes through.
+    """
+    elems = spanning_set(spec)
+    lefts = np.array([represent(t, e) for e in elems])
+    if with_d:
+        lefts = t.d @ lefts - lefts @ t.d
+    rights = np.array([represent_opposite(t, e) for e in elems])
+    comm = np.einsum("iab,kbc->ikac", lefts, rights) - np.einsum("kab,ibc->ikac", rights, lefts)
+    defects = np.linalg.norm(comm, axis=(2, 3))
+    i, k = np.unravel_index(np.argmax(defects), defects.shape)
+    return CheckReport(float(np.max(defects)), (int(i), int(k)))
+
+
 def check_zeroth_order(t: FiniteSpectralTriple, algebra: AlgebraSpec | None = None) -> CheckReport:
     """
     Max over spanning pairs (a, b) of ||[pi(a), pi_op(b)]||_F.
@@ -334,17 +355,7 @@ def check_zeroth_order(t: FiniteSpectralTriple, algebra: AlgebraSpec | None = No
     ambient summand structure), so the commutant condition can be probed for
     algebras larger than the one attached to the triple.
     """
-    spec = algebra if algebra is not None else t.algebra
-    elems = spanning_set(spec)
-    worst, pair = 0.0, (0, 0)
-    rights = [represent_opposite(t, b) for b in elems]
-    for i, a in enumerate(elems):
-        pa = represent(t, a)
-        for k, rb in enumerate(rights):
-            defect = frob_norm(commutator(pa, rb))
-            if defect > worst:
-                worst, pair = defect, (i, k)
-    return CheckReport(worst, pair)
+    return _worst_pair(t, algebra if algebra is not None else t.algebra, with_d=False)
 
 
 def check_first_order(t: FiniteSpectralTriple, sub: AlgebraSpec | None = None) -> CheckReport:
@@ -352,21 +363,9 @@ def check_first_order(t: FiniteSpectralTriple, sub: AlgebraSpec | None = None) -
     Max over spanning pairs (a, b) of ||[[D, pi(a)], pi_op(b)]||_F, over the
     triple's algebra or a contained subalgebra ``sub``.
     """
-    spec = sub if sub is not None else t.algebra
-    elems = spanning_set(spec)
-    if sub is not None:
-        for e in elems:
-            if not t.algebra.contains(e):
-                raise ValueError("sub is not contained in the triple's algebra")
-    worst, pair = 0.0, (0, 0)
-    rights = [represent_opposite(t, b) for b in elems]
-    for i, a in enumerate(elems):
-        da = commutator(t.d, represent(t, a))
-        for k, rb in enumerate(rights):
-            defect = frob_norm(commutator(da, rb))
-            if defect > worst:
-                worst, pair = defect, (i, k)
-    return CheckReport(worst, pair)
+    if sub is not None and not all(t.algebra.contains(e) for e in spanning_set(sub)):
+        raise ValueError("sub is not contained in the triple's algebra")
+    return _worst_pair(t, sub if sub is not None else t.algebra, with_d=True)
 
 
 @dataclass(frozen=True)
@@ -425,10 +424,9 @@ def anti_hermitian_basis(spec: AlgebraSpec) -> list:
     unitary group of the algebra), extracted from a complex spanning set by
     rank reduction over the reals.
     """
-    candidates = []
-    for e in spanning_set(spec):
-        candidates.append(0.5 * (e - e.star()))
-        candidates.append(0.5j * (e + e.star()))
+    candidates = [
+        c for e in spanning_set(spec) for c in (0.5 * (e - e.star()), 0.5j * (e + e.star()))
+    ]
     # Select a maximal real-linearly-independent subset by Gram-Schmidt.
     basis, basis_vecs = [], []
     for cand in candidates:

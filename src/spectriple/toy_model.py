@@ -163,8 +163,8 @@ def build_toy(params: ToyParams = ToyParams()) -> FiniteSpectralTriple:
         algebra=a_ev(),
         dim_h=8,
         rep_blocks=(
-            RepBlock(summand=0, left_mult_dim=1, right_mult_dim=2, mode="plain", offset=0),
-            RepBlock(summand=1, left_mult_dim=2, right_mult_dim=1, mode="plain", offset=4),
+            RepBlock(summand=0, left_mult_dim=1, right_mult_dim=2, offset=0),
+            RepBlock(summand=1, left_mult_dim=2, right_mult_dim=1, offset=4),
         ),
         d=d,
         j=AntilinearOp(swap),

@@ -1,0 +1,53 @@
+"""
+The benchmark's tracer (``perfbench/spans.py``) wraps spectriple functions by
+module and name.  Every name it lists must still resolve in ``src/``, and
+uninstalling it must put every original binding back.
+"""
+
+import importlib
+import sys
+from pathlib import Path
+
+import spectriple.cli  # noqa: F401  (imports every spectriple module)
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _bindings(targets) -> dict:
+    """Each name bound in a loaded spectriple module, and each traced method."""
+    out = {
+        (name, key): value
+        for name, mod in list(sys.modules.items())
+        if mod is not None and (name == "spectriple" or name.startswith("spectriple."))
+        for key, value in vars(mod).items()
+    }
+    for mod_name, attr, _span, _size in targets:
+        if "." in attr:
+            cls_name, meth = attr.split(".")
+            owner = getattr(sys.modules[f"spectriple.{mod_name}"], cls_name)
+            out[(cls_name, meth)] = owner.__dict__[meth]
+    return out
+
+
+def _traced(mod_name: str, attr: str):
+    owner = sys.modules[f"spectriple.{mod_name}"]
+    if "." in attr:
+        cls_name, attr = attr.split(".")
+        owner = getattr(owner, cls_name)
+    return owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr)
+
+
+def test_tracer_wraps_every_target_and_uninstall_restores_the_originals(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spans = importlib.import_module("spans")
+    before = _bindings(spans.TARGETS)
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        for mod_name, attr, _span, _size in spans.TARGETS:
+            assert hasattr(_traced(mod_name, attr), "__wrapped__"), f"{mod_name}.{attr}"
+    finally:
+        tracer.uninstall()
+    after = _bindings(spans.TARGETS)
+    assert after.keys() == before.keys()
+    assert all(after[key] is value for key, value in before.items())

@@ -58,6 +58,29 @@ def test_check_rejects_a_corrupt_model_file(tmp_path, capsys):
     assert "error:" in captured.err
 
 
+def _summand_out_of_range(payload):
+    payload["rep_blocks"][1]["summand"] = 5
+
+
+def _overlapping_tiles(payload):
+    payload["rep_blocks"][1]["offset"] = 0  # onto the first tile
+
+
+def _nan_in_d(payload):
+    payload["d"][0][2] = payload["d"][2][0] = [math.nan, 0.0]
+
+
+@pytest.mark.parametrize("corrupt", [_summand_out_of_range, _overlapping_tiles, _nan_in_d])
+def test_check_rejects_bad_tilings_and_non_finite_models(tmp_path, capsys, corrupt):
+    model = tmp_path / "toy.json"
+    assert main(["export-toy", "--out", str(model)]) == 0
+    payload = load_json(str(model))
+    corrupt(payload)
+    save_json(str(model), payload)
+    assert main(["check", "--model", str(model)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_fluctuate_prints_fields_and_writes_the_operator(capsys, tmp_path, rng):
     t = build_toy()
     p = random_pert(a_ev(), rng)

@@ -79,6 +79,16 @@ def test_triple_from_dict_revalidates(tmp_path):
     assert t.d[0, 0] == 5.0
 
 
+def test_triple_file_keeps_the_plain_mode_key_and_rejects_others(tmp_path):
+    payload = triple_to_dict(build_toy())
+    assert [rb["mode"] for rb in payload["rep_blocks"]] == ["plain", "plain"]
+    payload["rep_blocks"][0]["mode"] = "transpose"
+    path = tmp_path / "model.json"
+    save_json(str(path), payload)
+    with pytest.raises(ValueError, match="'transpose'"):
+        triple_from_dict(load_json(str(path)))
+
+
 def test_pert_round_trip(rng):
     spec = a_ev()
     p = random_pert(spec, rng)

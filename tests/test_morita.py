@@ -13,7 +13,6 @@ from spectriple.matrix_core import (
     commutator,
     frob_norm,
     identity,
-    kron,
     matrix_unit,
 )
 from spectriple.morita import (
@@ -56,9 +55,9 @@ def _reference_rep_conn(t, n, conn, base, hatted):
     eye = identity(n)
     for i in range(n):
         for k in range(n):
-            cell = kron(eye, matrix_unit(n, i, k)) if hatted else kron(matrix_unit(n, i, k), eye)
+            cell = np.kron(eye, matrix_unit(n, i, k)) if hatted else np.kron(matrix_unit(n, i, k), eye)
             for x, y in conn[i][k].pairs:
-                out += kron(cell, rho(x)) @ commutator(base, kron(identity(n * n), rho(y)))
+                out += np.kron(cell, rho(x)) @ commutator(base, np.kron(identity(n * n), rho(y)))
     return out
 
 
@@ -275,9 +274,9 @@ def test_induced_real_structure_swaps_legs_and_squares_to_plus_one(toy):
         jp = induced_real_structure(toy, n)
         assert approx_eq(jp.square(), identity(n * n * 8), 1e-12)
         # swap (x) J: check one off-diagonal cell explicitly
-        want = kron(
+        want = np.kron(
             sum(
-                kron(matrix_unit(n, i, j), matrix_unit(n, j, i))
+                np.kron(matrix_unit(n, i, j), matrix_unit(n, j, i))
                 for i in range(n)
                 for j in range(n)
             ),

@@ -31,7 +31,6 @@ from spectriple.perturbation import (
     check_transitivity,
     compact,
     eta_one_form,
-    fluctuate_combined_with,
     is_invertible,
     mu,
     normalize_one_form,
@@ -299,7 +298,7 @@ def test_transitivity_of_repeated_fluctuation(toy, rng):
 def test_transitivity_raw_composition(toy, rng):
     # same check without the helper, as a guard on its definition
     p, q = random_pert(SPEC, rng), random_pert(SPEC, rng)
-    twice = fluctuate_combined_with(toy, fluctuate_combined(toy, p), q)
+    twice = mu(toy, q).apply(fluctuate_combined(toy, p))
     once = fluctuate_combined(toy, pert_mul(q, p))
     assert approx_eq(twice, once, 1e-12)
 

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spectriple import (
     AlgebraElement,
@@ -18,6 +20,7 @@ from spectriple import (
     represent_opposite,
 )
 from spectriple.matrix_core import adjoint, approx_eq, commutator, frob_norm, identity
+from spectriple.perturbation import PertElement, UniversalOneForm, a1, mu
 from spectriple.spectral_triple import (
     anti_hermitian_basis,
     random_element,
@@ -171,14 +174,152 @@ def test_hat_is_an_involution_here(toy):
 
 
 def test_rep_block_validation():
-    with pytest.raises(ValueError):
-        RepBlock(summand=0, left_mult_dim=1, right_mult_dim=1, mode="weird")
-    with pytest.raises(ValueError):
-        RepBlock(summand=0, left_mult_dim=0, right_mult_dim=1)
+    for bad in (dict(left_mult_dim=0), dict(summand=-1), dict(offset=-1)):
+        with pytest.raises(ValueError):
+            RepBlock(**{"summand": 0, "left_mult_dim": 1, "right_mult_dim": 1, **bad})
+
+
+# ---------------------------------------------------------------------------
+# The representation table against the tile-by-tile construction
+
+
+def _reference_represent(t, a):
+    """pi(a) with two np.kron per tile, as it was built before the tables."""
+    out = np.zeros((t.dim_h, t.dim_h), dtype=complex)
+    for rb in t.rep_blocks:
+        block = a.blocks[rb.summand]
+        tile = np.kron(identity(rb.left_mult_dim), np.kron(block, identity(rb.right_mult_dim)))
+        sl = slice(rb.offset, rb.offset + tile.shape[0])
+        out[sl, sl] += tile
+    return out
+
+
+def _tiled_triple(summands, tiles, order, seed=0):
+    """
+    A validate=False triple over the given summands: ``tiles`` are
+    (summand, left, right) and are laid out on H in the order ``order``;
+    D and the matrix part of J are generic complex matrices.
+    """
+    spec = AlgebraSpec(summands)
+    sizes = [left * spec.summands[s] * right for s, left, right in tiles]
+    offsets, at = [0] * len(tiles), 0
+    for idx in order:
+        offsets[idx], at = at, at + sizes[idx]
+    rng = np.random.default_rng(seed)
+    x, m = (rng.standard_normal((at, at)) + 1j * rng.standard_normal((at, at)) for _ in range(2))
+    blocks = tuple(RepBlock(*tile, offset=o) for tile, o in zip(tiles, offsets))
+    signs = KOSigns(eps_j=+1, eps_d=+1, eps_gamma=+1)
+    return FiniteSpectralTriple(
+        spec, at, blocks, x + adjoint(x), AntilinearOp(m), identity(at), signs, validate=False
+    )
+
+
+def _multi_triple():
+    """M1 + M3 + M2 with several tiles per summand, multiplicities above 1, shuffled offsets."""
+    tiles = ((1, 1, 2), (0, 2, 1), (2, 2, 1), (1, 2, 1), (0, 1, 1), (2, 1, 3))
+    return _tiled_triple((1, 3, 2), tiles, order=(3, 0, 5, 1, 4, 2))
+
+
+@pytest.mark.parametrize("which", ["toy", "multi"])
+def test_table_matches_the_tile_by_tile_representation(toy, which):
+    t = toy if which == "toy" else _multi_triple()
+    rng = np.random.default_rng(17)
+    assert t.pi_table.shape == (t.algebra.ambient_dim, t.dim_h, t.dim_h)
+    for a in [random_element(t.algebra, rng) for _ in range(20)] + spanning_set(t.algebra):
+        want = _reference_represent(t, a)
+        assert frob_norm(represent(t, a) - want) == 0.0
+        # the hat of pi(a) is the hatted table against the conjugated coordinates
+        hat = np.tensordot(np.conj(a.vec()), t.pi_hat_table, 1)
+        assert approx_eq(hat, t.hat(want), 1e-12)
+
+
+def test_tables_are_read_only_and_kept_out_of_repr(toy):
+    for table in (toy.pi_table, toy.pi_hat_table):
+        with pytest.raises(ValueError):
+            table[0, 0, 0] = 1.0
+    assert "pi_table" not in repr(toy)
+
+
+def test_readers_of_the_table_reject_elements_over_other_summands():
+    # M1 + M3 and M3 + M1 have the same ambient dimension, 10
+    t = _tiled_triple((1, 3), ((0, 1, 1), (1, 1, 1)), order=(0, 1))
+    other = random_element(AlgebraSpec((3, 1)), np.random.default_rng(0))
+    calls = (
+        lambda: represent(t, other),
+        lambda: a1(t, UniversalOneForm(((other, other),))),
+        lambda: mu(t, PertElement(AlgebraSpec((3, 1)), ((other, other),), validate=False)),
+        lambda: check_zeroth_order(t, algebra=AlgebraSpec((3, 1))),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="does not match"):
+            call()
+
+
+@st.composite
+def _plain_tilings(draw):
+    summands = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    tile = st.tuples(st.integers(0, len(summands) - 1), st.integers(1, 2), st.integers(1, 2))
+    tiles = tuple(draw(st.lists(tile, min_size=1, max_size=4)))
+    return summands, tiles, tuple(draw(st.permutations(range(len(tiles)))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_plain_tilings(), st.integers(0, 2**32 - 1))
+def test_plain_tiles_give_a_unital_star_homomorphism(tiling, seed):
+    t = _tiled_triple(*tiling, seed=seed)
+    rng = np.random.default_rng(seed)
+    a, b = random_element(t.algebra, rng), random_element(t.algebra, rng)
+    ra = represent(t, a)
+    assert frob_norm(ra - _reference_represent(t, a)) == 0.0
+    assert approx_eq(represent(t, a * b), ra @ represent(t, b), 1e-12)
+    assert np.array_equal(represent(t, a.star()), adjoint(ra))
+    assert np.array_equal(represent(t, t.algebra.unit()), identity(t.dim_h))
 
 
 # ---------------------------------------------------------------------------
 # Axiom checks
+
+
+def _reference_check(t, spec, with_d):
+    """The max defect by the per-pair loop that the batched checks replaced."""
+    elems = spanning_set(spec)
+    worst = 0.0
+    rights = [represent_opposite(t, b) for b in elems]
+    for a in elems:
+        left = commutator(t.d, represent(t, a)) if with_d else represent(t, a)
+        for rb in rights:
+            worst = max(worst, frob_norm(commutator(left, rb)))
+    return worst
+
+
+@pytest.mark.parametrize("case", ["toy", "toy_full", "toy_af", "wrong_j", "multi", "complex_basis"])
+@pytest.mark.parametrize("with_d", [False, True])
+def test_batched_checks_match_the_per_pair_loop(toy, case, with_d):
+    t, spec = toy, None
+    if case == "toy_full" and not with_d:
+        spec = full_algebra()
+    elif case == "toy_af":
+        spec = a_f()
+    elif case == "wrong_j":
+        t = FiniteSpectralTriple(**_toy_kwargs(toy, j=AntilinearOp(identity(8))))
+    elif case in ("multi", "complex_basis"):
+        t = _multi_triple()
+    if case == "complex_basis":
+        # a basis with complex coordinates: pi_op must take their conjugates
+        units = spanning_set(t.algebra)
+        pairs = zip(units, units[1:] + units[:1])
+        spec = AlgebraSpec((1, 3, 2), basis=tuple(u + 1j * v for u, v in pairs))
+    rep = check_first_order(t, spec) if with_d else check_zeroth_order(t, spec)
+    want = _reference_check(t, spec if spec is not None else t.algebra, with_d)
+    assert rep.max_defect == pytest.approx(want, rel=1e-12, abs=1e-14)
+    # the reported pair reproduces the reported defect
+    elems = spanning_set(spec if spec is not None else t.algebra)
+    i, k = rep.worst_pair
+    left = represent(t, elems[i])
+    if with_d:
+        left = commutator(t.d, left)
+    defect = frob_norm(commutator(left, represent_opposite(t, elems[k])))
+    assert defect == pytest.approx(rep.max_defect, rel=1e-12, abs=1e-14)
 
 
 def test_zeroth_order_holds_even_for_the_full_algebra(toy):
@@ -275,6 +416,38 @@ def test_j_square_must_match_declared_sign(toy):
 def test_rep_blocks_must_tile_the_space(toy):
     with pytest.raises(ValueError, match="tile"):
         FiniteSpectralTriple(**_toy_kwargs(toy, rep_blocks=toy.rep_blocks[:1]))
+
+
+@pytest.mark.parametrize("validate", [True, False])
+@pytest.mark.parametrize(
+    "second, match",
+    [
+        (RepBlock(summand=5, left_mult_dim=2, right_mult_dim=1, offset=4), "out of range"),
+        (RepBlock(summand=1, left_mult_dim=2, right_mult_dim=1, offset=0), "overlap"),
+        (RepBlock(summand=1, left_mult_dim=2, right_mult_dim=1, offset=6), "runs past"),
+    ],
+)
+def test_tiles_must_partition_h_even_without_validation(toy, second, match, validate):
+    blocks = (toy.rep_blocks[0], second)
+    with pytest.raises(ValueError, match=match):
+        FiniteSpectralTriple(**_toy_kwargs(toy, rep_blocks=blocks), validate=validate)
+
+
+@pytest.mark.parametrize("name", ["d", "gamma", "j"])
+def test_non_finite_entries_rejected(toy, name):
+    value = AntilinearOp(toy.j.m.copy()) if name == "j" else getattr(toy, name).copy()
+    bad = value.m if name == "j" else value
+    bad[0, 2] = bad[2, 0] = np.nan  # J's inverse, computed at construction, stays finite
+    with pytest.raises(ValueError, match="non-finite"):
+        FiniteSpectralTriple(**_toy_kwargs(toy, **{name: value}))
+
+
+def test_nan_in_d_comes_through_the_order_checks(toy):
+    bad = toy.d.copy()
+    bad[0, 2] = bad[2, 0] = np.nan
+    t = FiniteSpectralTriple(**_toy_kwargs(toy, d=bad), validate=False)
+    assert math.isnan(check_first_order(t).max_defect)
+    assert check_zeroth_order(t).max_defect < 1e-12  # D plays no part in it
 
 
 def test_wrong_real_structure_breaks_zeroth_order(toy):
