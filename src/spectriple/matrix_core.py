@@ -96,6 +96,8 @@ class AntilinearOp:
         if m.shape[0] != m.shape[1]:
             raise ValueError("antilinear operator needs a square matrix part")
         object.__setattr__(self, "m", m)
+        if not np.isfinite(m).all():
+            raise ValueError("antilinear operator matrix part has non-finite entries")
         try:
             m_inv = np.linalg.inv(m)
         except np.linalg.LinAlgError as exc:

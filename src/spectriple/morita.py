@@ -1,9 +1,15 @@
 """
 Fluctuations induced by a finitely generated projective module e A^n.
 
-Everything is phrased on the ambient space C^n (x) C^n (x) H.  The algebra
-M_n(A) acts there twice: through the left leg (``pi_big``) and, conjugated by
-the real structure, through the right leg (``pi_hat_big``).  A connection is
+For A = M_{m_1} + ... + M_{m_k}, M_n(A) is the multimatrix algebra with blocks
+of size n*m_s, so the idempotent e is one ``AlgebraElement``: the (i, k)
+sub-block of size m_s of its block s is the s-block of entry (i, k)
+(:func:`mn_from_entries`, :func:`mn_entries`).
+
+Everything is phrased on the ambient space C^n (x) C^n (x) H.  M_n(A) acts
+there twice, reading the triple's tables pi(e_alpha) and hat(pi(e_alpha)):
+through the left leg (``pi_big``) and, conjugated by the real structure,
+through the right leg (``pi_hat_big``).  A connection is
 an n x n matrix of universal one-forms B with e B e = B; its represented
 action on a base operator is one commutator term pi(x) [base, pi(y)] per
 universal pair x d(y), placed in the cell of its entry.  The
@@ -20,8 +26,7 @@ units instead of one commutator per universal pair, so neither cost grows
 with the length of the pair lists.  This assumes, like the comparison of
 one-forms through ``one_form_cf``, that the representation is a unital
 *-homomorphism of the complex algebra, which plain tiles partitioning H
-guarantee; the sum over the matrix units reads the triple's tables
-pi(e_alpha) and hat(pi(e_alpha)).
+guarantee.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from dataclasses import InitVar, dataclass, field
 import numpy as np
 from scipy.linalg import block_diag
 
-from .matrix_core import AntilinearOp, adjoint, commutator, frob_norm, identity, matrix_unit
+from .matrix_core import AntilinearOp, commutator, identity
 from .perturbation import (
     UniversalOneForm,
     one_form_lmul,
@@ -44,7 +49,6 @@ from .spectral_triple import (
     AlgebraSpec,
     FiniteSpectralTriple,
     random_element,
-    represent,
     spanning_set,
 )
 
@@ -57,11 +61,10 @@ __all__ = [
     "corner",
     "corner_projector",
     "d_big",
-    "elem_mat_adjoint",
-    "elem_mat_mul",
-    "elem_mat_unit",
     "hermitize_connection",
     "induced_real_structure",
+    "mn_entries",
+    "mn_from_entries",
     "pi_big",
     "pi_hat_big",
     "random_conn_form",
@@ -74,44 +77,38 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Matrices over the algebra
+# Matrices over the algebra: M_n(A) is the multimatrix algebra of blocks n*m_s
 
 
-def elem_mat_mul(x, y):
-    """Product of two square matrices of algebra elements."""
-    n = len(x)
-    out = []
-    for i in range(n):
-        row = []
-        for l in range(n):
-            acc = x[i][0] * y[0][l]
-            for k in range(1, n):
-                acc = acc + x[i][k] * y[k][l]
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
+def mn_from_entries(grid) -> AlgebraElement:
+    """
+    The element of M_n(A) with entries ``grid[i][k]``: block s has size
+    n*m_s, and its (i, k) sub-block of size m_s is the s-block of entry (i, k).
+    """
+    summands = range(len(grid[0][0].blocks))
+    return AlgebraElement(
+        tuple(np.block([[a.blocks[s] for a in row] for row in grid]) for s in summands)
+    )
 
 
-def elem_mat_adjoint(x):
-    """(x*)_{ij} = (x_{ji})*."""
-    n = len(x)
-    return tuple(tuple(x[j][i].star() for j in range(n)) for i in range(n))
-
-
-def elem_mat_unit(spec: AlgebraSpec, n: int):
+def mn_entries(x: AlgebraElement, n: int) -> tuple:
+    """The n x n grid of entries of an element of M_n(A) (views, no copies)."""
+    grid = [b.reshape(n, len(b) // n, n, -1) for b in x.blocks]  # (i, row, k, column)
     return tuple(
-        tuple(spec.unit() if i == j else spec.zero() for j in range(n)) for i in range(n)
+        tuple(AlgebraElement(tuple(g[i, :, k] for g in grid)) for k in range(n))
+        for i in range(n)
     )
 
 
-def _elem_mat_defect(x, y) -> float:
-    return float(
-        np.max([(a - b).norm() for row_x, row_y in zip(x, y) for a, b in zip(row_x, row_y)])
-    )
+def _entry_coords(x: AlgebraElement, n: int) -> np.ndarray:
+    """Ambient coordinates of the entries of x in M_n(A), shape (n, n, d)."""
+    grid = [b.reshape(n, len(b) // n, n, -1).transpose(0, 2, 1, 3) for b in x.blocks]
+    return np.concatenate([g.reshape(n, n, -1) for g in grid], axis=-1)
 
 
-def _elem_mat_scale(x) -> float:
-    return max(a.norm() for row in x for a in row)
+def _mn_spec(spec: AlgebraSpec, n: int) -> AlgebraSpec:
+    """M_n of the ambient multimatrix algebra of ``spec``."""
+    return AlgebraSpec(tuple(n * m for m in spec.summands))
 
 
 # ---------------------------------------------------------------------------
@@ -130,14 +127,26 @@ def _on_leg(cells: np.ndarray, hatted: bool) -> np.ndarray:
     return np.einsum(layout, cells, identity(n)).reshape(cells.shape[:-4] + (dim, dim))
 
 
-def pi_big(t: FiniteSpectralTriple, n: int, x) -> np.ndarray:
+def _cells(t: FiniteSpectralTriple, n: int, x: AlgebraElement, hatted: bool) -> np.ndarray:
+    """
+    pi (or hat o pi) of every entry of x in M_n(A), shape (n, n, N, N), read
+    from the triple's tables; hat o pi takes the conjugated coordinates.
+    """
+    if tuple(len(b) for b in x.blocks) != _mn_spec(t.algebra, n).summands:
+        raise ValueError("element does not match the triple's algebra")
+    coords = _entry_coords(x, n)
+    table = t.pi_hat_table if hatted else t.pi_table
+    return np.tensordot(np.conj(coords) if hatted else coords, table, 1)
+
+
+def pi_big(t: FiniteSpectralTriple, n: int, x: AlgebraElement) -> np.ndarray:
     """M_n(A) acting through the left C^n leg."""
-    return _on_leg(np.array([[represent(t, a) for a in row] for row in x]), hatted=False)
+    return _on_leg(_cells(t, n, x, hatted=False), hatted=False)
 
 
-def pi_hat_big(t: FiniteSpectralTriple, n: int, x) -> np.ndarray:
+def pi_hat_big(t: FiniteSpectralTriple, n: int, x: AlgebraElement) -> np.ndarray:
     """M_n(A) acting through the right C^n leg, with hatted fibre operators."""
-    return _on_leg(np.array([[t.hat(represent(t, a)) for a in row] for row in x]), hatted=True)
+    return _on_leg(_cells(t, n, x, hatted=True), hatted=True)
 
 
 def d_big(t: FiniteSpectralTriple, n: int) -> np.ndarray:
@@ -178,30 +187,25 @@ def hermitize_connection(conn):
     """(B + B*)/2 with (B*)_{jk} = (B_{kj})*."""
     n = len(conn)
     return tuple(
-        tuple(
-            one_form_scale(0.5, conn[j][k])
-            + one_form_scale(0.5, one_form_star(conn[k][j]))
-            for k in range(n)
-        )
+        tuple(one_form_scale(0.5, conn[j][k] + one_form_star(conn[k][j])) for k in range(n))
         for j in range(n)
     )
 
 
-def compress_connection(e, conn):
+def compress_connection(e: AlgebraElement, conn):
     """(e B e)_{il} = sum_{jk} e_ij . B_jk . e_kl, at the universal level."""
     n = len(conn)
-    out = []
-    for i in range(n):
-        row = []
-        for l in range(n):
-            acc = None
-            for j in range(n):
-                for k in range(n):
-                    term = one_form_lmul(e[i][j], one_form_rmul(conn[j][k], e[k][l]))
-                    acc = term if acc is None else acc + term
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
+    e = mn_entries(e, n)
+
+    def entry(i, l):
+        terms = [
+            one_form_lmul(e[i][j], one_form_rmul(conn[j][k], e[k][l]))
+            for j in range(n)
+            for k in range(n)
+        ]
+        return UniversalOneForm(tuple(pair for w in terms for pair in w.pairs))
+
+    return tuple(tuple(entry(i, l) for l in range(n)) for i in range(n))
 
 
 def conn_coefficients(spec: AlgebraSpec, conn) -> np.ndarray:
@@ -225,21 +229,20 @@ def conn_coefficients(spec: AlgebraSpec, conn) -> np.ndarray:
     return out
 
 
-def compress_coefficients(e, omega: np.ndarray) -> np.ndarray:
+def compress_coefficients(e: AlgebraElement, omega: np.ndarray) -> np.ndarray:
     """
     e B e on coefficients: entry (i, l) is sum_jk (e_ij (x) 1) omega_jk (1 (x) e_kl),
     left multiplication by e_ij on the first factor and right multiplication
     by e_kl on the second.
     """
     n, _, d, _ = omega.shape
-    left = np.block([
-        [block_diag(*(np.kron(b, identity(len(b))) for b in a.blocks)) for a in row]
-        for row in e
-    ])
-    right = np.block([
-        [block_diag(*(np.kron(identity(len(b)), b) for b in a.blocks)) for a in row]
-        for row in e
-    ])
+    entries = mn_entries(e, n)
+
+    def on_coords(kron):
+        return np.block([[block_diag(*map(kron, a.blocks)) for a in row] for row in entries])
+
+    left = on_coords(lambda b: np.kron(b, identity(len(b))))
+    right = on_coords(lambda b: np.kron(identity(len(b)), b))
     big = omega.transpose(0, 2, 1, 3).reshape(n * d, n * d)
     return (left @ big @ right).reshape(n, d, n, d).transpose(0, 2, 1, 3)
 
@@ -248,22 +251,18 @@ def random_conn_form(
     t: FiniteSpectralTriple,
     n: int,
     rng: np.random.Generator,
-    e,
+    e: AlgebraElement,
     n_pairs: int = 1,
     hermitian: bool = True,
 ):
     """A random connection compressed to the module of ``e``."""
     spec = t.algebra
+
+    def pair():
+        return random_element(spec, rng), random_element(spec, rng)
+
     raw = tuple(
-        tuple(
-            UniversalOneForm(
-                tuple(
-                    (random_element(spec, rng), random_element(spec, rng))
-                    for _ in range(n_pairs)
-                )
-            )
-            for _ in range(n)
-        )
+        tuple(UniversalOneForm(tuple(pair() for _ in range(n_pairs))) for _ in range(n))
         for _ in range(n)
     )
     if hermitian:
@@ -278,7 +277,8 @@ def random_conn_form(
 @dataclass(frozen=True, eq=False)
 class MoritaData:
     """
-    An idempotent e in M_n(A) together with an optional compressed connection.
+    An idempotent e in M_n(A), one element whose block s has size n*m_s (see
+    :func:`mn_from_entries`), together with an optional compressed connection.
 
     The faithful coefficients of the connection (:func:`conn_coefficients`)
     are computed once and kept as ``omega``; the twists apply them.
@@ -289,17 +289,15 @@ class MoritaData:
 
     triple: FiniteSpectralTriple
     size: int
-    idem: tuple
+    idem: AlgebraElement
     conn: tuple | None = None
     validate: InitVar[bool] = True
     omega: np.ndarray | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self, validate: bool):
         n = self.size
-        idem = tuple(tuple(row) for row in self.idem)
-        if len(idem) != n or any(len(row) != n for row in idem):
+        if tuple(len(b) for b in self.idem.blocks) != _mn_spec(self.triple.algebra, n).summands:
             raise ValueError(f"idempotent must be an {n}x{n} matrix of elements")
-        object.__setattr__(self, "idem", idem)
         if self.conn is not None:
             conn = tuple(tuple(row) for row in self.conn)
             if len(conn) != n or any(len(row) != n for row in conn):
@@ -313,20 +311,21 @@ class MoritaData:
                 self._validate_compressed()
 
     def _validate_entries(self, tol: float = 1e-8):
-        spec = self.triple.algebra
-        if not all(_finite(a) for row in self.idem for a in row):
+        spec, n = self.triple.algebra, self.size
+        if not _finite(self.idem):
             raise ValueError("idempotent has non-finite entries")
         if self.conn is not None and not all(
             _finite(a) for row in self.conn for w in row for pair in w.pairs for a in pair
         ):
             raise ValueError("connection has non-finite entries")
-        for row in self.idem:
-            for entry in row:
-                if not spec.contains(entry):
-                    raise ValueError("idempotent entry is not in the algebra")
-        sq = elem_mat_mul(self.idem, self.idem)
-        scale = max(1.0, _elem_mat_scale(self.idem) ** 2)
-        if not _elem_mat_defect(sq, self.idem) <= tol * scale:
+        if not _entries_in(spec, self.idem, n, tol=1e-9):
+            raise ValueError("idempotent entry is not in the algebra")
+        # the largest Frobenius norm of an entry, of e and of e^2 - e
+        norm, defect = (
+            np.max(np.linalg.norm(_entry_coords(x, n), axis=-1))
+            for x in (self.idem, self.idem * self.idem - self.idem)
+        )
+        if not defect <= tol * max(1.0, norm**2):
             raise ValueError("matrix is not idempotent")
 
     def _validate_compressed(self, tol: float = 1e-8):
@@ -340,6 +339,10 @@ class MoritaData:
 
 def _finite(a: AlgebraElement) -> bool:
     return all(np.isfinite(b).all() for b in a.blocks)
+
+
+def _entries_in(spec: AlgebraSpec, x: AlgebraElement, n: int, tol: float) -> bool:
+    return all(spec.contains(entry, tol=tol) for row in mn_entries(x, n) for entry in row)
 
 
 def _one_sided(md: MoritaData, base: np.ndarray, hatted: bool) -> np.ndarray:
@@ -377,14 +380,15 @@ def corner(md: MoritaData, op: np.ndarray | None = None) -> np.ndarray:
     return p @ op @ p
 
 
-def check_idempotent_identity(t: FiniteSpectralTriple, n: int, e) -> float:
+def check_idempotent_identity(t: FiniteSpectralTriple, n: int, e: AlgebraElement) -> float:
     """
     Max norm over (i, l) of  sum_{jk} pi(e_ij) [D, pi(e_jk)] pi(e_kl),
     which vanishes identically for idempotent e (it is e de e in disguise).
     Computed as the (i, l) blocks of P [1 (x) D, P] P with P = pi(e) on
-    C^n (x) H; a NaN anywhere gives NaN.
+    C^n (x) H, read from the table; a NaN anywhere gives NaN.
     """
-    p = np.block([[represent(t, entry) for entry in row] for row in e])
+    dim = n * t.dim_h
+    p = _cells(t, n, e, hatted=False).transpose(0, 2, 1, 3).reshape(dim, dim)
     acc = p @ commutator(np.kron(identity(n), t.d), p) @ p
     blocks = acc.reshape(n, t.dim_h, n, t.dim_h)
     return float(np.max(np.linalg.norm(blocks, axis=(1, 3))))
@@ -392,10 +396,8 @@ def check_idempotent_identity(t: FiniteSpectralTriple, n: int, e) -> float:
 
 def induced_real_structure(t: FiniteSpectralTriple, n: int) -> AntilinearOp:
     """Real structure on C^n (x) C^n (x) H: swap the two C^n legs, J in the fibre."""
-    swap = np.zeros((n * n, n * n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            swap += np.kron(matrix_unit(n, i, j), matrix_unit(n, j, i))
+    # row (i, j) of the swap is row (j, i) of the identity
+    swap = identity(n * n).reshape(n, n, n * n).transpose(1, 0, 2).reshape(n * n, n * n)
     return AntilinearOp(np.kron(swap, t.j.m))
 
 
@@ -405,53 +407,19 @@ def zeroth_order_induced(t: FiniteSpectralTriple, n: int) -> float:
     of its adjoint under the induced real structure (NaN if any norm is NaN).
     """
     jp = induced_real_structure(t, n)
-    eye = identity(n)
-    lefts = []
-    for i in range(n):
-        for j in range(n):
-            for s in spanning_set(t.algebra):
-                lefts.append(
-                    np.kron(matrix_unit(n, i, j), np.kron(eye, represent(t, s)))
-                )
-    rights = [jp.conjugate(adjoint(op)) for op in lefts]
+    span = np.array([s.vec() for s in spanning_set(t.algebra)])
+    reps = np.tensordot(span, t.pi_table, 1)
+    dim = n * n * t.dim_h
+    cells = np.einsum("ik,jl,shg->ijsklhg", identity(n), identity(n), reps)  # E_ij (x) pi(s)
+    lefts = _on_leg(cells, hatted=False).reshape(-1, dim, dim)
+    rights = jp.conjugate(np.conj(lefts).swapaxes(1, 2))
     return float(
-        np.max([frob_norm(commutator(left, right)) for left in lefts for right in rights])
+        np.max([np.linalg.norm(left @ rights - rights @ left, axis=(1, 2)) for left in lefts])
     )
 
 
 # ---------------------------------------------------------------------------
 # Random module data
-
-
-def _assemble_summand(mat, s: int, block_size: int) -> np.ndarray:
-    n = len(mat)
-    big = np.zeros((n * block_size, n * block_size), dtype=complex)
-    for j in range(n):
-        for k in range(n):
-            big[
-                j * block_size : (j + 1) * block_size,
-                k * block_size : (k + 1) * block_size,
-            ] = mat[j][k].blocks[s]
-    return big
-
-
-def _carve(spec: AlgebraSpec, bigs, n: int):
-    out = []
-    for j in range(n):
-        row = []
-        for k in range(n):
-            blocks = []
-            for s, ns in enumerate(spec.summands):
-                blocks.append(bigs[s][j * ns : (j + 1) * ns, k * ns : (k + 1) * ns])
-            row.append(AlgebraElement(tuple(blocks)))
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def _random_elem_mat(spec: AlgebraSpec, n: int, rng: np.random.Generator):
-    return tuple(
-        tuple(random_element(spec, rng) for _ in range(n)) for _ in range(n)
-    )
 
 
 def random_idempotent(
@@ -469,47 +437,23 @@ def random_idempotent(
     """
     spec = t.algebra
     for _ in range(max_tries):
-        h = _random_elem_mat(spec, n, rng)
-        h_adj = elem_mat_adjoint(h)
-        h = tuple(
-            tuple(0.5 * (h[j][k] + h_adj[j][k]) for k in range(n)) for j in range(n)
-        )
-        bigs = []
-        ok = True
-        for s, ns in enumerate(spec.summands):
-            big = _assemble_summand(h, s, ns)
-            vals, vecs = np.linalg.eigh(big)
-            if np.min(np.abs(vals)) < 1e-6:
-                ok = False
-                break
-            pos = vecs[:, vals > 0]
-            bigs.append(pos @ pos.conj().T)
-        if not ok:
+        h = mn_from_entries([[random_element(spec, rng) for _ in range(n)] for _ in range(n)])
+        h = 0.5 * (h + h.star())
+        eigs = [np.linalg.eigh(big) for big in h.blocks]
+        if any(np.min(np.abs(vals)) < 1e-6 for vals, _ in eigs):
             continue
-        e = _carve(spec, bigs, n)
-        if not all(spec.contains(entry, tol=1e-8) for row in e for entry in row):
+        pos = [vecs[:, vals > 0] for vals, vecs in eigs]
+        e = AlgebraElement(tuple(v @ v.conj().T for v in pos))
+        if not _entries_in(spec, e, n, tol=1e-8):
             continue
         if self_adjoint:
             return e
-        g = _random_elem_mat(spec, n, rng)
-        unit = elem_mat_unit(spec, n)
-        g = tuple(
-            tuple(unit[j][k] + 0.3 * g[j][k] for k in range(n)) for j in range(n)
-        )
-        g_bigs, gi_bigs = [], []
-        invertible = True
-        for s, ns in enumerate(spec.summands):
-            big = _assemble_summand(g, s, ns)
-            if np.linalg.cond(big) > 1e6:
-                invertible = False
-                break
-            g_bigs.append(big)
-            gi_bigs.append(np.linalg.inv(big))
-        if not invertible:
+        g = mn_from_entries([[random_element(spec, rng) for _ in range(n)] for _ in range(n)])
+        g = _mn_spec(spec, n).unit() + 0.3 * g
+        if any(np.linalg.cond(big) > 1e6 for big in g.blocks):
             continue
-        e_bigs = [gb @ _assemble_summand(e, s, ns) @ gib
-                  for s, (ns, gb, gib) in enumerate(zip(spec.summands, g_bigs, gi_bigs))]
-        skewed = _carve(spec, e_bigs, n)
-        if all(spec.contains(entry, tol=1e-8) for row in skewed for entry in row):
+        g_inv = AlgebraElement(tuple(np.linalg.inv(big) for big in g.blocks))
+        skewed = g * e * g_inv
+        if _entries_in(spec, skewed, n, tol=1e-8):
             return skewed
     raise RuntimeError("could not draw a clean random idempotent")

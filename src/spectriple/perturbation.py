@@ -40,16 +40,13 @@ __all__ = [
     "a1",
     "a2",
     "a2_with",
-    "affine_combine",
     "canonical_form",
     "check_transitivity",
-    "compact",
     "eta_one_form",
     "fluctuate",
     "fluctuate_combined",
     "from_unitary",
     "gauge_transform",
-    "is_invertible",
     "mu",
     "normalize_one_form",
     "one_form_cf",
@@ -274,35 +271,6 @@ def gauge_transform(p: PertElement, u: AlgebraElement) -> PertElement:
     return pert_mul(from_unitary(p.spec, u), p)
 
 
-def affine_combine(p: PertElement, q: PertElement, alpha: float) -> PertElement:
-    """alpha p + (1 - alpha) q; stays in the semigroup for every real alpha."""
-    alpha = float(alpha)
-    pairs = tuple((alpha * a, b) for a, b in p.pairs) + tuple(
-        ((1.0 - alpha) * a, b) for a, b in q.pairs
-    )
-    return PertElement(p.spec, pairs)
-
-
-def compact(p: PertElement, tol: float = 1e-14) -> PertElement:
-    """Drop pairs whose canonical-form contribution is negligible."""
-    scale = max(1.0, frob_norm(canonical_form(p)))
-    keep = []
-    for pair in p.pairs:
-        if frob_norm(_cf_of_pairs(p.spec.summands, [pair])) > tol * scale:
-            keep.append(pair)
-    if not keep:
-        return p
-    return PertElement(p.spec, tuple(keep))
-
-
-def is_invertible(p: PertElement, tol: float = 1e-9) -> bool:
-    """Invertibility of the canonical form in the ambient A (x) A^op."""
-    svals = np.linalg.svd(canonical_form(p), compute_uv=False)
-    if svals[0] == 0.0:
-        return False
-    return bool(svals[-1] > tol * svals[0])
-
-
 def random_pert(
     spec: AlgebraSpec, rng: np.random.Generator, n_pairs: int = 3
 ) -> PertElement:
@@ -394,32 +362,36 @@ def fluctuate(t: FiniteSpectralTriple, w: UniversalOneForm, tol: float = 1e-9) -
 
 @dataclass(frozen=True, eq=False)
 class RepresentedPert:
-    """Pairs of operators (L_t, R_t) acting on D by D -> sum_t L_t D R_t."""
+    """
+    The map D -> sum_t L_t D R_t on B(H), stored as two stacks ``lefts`` and
+    ``rights`` of shape (T, N, N) holding L_t and R_t; ``pairs`` views them
+    as the T pairs (L_t, R_t).
+    """
 
-    pairs: tuple
+    lefts: np.ndarray
+    rights: np.ndarray
+
+    @property
+    def pairs(self) -> tuple:
+        return tuple(zip(self.lefts, self.rights))
 
     def apply(self, d: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(np.asarray(d, dtype=complex))
-        for left, right in self.pairs:
-            out += left @ d @ right
-        return out
+        """sum_t L_t d R_t: the canonical form on the row-major vector of d."""
+        d = np.asarray(d, dtype=complex)
+        return (self.canonical_form() @ d.reshape(-1)).reshape(d.shape)
 
     def canonical_form(self) -> np.ndarray:
         """Matrix of X -> sum_t L_t X R_t on row-major vectorized operators."""
-        n = self.pairs[0][0].shape[0]
-        out = np.zeros((n * n, n * n), dtype=complex)
-        for left, right in self.pairs:
-            out += np.kron(left, right.T)
-        return out
+        n = self.lefts.shape[-1]
+        cf = np.einsum("tab,tdc->acbd", self.lefts, self.rights, optimize=True)
+        return cf.reshape(n * n, n * n)
 
     def mul(self, other: "RepresentedPert") -> "RepresentedPert":
-        return RepresentedPert(
-            tuple(
-                (l1 @ l2, r2 @ r1)
-                for l1, r1 in self.pairs
-                for l2, r2 in other.pairs
-            )
-        )
+        """Composition, self after other: the pairs (L_s L_t, R_t R_s), s outer."""
+        n = self.lefts.shape[-1]
+        lefts = self.lefts[:, None] @ other.lefts[None]
+        rights = other.rights[None] @ self.rights[:, None]
+        return RepresentedPert(lefts.reshape(-1, n, n), rights.reshape(-1, n, n))
 
 
 def mu(t: FiniteSpectralTriple, p: PertElement) -> RepresentedPert:
@@ -432,7 +404,7 @@ def mu(t: FiniteSpectralTriple, p: PertElement) -> RepresentedPert:
     n = t.dim_h
     lefts = (ra[:, None] @ ha[None]).reshape(-1, n, n)
     rights = (rb[:, None] @ hb[None]).reshape(-1, n, n)
-    return RepresentedPert(tuple(zip(lefts, rights)))
+    return RepresentedPert(lefts, rights)
 
 
 def fluctuate_combined(t: FiniteSpectralTriple, p: PertElement) -> np.ndarray:

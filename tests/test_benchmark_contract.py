@@ -1,14 +1,21 @@
 """
 The benchmark's tracer (``perfbench/spans.py``) wraps spectriple functions by
 module and name.  Every name it lists must still resolve in ``src/``, and
-uninstalling it must put every original binding back.
+uninstalling it must put every original binding back.  The sizes it and the
+workloads (``perfbench/workloads.py``) read from results must stay numbers:
+a result without a pair list turns a per-layer metric into null.
 """
 
 import importlib
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import spectriple.cli  # noqa: F401  (imports every spectriple module)
+from spectriple.morita import random_conn_form, random_idempotent
+from spectriple.perturbation import mu, pert_mul, random_pert
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -51,3 +58,25 @@ def test_tracer_wraps_every_target_and_uninstall_restores_the_originals(monkeypa
     after = _bindings(spans.TARGETS)
     assert after.keys() == before.keys()
     assert all(after[key] is value for key, value in before.items())
+
+
+def _perfbench_module(monkeypatch, name: str):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    return importlib.import_module(name)
+
+
+def test_pair_counts_of_mu_and_pert_mul_are_the_term_counts(toy, monkeypatch):
+    spans = _perfbench_module(monkeypatch, "spans")
+    rng = np.random.default_rng(0)
+    p, q = random_pert(toy.algebra, rng), random_pert(toy.algebra, rng)
+    assert spans._pair_count(mu(toy, p)) == len(p.pairs) ** 2
+    assert spans._pair_count(pert_mul(p, q)) == len(p.pairs) * len(q.pairs)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_workload_pair_counts_are_integers(toy, monkeypatch, n):
+    workloads = _perfbench_module(monkeypatch, "workloads")
+    rng = np.random.default_rng(n)
+    assert workloads._pairs(random_pert(toy.algebra, rng)) is not None
+    conn = random_conn_form(toy, n, rng, random_idempotent(toy, n, rng))
+    assert all(isinstance(workloads._pairs(w), int) for row in conn for w in row)

@@ -109,6 +109,17 @@ def test_antilinear_rejects_singular_matrix_part():
         AntilinearOp(np.zeros((2, 2)))
 
 
+@pytest.mark.parametrize("where", [(0, 1), (0, 4), (0, 5), (1, 0)])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_antilinear_rejects_non_finite_matrix_part(toy, where, value):
+    # the outcome must not depend on LAPACK's pivoting, which reads a NaN at
+    # some of these places as a singular matrix and inverts past it at others
+    m = toy.j.m.copy()
+    m[where] = value
+    with pytest.raises(ValueError, match="non-finite entries"):
+        AntilinearOp(m)
+
+
 def test_antilinear_conjugate_shape_check():
     j = AntilinearOp(np.eye(2))
     with pytest.raises(ValueError):

@@ -23,11 +23,10 @@ from spectriple.morita import (
     corner,
     corner_projector,
     d_big,
-    elem_mat_adjoint,
-    elem_mat_mul,
-    elem_mat_unit,
     hermitize_connection,
     induced_real_structure,
+    mn_entries,
+    mn_from_entries,
     pi_big,
     pi_hat_big,
     random_conn_form,
@@ -36,7 +35,7 @@ from spectriple.morita import (
     zeroth_order_induced,
 )
 from spectriple.perturbation import UniversalOneForm
-from spectriple.spectral_triple import random_element, represent
+from spectriple.spectral_triple import AlgebraElement, random_element, represent
 
 
 def _rel(a, b):
@@ -61,6 +60,15 @@ def _reference_rep_conn(t, n, conn, base, hatted):
     return out
 
 
+def _mn_unit(spec, n):
+    zero = spec.zero()
+    return mn_from_entries([[spec.unit() if i == k else zero for k in range(n)] for i in range(n)])
+
+
+def _random_mn(spec, n, rng):
+    return mn_from_entries([[random_element(spec, rng) for _ in range(n)] for _ in range(n)])
+
+
 def _raw_conn(spec, n, rng):
     return tuple(
         tuple(
@@ -74,7 +82,7 @@ def _raw_conn(spec, n, rng):
 
 
 def test_rank_one_unit_module_gives_back_d(toy):
-    md = MoritaData(toy, 1, ((toy.algebra.unit(),),))
+    md = MoritaData(toy, 1, toy.algebra.unit())
     assert np.array_equal(twisted_dirac_left(md), toy.d)
     assert np.array_equal(twisted_dirac_right(md), toy.d)
 
@@ -82,7 +90,7 @@ def test_rank_one_unit_module_gives_back_d(toy):
 def test_diagonal_projection_cuts_the_corner(toy):
     # e = diag(1, 0) embeds D into the (0,0) cell of the doubled index grid
     unit, zero = toy.algebra.unit(), toy.algebra.zero()
-    e = ((unit, zero), (zero, zero))
+    e = mn_from_entries(((unit, zero), (zero, zero)))
     md = MoritaData(toy, 2, e)
     want = np.zeros((32, 32), dtype=complex)
     want[0:8, 0:8] = toy.d
@@ -100,9 +108,9 @@ def test_unit_module_with_diagonal_connection_reduces_entrywise(toy, rng):
         tuple(w if i == k else zero_form for k in range(n)) for i in range(n)
     )
     conn = hermitize_connection(conn)
-    md = MoritaData(toy, n, elem_mat_unit(toy.algebra, n), conn)
+    md = MoritaData(toy, n, _mn_unit(toy.algebra, n), conn)
     big = twisted_dirac_left(md)
-    small = MoritaData(toy, 1, ((toy.algebra.unit(),),), ((conn[0][0],),))
+    small = MoritaData(toy, 1, toy.algebra.unit(), ((conn[0][0],),))
     cell = twisted_dirac_left(small)
     for i in range(n):
         sl = slice(i * (n * 8) + i * 8, i * (n * 8) + (i + 1) * 8)
@@ -125,29 +133,30 @@ def test_idempotent_identity_vanishes(toy):
         rng = np.random.default_rng(n)
         e = random_idempotent(toy, n, rng, self_adjoint=(n % 2 == 0))
         assert check_idempotent_identity(toy, n, e) < 1e-12
-    assert check_idempotent_identity(toy, 2, elem_mat_unit(toy.algebra, 2)) == 0.0
+    assert check_idempotent_identity(toy, 2, _mn_unit(toy.algebra, 2)) == 0.0
 
 
 def test_random_idempotents_are_what_they_claim(toy, rng):
     e = random_idempotent(toy, 2, rng, self_adjoint=True)
-    sq = elem_mat_mul(e, e)
-    star = elem_mat_adjoint(e)
+    assert [len(b) for b in e.blocks] == [4, 4]  # M_2(A): blocks of size 2 * m_s
+    sq, star = mn_entries(e * e, 2), mn_entries(e.star(), 2)
+    entries = mn_entries(e, 2)
     for j in range(2):
         for k in range(2):
-            assert (sq[j][k] - e[j][k]).norm() < 1e-10
-            assert (star[j][k] - e[j][k]).norm() < 1e-10
-            assert toy.algebra.contains(e[j][k], tol=1e-8)
+            assert (sq[j][k] - entries[j][k]).norm() < 1e-10
+            assert (star[j][k] - entries[j][k]).norm() < 1e-10
+            assert toy.algebra.contains(entries[j][k], tol=1e-8)
     skew = random_idempotent(toy, 2, rng, self_adjoint=False)
     gap = max(
-        (elem_mat_adjoint(skew)[j][k] - skew[j][k]).norm()
-        for j in range(2)
-        for k in range(2)
+        (a - b).norm()
+        for row_a, row_b in zip(mn_entries(skew.star(), 2), mn_entries(skew, 2))
+        for a, b in zip(row_a, row_b)
     )
     assert gap > 1e-3  # genuinely not self-adjoint
     assert max(
-        (elem_mat_mul(skew, skew)[j][k] - skew[j][k]).norm()
-        for j in range(2)
-        for k in range(2)
+        (a - b).norm()
+        for row_a, row_b in zip(mn_entries(skew * skew, 2), mn_entries(skew, 2))
+        for a, b in zip(row_a, row_b)
     ) < 1e-8
 
 
@@ -229,22 +238,21 @@ def test_validation_rejects_non_finite_entries(toy):
     unit = toy.algebra.unit()
     nan_elem = float("nan") * unit
     with pytest.raises(ValueError, match="idempotent has non-finite"):
-        MoritaData(toy, 1, ((nan_elem,),))
+        MoritaData(toy, 1, nan_elem)
     conn = ((UniversalOneForm(((nan_elem, unit),)),),)
     with pytest.raises(ValueError, match="connection has non-finite"):
-        MoritaData(toy, 1, ((unit,),), conn)
+        MoritaData(toy, 1, unit, conn)
     inf_elem = toy.algebra.element(np.diag([np.inf, 1.0]), np.eye(2))
     inf_conn = ((UniversalOneForm(((unit, inf_elem),)),),)
     with pytest.raises(ValueError, match="connection has non-finite"):
-        MoritaData(toy, 1, ((unit,),), inf_conn)
+        MoritaData(toy, 1, unit, inf_conn)
 
 
 def test_reducers_pass_nan_through(toy, monkeypatch):
     nan_elem = float("nan") * toy.algebra.unit()
-    assert np.isnan(check_idempotent_identity(toy, 1, ((nan_elem,),)))
-    monkeypatch.setattr(
-        morita, "represent", lambda t, a: np.full((t.dim_h, t.dim_h), np.nan, dtype=complex)
-    )
+    assert np.isnan(check_idempotent_identity(toy, 1, nan_elem))
+    monkeypatch.setattr(morita, "_on_leg", lambda cells, hatted: np.full(
+        cells.shape[:-4] + (toy.dim_h, toy.dim_h), np.nan, dtype=complex))
     assert np.isnan(zeroth_order_induced(toy, 1))
 
 
@@ -252,7 +260,7 @@ def test_validation_rejects_non_idempotent(toy):
     unit = toy.algebra.unit()
     half = 0.5 * unit
     with pytest.raises(ValueError, match="idempotent"):
-        MoritaData(toy, 1, ((half,),))
+        MoritaData(toy, 1, half)
 
 
 def test_validation_rejects_uncompressed_connection(toy, rng):
@@ -302,11 +310,74 @@ def test_induced_zeroth_order(toy):
 
 def test_left_and_hatted_actions_commute_on_the_module(toy, rng):
     n = 2
-    x = tuple(
-        tuple(random_element(toy.algebra, rng) for _ in range(n)) for _ in range(n)
-    )
-    y = tuple(
-        tuple(random_element(toy.algebra, rng) for _ in range(n)) for _ in range(n)
-    )
+    x = _random_mn(toy.algebra, n, rng)
+    y = _random_mn(toy.algebra, n, rng)
     a, b = pi_big(toy, n, x), pi_hat_big(toy, n, y)
     assert frob_norm(a @ b - b @ a) < 1e-12
+
+
+def _reference_pi_big(t, n, x, hatted):
+    """sum_ik kron(E_ik, kron(1, pi(x_ik))), or kron(1, kron(E_ik, hat(pi(x_ik)))) when hatted."""
+    out = np.zeros((n * n * t.dim_h,) * 2, dtype=complex)
+    for i, row in enumerate(mn_entries(x, n)):
+        for k, entry in enumerate(row):
+            cell = matrix_unit(n, i, k)
+            if hatted:
+                out += np.kron(identity(n), np.kron(cell, t.hat(represent(t, entry))))
+            else:
+                out += np.kron(cell, np.kron(identity(n), represent(t, entry)))
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pi_big_and_pi_hat_big_match_the_entrywise_sum(toy, n):
+    rng = np.random.default_rng(60 + n)
+    x = _random_mn(toy.algebra, n, rng)
+    assert frob_norm(pi_big(toy, n, x) - _reference_pi_big(toy, n, x, False)) < 1e-14
+    assert frob_norm(pi_hat_big(toy, n, x) - _reference_pi_big(toy, n, x, True)) < 1e-14
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_grid_constructor_and_entry_accessor_round_trip(toy, n):
+    rng = np.random.default_rng(70 + n)
+    grid = [[random_element(toy.algebra, rng) for _ in range(n)] for _ in range(n)]
+    x = mn_from_entries(grid)
+    assert [len(b) for b in x.blocks] == [n * m for m in toy.algebra.summands]
+    back = mn_entries(x, n)
+    assert all(
+        np.array_equal(a.vec(), b.vec())
+        for row_a, row_b in zip(grid, back)
+        for a, b in zip(row_a, row_b)
+    )
+    again = mn_from_entries(back)
+    assert all(np.array_equal(a, b) for a, b in zip(again.blocks, x.blocks))
+    # products in M_n(A) are the matrix products of the entries
+    y = _random_mn(toy.algebra, n, rng)
+    xy, ys = mn_entries(x * y, n), mn_entries(y, n)
+    for i in range(n):
+        for k in range(n):
+            want = grid[i][0] * ys[0][k]
+            for j in range(1, n):
+                want = want + grid[i][j] * ys[j][k]
+            assert (xy[i][k] - want).norm() < 1e-12
+
+
+def test_validation_rejects_an_idempotent_of_the_wrong_size(toy, rng):
+    e = random_idempotent(toy, 2, rng)
+    with pytest.raises(ValueError, match="must be an 3x3 matrix"):
+        MoritaData(toy, 3, e)
+    with pytest.raises(ValueError, match="does not match the triple's algebra"):
+        pi_big(toy, 3, e)
+
+
+def test_validation_rejects_an_entry_outside_the_algebra(toy):
+    # a self-adjoint projection in the first summand with off-diagonal entries:
+    # idempotent, but outside the even subalgebra (diagonal first summand)
+    proj = np.full((2, 2), 0.5, dtype=complex)
+    outside = AlgebraElement((proj, np.zeros((2, 2), dtype=complex)))
+    assert not toy.algebra.contains(outside)
+    with pytest.raises(ValueError, match="idempotent entry is not in the algebra"):
+        MoritaData(toy, 1, outside)
+    zero = toy.algebra.zero()
+    with pytest.raises(ValueError, match="idempotent entry is not in the algebra"):
+        MoritaData(toy, 2, mn_from_entries(((toy.algebra.unit(), zero), (zero, outside))))

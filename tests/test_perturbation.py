@@ -27,11 +27,8 @@ from spectriple.perturbation import (
     UniversalOneForm,
     a1,
     a2,
-    affine_combine,
     check_transitivity,
-    compact,
     eta_one_form,
-    is_invertible,
     mu,
     normalize_one_form,
     one_form_cf,
@@ -102,15 +99,6 @@ def test_symmetrize_is_idempotent_on_canonical_forms(rng):
     assert approx_eq(canonical_form(once), canonical_form(twice), 1e-12)
 
 
-def test_affine_combine_is_affine_in_canonical_form(rng):
-    p = random_pert(SPEC, rng)
-    q = random_pert(SPEC, rng)
-    for alpha in (0.25, 2.0, -1.0):  # the line extends outside [0, 1]
-        comb = affine_combine(p, q, alpha)
-        want = alpha * canonical_form(p) + (1.0 - alpha) * canonical_form(q)
-        assert approx_eq(canonical_form(comb), want, 1e-12)
-
-
 def test_validation_rejects_unnormalized_pairs():
     a = AlgebraElement((2.0 * np.eye(2, dtype=complex), np.eye(2, dtype=complex)))
     with pytest.raises(ValueError, match="normalized"):
@@ -133,18 +121,6 @@ def test_validation_rejects_foreign_elements():
         PertElement(SPEC, ((SPEC.unit(), SPEC.unit()), (off, SPEC.zero())))
 
 
-def test_compact_drops_null_pairs_only(rng):
-    p = random_pert(SPEC, rng)
-    padded = PertElement(
-        p.spec,
-        p.pairs + ((SPEC.zero(), random_element(SPEC, rng)),) * 3,
-        validate=False,
-    )
-    slim = compact(padded)
-    assert len(slim.pairs) <= len(p.pairs)
-    assert approx_eq(canonical_form(slim), canonical_form(p), 1e-12)
-
-
 def test_from_unitary_requires_a_unitary(rng):
     h = random_element(SPEC, rng)
     with pytest.raises(ValueError, match="unitary"):
@@ -152,16 +128,6 @@ def test_from_unitary_requires_a_unitary(rng):
     u = random_unitary(SPEC, rng)
     cf = canonical_form(from_unitary(SPEC, u))
     assert approx_eq(cf @ adjoint(cf), identity(16), 1e-12)
-
-
-def test_is_invertible(rng):
-    assert is_invertible(unit_pert())
-    assert is_invertible(from_unitary(SPEC, random_unitary(SPEC, rng)))
-    # project onto one summand pair: visibly singular canonical form
-    p1 = AlgebraElement((np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex)))
-    p2 = SPEC.unit() - p1
-    degenerate = PertElement(SPEC, ((p1, p1), (p2, p2)))
-    assert not is_invertible(degenerate)
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +277,25 @@ def test_gauge_transform_conjugates_the_fluctuated_operator(toy, rng):
         lhs = big @ fluctuate_combined(toy, p) @ adjoint(big)
         rhs = fluctuate_combined(toy, gauge_transform(p, u))
         assert approx_eq(lhs, rhs, 1e-12)
+
+
+def test_represented_pert_stacks_match_the_pairwise_formulas(toy, rng):
+    p, q = random_pert(SPEC, rng), random_pert(SPEC, rng)
+    mp, mq = mu(toy, p), mu(toy, q)
+    assert len(mp.pairs) == len(p.pairs) ** 2 == len(mp.lefts) == len(mp.rights)
+    d = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    applied = sum(left @ d @ right for left, right in mp.pairs)
+    assert frob_norm(mp.apply(d) - applied) < 1e-12 * frob_norm(applied)
+    cf = sum(np.kron(left, right.T) for left, right in mp.pairs)
+    assert frob_norm(mp.canonical_form() - cf) < 1e-12 * frob_norm(cf)
+    # mul composes self after other, the other's terms innermost
+    prod = mp.mul(mq)
+    want = [(l1 @ l2, r2 @ r1) for l1, r1 in mp.pairs for l2, r2 in mq.pairs]
+    assert len(prod.pairs) == len(want)
+    assert all(
+        approx_eq(left, wl, 1e-13) and approx_eq(right, wr, 1e-13)
+        for (left, right), (wl, wr) in zip(prod.pairs, want)
+    )
 
 
 def test_mu_is_a_semigroup_homomorphism(toy, rng):
