@@ -10,11 +10,10 @@ Minimization works on the real chart
 
     coords = (x, s1, s2)  ->  FieldPoint(x, 1 + s1, s2),
 
-so the origin of the chart is the unfluctuated point.  The optimizer is a
-plain two-phase scheme: Armijo gradient descent far from a critical point,
-then a damped Newton iteration on finite-difference derivatives.  Nothing
-fancy, but it drives the gradient norm to 1e-10 on this landscape, degenerate
-flat directions included.
+so the origin of the chart is the unfluctuated point.  The optimizer is
+scipy's trust-region Newton method ("trust-exact") on central-difference
+derivatives of the objective's values alone; it drives the gradient norm to
+1e-10 on this landscape, degenerate flat directions included.
 """
 
 from __future__ import annotations
@@ -131,28 +130,28 @@ def grad_hess(fun, point, step: float = 1e-5):
     """
     x = np.asarray(point, dtype=float).copy()
     m = x.size
-    h = np.array([step * max(1.0, abs(x[i])) for i in range(m)])
+    h = step * np.maximum(1.0, np.abs(x))
     f0 = fun(x)
     grad = np.zeros(m)
     hess = np.zeros((m, m))
 
-    def at(**shifts):
+    def at(*shifts):
         xp = x.copy()
-        for idx, delta in shifts.items():
-            xp[int(idx)] += delta
+        for i, delta in shifts:
+            xp[i] += delta
         return fun(xp)
 
     for i in range(m):
-        fp = at(**{str(i): h[i]})
-        fm = at(**{str(i): -h[i]})
+        fp = at((i, h[i]))
+        fm = at((i, -h[i]))
         grad[i] = (fp - fm) / (2.0 * h[i])
         hess[i, i] = (fp - 2.0 * f0 + fm) / h[i] ** 2
     for i in range(m):
         for j in range(i + 1, m):
-            fpp = at(**{str(i): h[i], str(j): h[j]})
-            fpm = at(**{str(i): h[i], str(j): -h[j]})
-            fmp = at(**{str(i): -h[i], str(j): h[j]})
-            fmm = at(**{str(i): -h[i], str(j): -h[j]})
+            fpp = at((i, h[i]), (j, h[j]))
+            fpm = at((i, h[i]), (j, -h[j]))
+            fmp = at((i, -h[i]), (j, h[j]))
+            fmm = at((i, -h[i]), (j, -h[j]))
             hess[i, j] = hess[j, i] = (fpp - fpm - fmp + fmm) / (4.0 * h[i] * h[j])
     return grad, hess
 
@@ -169,11 +168,6 @@ def _fd_grad(fun, x, step):
     return g
 
 
-def _fd_hess(fun, x, step):
-    _, hess = grad_hess(fun, x, step=step)
-    return hess
-
-
 # ---------------------------------------------------------------------------
 # Minimization
 
@@ -185,27 +179,20 @@ class MinimizeResult:
     grad_norm: float
     converged: bool
     iterations: int
+    message: str = ""
 
 
-def minimize(
-    fun,
-    start,
-    fixed: dict | None = None,
-    grad=None,
-    gate: float = 1e-10,
-    max_iter: int = 100_000,
-    fd_step: float = 3e-6,
-) -> MinimizeResult:
+def minimize(fun, start, fixed: dict | None = None, gate: float = 1e-10) -> MinimizeResult:
     """
     Drive the gradient norm below ``gate`` from ``start``.
 
-    ``fixed`` pins coordinates (index -> value) and optimizes the rest.
-    Derivatives come from central differences with relative step ``fd_step``
-    (chosen so that difference noise sits below the gate) unless an analytic
-    ``grad`` callback is supplied.  Phase one is Armijo-backtracked gradient
-    descent; once the gradient is small the iteration switches to a damped
-    Newton method, and finishes with Newton polish steps while they still
-    strictly decrease the value.
+    ``fixed`` pins coordinates (index -> value) and optimizes the rest with
+    scipy's trust-region Newton method ("trust-exact").  Only values of
+    ``fun`` are used: the gradient is a central difference with relative
+    step 3e-6 (difference noise sits below the gate) and the Hessian is
+    ``grad_hess`` with step 1e-4.  The gate is checked on the returned
+    point.  A non-finite value or a linear-algebra failure ends the run with
+    ``converged=False`` and the reason in ``message``.
     """
     start = np.asarray(start, dtype=float).copy()
     fixed = dict(fixed) if fixed else {}
@@ -222,86 +209,27 @@ def minimize(
         return full
 
     def fv(z) -> float:
-        return float(fun(embed(z)))
+        value = float(fun(embed(z)))
+        if not math.isfinite(value):
+            raise FloatingPointError(f"objective is {value} at {embed(z)}")
+        return value
 
-    if grad is None:
-        def gv(z):
-            return _fd_grad(fv, z, fd_step)
-    else:
-        def gv(z):
-            return np.asarray(grad(embed(z)), dtype=float)[free]
+    # scipy.optimize costs about 0.2 s and 19 MB to import; only this needs it.
+    from scipy.optimize import minimize as trust_region
 
-    z = start[free].copy()
-    fz = fv(z)
-    iters = 0
-
-    # Phase one: gradient descent with Armijo backtracking.
-    while iters < max_iter:
-        g = gv(z)
-        ng = float(np.linalg.norm(g))
-        if ng <= 1e-4:
-            break
-        t = 1.0
-        while fv(z - t * g) > fz - 1e-4 * t * ng ** 2:
-            t *= 0.5
-            if t < 1e-16:
-                break
-        if t < 1e-16:
-            break
-        z = z - t * g
-        fz = fv(z)
-        iters += 1
-
-    # Phase two: damped Newton on finite-difference derivatives.
-    lam = 1e-3
-    converged = False
-    while iters < max_iter:
-        g = gv(z)
-        ng = float(np.linalg.norm(g))
-        if ng <= gate:
-            converged = True
-            break
-        hess = _fd_hess(fv, z, 1e-4)
-        stalled = False
-        while True:
-            try:
-                step_vec = np.linalg.solve(hess + lam * np.eye(len(free)), -g)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            f_new = fv(z + step_vec)
-            if f_new < fz:
-                z = z + step_vec
-                fz = f_new
-                lam = max(lam / 10.0, 1e-12)
-                break
-            lam *= 10.0
-            if lam > 1e12:
-                stalled = True
-                break
-        iters += 1
-        if stalled:
-            converged = float(np.linalg.norm(gv(z))) <= gate
-            break
-
-    # Polish: plain Newton while it still strictly improves the value.
-    if converged:
-        for _ in range(10):
-            g = gv(z)
-            hess = _fd_hess(fv, z, 1e-4)
-            try:
-                step_vec = np.linalg.solve(hess + 1e-12 * np.eye(len(free)), -g)
-            except np.linalg.LinAlgError:
-                break
-            f_new = fv(z + step_vec)
-            if f_new < fz:
-                z = z + step_vec
-                fz = f_new
-            else:
-                break
-
-    ng = float(np.linalg.norm(gv(z)))
-    return MinimizeResult(embed(z), fz, ng, converged or ng <= gate, iters)
+    try:
+        res = trust_region(
+            fv,
+            start[free],
+            method="trust-exact",
+            jac=lambda z: _fd_grad(fv, z, 3e-6),
+            hess=lambda z: grad_hess(fv, z, step=1e-4)[1],
+            options={"gtol": gate},
+        )
+    except (FloatingPointError, np.linalg.LinAlgError) as exc:
+        return MinimizeResult(start, math.nan, math.nan, False, 0, str(exc))
+    ng = float(np.linalg.norm(res.jac))
+    return MinimizeResult(embed(res.x), float(res.fun), ng, ng <= gate, res.nit, res.message)
 
 
 @dataclass
@@ -330,38 +258,43 @@ def classify_point(fun, coords, step: float = 1e-4, degenerate_tol: float = 1e-6
     return kind, eigs
 
 
+def _invariants(coords, value) -> np.ndarray:
+    """(|x|^2, |v|^2, V) of a chart point: equal on one gauge class."""
+    c0, c1, c2 = coords
+    return np.array([c0 ** 2, (1.0 + c1) ** 2 + c2 ** 2, value])
+
+
 def multi_start_minimize(
     fun,
     n_starts: int = 32,
     seed: int = 0,
     box: float = 2.5,
-    fixed: dict | None = None,
     merge_tol: float = 1e-5,
-    gate: float = 1e-10,
 ) -> list:
     """
     Seeded multistart: start i draws from default_rng(seed + i) uniformly in
-    [-box, box]^3, converged results are merged by coordinate distance and
-    classified.  Returns CriticalPoint entries sorted by value.
+    [-box, box]^3.  Converged results are merged when their chart invariants
+    (|x|^2, |v|^2) and values agree within ``merge_tol``, so each gauge class
+    is one point, represented by its lowest value and classified once.
+    Returns CriticalPoint entries sorted by value.
     """
     found: list[CriticalPoint] = []
     for i in range(n_starts):
         rng = np.random.default_rng(seed + i)
         start = rng.uniform(-box, box, size=3)
-        res = minimize(fun, start, fixed=fixed, gate=gate)
+        res = minimize(fun, start)
         if not res.converged:
             continue
-        merged = False
+        key = _invariants(res.coords, res.value)
         for cp in found:
-            if np.linalg.norm(cp.coords - res.coords) <= merge_tol:
+            if np.linalg.norm(_invariants(cp.coords, cp.value) - key) <= merge_tol:
                 cp.hits += 1
                 if res.value < cp.value:
                     cp.coords = res.coords
                     cp.value = res.value
                     cp.grad_norm = res.grad_norm
-                merged = True
                 break
-        if not merged:
+        else:
             kind, eigs = classify_point(fun, res.coords)
             found.append(
                 CriticalPoint(res.coords, res.value, res.grad_norm, kind, eigs)
@@ -420,6 +353,11 @@ def vev_transform_check(tp: ToyParams, fp: FieldPoint, u, tol: float = 1e-9) -> 
 # Scans
 
 
+# Rows per grid_scan block: 32 rows of a 4001-point grid need about 5 MB of
+# temporaries, where 256 rows took about 40 MB.
+_SCAN_ROWS = 32
+
+
 @dataclass
 class ScanResult:
     value: float
@@ -427,29 +365,19 @@ class ScanResult:
     v_sq: float
 
 
-def grid_scan(
-    tp: ToyParams,
-    ap: ActionParams,
-    n: int = 4001,
-    x_sq_max: float = 4.0,
-    v_sq_max: float = 4.0,
-    chunk: int = 256,
-) -> ScanResult:
-    """Running minimum of the reduced potential over an n x n grid."""
-    us = np.linspace(0.0, x_sq_max, n)
-    ss = np.linspace(0.0, v_sq_max, n)
-    best = math.inf
-    best_u = 0.0
-    best_s = 0.0
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        block = v_reduced(tp, ap, us[lo:hi][:, None], ss[None, :])
-        idx = np.unravel_index(np.argmin(block), block.shape)
-        if block[idx] < best:
-            best = float(block[idx])
-            best_u = float(us[lo + idx[0]])
-            best_s = float(ss[idx[1]])
-    return ScanResult(best, best_u, best_s)
+def grid_scan(tp: ToyParams, ap: ActionParams, n: int = 4001) -> ScanResult:
+    """
+    Minimum of the reduced potential over an n x n grid on [0, 4]^2 in
+    (|x|^2, |v|^2), the first one in row-major order on ties.
+    """
+    axis = np.linspace(0.0, 4.0, n)
+    best = ScanResult(math.inf, 0.0, 0.0)
+    for lo in range(0, n, _SCAN_ROWS):
+        block = v_reduced(tp, ap, axis[lo:lo + _SCAN_ROWS, None], axis[None, :])
+        i, j = np.unravel_index(np.argmin(block), block.shape)
+        if block[i, j] < best.value:
+            best = ScanResult(float(block[i, j]), float(axis[lo + i]), float(axis[j]))
+    return best
 
 
 def sigma_grid(tp: ToyParams, ap: ActionParams, n: int = 201, lim: float = 3.0):

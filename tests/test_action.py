@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import spectriple
 from spectriple import (
     ActionParams,
     FieldPoint,
@@ -175,6 +180,38 @@ def test_constrained_minimum_hits_the_sigma_valley():
     assert res.coords[1] == pytest.approx(S1_SIGMA, abs=1e-8)
 
 
+@pytest.mark.parametrize("s1", [0.45, 0.48])
+def test_constrained_minimum_from_former_stall_and_mirror_starts(s1):
+    # a damped-Newton scheme stalled at |g| = 1.5e-9 from s1 = 0.45 and landed
+    # on the mirror vacuum s1 = -1 - 2**0.25 from s1 = 0.48
+    fun = potential_fn(UNIT_TP, UNIT_AP)
+    res = minimize(fun, np.array([0.0, s1, 0.0]), fixed={0: 0.0})
+    assert res.converged and res.grad_norm <= 1e-10
+    assert res.coords[1] == pytest.approx(S1_SIGMA, abs=1e-8)
+
+
+def test_minimize_reports_a_nan_objective_as_not_converged():
+    res = minimize(lambda z: float("nan"), np.zeros(3))
+    assert not res.converged
+    assert "nan" in res.message
+
+
+def test_minimize_reports_a_stall_as_not_converged():
+    # a linear objective has no critical point: the gate is never met
+    res = minimize(lambda z: float(z[0]), np.zeros(3), fixed={1: 0.0, 2: 0.0})
+    assert not res.converged
+    assert res.grad_norm == pytest.approx(1.0)
+    assert "iterations" in res.message
+
+
+def test_importing_the_package_leaves_scipy_optimize_unloaded():
+    # scipy.optimize is imported by minimize alone; at package import it
+    # would add about 0.2 s to every start-up
+    env = {**os.environ, "PYTHONPATH": str(Path(spectriple.__file__).parents[1])}
+    code = "import spectriple, sys; assert 'scipy.optimize' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
 def test_hessian_spectrum_at_the_sigma_vev():
     fun = potential_fn(UNIT_TP, UNIT_AP)
     _, h = grad_hess(fun, np.array([0.0, S1_SIGMA, 0.0]), step=1e-4)
@@ -208,6 +245,16 @@ def test_multi_start_finds_the_global_minimum_quickly():
     fp = field_point(best.coords)
     assert abs(fp.x) ** 2 == pytest.approx(2.0, abs=1e-6)
     assert abs(fp.v1) ** 2 + abs(fp.v2) ** 2 == pytest.approx(0.0, abs=1e-6)
+
+
+def test_multi_start_merges_one_gauge_class_into_one_point():
+    # x = sqrt(2) and x = -sqrt(2) differ by the unitary (diag(1, -1), 1), so
+    # starts that land on either sign count as hits of one point
+    fun = potential_fn(UNIT_TP, UNIT_AP)
+    starts = [np.random.default_rng(i).uniform(-2.5, 2.5, size=3) for i in range(4)]
+    assert {np.sign(minimize(fun, z).coords[0]) for z in starts} == {-1.0, 1.0}
+    points = multi_start_minimize(fun, n_starts=4, seed=0)
+    assert [p.hits for p in points] == [4]
 
 
 def test_multi_start_is_deterministic():
@@ -265,6 +312,14 @@ def test_grid_scan_hits_the_exact_node():
     assert res.value == pytest.approx(V_GLOBAL, rel=1e-12)
     assert res.x_sq == pytest.approx(2.0, abs=1e-12)
     assert res.v_sq == pytest.approx(0.0, abs=1e-12)
+
+
+def test_grid_scan_keeps_the_first_minimum_in_row_major_order():
+    # with k_x = 0 the potential ignores |x|^2, so every row ties; the first
+    # row must win across row blocks
+    res = grid_scan(ToyParams(0.0, 1.0), UNIT_AP, n=101)
+    assert res.x_sq == 0.0
+    assert res.v_sq == pytest.approx(math.sqrt(2.0), abs=0.04)
 
 
 def test_sigma_grid_values_and_symmetry():

@@ -162,6 +162,9 @@ def test_minimize_finds_the_global_minimum(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "V = " in text
     points = load_json(str(out))["critical_points"]
+    # all six starts reach the one gauge class of global minima
+    assert [p["hits"] for p in points] == [6]
+    assert text.count("V = ") == 1
     assert points[0]["value"] == pytest.approx(-4.0 / PI_SQ, rel=1e-9)
     coords = points[0]["coords"]
     assert coords[0] ** 2 == pytest.approx(2.0, abs=1e-6)
