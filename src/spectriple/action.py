@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrix_core import adjoint, frob_norm
-from .spectral_triple import FiniteSpectralTriple, anti_hermitian_basis, represent
+from .spectral_triple import FiniteSpectralTriple, represent, spanning_set
 from .toy_model import FieldPoint, ToyParams, assemble_dirac, build_toy, closed_dirac
 
 __all__ = [
@@ -121,6 +121,23 @@ def potential_fn(tp: ToyParams, ap: ActionParams):
 # Finite differences
 
 
+def _stencil(fun, x, step):
+    """Steps h_i = step * max(1, |x_i|) and the values f(x + h_i e_i), f(x - h_i e_i)."""
+    h = step * np.maximum(1.0, np.abs(x))
+    plus, minus = np.zeros(x.size), np.zeros(x.size)
+    for i in range(x.size):
+        for out, delta in ((plus, h[i]), (minus, -h[i])):
+            shifted = x.copy()
+            shifted[i] += delta
+            out[i] = fun(shifted)
+    return h, plus, minus
+
+
+def _fd_grad(fun, x, step):
+    h, plus, minus = _stencil(fun, x, step)
+    return (plus - minus) / (2.0 * h)
+
+
 def grad_hess(fun, point, step: float = 1e-5):
     """
     Central-difference gradient and Hessian of ``fun`` at ``point``.
@@ -129,11 +146,10 @@ def grad_hess(fun, point, step: float = 1e-5):
     standard four-point stencil off the diagonal and is exactly symmetric.
     """
     x = np.asarray(point, dtype=float).copy()
-    m = x.size
-    h = step * np.maximum(1.0, np.abs(x))
     f0 = fun(x)
-    grad = np.zeros(m)
-    hess = np.zeros((m, m))
+    h, plus, minus = _stencil(fun, x, step)
+    grad = (plus - minus) / (2.0 * h)
+    hess = np.diag((plus - 2.0 * f0 + minus) / h ** 2)
 
     def at(*shifts):
         xp = x.copy()
@@ -141,31 +157,14 @@ def grad_hess(fun, point, step: float = 1e-5):
             xp[i] += delta
         return fun(xp)
 
-    for i in range(m):
-        fp = at((i, h[i]))
-        fm = at((i, -h[i]))
-        grad[i] = (fp - fm) / (2.0 * h[i])
-        hess[i, i] = (fp - 2.0 * f0 + fm) / h[i] ** 2
-    for i in range(m):
-        for j in range(i + 1, m):
+    for i in range(x.size):
+        for j in range(i + 1, x.size):
             fpp = at((i, h[i]), (j, h[j]))
             fpm = at((i, h[i]), (j, -h[j]))
             fmp = at((i, -h[i]), (j, h[j]))
             fmm = at((i, -h[i]), (j, -h[j]))
             hess[i, j] = hess[j, i] = (fpp - fpm - fmp + fmm) / (4.0 * h[i] * h[j])
     return grad, hess
-
-
-def _fd_grad(fun, x, step):
-    g = np.zeros(x.size)
-    for i in range(x.size):
-        h = step * max(1.0, abs(x[i]))
-        xp = x.copy()
-        xp[i] += h
-        xm = x.copy()
-        xm[i] -= h
-        g[i] = (fun(xp) - fun(xm)) / (2.0 * h)
-    return g
 
 
 # ---------------------------------------------------------------------------
@@ -313,17 +312,14 @@ def stabilizer_dim(t: FiniteSpectralTriple, d_op, spec=None) -> int:
     anti-hermitian X in the algebra with [pi(X) + hat(pi(X)), d_op] = 0.
     """
     spec = spec if spec is not None else t.algebra
-    basis = anti_hermitian_basis(spec)
-    ops = np.array([represent(t, xe) for xe in basis])
+    # the anti-hermitian parts of a spanning set span u(A), of real dimension dim_C A
+    parts = [c for e in spanning_set(spec) for c in (e - e.star(), 1j * (e + e.star()))]
+    ops = np.array([represent(t, xe) for xe in parts])
     ops = ops + t.hat(ops)
     d_op = np.asarray(d_op, dtype=complex)
-    k = (ops @ d_op - d_op @ ops).reshape(len(basis), -1)
-    mat = np.concatenate([k.real, k.imag], axis=1).T
-    svals = np.linalg.svd(mat, compute_uv=False)
-    smax = float(svals.max(initial=0.0))
-    if smax == 0.0:
-        return len(basis)
-    return int(np.sum(svals < 1e-8 * smax))
+    k = (ops @ d_op - d_op @ ops).reshape(len(parts), -1)
+    svals = np.linalg.svd(np.concatenate([k.real, k.imag], axis=1), compute_uv=False)
+    return spec.dim() - int(np.sum(svals > 1e-8 * svals.max(initial=0.0)))
 
 
 def vev_transform_check(tp: ToyParams, fp: FieldPoint, u, tol: float = 1e-9) -> float:

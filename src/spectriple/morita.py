@@ -19,14 +19,15 @@ the transitivity of ordinary inner fluctuations.
 
 Connections arrive as pair lists, but they are validated and applied through
 their faithful coefficients in A (x) A: x d(y) -> x (x) y - xy (x) 1, over
-the ambient matrix units of A (see :func:`conn_coefficients`).  The check
-e B e = B becomes two matrix products on those coefficients, and the
-represented action of a whole connection becomes one sum over the matrix
-units instead of one commutator per universal pair, so neither cost grows
-with the length of the pair lists.  This assumes, like the comparison of
-one-forms through ``one_form_cf``, that the representation is a unital
-*-homomorphism of the complex algebra, which plain tiles partitioning H
-guarantee.
+the ambient matrix units of A (:func:`conn_coefficients`, the n x n stack of
+``one_form_cf``).  The check e B e = B becomes two matrix products on those
+coefficients, and the represented action of a whole connection is the
+one-form kernel of ``perturbation.a1`` placed in the cells of one leg, one
+sum over the matrix units instead of one commutator per universal pair, so
+neither cost grows with the length of the pair lists.  This assumes, like
+the comparison of one-forms through ``one_form_cf``, that the representation
+is a unital *-homomorphism of the complex algebra, which plain tiles
+partitioning H guarantee.
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ from scipy.linalg import block_diag
 from .matrix_core import AntilinearOp, commutator, identity
 from .perturbation import (
     UniversalOneForm,
+    _leg_weights,
+    one_form_cf,
     one_form_lmul,
     one_form_rmul,
     one_form_scale,
@@ -163,18 +166,13 @@ def rep_conn(
         sum_beta L_beta base (1 (x) 1 (x) rho(e_beta)),
 
     where e_beta runs over the ambient matrix units of A, rho is pi on the
-    left leg and hat o pi on the hatted right leg (``t.pi_table`` and
-    ``t.pi_hat_table``), and L_beta puts
-    rho(Omega^ik_beta), Omega^ik_beta = sum_alpha omega[i, k, alpha, beta] e_alpha,
-    in cell (i, k) of that leg.  Pair by pair this is
-    (E_ik (x) 1 (x) rho(x)) [base, 1 (x) 1 (x) rho(y)], because
-    rho(x) rho(y) = rho(xy) and rho(1) = 1.  hat o pi is antilinear, so its
-    cells take the conjugated coefficients.
+    left leg and hat o pi on the hatted right leg, and L_beta puts
+    W^ik_beta = sum_alpha omega[i, k, alpha, beta] rho(e_alpha) in cell (i, k)
+    of that leg: the kernel of ``perturbation.a1`` and ``a2_with``, cell by
+    cell.  Pair by pair this is (E_ik (x) 1 (x) rho(x)) [base, 1 (x) 1 (x) rho(y)].
     """
-    rho = t.pi_hat_table if hatted else t.pi_table
-    if hatted:
-        omega = np.conj(omega)
-    lefts = _on_leg(np.einsum("ikab,ahg->bikhg", omega, rho), hatted)
+    weights, rho = _leg_weights(t, omega, hatted)
+    lefts = _on_leg(weights, hatted)
     rights = np.kron(identity(n * n)[None], rho)
     return (lefts @ base @ rights).sum(axis=0)
 
@@ -211,22 +209,10 @@ def compress_connection(e: AlgebraElement, conn):
 def conn_coefficients(spec: AlgebraSpec, conn) -> np.ndarray:
     """
     Faithful coefficients of an n x n connection, shape (n, n, d, d) with d
-    the ambient dimension of A: entry (i, k) is the image
-    sum_j x_j (x) y_j - x_j y_j (x) 1 of conn[i][k] in A (x) A, over the
-    ambient matrix units (rows for the first factor).  These are the entries
-    of ``one_form_cf(spec, conn[i][k])`` gathered from its block layout into
-    one d x d matrix, so equal coefficients mean equal universal one-forms.
+    the ambient dimension of A: entry (i, k) is ``one_form_cf(spec, conn[i][k])``,
+    so equal coefficients mean equal universal one-forms.
     """
-    d = spec.ambient_dim
-    unit = spec.unit().vec()
-    out = np.zeros((len(conn), len(conn), d, d), dtype=complex)
-    for i, row in enumerate(conn):
-        for k, w in enumerate(row):
-            xs = np.array([x.vec() for x, _ in w.pairs]).reshape(-1, d)
-            ys = np.array([y.vec() for _, y in w.pairs]).reshape(-1, d)
-            xy = np.array([(x * y).vec() for x, y in w.pairs]).reshape(-1, d)
-            out[i, k] = xs.T @ ys - np.outer(xy.sum(axis=0), unit)
-    return out
+    return np.array([[one_form_cf(spec, w) for w in row] for row in conn])
 
 
 def compress_coefficients(e: AlgebraElement, omega: np.ndarray) -> np.ndarray:
@@ -342,7 +328,7 @@ def _finite(a: AlgebraElement) -> bool:
 
 
 def _entries_in(spec: AlgebraSpec, x: AlgebraElement, n: int, tol: float) -> bool:
-    return all(spec.contains(entry, tol=tol) for row in mn_entries(x, n) for entry in row)
+    return spec.first_outside([entry for row in mn_entries(x, n) for entry in row], tol) is None
 
 
 def _one_sided(md: MoritaData, base: np.ndarray, hatted: bool) -> np.ndarray:

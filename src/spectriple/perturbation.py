@@ -11,11 +11,12 @@ product of A (x) A^op, and they act on Dirac operators by
 which reproduces D + A_1 + eps_d J A_1 J^{-1} + A_2 with A_1 the represented
 one-form and A_2 the quadratic correction term.
 
-Sums of pairs are compared through their canonical form: the faithful matrix
-realization of A (x) A^op as a block-diagonal matrix over ordered pairs of
-summands, with the opposite factor carried by transposition.  All structural
-claims (normalization, self-adjointness, multiplicativity) are checked there,
-never on the raw pair lists, which are free to contain redundant terms.
+Sums of pairs are compared through faithful images, never on the raw pair
+lists, which are free to contain redundant terms: a perturbation through its
+canonical form, the block-diagonal matrix of A (x) A^op over ordered pairs of
+summands whose matrix product is the semigroup product, and a one-form through
+its coefficients omega in A (x) A (:func:`one_form_cf`), from which A_1 and
+A_2 are read with the triple's tables.
 """
 
 from __future__ import annotations
@@ -78,32 +79,28 @@ def _unit_like(e: AlgebraElement) -> AlgebraElement:
 
 def _stacked(summands, elements) -> list:
     """Per summand, the blocks of ``elements`` stacked along a leading axis."""
+    if any(tuple(len(b) for b in e.blocks) != summands for e in elements):
+        raise ValueError("element does not match the algebra")
     return [
         np.array([e.blocks[s] for e in elements], dtype=complex).reshape(-1, n, n)
         for s, n in enumerate(summands)
     ]
 
 
-def _kron_sum(lefts, rights, opposite: bool) -> np.ndarray:
+def _cf_of_pairs(summands, pairs) -> np.ndarray:
     """
-    Block-diagonal matrix, over ordered pairs (i, k) of summands, of
-    sum_j kron(lefts[i][j], rights[k][j]) for stacked blocks; the right
-    factor enters transposed when ``opposite`` (the A^op leg).
+    Block-diagonal canonical form of sum_j a_j (x) b_j in A (x) A^op: over
+    ordered pairs (i, k) of summands, sum_j kron(a_j[i], b_j[k]^T), so that the
+    matrix product is the semigroup product.
     """
-    subs = "jab,jdc->acbd" if opposite else "jab,jcd->acbd"
+    lefts = _stacked(summands, [a for a, _ in pairs])
+    rights = _stacked(summands, [b for _, b in pairs])
     blocks = []
     for left in lefts:
         for right in rights:
             size = left.shape[1] * right.shape[1]
-            blocks.append(np.einsum(subs, left, right).reshape(size, size))
+            blocks.append(np.einsum("jab,jdc->acbd", left, right).reshape(size, size))
     return block_diag(*blocks)
-
-
-def _cf_of_pairs(summands, pairs) -> np.ndarray:
-    """Block-diagonal canonical form of sum_j a_j (x) b_j over summand pairs."""
-    lefts = _stacked(summands, [a for a, _ in pairs])
-    rights = _stacked(summands, [b for _, b in pairs])
-    return _kron_sum(lefts, rights, opposite=True)
 
 
 # ---------------------------------------------------------------------------
@@ -162,15 +159,16 @@ def one_form_star(w: UniversalOneForm) -> UniversalOneForm:
 
 def one_form_cf(spec: AlgebraSpec, w: UniversalOneForm) -> np.ndarray:
     """
-    Faithful linear realization of w in A (x) A via x d(y) -> x(x)y - xy(x)1.
-
-    Equality of these matrices is equality of universal one-forms.
+    Coefficients of w in A (x) A via x d(y) -> x (x) y - xy (x) 1, as the d x d
+    matrix omega = X^T Y - vec(sum_j x_j y_j) vec(1)^T over the ambient matrix
+    units (``AlgebraElement.vec()`` order, rows for the first factor; the x_j and
+    y_j are the rows of X and Y).  Equal omegas are equal universal one-forms.
     """
     xs = _stacked(spec.summands, [x for x, _ in w.pairs])
     ys = _stacked(spec.summands, [y for _, y in w.pairs])
-    xy = [np.einsum("jab,jbc->ac", x, y)[None] for x, y in zip(xs, ys)]
-    ones = [identity(n)[None] for n in spec.summands]
-    return _kron_sum(xs, ys, opposite=False) - _kron_sum(xy, ones, opposite=False)
+    xy = np.concatenate([np.einsum("jab,jbc->ac", x, y).ravel() for x, y in zip(xs, ys)])
+    x, y = (np.concatenate([b.reshape(-1, b.shape[1] ** 2) for b in s], axis=1) for s in (xs, ys))
+    return x.T @ y - np.outer(xy, spec.unit().vec())
 
 
 def random_one_form(spec: AlgebraSpec, rng: np.random.Generator, n_pairs: int = 2) -> UniversalOneForm:
@@ -209,9 +207,9 @@ class PertElement:
             self._validate()
 
     def _validate(self, tol: float = 1e-9):
-        for idx, (a, b) in enumerate(self.pairs):
-            if not self.spec.contains(a) or not self.spec.contains(b):
-                raise ValueError(f"pair {idx} is not in the algebra")
+        outside = self.spec.first_outside([e for pair in self.pairs for e in pair])
+        if outside is not None:
+            raise ValueError(f"pair {outside // 2} is not in the algebra")
         total = self.pairs[0][0] * self.pairs[0][1]
         for a, b in self.pairs[1:]:
             total = total + a * b
@@ -331,16 +329,33 @@ def _represented_pairs(t: FiniteSpectralTriple, pairs, hatted: bool = False):
     return reps[:, 0], reps[:, 1]
 
 
+def _leg_weights(t: FiniteSpectralTriple, omega: np.ndarray, hatted: bool = False):
+    """
+    The stack over beta of W_beta = sum_alpha omega[..., alpha, beta] rho(e_alpha),
+    and rho, for rho = pi or, when ``hatted``, the antilinear hat o pi.
+    """
+    rho = t.pi_hat_table if hatted else t.pi_table
+    coeffs = np.conj(omega) if hatted else omega
+    return np.moveaxis(np.tensordot(coeffs, rho, axes=(-2, 0)), -3, 0), rho
+
+
+def _act(t: FiniteSpectralTriple, omega: np.ndarray, base: np.ndarray, hatted: bool = False):
+    """
+    sum_beta W_beta base rho(e_beta), which is sum_j rho(x_j) [base, rho(y_j)]
+    for omega = one_form_cf(sum_j x_j d(y_j)) since rho is a unital homomorphism.
+    """
+    weights, rho = _leg_weights(t, omega, hatted)
+    return (weights @ base @ rho).sum(axis=0)
+
+
 def a1(t: FiniteSpectralTriple, w: UniversalOneForm) -> np.ndarray:
     """Represented one-form sum_j pi(x_j) [D, pi(y_j)]."""
-    xs, ys = _represented_pairs(t, w.pairs)
-    return (xs @ (t.d @ ys - ys @ t.d)).sum(axis=0)
+    return _act(t, one_form_cf(t.algebra, w), t.d)
 
 
 def a2_with(t: FiniteSpectralTriple, w: UniversalOneForm, base: np.ndarray) -> np.ndarray:
     """Second-order term sum_j hat(pi(x_j)) [base, hat(pi(y_j))]."""
-    xs, ys = _represented_pairs(t, w.pairs, hatted=True)
-    return (xs @ (base @ ys - ys @ base)).sum(axis=0)
+    return _act(t, one_form_cf(t.algebra, w), base, hatted=True)
 
 
 def a2(t: FiniteSpectralTriple, w: UniversalOneForm) -> np.ndarray:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import expm, orth
 
 from .matrix_core import (
     AntilinearOp,
@@ -36,7 +36,6 @@ __all__ = [
     "KOReport",
     "KOSigns",
     "RepBlock",
-    "anti_hermitian_basis",
     "check_first_order",
     "check_ko_signs",
     "check_zeroth_order",
@@ -105,7 +104,9 @@ class AlgebraSpec:
 
     A constraint basis must be closed under products and adjoints (checked at
     construction on the spanning set), which is exactly what makes the span a
-    *-subalgebra.
+    *-subalgebra.  The orthogonal projector onto the span, over the ambient
+    coordinates of ``AlgebraElement.vec()``, is computed once and kept; every
+    membership test is one product with it.
     """
 
     summands: tuple
@@ -116,6 +117,7 @@ class AlgebraSpec:
         if not summands or any(n < 1 for n in summands):
             raise ValueError("need at least one summand, all sizes >= 1")
         object.__setattr__(self, "summands", summands)
+        object.__setattr__(self, "_proj", None)
         if self.basis is not None:
             basis = tuple(self.basis)
             if not basis:
@@ -124,26 +126,26 @@ class AlgebraSpec:
                 if tuple(b.shape[0] for b in e.blocks) != summands:
                     raise ValueError("constraint basis element has wrong summand shapes")
             object.__setattr__(self, "basis", basis)
-            object.__setattr__(self, "_basis_mat", np.column_stack([e.vec() for e in basis]))
+            q = orth(np.column_stack([e.vec() for e in basis]))
+            object.__setattr__(self, "_proj", q @ q.conj().T)
             self._check_closure()
-        else:
-            object.__setattr__(self, "_basis_mat", None)
 
     def _check_closure(self):
-        for i, a in enumerate(self.basis):
-            if not self.contains(a.star()):
-                raise ValueError(f"constraint basis not closed under adjoint (element {i})")
-            for k, b in enumerate(self.basis):
-                if not self.contains(a * b):
-                    raise ValueError(f"constraint basis not closed under product ({i},{k})")
+        stars = self.first_outside([a.star() for a in self.basis])
+        if stars is not None:
+            raise ValueError(f"constraint basis not closed under adjoint (element {stars})")
+        prods = self.first_outside([a * b for a in self.basis for b in self.basis])
+        if prods is not None:
+            i, k = divmod(prods, len(self.basis))
+            raise ValueError(f"constraint basis not closed under product ({i},{k})")
 
     @property
     def ambient_dim(self) -> int:
         return sum(n * n for n in self.summands)
 
     def dim(self) -> int:
-        """Complex dimension of the (sub)algebra."""
-        return len(self.basis) if self.basis is not None else self.ambient_dim
+        """Complex dimension of the (sub)algebra: the rank of its span."""
+        return self.ambient_dim if self._proj is None else round(self._proj.trace().real)
 
     def unit(self) -> AlgebraElement:
         return AlgebraElement(tuple(identity(n) for n in self.summands))
@@ -161,16 +163,24 @@ class AlgebraSpec:
             mats.append(b)
         return AlgebraElement(tuple(mats))
 
+    def first_outside(self, elements, tol: float = 1e-9) -> int | None:
+        """
+        Index of the first element not in the algebra (other summand shapes, or
+        farther than tol * max(1, |a|) from the span, or NaN), None if all are.
+        """
+        fits = np.array(
+            [tuple(b.shape[0] for b in a.blocks) == self.summands for a in elements], dtype=bool
+        )
+        if self._proj is not None and fits.any():
+            v = np.array([a.vec() for a, ok in zip(elements, fits) if ok])
+            resid = np.linalg.norm(v - v @ self._proj.T, axis=1)
+            fits[fits] = resid <= tol * np.maximum(1.0, np.linalg.norm(v, axis=1))
+        bad = np.flatnonzero(~fits)
+        return int(bad[0]) if bad.size else None
+
     def contains(self, a: AlgebraElement, tol: float = 1e-9) -> bool:
         """Membership test: shapes match and (if constrained) a is in the span."""
-        if tuple(b.shape[0] for b in a.blocks) != self.summands:
-            return False
-        if self.basis is None:
-            return True
-        v = a.vec()
-        coeffs, *_ = np.linalg.lstsq(self._basis_mat, v, rcond=None)
-        resid = np.linalg.norm(self._basis_mat @ coeffs - v)
-        return resid <= tol * max(1.0, float(np.linalg.norm(v)))
+        return self.first_outside([a], tol) is None
 
 
 def spanning_set(spec: AlgebraSpec) -> list:
@@ -363,7 +373,7 @@ def check_first_order(t: FiniteSpectralTriple, sub: AlgebraSpec | None = None) -
     Max over spanning pairs (a, b) of ||[[D, pi(a)], pi_op(b)]||_F, over the
     triple's algebra or a contained subalgebra ``sub``.
     """
-    if sub is not None and not all(t.algebra.contains(e) for e in spanning_set(sub)):
+    if sub is not None and t.algebra.first_outside(spanning_set(sub)) is not None:
         raise ValueError("sub is not contained in the triple's algebra")
     return _worst_pair(t, sub if sub is not None else t.algebra, with_d=True)
 
@@ -376,8 +386,13 @@ class KOReport:
     res_jd: float
     res_jgamma: float
 
+    @property
+    def worst(self) -> float:
+        """The largest residual; NaN when any residual is NaN."""
+        return float(np.max([self.res_j_squared, self.res_jd, self.res_jgamma]))
+
     def passed(self, tol: float = 1e-12) -> bool:
-        return max(self.res_j_squared, self.res_jd, self.res_jgamma) <= tol
+        return self.worst <= tol
 
 
 def check_ko_signs(t: FiniteSpectralTriple) -> KOReport:
@@ -392,7 +407,7 @@ def check_ko_signs(t: FiniteSpectralTriple) -> KOReport:
 
 
 # ---------------------------------------------------------------------------
-# Random elements and Lie-algebra bases (seeded; used by tests and the CLI).
+# Random elements (seeded; used by tests and the CLI).
 
 
 def random_element(spec: AlgebraSpec, rng: np.random.Generator) -> AlgebraElement:
@@ -416,25 +431,3 @@ def random_unitary(spec: AlgebraSpec, rng: np.random.Generator) -> AlgebraElemen
     """
     h = random_hermitian(spec, rng)
     return AlgebraElement(tuple(expm(1j * b) for b in h.blocks))
-
-
-def anti_hermitian_basis(spec: AlgebraSpec) -> list:
-    """
-    A real basis of the anti-hermitian elements (the Lie algebra of the
-    unitary group of the algebra), extracted from a complex spanning set by
-    rank reduction over the reals.
-    """
-    candidates = [
-        c for e in spanning_set(spec) for c in (0.5 * (e - e.star()), 0.5j * (e + e.star()))
-    ]
-    # Select a maximal real-linearly-independent subset by Gram-Schmidt.
-    basis, basis_vecs = [], []
-    for cand in candidates:
-        v = cand.vec()
-        w = np.concatenate([v.real, v.imag])
-        for u in basis_vecs:
-            w = w - np.dot(u, w) * u
-        if np.linalg.norm(w) > 1e-10 * max(1.0, float(np.linalg.norm(v))):
-            basis_vecs.append(w / np.linalg.norm(w))
-            basis.append(cand)
-    return basis

@@ -31,7 +31,7 @@ from .spectral_triple import (
     KOSigns,
     RepBlock,
 )
-from .perturbation import UniversalOneForm
+from .perturbation import UniversalOneForm, one_form_cf
 
 __all__ = [
     "FieldPoint",
@@ -180,32 +180,18 @@ def closed_dirac(params: ToyParams, fp: FieldPoint) -> np.ndarray:
 
 def extract_fields(w: UniversalOneForm) -> FieldPoint:
     """
-    Field point of a one-form over the even subalgebra.
-
-    For each pair (a, b) with a = (diag(r', l'), m') and b = (diag(r, l), m)
-    the contributions are
-
-        phi     += r' (l - r)
-        sigma_1 += m'[0,0] r - (m' m)[0,0]
-        sigma_2 += m'[1,0] r - (m' m)[1,0]
-
-    and the fields are x = 1 + phi, v = (1 + sigma_1, sigma_2).  When the
+    Field point of a one-form over the even subalgebra, read off its
+    coefficients omega (``one_form_cf``; units 0-3 and 4-7 are the two
+    summands, row-major): x = 1 + omega[0, 3] - omega[0, 0] and
+    v = (1 + omega[4, 0], omega[6, 0]).  Pair by pair, for a = (diag(r', l'), m')
+    and b = (diag(r, l), m), x - 1 sums r' (l - r), v1 - 1 sums
+    m'[0,0] r - (m' m)[0,0] and v2 sums m'[1,0] r - (m' m)[1,0].  When the
     represented one-form is self-adjoint, the full fluctuation of the model's
     D equals ``closed_dirac`` at this point.
     """
     spec = a_ev()
-    phi = 0.0 + 0.0j
-    sig1 = 0.0 + 0.0j
-    sig2 = 0.0 + 0.0j
-    for idx, (a, b) in enumerate(w.pairs):
-        if not spec.contains(a) or not spec.contains(b):
-            raise ValueError(f"pair {idx} is not in the even subalgebra")
-        r_p = a.blocks[0][0, 0]
-        m_p = a.blocks[1]
-        r, l = b.blocks[0][0, 0], b.blocks[0][1, 1]
-        m = b.blocks[1]
-        phi += r_p * (l - r)
-        mm = m_p @ m
-        sig1 += m_p[0, 0] * r - mm[0, 0]
-        sig2 += m_p[1, 0] * r - mm[1, 0]
-    return FieldPoint(1.0 + phi, 1.0 + sig1, sig2)
+    outside = spec.first_outside([e for pair in w.pairs for e in pair])
+    if outside is not None:
+        raise ValueError(f"pair {outside // 2} is not in the even subalgebra")
+    omega = one_form_cf(spec, w)
+    return FieldPoint(1.0 + omega[0, 3] - omega[0, 0], 1.0 + omega[4, 0], omega[6, 0])

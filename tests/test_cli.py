@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from spectriple import build_toy, fluctuate_combined, morita, random_pert
+from spectriple import build_toy, cli, fluctuate_combined, morita, perturbation, random_pert
 from spectriple.action import PI_SQ
 from spectriple.cli import main
 from spectriple.model_io import (
@@ -15,6 +15,7 @@ from spectriple.model_io import (
     pert_to_dict,
     save_json,
 )
+from spectriple.spectral_triple import KOReport
 from spectriple.toy_model import a_ev
 
 
@@ -216,6 +217,22 @@ def test_morita_check_fails_on_a_nan_residual(capsys, monkeypatch):
     monkeypatch.setattr(morita, "check_idempotent_identity", lambda t, n, e: math.nan)
     assert main(["morita-check"]) == 1
     assert "status: FAILED" in capsys.readouterr().out
+
+
+def test_semigroup_verify_fails_on_a_nan_residual(capsys, monkeypatch):
+    monkeypatch.setattr(perturbation, "check_transitivity", lambda t, p, q: math.nan)
+    assert main(["semigroup-verify"]) == 1
+    text = capsys.readouterr().out
+    assert "transitivity : nan" in text
+    assert "status: FAILED" in text
+
+
+def test_check_fails_on_a_nan_ko_residual(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "check_ko_signs", lambda t: KOReport(0.0, math.nan, 0.0))
+    assert main(["check"]) == 1
+    text = capsys.readouterr().out
+    assert "KO sign residual        : nan" in text
+    assert "status: FAILED" in text
 
 
 def test_semigroup_verify_passes_and_fails_by_tolerance(capsys):

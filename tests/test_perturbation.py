@@ -3,6 +3,8 @@ The semigroup layer: every structural identity is asserted on canonical
 forms (faithful matrix realizations), never on raw pair lists.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,11 +24,12 @@ from spectriple import (
     random_pert,
     represent,
 )
-from spectriple.matrix_core import adjoint, approx_eq, frob_norm, identity
+from spectriple.matrix_core import adjoint, approx_eq, commutator, frob_norm, identity
 from spectriple.perturbation import (
     UniversalOneForm,
     a1,
     a2,
+    a2_with,
     check_transitivity,
     eta_one_form,
     mu,
@@ -41,7 +44,8 @@ from spectriple.perturbation import (
     symmetrize,
 )
 from spectriple.spectral_triple import AlgebraSpec, random_element, random_unitary
-from spectriple.toy_model import ToyParams, a_ev
+from spectriple.toy_model import ToyParams, a_ev, a_f
+from test_spectral_triple import _multi_triple
 
 SPEC = a_ev()
 
@@ -147,11 +151,12 @@ def test_one_form_cf_respects_the_leibniz_relation(rng):
 
 
 def _cf_tensor(spec, a, left: bool):
-    """a (x) 1 (left) or 1 (x) a in the block layout of one_form_cf."""
+    """
+    Left multiplication by a on the rows of one_form_cf (left), or right
+    multiplication by a on its columns (as the matrix acting from the right).
+    """
     return block_diag(*(
-        np.kron(a.blocks[i], identity(nk)) if left else np.kron(identity(ni), a.blocks[k])
-        for i, ni in enumerate(spec.summands)
-        for k, nk in enumerate(spec.summands)
+        np.kron(b, identity(len(b))) if left else np.kron(identity(len(b)), b) for b in a.blocks
     ))
 
 
@@ -223,6 +228,36 @@ def test_eta_intertwines_gauge_action_with_unitary_conjugation(toy, rng):
 
 # ---------------------------------------------------------------------------
 # Fluctuations
+
+
+def _reference_a1(t, w):
+    """sum_j pi(x_j) [D, pi(y_j)], pair by pair."""
+    terms = (represent(t, x) @ commutator(t.d, represent(t, y)) for x, y in w.pairs)
+    return sum(terms, np.zeros_like(t.d))
+
+
+def _reference_a2(t, w, base):
+    """sum_j hat(pi(x_j)) [base, hat(pi(y_j))], pair by pair."""
+    hats = [(t.hat(represent(t, x)), t.hat(represent(t, y))) for x, y in w.pairs]
+    return sum((hx @ commutator(base, hy) for hx, hy in hats), np.zeros_like(base))
+
+
+@pytest.mark.parametrize("which", ["toy", "toy over a_f", "multi"])
+def test_one_form_kernels_match_the_pair_formulas(toy, which):
+    t = {
+        "toy": toy,
+        "toy over a_f": dataclasses.replace(toy, algebra=a_f()),
+        "multi": _multi_triple(),
+    }[which]
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        w = random_one_form(t.algebra, rng, n_pairs=3)
+        pot = _reference_a1(t, w)
+        assert approx_eq(a1(t, w), pot, 1e-12)
+        base = represent(t, random_element(t.algebra, rng)) @ t.d
+        assert approx_eq(a2_with(t, w, base), _reference_a2(t, w, base), 1e-12)
+        want = t.d + pot + t.signs.eps_d * t.hat(pot) + _reference_a2(t, w, pot)
+        assert approx_eq(fluctuate(t, w), want, 1e-12)
 
 
 def test_fluctuate_requires_self_adjoint_potential(toy, rng):

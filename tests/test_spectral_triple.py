@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import null_space
 
 from spectriple import (
     AlgebraElement,
@@ -22,7 +23,7 @@ from spectriple import (
 from spectriple.matrix_core import adjoint, approx_eq, commutator, frob_norm, identity
 from spectriple.perturbation import PertElement, UniversalOneForm, a1, mu
 from spectriple.spectral_triple import (
-    anti_hermitian_basis,
+    KOReport,
     random_element,
     random_hermitian,
     random_unitary,
@@ -98,6 +99,53 @@ def test_membership_in_even_subalgebra():
     assert not a_ev().contains(AlgebraElement(([[1]],)))
 
 
+def _from_vec(summands, v):
+    cuts = np.cumsum([n * n for n in summands])[:-1]
+    return AlgebraElement(tuple(b.reshape(n, n) for b, n in zip(np.split(v, cuts), summands)))
+
+
+def _lstsq_contains(spec, a, tol=1e-9):
+    """Membership as one least-squares solve against the constraint basis."""
+    basis = np.column_stack([e.vec() for e in spec.basis])
+    v = a.vec()
+    coeffs, *_ = np.linalg.lstsq(basis, v, rcond=None)
+    return bool(np.linalg.norm(basis @ coeffs - v) <= tol * max(1.0, np.linalg.norm(v)))
+
+
+@pytest.mark.parametrize("spec", [a_ev(), a_f()], ids=["a_ev", "a_f"])
+def test_batched_membership_matches_a_least_squares_reference(spec):
+    rng = np.random.default_rng(5)
+    basis = np.column_stack([e.vec() for e in spec.basis])
+    normals = null_space(basis.conj().T)  # orthonormal directions off the span
+
+    def draw(m):
+        return rng.standard_normal(m) + 1j * rng.standard_normal(m)
+
+    elems = []
+    for k in range(200):
+        inside = basis @ draw(basis.shape[1])
+        off = normals @ draw(normals.shape[1])
+        # distance from the span: 0, within 10% of the tolerance on either side, or far
+        dist = (0.0, 0.9e-9, 1.1e-9, 0.5)[k % 4] * max(1.0, np.linalg.norm(inside))
+        elems.append(_from_vec(spec.summands, inside + dist * off / np.linalg.norm(off)))
+    want = [_lstsq_contains(spec, a) for a in elems]
+    assert want.count(True) == 100
+    assert [spec.contains(a) for a in elems] == want
+    for start in range(0, 200, 7):
+        first = next((k for k, ok in enumerate(want[start:]) if not ok), None)
+        assert spec.first_outside(elems[start:]) == first
+    # other summand shapes and non-finite entries are never members
+    nan = _from_vec(spec.summands, np.full(spec.ambient_dim, np.nan))
+    assert spec.first_outside([spec.unit(), AlgebraElement(([[1]],)), nan]) == 1
+    assert spec.first_outside([spec.unit(), nan]) == 1
+
+
+def test_dim_is_the_rank_of_a_redundant_constraint_basis():
+    e11 = AlgebraElement((np.diag([1.0, 0.0]),))
+    e22 = AlgebraElement((np.diag([0.0, 1.0]),))
+    assert AlgebraSpec((2,), basis=(e11, e22, e11 + e22)).dim() == 2
+
+
 def test_constraint_basis_must_be_closed():
     e12 = AlgebraElement((np.array([[0, 1], [0, 0]], dtype=complex),))
     with pytest.raises(ValueError, match="adjoint"):
@@ -115,15 +163,6 @@ def test_random_hermitian_and_unitary(rng):
     uu = u * u.star()
     assert np.allclose(uu.vec(), spec.unit().vec(), atol=1e-12)
     assert spec.contains(u)
-
-
-def test_anti_hermitian_basis_counts():
-    # real dimensions of the unitary Lie algebras: u(2)+u(2), u(1)^2+u(2), u(1)^3
-    assert len(anti_hermitian_basis(full_algebra())) == 8
-    assert len(anti_hermitian_basis(a_ev())) == 6
-    assert len(anti_hermitian_basis(a_f())) == 3
-    for x in anti_hermitian_basis(a_ev()):
-        assert np.allclose(x.vec(), -x.star().vec(), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +404,12 @@ def test_ko_sign_flip_is_detected(toy):
     assert not rep.passed()
     # J anti-commutes with gamma, so demanding commutation misses by 2|gamma J|
     assert rep.res_jgamma == pytest.approx(2.0 * frob_norm(toy.gamma @ toy.j.m))
+
+
+def test_ko_report_fails_on_a_nan_residual():
+    rep = KOReport(0.0, math.nan, 0.0)
+    assert math.isnan(rep.worst)
+    assert not rep.passed()
 
 
 def test_ko_signs_validated():

@@ -87,6 +87,27 @@ def test_extract_fields_hand_computed_pair():
     assert fp.v2 == 11.0
 
 
+def _reference_fields(w):
+    """The fields pair by pair, from a = (diag(r', l'), m') and b = (diag(r, l), m)."""
+    phi = sig1 = sig2 = 0.0
+    for a, b in w.pairs:
+        r_p, m_p = a.blocks[0][0, 0], a.blocks[1]
+        r, l, m = b.blocks[0][0, 0], b.blocks[0][1, 1], b.blocks[1]
+        mm = m_p @ m
+        phi += r_p * (l - r)
+        sig1 += m_p[0, 0] * r - mm[0, 0]
+        sig2 += m_p[1, 0] * r - mm[1, 0]
+    return np.array([1.0 + phi, 1.0 + sig1, sig2])
+
+
+def test_extract_fields_matches_the_pair_formula(rng):
+    for n_pairs in (1, 2, 5):
+        w = random_one_form(a_ev(), rng, n_pairs=n_pairs)
+        fp = extract_fields(w)
+        want = _reference_fields(w)
+        assert np.allclose([fp.x, fp.v1, fp.v2], want, rtol=0.0, atol=1e-12 * np.abs(want).max())
+
+
 def test_extract_fields_is_additive_in_the_form(rng):
     w1 = random_one_form(a_ev(), rng)
     w2 = random_one_form(a_ev(), rng)
