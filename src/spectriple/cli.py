@@ -83,11 +83,10 @@ def _resolve(args):
     config = _first(args.config, _env("SPECTRIPLE_CONFIG"))
     cfg = mio.load_config(config)
     env_seed = _env("SPECTRIPLE_SEED")
-    env_tol = _env("SPECTRIPLE_TOL")
     seed = _first(args.seed, int(env_seed) if env_seed is not None else None, cfg.seed)
-    tol = _first(args.tol, float(env_tol) if env_tol is not None else None, cfg.tol)
+    tol = mio.valid_tol(_first(args.tol, _env("SPECTRIPLE_TOL"), cfg.tol))
     out = _first(args.out, _env("SPECTRIPLE_OUT"))
-    return model, cfg, int(seed), float(tol), out
+    return model, cfg, int(seed), tol, out
 
 
 def _triple(model_path, cfg):

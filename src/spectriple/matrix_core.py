@@ -23,7 +23,6 @@ __all__ = [
     "commutator",
     "frob_norm",
     "identity",
-    "matrix_unit",
 ]
 
 
@@ -37,13 +36,6 @@ def as_matrix(data) -> np.ndarray:
 
 def identity(n: int) -> np.ndarray:
     return np.eye(n, dtype=complex)
-
-
-def matrix_unit(n: int, i: int, j: int) -> np.ndarray:
-    """The n x n matrix unit E_ij (single 1 at row i, column j)."""
-    m = np.zeros((n, n), dtype=complex)
-    m[i, j] = 1.0
-    return m
 
 
 def adjoint(a: np.ndarray) -> np.ndarray:

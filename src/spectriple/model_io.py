@@ -12,6 +12,7 @@ the declared KO signs.  Every tile is plain, so its ``"mode"`` key must be
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -46,6 +47,7 @@ __all__ = [
     "save_json",
     "triple_from_dict",
     "triple_to_dict",
+    "valid_tol",
 ]
 
 
@@ -64,16 +66,13 @@ def complex_from_json(obj) -> complex:
 
 def matrix_to_json(m) -> list:
     m = as_matrix(m)
-    return [[complex_to_json(m[i, j]) for j in range(m.shape[1])] for i in range(m.shape[0])]
+    return np.stack([m.real, m.imag], -1).tolist()
 
 
 def matrix_from_json(obj) -> np.ndarray:
     if not isinstance(obj, list) or not obj or not isinstance(obj[0], list):
         raise ValueError("matrix payload must be a nested list")
-    rows = []
-    for row in obj:
-        rows.append([complex_from_json(entry) for entry in row])
-    return np.array(rows, dtype=complex)
+    return np.array([[complex_from_json(entry) for entry in row] for row in obj], dtype=complex)
 
 
 def element_to_json(e: AlgebraElement) -> list:
@@ -144,29 +143,24 @@ def triple_from_dict(payload: dict, validate: bool = True) -> FiniteSpectralTrip
     )
 
 
-def pert_to_dict(p: PertElement) -> dict:
-    return {
-        "pairs": [[element_to_json(a), element_to_json(b)] for a, b in p.pairs]
-    }
+def pert_to_dict(p: PertElement | UniversalOneForm) -> dict:
+    """The pairs of a perturbation, or the derived pairs of a one-form."""
+    return {"pairs": [[element_to_json(a), element_to_json(b)] for a, b in p.pairs]}
+
+
+one_form_to_dict = pert_to_dict
+
+
+def _pairs_from_dict(payload: dict) -> tuple:
+    return tuple((element_from_json(a), element_from_json(b)) for a, b in payload["pairs"])
 
 
 def pert_from_dict(spec: AlgebraSpec, payload: dict, validate: bool = True) -> PertElement:
-    pairs = tuple(
-        (element_from_json(a), element_from_json(b)) for a, b in payload["pairs"]
-    )
-    return PertElement(spec, pairs, validate=validate)
+    return PertElement(spec, _pairs_from_dict(payload), validate=validate)
 
 
-def one_form_to_dict(w: UniversalOneForm) -> dict:
-    return {
-        "pairs": [[element_to_json(a), element_to_json(b)] for a, b in w.pairs]
-    }
-
-
-def one_form_from_dict(payload: dict) -> UniversalOneForm:
-    return UniversalOneForm(
-        tuple((element_from_json(a), element_from_json(b)) for a, b in payload["pairs"])
-    )
+def one_form_from_dict(spec: AlgebraSpec, payload: dict) -> UniversalOneForm:
+    return UniversalOneForm.from_pairs(spec, _pairs_from_dict(payload))
 
 
 def save_json(path: str, obj) -> None:
@@ -211,6 +205,14 @@ class RunConfig:
         return ActionParams(f2=self.f2, f0=self.f0, lam=self.lam)
 
 
+def valid_tol(value) -> float:
+    """A tolerance: a finite number > 0 (ValueError otherwise)."""
+    tol = float(value)
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be a finite number > 0, got {value!r}")
+    return tol
+
+
 def load_config(path: str | None) -> RunConfig:
     """Read a config file; missing path means defaults."""
     cfg = RunConfig()
@@ -228,10 +230,13 @@ def load_config(path: str | None) -> RunConfig:
             setattr(cfg, key, complex_from_json(value))
         elif key == "seed":
             cfg.seed = int(value)
-        elif key == "n_starts":
-            cfg.n_starts = int(value)
-        elif key == "grid_n":
-            cfg.grid_n = int(value)
+        elif key in ("n_starts", "grid_n"):
+            low = 1 if key == "n_starts" else 2
+            if isinstance(value, bool) or not isinstance(value, int) or value < low:
+                raise ValueError(f"config {key} must be an integer >= {low}, got {value!r}")
+            setattr(cfg, key, value)
+        elif key == "tol":
+            cfg.tol = valid_tol(value)
         elif key == "point":
             if value is not None:
                 pt = [float(x) for x in value]

@@ -9,25 +9,16 @@ sub-block of size m_s of its block s is the s-block of entry (i, k)
 Everything is phrased on the ambient space C^n (x) C^n (x) H.  M_n(A) acts
 there twice, reading the triple's tables pi(e_alpha) and hat(pi(e_alpha)):
 through the left leg (``pi_big``) and, conjugated by the real structure,
-through the right leg (``pi_hat_big``).  A connection is
-an n x n matrix of universal one-forms B with e B e = B; its represented
-action on a base operator is one commutator term pi(x) [base, pi(y)] per
-universal pair x d(y), placed in the cell of its entry.  The
+through the right leg (``pi_hat_big``).  A connection is an n x n matrix
+of universal one-forms B with e B e = B, each entry stored as its
+coefficients omega in A (x) A, so a connection is the (n, n, d, d) stack of
+:func:`conn_coefficients`: e B e is two matrix products on it
+(:func:`compress_coefficients`), and its action on a base operator is the
+one-form kernel of ``perturbation.a1`` placed in the cells of one leg
+(:func:`rep_conn`), whatever the number of pairs it was drawn from.  The
 module twist of D can then be computed in two orders -- left leg first or
 right leg first -- and the two agree identically, which is the analogue of
 the transitivity of ordinary inner fluctuations.
-
-Connections arrive as pair lists, but they are validated and applied through
-their faithful coefficients in A (x) A: x d(y) -> x (x) y - xy (x) 1, over
-the ambient matrix units of A (:func:`conn_coefficients`, the n x n stack of
-``one_form_cf``).  The check e B e = B becomes two matrix products on those
-coefficients, and the represented action of a whole connection is the
-one-form kernel of ``perturbation.a1`` placed in the cells of one leg, one
-sum over the matrix units instead of one commutator per universal pair, so
-neither cost grows with the length of the pair lists.  This assumes, like
-the comparison of one-forms through ``one_form_cf``, that the representation
-is a unital *-homomorphism of the complex algebra, which plain tiles
-partitioning H guarantee.
 """
 
 from __future__ import annotations
@@ -35,15 +26,13 @@ from __future__ import annotations
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .matrix_core import AntilinearOp, commutator, identity
 from .perturbation import (
     UniversalOneForm,
     _leg_weights,
+    _mult_map,
     one_form_cf,
-    one_form_lmul,
-    one_form_rmul,
     one_form_scale,
     one_form_star,
 )
@@ -191,27 +180,14 @@ def hermitize_connection(conn):
 
 
 def compress_connection(e: AlgebraElement, conn):
-    """(e B e)_{il} = sum_{jk} e_ij . B_jk . e_kl, at the universal level."""
-    n = len(conn)
-    e = mn_entries(e, n)
-
-    def entry(i, l):
-        terms = [
-            one_form_lmul(e[i][j], one_form_rmul(conn[j][k], e[k][l]))
-            for j in range(n)
-            for k in range(n)
-        ]
-        return UniversalOneForm(tuple(pair for w in terms for pair in w.pairs))
-
-    return tuple(tuple(entry(i, l) for l in range(n)) for i in range(n))
+    """(e B e)_{il} = sum_{jk} e_ij . B_jk . e_kl: :func:`compress_coefficients` on the entries."""
+    spec = conn[0][0].spec
+    omega = compress_coefficients(e, conn_coefficients(spec, conn))
+    return tuple(tuple(UniversalOneForm(spec, w) for w in row) for row in omega)
 
 
 def conn_coefficients(spec: AlgebraSpec, conn) -> np.ndarray:
-    """
-    Faithful coefficients of an n x n connection, shape (n, n, d, d) with d
-    the ambient dimension of A: entry (i, k) is ``one_form_cf(spec, conn[i][k])``,
-    so equal coefficients mean equal universal one-forms.
-    """
+    """The (n, n, d, d) stack of ``one_form_cf(spec, conn[i][k])``, d = dim of ambient A."""
     return np.array([[one_form_cf(spec, w) for w in row] for row in conn])
 
 
@@ -223,12 +199,11 @@ def compress_coefficients(e: AlgebraElement, omega: np.ndarray) -> np.ndarray:
     """
     n, _, d, _ = omega.shape
     entries = mn_entries(e, n)
-
-    def on_coords(kron):
-        return np.block([[block_diag(*map(kron, a.blocks)) for a in row] for row in entries])
-
-    left = on_coords(lambda b: np.kron(b, identity(len(b))))
-    right = on_coords(lambda b: np.kron(identity(len(b)), b))
+    summands = tuple(len(b) // n for b in e.blocks)
+    left, right = (
+        np.block([[_mult_map(summands, a, side) for a in row] for row in entries])
+        for side in (True, False)
+    )
     big = omega.transpose(0, 2, 1, 3).reshape(n * d, n * d)
     return (left @ big @ right).reshape(n, d, n, d).transpose(0, 2, 1, 3)
 
@@ -248,7 +223,7 @@ def random_conn_form(
         return random_element(spec, rng), random_element(spec, rng)
 
     raw = tuple(
-        tuple(UniversalOneForm(tuple(pair() for _ in range(n_pairs))) for _ in range(n))
+        tuple(UniversalOneForm.from_pairs(spec, [pair() for _ in range(n_pairs)]) for _ in range(n))
         for _ in range(n)
     )
     if hermitian:
@@ -266,11 +241,11 @@ class MoritaData:
     An idempotent e in M_n(A), one element whose block s has size n*m_s (see
     :func:`mn_from_entries`), together with an optional compressed connection.
 
-    The faithful coefficients of the connection (:func:`conn_coefficients`)
-    are computed once and kept as ``omega``; the twists apply them.
-    Validation checks that every entry is finite, e^2 = e, membership of all
-    entries in the algebra, and (when a connection is present) the
-    compression identity e B e = B on the coefficients.
+    The coefficients of the connection (:func:`conn_coefficients`) are
+    stacked once and kept as ``omega``; the twists apply them.  Validation
+    checks that e and omega are finite, e^2 = e, membership of the entries of
+    e in the algebra, and (when a connection is present) the compression
+    identity e B e = B on the coefficients.
     """
 
     triple: FiniteSpectralTriple
@@ -289,20 +264,17 @@ class MoritaData:
             if len(conn) != n or any(len(row) != n for row in conn):
                 raise ValueError(f"connection must be an {n}x{n} matrix of one-forms")
             object.__setattr__(self, "conn", conn)
+            object.__setattr__(self, "omega", conn_coefficients(self.triple.algebra, conn))
         if validate:
             self._validate_entries()
-        if self.conn is not None:
-            object.__setattr__(self, "omega", conn_coefficients(self.triple.algebra, self.conn))
-            if validate:
+            if self.conn is not None:
                 self._validate_compressed()
 
     def _validate_entries(self, tol: float = 1e-8):
         spec, n = self.triple.algebra, self.size
-        if not _finite(self.idem):
+        if not np.isfinite(self.idem.vec()).all():
             raise ValueError("idempotent has non-finite entries")
-        if self.conn is not None and not all(
-            _finite(a) for row in self.conn for w in row for pair in w.pairs for a in pair
-        ):
+        if self.omega is not None and not np.isfinite(self.omega).all():
             raise ValueError("connection has non-finite entries")
         if not _entries_in(spec, self.idem, n, tol=1e-9):
             raise ValueError("idempotent entry is not in the algebra")
@@ -321,10 +293,6 @@ class MoritaData:
         bound = tol * np.maximum(1.0, np.linalg.norm(self.omega, axis=(2, 3)))
         if not np.all(defect <= bound):
             raise ValueError("connection is not compressed: e B e != B")
-
-
-def _finite(a: AlgebraElement) -> bool:
-    return all(np.isfinite(b).all() for b in a.blocks)
 
 
 def _entries_in(spec: AlgebraSpec, x: AlgebraElement, n: int, tol: float) -> bool:

@@ -11,12 +11,12 @@ product of A (x) A^op, and they act on Dirac operators by
 which reproduces D + A_1 + eps_d J A_1 J^{-1} + A_2 with A_1 the represented
 one-form and A_2 the quadratic correction term.
 
-Sums of pairs are compared through faithful images, never on the raw pair
-lists, which are free to contain redundant terms: a perturbation through its
-canonical form, the block-diagonal matrix of A (x) A^op over ordered pairs of
-summands whose matrix product is the semigroup product, and a one-form through
-its coefficients omega in A (x) A (:func:`one_form_cf`), from which A_1 and
-A_2 are read with the triple's tables.
+Perturbations are stored as their pairs, which are free to contain redundant
+terms, and compared through their canonical form, the block-diagonal matrix of
+A (x) A^op over ordered pairs of summands whose matrix product is the semigroup
+product.  A universal one-form is stored as its coefficients omega in A (x) A
+(:class:`UniversalOneForm`): the module actions, the star, A_1 and A_2 are
+fixed linear maps on omega, whatever the number of pairs it was built from.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .spectral_triple import (
     AlgebraSpec,
     FiniteSpectralTriple,
     random_element,
+    spanning_set,
 )
 
 __all__ = [
@@ -39,7 +40,6 @@ __all__ = [
     "RepresentedPert",
     "UniversalOneForm",
     "a1",
-    "a2",
     "a2_with",
     "canonical_form",
     "check_transitivity",
@@ -73,10 +73,6 @@ def _coerce_pairs(pairs) -> tuple:
     return tuple(out)
 
 
-def _unit_like(e: AlgebraElement) -> AlgebraElement:
-    return AlgebraElement(tuple(identity(b.shape[0]) for b in e.blocks))
-
-
 def _stacked(summands, elements) -> list:
     """Per summand, the blocks of ``elements`` stacked along a leading axis."""
     if any(tuple(len(b) for b in e.blocks) != summands for e in elements):
@@ -107,76 +103,118 @@ def _cf_of_pairs(summands, pairs) -> np.ndarray:
 # Universal one-forms
 
 
+def _mult_map(summands, a: AlgebraElement, left: bool) -> np.ndarray:
+    """x -> ax on column coordinate vectors (``left``), or x -> xa on row vectors."""
+    if tuple(len(b) for b in a.blocks) != tuple(summands):
+        raise ValueError("element does not match the algebra")
+    eyes = [identity(len(b)) for b in a.blocks]
+    return block_diag(*(np.kron(b, i) if left else np.kron(i, b) for b, i in zip(a.blocks, eyes)))
+
+
+def _unit_transpose(summands) -> np.ndarray:
+    """For each ambient matrix unit e_ij (vec() order), the index of e_ji."""
+    offsets = np.cumsum((0,) + tuple(m * m for m in summands))
+    return np.concatenate(
+        [o + np.arange(m * m).reshape(m, m).T.ravel() for o, m in zip(offsets, summands)]
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class UniversalOneForm:
     """
-    Finite sum  sum_j x_j d(y_j)  of universal one-forms, kept as raw pairs.
+    A universal one-form over ``spec``, stored as its faithful image in A (x) A:
 
-    No relations are imposed on the pair list; two sums are equal as
-    universal forms exactly when :func:`one_form_cf` agrees, since
-    x d(y) -> x (x) y - xy (x) 1 embeds the one-forms faithfully in A (x) A.
+        sum_j x_j d(y_j)  ->  omega = sum_j x_j (x) y_j - x_j y_j (x) 1,
+
+    the d x d matrix over the ambient matrix units (``AlgebraElement.vec()``
+    order, rows for the first factor).  Two forms are equal exactly when their
+    omegas are.  :meth:`from_pairs` builds one from pairs; ``pairs`` gives
+    pairs back, over the spanning set of ``spec``.
     """
 
-    pairs: tuple
+    spec: AlgebraSpec
+    omega: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "pairs", _coerce_pairs(self.pairs))
+        d = self.spec.ambient_dim
+        omega = np.asarray(self.omega, dtype=complex)
+        if omega.shape != (d, d):
+            raise ValueError(f"one-form coefficients must be {d}x{d}, got {omega.shape}")
+        object.__setattr__(self, "omega", omega)
+
+    @classmethod
+    def from_pairs(cls, spec: AlgebraSpec, pairs) -> "UniversalOneForm":
+        """
+        sum_j x_j d(y_j) for finite x_j, y_j in ``spec``:
+        omega = X^T Y - vec(sum_j x_j y_j) vec(1)^T, the x_j and y_j being the
+        rows of X and Y.
+        """
+        flat = [e for pair in _coerce_pairs(pairs) for e in pair]
+        finite = [bool(np.isfinite(e.vec()).all()) for e in flat]
+        if not all(finite):
+            raise ValueError(f"pair {finite.index(False) // 2} has non-finite entries")
+        outside = spec.first_outside(flat)
+        if outside is not None:
+            raise ValueError(f"pair {outside // 2} is not in the algebra")
+        xs, ys = _stacked(spec.summands, flat[0::2]), _stacked(spec.summands, flat[1::2])
+        xy = np.concatenate([np.einsum("jab,jbc->ac", x, y).ravel() for x, y in zip(xs, ys)])
+        x, y = (
+            np.concatenate([b.reshape(-1, b.shape[1] ** 2) for b in s], axis=1) for s in (xs, ys)
+        )
+        return cls(spec, x.T @ y - np.outer(xy, spec.unit().vec()))
+
+    @property
+    def pairs(self) -> tuple:
+        """
+        Pairs (sum_k c_kl b_k, b_l) over the spanning set b of ``spec``, with
+        c = B^+ omega (B^+)^T for B the matrix of columns b_k: their x (x) y sum
+        to omega, and their products sum to m(omega) = 0.
+        """
+        basis = spanning_set(self.spec)
+        rows = np.array([b.vec() for b in basis])
+        inv = np.linalg.pinv(rows.T)
+        c = inv @ self.omega @ inv.T
+        return tuple(zip(self.spec.from_coords(c.T @ rows), basis))
 
     def __add__(self, other: "UniversalOneForm") -> "UniversalOneForm":
-        return UniversalOneForm(self.pairs + other.pairs)
+        return UniversalOneForm(self.spec, self.omega + other.omega)
 
 
 def one_form_scale(z, w: UniversalOneForm) -> UniversalOneForm:
-    return UniversalOneForm(tuple((complex(z) * x, y) for x, y in w.pairs))
+    return UniversalOneForm(w.spec, complex(z) * w.omega)
 
 
 def one_form_lmul(a: AlgebraElement, w: UniversalOneForm) -> UniversalOneForm:
-    """Left module action a . (x d(y)) = (ax) d(y)."""
-    return UniversalOneForm(tuple((a * x, y) for x, y in w.pairs))
+    """Left module action a . (x d(y)) = (ax) d(y): omega -> (a (x) 1) omega."""
+    return UniversalOneForm(w.spec, _mult_map(w.spec.summands, a, left=True) @ w.omega)
 
 
 def one_form_rmul(w: UniversalOneForm, c: AlgebraElement) -> UniversalOneForm:
-    """Right module action via Leibniz: (x d(y)) c = x d(yc) - (xy) d(c)."""
-    out = []
-    for x, y in w.pairs:
-        out.append((x, y * c))
-        out.append(((-1.0) * (x * y), c))
-    return UniversalOneForm(tuple(out))
+    """Right module action (x d(y)) c = x d(yc) - (xy) d(c): omega -> omega (1 (x) c)."""
+    return UniversalOneForm(w.spec, w.omega @ _mult_map(w.spec.summands, c, left=False))
 
 
 def one_form_star(w: UniversalOneForm) -> UniversalOneForm:
     """
-    The involution determined by rep(w*) = rep(w)^dagger for every triple:
-    (x d(y))* = y* d(x*) - d(y* x*).
+    The involution determined by rep(w*) = rep(w)^dagger for every triple,
+    (x d(y))* = y* d(x*) - d(y* x*).  On A (x) A it is a (x) b -> b* (x) a*:
+    omega -> conj(omega)^T with the matrix units of both factors transposed.
     """
-    out = []
-    for x, y in w.pairs:
-        ys, xs = y.star(), x.star()
-        out.append((ys, xs))
-        out.append(((-1.0) * _unit_like(x), ys * xs))
-    return UniversalOneForm(tuple(out))
+    perm = _unit_transpose(w.spec.summands)
+    return UniversalOneForm(w.spec, np.conj(w.omega[np.ix_(perm, perm)]).T)
 
 
 def one_form_cf(spec: AlgebraSpec, w: UniversalOneForm) -> np.ndarray:
-    """
-    Coefficients of w in A (x) A via x d(y) -> x (x) y - xy (x) 1, as the d x d
-    matrix omega = X^T Y - vec(sum_j x_j y_j) vec(1)^T over the ambient matrix
-    units (``AlgebraElement.vec()`` order, rows for the first factor; the x_j and
-    y_j are the rows of X and Y).  Equal omegas are equal universal one-forms.
-    """
-    xs = _stacked(spec.summands, [x for x, _ in w.pairs])
-    ys = _stacked(spec.summands, [y for _, y in w.pairs])
-    xy = np.concatenate([np.einsum("jab,jbc->ac", x, y).ravel() for x, y in zip(xs, ys)])
-    x, y = (np.concatenate([b.reshape(-1, b.shape[1] ** 2) for b in s], axis=1) for s in (xs, ys))
-    return x.T @ y - np.outer(xy, spec.unit().vec())
+    """The coefficients omega of w (see :class:`UniversalOneForm`), over ``spec``'s summands."""
+    if w.spec.summands != spec.summands:
+        raise ValueError("element does not match the algebra")
+    return w.omega
 
 
 def random_one_form(spec: AlgebraSpec, rng: np.random.Generator, n_pairs: int = 2) -> UniversalOneForm:
     """A random self-adjoint one-form, built as w + w* from random pairs."""
-    pairs = tuple(
-        (random_element(spec, rng), random_element(spec, rng)) for _ in range(n_pairs)
-    )
-    w = UniversalOneForm(pairs)
+    pairs = [(random_element(spec, rng), random_element(spec, rng)) for _ in range(n_pairs)]
+    w = UniversalOneForm.from_pairs(spec, pairs)
     return w + one_form_star(w)
 
 
@@ -292,23 +330,16 @@ def random_pert(
 
 def eta_one_form(p: PertElement) -> UniversalOneForm:
     """eta(p) = sum_j a_j d(b_j)."""
-    return UniversalOneForm(p.pairs)
+    return UniversalOneForm.from_pairs(p.spec, p.pairs)
 
 
 def normalize_one_form(spec: AlgebraSpec, w: UniversalOneForm) -> PertElement:
     """
-    Section of eta: prepend the normalizer (1 - sum x_j y_j, 1), then
-    symmetrize.  For self-adjoint w the image maps back to w under eta
-    (the flipped normalizer contributes d(1 - s*) which cancels the
-    d(sum y* x*) term of w*); in general one gets the symmetrization of w.
+    Section of eta: the pairs of w, whose products sum to 0, behind the
+    normalizer (1, 1), then symmetrized.  For self-adjoint w the image maps
+    back to w under eta; in general one gets the symmetrization of w.
     """
-    if not w.pairs:
-        return PertElement(spec, ((spec.unit(), spec.unit()),))
-    total = w.pairs[0][0] * w.pairs[0][1]
-    for x, y in w.pairs[1:]:
-        total = total + x * y
-    pairs = ((spec.unit() - total, spec.unit()),) + w.pairs
-    return symmetrize(PertElement(spec, pairs, validate=False))
+    return symmetrize(PertElement(spec, ((spec.unit(),) * 2,) + w.pairs, validate=False))
 
 
 # ---------------------------------------------------------------------------
@@ -356,10 +387,6 @@ def a1(t: FiniteSpectralTriple, w: UniversalOneForm) -> np.ndarray:
 def a2_with(t: FiniteSpectralTriple, w: UniversalOneForm, base: np.ndarray) -> np.ndarray:
     """Second-order term sum_j hat(pi(x_j)) [base, hat(pi(y_j))]."""
     return _act(t, one_form_cf(t.algebra, w), base, hatted=True)
-
-
-def a2(t: FiniteSpectralTriple, w: UniversalOneForm) -> np.ndarray:
-    return a2_with(t, w, a1(t, w))
 
 
 def fluctuate(t: FiniteSpectralTriple, w: UniversalOneForm, tol: float = 1e-9) -> np.ndarray:

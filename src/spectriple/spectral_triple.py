@@ -163,6 +163,14 @@ class AlgebraSpec:
             mats.append(b)
         return AlgebraElement(tuple(mats))
 
+    def from_coords(self, rows) -> list:
+        """The elements whose ambient coordinates (``AlgebraElement.vec()``) are the rows."""
+        cuts = np.cumsum([n * n for n in self.summands])[:-1]
+        return [
+            AlgebraElement(tuple(b.reshape(n, n) for b, n in zip(np.split(r, cuts), self.summands)))
+            for r in rows
+        ]
+
     def first_outside(self, elements, tol: float = 1e-9) -> int | None:
         """
         Index of the first element not in the algebra (other summand shapes, or
@@ -190,12 +198,7 @@ def spanning_set(spec: AlgebraSpec) -> list:
     """
     if spec.basis is not None:
         return list(spec.basis)
-    # the matrix units in vec() order are the rows of the identity, cut by summand
-    cuts = np.cumsum([n * n for n in spec.summands])[:-1]
-    return [
-        AlgebraElement(tuple(b.reshape(n, n) for b, n in zip(np.split(u, cuts), spec.summands)))
-        for u in identity(spec.ambient_dim)
-    ]
+    return spec.from_coords(identity(spec.ambient_dim))  # the matrix units, in vec() order
 
 
 @dataclass(frozen=True)

@@ -30,8 +30,9 @@ from .spectral_triple import (
     FiniteSpectralTriple,
     KOSigns,
     RepBlock,
+    spanning_set,
 )
-from .perturbation import UniversalOneForm, one_form_cf
+from .perturbation import UniversalOneForm
 
 __all__ = [
     "FieldPoint",
@@ -42,7 +43,6 @@ __all__ = [
     "build_toy",
     "closed_dirac",
     "extract_fields",
-    "full_algebra",
     "y_block",
 ]
 
@@ -81,24 +81,11 @@ class FieldPoint:
         return cls(1.0, 1.0, 0.0)
 
 
-@lru_cache(maxsize=None)
-def full_algebra() -> AlgebraSpec:
-    """The ambient M_2 + M_2 (zeroth order holds, but the grading fails)."""
-    return AlgebraSpec((2, 2))
-
-
 def _ev_basis():
-    z = np.zeros((2, 2), dtype=complex)
-    elems = [
-        AlgebraElement((np.diag([1.0, 0.0]).astype(complex), z)),
-        AlgebraElement((np.diag([0.0, 1.0]).astype(complex), z)),
-    ]
-    for i in range(2):
-        for j in range(2):
-            e = np.zeros((2, 2), dtype=complex)
-            e[i, j] = 1.0
-            elems.append(AlgebraElement((z, e)))
-    return tuple(elems)
+    z, units = np.zeros((2, 2), dtype=complex), identity(4).reshape(4, 2, 2)  # E11, E12, E21, E22
+    return tuple(AlgebraElement((u, z)) for u in units[[0, 3]]) + tuple(
+        AlgebraElement((z, u)) for u in units
+    )
 
 
 @lru_cache(maxsize=None)
@@ -181,7 +168,7 @@ def closed_dirac(params: ToyParams, fp: FieldPoint) -> np.ndarray:
 def extract_fields(w: UniversalOneForm) -> FieldPoint:
     """
     Field point of a one-form over the even subalgebra, read off its
-    coefficients omega (``one_form_cf``; units 0-3 and 4-7 are the two
+    coefficients omega (``UniversalOneForm``; units 0-3 and 4-7 are the two
     summands, row-major): x = 1 + omega[0, 3] - omega[0, 0] and
     v = (1 + omega[4, 0], omega[6, 0]).  Pair by pair, for a = (diag(r', l'), m')
     and b = (diag(r, l), m), x - 1 sums r' (l - r), v1 - 1 sums
@@ -189,9 +176,7 @@ def extract_fields(w: UniversalOneForm) -> FieldPoint:
     represented one-form is self-adjoint, the full fluctuation of the model's
     D equals ``closed_dirac`` at this point.
     """
-    spec = a_ev()
-    outside = spec.first_outside([e for pair in w.pairs for e in pair])
-    if outside is not None:
-        raise ValueError(f"pair {outside // 2} is not in the even subalgebra")
-    omega = one_form_cf(spec, w)
+    if a_ev().first_outside(spanning_set(w.spec)) is not None:
+        raise ValueError("one-form is not over the even subalgebra")
+    omega = w.omega
     return FieldPoint(1.0 + omega[0, 3] - omega[0, 0], 1.0 + omega[4, 0], omega[6, 0])

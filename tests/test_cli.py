@@ -267,6 +267,39 @@ def test_env_seed_matches_flag_seed(tmp_path, capsys, monkeypatch):
     assert by_flag == by_env
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+def test_bad_tolerance_flag_is_an_input_error(capsys, tol):
+    assert main(["check", "--tol", tol]) == 2
+    captured = capsys.readouterr()
+    assert "tol must be a finite number > 0" in captured.err
+    assert "status:" not in captured.out
+
+
+def test_bad_tolerance_in_the_environment_is_an_input_error(capsys, monkeypatch):
+    monkeypatch.setenv("SPECTRIPLE_TOL", "inf")
+    assert main(["morita-check"]) == 2
+    captured = capsys.readouterr()
+    assert "tol must be a finite number > 0" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("minimize", "n_starts", -3),
+    ("minimize", "n_starts", 2.7),
+    ("minimize", "n_starts", True),
+    ("potential-scan", "grid_n", 0),
+    ("potential-scan", "grid_n", 1),
+    ("check", "tol", -1.0),
+])
+def test_bad_config_settings_are_input_errors(tmp_path, capsys, command, key, value):
+    cfg = tmp_path / "cfg.json"
+    save_json(str(cfg), {key: value})
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"{key} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_subcommand_exits_with_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])

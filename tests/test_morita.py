@@ -3,8 +3,12 @@ Module twists: e in M_n(A) with an optional compressed connection twists the
 ampliated Dirac operator from both sides; the two orderings must coincide.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spectriple import MoritaData, morita, twisted_dirac_left, twisted_dirac_right
 from spectriple.matrix_core import (
@@ -13,7 +17,6 @@ from spectriple.matrix_core import (
     commutator,
     frob_norm,
     identity,
-    matrix_unit,
 )
 from spectriple.morita import (
     check_idempotent_identity,
@@ -36,16 +39,71 @@ from spectriple.morita import (
 )
 from spectriple.perturbation import UniversalOneForm
 from spectriple.spectral_triple import AlgebraElement, random_element, represent
+from spectriple.toy_model import a_f
+from test_perturbation import _reference_rmul, _reference_star
+from test_spectral_triple import _multi_triple
 
 
 def _rel(a, b):
     return frob_norm(a - b) / max(1.0, frob_norm(b))
 
 
-def _reference_rep_conn(t, n, conn, base, hatted):
+def _unit(n, i, k):
+    """The n x n matrix unit E_ik."""
+    return np.outer(identity(n)[i], identity(n)[k])
+
+
+def _reference_hermitize(spec, grid):
+    """(B + B*)/2 on pair lists: entry (j, k) is B_jk and (B_kj)* at half weight."""
+    n = len(grid)
+    return [
+        [[(0.5 * x, y) for x, y in grid[j][k] + _reference_star(spec, grid[k][j])]
+         for k in range(n)]
+        for j in range(n)
+    ]
+
+
+def _reference_compress(e, grid):
+    """
+    e B e on pair lists through the Leibniz rule: entry (i, l) collects
+    e_ij . (x d(y)) . e_kl = (e_ij x) d(y e_kl) - (e_ij x y) d(e_kl) over j, k.
+    """
+    n = len(grid)
+    ents = mn_entries(e, n)
+    return [
+        [[(ents[i][j] * x, y) for j in range(n) for k in range(n)
+          for x, y in _reference_rmul(grid[j][k], ents[k][l])]
+         for l in range(n)]
+        for i in range(n)
+    ]
+
+
+def _forms(spec, grid):
+    return tuple(tuple(UniversalOneForm.from_pairs(spec, pairs) for pairs in row) for row in grid)
+
+
+def _raw_pairs(spec, n, rng, n_pairs=1):
+    """An n x n grid of random pair lists, drawn in the order of ``random_conn_form``."""
+    return [
+        [[(random_element(spec, rng), random_element(spec, rng)) for _ in range(n_pairs)]
+         for _ in range(n)]
+        for _ in range(n)
+    ]
+
+
+def _max_rel(conn, spec, grid):
+    """Largest relative distance between the entries of conn and the pair lists of grid."""
+    return max(
+        _rel(w.omega, UniversalOneForm.from_pairs(spec, pairs).omega)
+        for row, ref_row in zip(conn, grid)
+        for w, pairs in zip(row, ref_row)
+    )
+
+
+def _reference_rep_conn(t, n, grid, base, hatted):
     """
     The connection action pair by pair: for every entry (i, k) and universal
-    pair (x, y), add  L(x) [base, 1 (x) 1 (x) rho(y)]  with rho = pi and
+    pair (x, y) of its pair list, add  L(x) [base, 1 (x) 1 (x) rho(y)]  with rho = pi and
     L(x) = E_ik (x) 1 (x) pi(x) on the left leg, rho = hat o pi and
     L(x) = 1 (x) E_ik (x) hat(pi(x)) on the hatted right leg.
     """
@@ -54,8 +112,8 @@ def _reference_rep_conn(t, n, conn, base, hatted):
     eye = identity(n)
     for i in range(n):
         for k in range(n):
-            cell = np.kron(eye, matrix_unit(n, i, k)) if hatted else np.kron(matrix_unit(n, i, k), eye)
-            for x, y in conn[i][k].pairs:
+            cell = np.kron(eye, _unit(n, i, k)) if hatted else np.kron(_unit(n, i, k), eye)
+            for x, y in grid[i][k]:
                 out += np.kron(cell, rho(x)) @ commutator(base, np.kron(identity(n * n), rho(y)))
     return out
 
@@ -67,18 +125,6 @@ def _mn_unit(spec, n):
 
 def _random_mn(spec, n, rng):
     return mn_from_entries([[random_element(spec, rng) for _ in range(n)] for _ in range(n)])
-
-
-def _raw_conn(spec, n, rng):
-    return tuple(
-        tuple(
-            UniversalOneForm(
-                ((random_element(spec, rng), random_element(spec, rng)),)
-            )
-            for _ in range(n)
-        )
-        for _ in range(n)
-    )
 
 
 def test_rank_one_unit_module_gives_back_d(toy):
@@ -102,8 +148,8 @@ def test_unit_module_with_diagonal_connection_reduces_entrywise(toy, rng):
     # e = 1_n with conn = diag(w): the twist acts like the rank-one case in
     # every diagonal cell
     n = 2
-    w = UniversalOneForm(((random_element(toy.algebra, rng),) * 2,))
-    zero_form = UniversalOneForm(tuple())
+    w = UniversalOneForm.from_pairs(toy.algebra, ((random_element(toy.algebra, rng),) * 2,))
+    zero_form = UniversalOneForm.from_pairs(toy.algebra, ())
     conn = tuple(
         tuple(w if i == k else zero_form for k in range(n)) for i in range(n)
     )
@@ -177,7 +223,7 @@ def test_hermitized_connection_represents_self_adjointly(toy, rng):
     n = 2
     raw = tuple(
         tuple(
-            UniversalOneForm(((random_element(toy.algebra, rng),) * 2,))
+            UniversalOneForm.from_pairs(toy.algebra, ((random_element(toy.algebra, rng),) * 2,))
             for _ in range(n)
         )
         for _ in range(n)
@@ -191,7 +237,7 @@ def test_compress_connection_is_a_projection(toy, rng):
     e = random_idempotent(toy, 2, rng)
     raw = tuple(
         tuple(
-            UniversalOneForm(((random_element(toy.algebra, rng),) * 2,))
+            UniversalOneForm.from_pairs(toy.algebra, ((random_element(toy.algebra, rng),) * 2,))
             for _ in range(2)
         )
         for _ in range(2)
@@ -212,14 +258,16 @@ def test_compress_connection_is_a_projection(toy, rng):
 @pytest.mark.parametrize("compressed", [False, True])
 def test_coefficient_action_matches_the_pairwise_loop(toy, n, hatted, compressed):
     rng = np.random.default_rng(40 + n)
-    conn = _raw_conn(toy.algebra, n, rng)
+    grid = _raw_pairs(toy.algebra, n, rng)
+    conn = _forms(toy.algebra, grid)
     if compressed:
         e = random_idempotent(toy, n, rng, self_adjoint=False)
         conn = compress_connection(e, hermitize_connection(conn))
+        grid = _reference_compress(e, _reference_hermitize(toy.algebra, grid))
     dim = n * n * toy.dim_h
     base = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     got = rep_conn(toy, n, conn_coefficients(toy.algebra, conn), base, hatted)
-    want = _reference_rep_conn(toy, n, conn, base, hatted)
+    want = _reference_rep_conn(toy, n, grid, base, hatted)
     assert _rel(got, want) < 1e-12
 
 
@@ -228,10 +276,44 @@ def test_compress_coefficients_matches_universal_compression(toy, n):
     # the validation's e B e on coefficients is the universal e B e
     rng = np.random.default_rng(50 + n)
     e = random_idempotent(toy, n, rng, self_adjoint=False)
-    raw = _raw_conn(toy.algebra, n, rng)
-    got = compress_coefficients(e, conn_coefficients(toy.algebra, raw))
-    want = conn_coefficients(toy.algebra, compress_connection(e, raw))
+    grid = _raw_pairs(toy.algebra, n, rng)
+    got = compress_coefficients(e, conn_coefficients(toy.algebra, _forms(toy.algebra, grid)))
+    want = conn_coefficients(toy.algebra, _forms(toy.algebra, _reference_compress(e, grid)))
     assert frob_norm(got - want) < 1e-12 * max(1.0, frob_norm(want))
+
+
+_TRIPLES = {
+    "a_ev": lambda toy: toy,
+    "a_f": lambda toy: dataclasses.replace(toy, algebra=a_f()),
+    "multi": lambda toy: _multi_triple(),
+}
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.sampled_from(sorted(_TRIPLES)),
+    st.integers(1, 3),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_hermitize_and_compress_match_the_leibniz_pair_formulas(toy, which, n, sa, seed):
+    t = _TRIPLES[which](toy)
+    spec, rng = t.algebra, np.random.default_rng(seed)
+    e = random_idempotent(t, n, rng, self_adjoint=sa)
+    grid = _raw_pairs(spec, n, rng, n_pairs=2)
+    herm, ref = hermitize_connection(_forms(spec, grid)), _reference_hermitize(spec, grid)
+    assert _max_rel(herm, spec, ref) < 1e-12
+    assert _max_rel(compress_connection(e, herm), spec, _reference_compress(e, ref)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_random_conn_form_matches_the_reference_pair_path(toy, n):
+    # the same draws, hermitized and compressed pair by pair
+    spec = toy.algebra
+    e = random_idempotent(toy, n, np.random.default_rng(80 + n), self_adjoint=False)
+    conn = random_conn_form(toy, n, np.random.default_rng(90 + n), e)
+    grid = _raw_pairs(spec, n, np.random.default_rng(90 + n))
+    assert _max_rel(conn, spec, _reference_compress(e, _reference_hermitize(spec, grid))) < 1e-12
 
 
 def test_validation_rejects_non_finite_entries(toy):
@@ -239,13 +321,13 @@ def test_validation_rejects_non_finite_entries(toy):
     nan_elem = float("nan") * unit
     with pytest.raises(ValueError, match="idempotent has non-finite"):
         MoritaData(toy, 1, nan_elem)
-    conn = ((UniversalOneForm(((nan_elem, unit),)),),)
-    with pytest.raises(ValueError, match="connection has non-finite"):
-        MoritaData(toy, 1, unit, conn)
-    inf_elem = toy.algebra.element(np.diag([np.inf, 1.0]), np.eye(2))
-    inf_conn = ((UniversalOneForm(((unit, inf_elem),)),),)
-    with pytest.raises(ValueError, match="connection has non-finite"):
-        MoritaData(toy, 1, unit, inf_conn)
+    # from_pairs refuses non-finite pairs, so build the coefficients directly
+    for bad in (np.nan, np.inf):
+        omega = np.zeros((8, 8), dtype=complex)
+        omega[4, 0] = bad
+        conn = ((UniversalOneForm(toy.algebra, omega),),)
+        with pytest.raises(ValueError, match="connection has non-finite"):
+            MoritaData(toy, 1, unit, conn)
 
 
 def test_reducers_pass_nan_through(toy, monkeypatch):
@@ -267,7 +349,7 @@ def test_validation_rejects_uncompressed_connection(toy, rng):
     e = random_idempotent(toy, 2, rng)
     raw = tuple(
         tuple(
-            UniversalOneForm(((random_element(toy.algebra, rng),) * 2,))
+            UniversalOneForm.from_pairs(toy.algebra, ((random_element(toy.algebra, rng),) * 2,))
             for _ in range(2)
         )
         for _ in range(2)
@@ -284,7 +366,7 @@ def test_induced_real_structure_swaps_legs_and_squares_to_plus_one(toy):
         # swap (x) J: check one off-diagonal cell explicitly
         want = np.kron(
             sum(
-                np.kron(matrix_unit(n, i, j), matrix_unit(n, j, i))
+                np.kron(_unit(n, i, j), _unit(n, j, i))
                 for i in range(n)
                 for j in range(n)
             ),
@@ -321,7 +403,7 @@ def _reference_pi_big(t, n, x, hatted):
     out = np.zeros((n * n * t.dim_h,) * 2, dtype=complex)
     for i, row in enumerate(mn_entries(x, n)):
         for k, entry in enumerate(row):
-            cell = matrix_unit(n, i, k)
+            cell = _unit(n, i, k)
             if hatted:
                 out += np.kron(identity(n), np.kron(cell, t.hat(represent(t, entry))))
             else:

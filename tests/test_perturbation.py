@@ -28,7 +28,6 @@ from spectriple.matrix_core import adjoint, approx_eq, commutator, frob_norm, id
 from spectriple.perturbation import (
     UniversalOneForm,
     a1,
-    a2,
     a2_with,
     check_transitivity,
     eta_one_form,
@@ -43,7 +42,7 @@ from spectriple.perturbation import (
     star_swap,
     symmetrize,
 )
-from spectriple.spectral_triple import AlgebraSpec, random_element, random_unitary
+from spectriple.spectral_triple import AlgebraSpec, random_element, random_unitary, spanning_set
 from spectriple.toy_model import ToyParams, a_ev, a_f
 from test_spectral_triple import _multi_triple
 
@@ -142,9 +141,9 @@ def test_one_form_cf_respects_the_leibniz_relation(rng):
     # d(xy) = x d(y) + d(x) y as realized forms
     x, y = random_element(SPEC, rng), random_element(SPEC, rng)
     unit = SPEC.unit()
-    d_xy = UniversalOneForm(((unit, x * y),))
-    x_dy = one_form_lmul(x, UniversalOneForm(((unit, y),)))
-    dx_y = one_form_rmul(UniversalOneForm(((unit, x),)), y)
+    d_xy = UniversalOneForm.from_pairs(SPEC, ((unit, x * y),))
+    x_dy = one_form_lmul(x, UniversalOneForm.from_pairs(SPEC, ((unit, y),)))
+    dx_y = one_form_rmul(UniversalOneForm.from_pairs(SPEC, ((unit, x),)), y)
     lhs = one_form_cf(SPEC, d_xy)
     rhs = one_form_cf(SPEC, x_dy + dx_y)
     assert approx_eq(lhs, rhs, 1e-12)
@@ -171,8 +170,8 @@ def test_one_form_cf_intertwines_the_bimodule_action(spec, seed, n_pairs):
     # Morita connection rests on this identity
     rng = np.random.default_rng(seed)
     a, c = random_element(spec, rng), random_element(spec, rng)
-    w = UniversalOneForm(
-        tuple((random_element(spec, rng), random_element(spec, rng)) for _ in range(n_pairs))
+    w = UniversalOneForm.from_pairs(
+        spec, [(random_element(spec, rng), random_element(spec, rng)) for _ in range(n_pairs)]
     )
     lhs = one_form_cf(spec, one_form_lmul(a, one_form_rmul(w, c)))
     rhs = _cf_tensor(spec, a, left=True) @ one_form_cf(spec, w) @ _cf_tensor(spec, c, left=False)
@@ -189,8 +188,8 @@ def test_one_form_module_actions_match_their_representations(toy, rng):
 
 
 def test_one_form_star_represents_as_the_adjoint(toy, rng):
-    w = UniversalOneForm(
-        tuple((random_element(SPEC, rng), random_element(SPEC, rng)) for _ in range(2))
+    w = UniversalOneForm.from_pairs(
+        SPEC, [(random_element(SPEC, rng), random_element(SPEC, rng)) for _ in range(2)]
     )
     assert approx_eq(a1(toy, one_form_star(w)), adjoint(a1(toy, w)), 1e-12)
     # and on the faithful realization, * is an involution
@@ -199,6 +198,71 @@ def test_one_form_star_represents_as_the_adjoint(toy, rng):
         one_form_cf(SPEC, w),
         1e-12,
     )
+
+
+def _reference_rmul(pairs, c):
+    """(x d(y)) c = x d(yc) - (xy) d(c), pair by pair."""
+    return [p for x, y in pairs for p in ((x, y * c), (-(x * y), c))]
+
+
+def _reference_star(spec, pairs):
+    """(x d(y))* = y* d(x*) - d(y* x*), pair by pair."""
+    return [
+        p for x, y in pairs
+        for p in ((y.star(), x.star()), (-spec.unit(), y.star() * x.star()))
+    ]
+
+
+def _complex_basis_spec():
+    """All of M1 + M3 + M2, spanned by a basis with complex coordinates."""
+    units = spanning_set(AlgebraSpec((1, 3, 2)))
+    return AlgebraSpec((1, 3, 2), basis=tuple(u + 1j * v for u, v in zip(units, units[1:] + units[:1])))
+
+
+_SPECS = {"a_ev": SPEC, "a_f": a_f(), "multi": _multi_triple().algebra}
+
+
+def _matches(w, spec, pairs) -> bool:
+    want = UniversalOneForm.from_pairs(spec, pairs).omega
+    return frob_norm(w.omega - want) <= 1e-12 * max(1.0, frob_norm(want))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(_SPECS)), st.integers(0, 2**32 - 1), st.integers(1, 4))
+def test_one_form_maps_match_the_leibniz_pair_formulas(name, seed, n_pairs):
+    spec, rng = _SPECS[name], np.random.default_rng(seed)
+    pairs = [(random_element(spec, rng), random_element(spec, rng)) for _ in range(n_pairs)]
+    a, c = random_element(spec, rng), random_element(spec, rng)
+    w = UniversalOneForm.from_pairs(spec, pairs)
+    assert _matches(one_form_lmul(a, w), spec, [(a * x, y) for x, y in pairs])
+    assert _matches(one_form_rmul(w, c), spec, _reference_rmul(pairs, c))
+    assert _matches(one_form_star(w), spec, _reference_star(spec, pairs))
+    assert _matches(one_form_scale(2 - 1j, w) + w, spec, [((3 - 1j) * x, y) for x, y in pairs])
+
+
+@pytest.mark.parametrize("name", ["a_ev", "a_f", "multi", "complex basis"])
+def test_derived_pairs_give_omega_back_and_lie_in_the_algebra(name):
+    spec = _SPECS[name] if name in _SPECS else _complex_basis_spec()
+    w = random_one_form(spec, np.random.default_rng(5), n_pairs=3)
+    pairs = w.pairs
+    assert len(pairs) == len(spanning_set(spec))
+    assert spec.first_outside([e for pair in pairs for e in pair]) is None
+    back = UniversalOneForm.from_pairs(spec, pairs)
+    assert frob_norm(back.omega - w.omega) <= 1e-12 * frob_norm(w.omega)
+    products = sum((x * y for x, y in pairs), spec.zero())
+    assert products.norm() <= 1e-12 * frob_norm(w.omega)
+
+
+def test_from_pairs_rejects_non_finite_and_foreign_entries():
+    unit = SPEC.unit()
+    for bad in (float("nan") * unit, SPEC.element(np.diag([np.inf, 1.0]), np.eye(2))):
+        with pytest.raises(ValueError, match="pair 1 has non-finite entries"):
+            UniversalOneForm.from_pairs(SPEC, ((unit, unit), (unit, bad)))
+    off = AlgebraElement((np.array([[0, 1], [0, 0]], dtype=complex), np.zeros((2, 2), dtype=complex)))
+    with pytest.raises(ValueError, match="pair 0 is not in the algebra"):
+        UniversalOneForm.from_pairs(SPEC, ((off, unit),))
+    with pytest.raises(ValueError, match="8x8"):
+        UniversalOneForm(SPEC, np.zeros((4, 4)))
 
 
 def test_random_one_forms_are_self_adjoint(toy, rng):
@@ -261,7 +325,7 @@ def test_one_form_kernels_match_the_pair_formulas(toy, which):
 
 
 def test_fluctuate_requires_self_adjoint_potential(toy, rng):
-    w = UniversalOneForm(((random_element(SPEC, rng), random_element(SPEC, rng)),))
+    w = UniversalOneForm.from_pairs(SPEC, ((random_element(SPEC, rng), random_element(SPEC, rng)),))
     with pytest.raises(ValueError, match="self-adjoint"):
         fluctuate(toy, w)
 
@@ -283,7 +347,7 @@ def test_combined_fluctuation_equals_the_two_step_formula(toy, rng):
 def test_quadratic_term_vanishes_without_the_cross_coupling(rng):
     t0 = build_toy(ToyParams(k_x=1.0, k_y=0.0))
     w = random_one_form(SPEC, rng)
-    assert frob_norm(a2(t0, w)) < 1e-12
+    assert frob_norm(a2_with(t0, w, a1(t0, w))) < 1e-12
 
 
 def test_trivial_pert_fixes_d(toy):

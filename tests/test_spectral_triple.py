@@ -29,7 +29,7 @@ from spectriple.spectral_triple import (
     random_unitary,
     spanning_set,
 )
-from spectriple.toy_model import ToyParams, a_ev, a_f, build_toy, full_algebra
+from spectriple.toy_model import ToyParams, a_ev, a_f, build_toy
 
 Z2 = np.zeros((2, 2), dtype=complex)
 
@@ -81,11 +81,11 @@ def test_spec_unit_zero_element():
 
 
 def test_spec_dims():
-    assert full_algebra().dim() == 8
-    assert full_algebra().ambient_dim == 8
+    assert AlgebraSpec((2, 2)).dim() == 8
+    assert AlgebraSpec((2, 2)).ambient_dim == 8
     assert a_ev().dim() == 6
     assert a_f().dim() == 3
-    assert len(spanning_set(full_algebra())) == 8
+    assert len(spanning_set(AlgebraSpec((2, 2)))) == 8
     assert len(spanning_set(a_ev())) == 6
     assert len(spanning_set(a_f())) == 3
 
@@ -285,7 +285,7 @@ def test_readers_of_the_table_reject_elements_over_other_summands():
     other = random_element(AlgebraSpec((3, 1)), np.random.default_rng(0))
     calls = (
         lambda: represent(t, other),
-        lambda: a1(t, UniversalOneForm(((other, other),))),
+        lambda: a1(t, UniversalOneForm.from_pairs(AlgebraSpec((3, 1)), ((other, other),))),
         lambda: mu(t, PertElement(AlgebraSpec((3, 1)), ((other, other),), validate=False)),
         lambda: check_zeroth_order(t, algebra=AlgebraSpec((3, 1))),
     )
@@ -336,7 +336,7 @@ def _reference_check(t, spec, with_d):
 def test_batched_checks_match_the_per_pair_loop(toy, case, with_d):
     t, spec = toy, None
     if case == "toy_full" and not with_d:
-        spec = full_algebra()
+        spec = AlgebraSpec((2, 2))
     elif case == "toy_af":
         spec = a_f()
     elif case == "wrong_j":
@@ -363,7 +363,7 @@ def test_batched_checks_match_the_per_pair_loop(toy, case, with_d):
 
 def test_zeroth_order_holds_even_for_the_full_algebra(toy):
     assert check_zeroth_order(toy).max_defect < 1e-12
-    assert check_zeroth_order(toy, algebra=full_algebra()).max_defect < 1e-12
+    assert check_zeroth_order(toy, algebra=AlgebraSpec((2, 2))).max_defect < 1e-12
 
 
 def test_first_order_defect_is_sqrt_two_on_the_even_subalgebra(toy):
@@ -389,7 +389,7 @@ def test_first_order_holds_when_the_cross_coupling_vanishes():
 
 def test_first_order_rejects_non_subalgebra(toy):
     with pytest.raises(ValueError, match="not contained"):
-        check_first_order(toy, sub=full_algebra())
+        check_first_order(toy, sub=AlgebraSpec((2, 2)))
 
 
 def test_ko_signs_all_match(toy):
