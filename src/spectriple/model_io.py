@@ -70,8 +70,15 @@ def matrix_to_json(m) -> list:
 
 
 def matrix_from_json(obj) -> np.ndarray:
+    """[re, im] pairs in one array conversion; other payloads (bare numbers) entry by entry."""
     if not isinstance(obj, list) or not obj or not isinstance(obj[0], list):
         raise ValueError("matrix payload must be a nested list")
+    try:
+        arr = np.asarray(obj)
+    except ValueError:  # ragged rows: the entry-by-entry reader raises numpy's error
+        arr = np.asarray(None)
+    if arr.ndim == 3 and arr.shape[2] == 2 and arr.dtype.kind in "biuf":
+        return np.ascontiguousarray(arr, dtype=float).view(complex)[..., 0]
     return np.array([[complex_from_json(entry) for entry in row] for row in obj], dtype=complex)
 
 
@@ -156,7 +163,7 @@ def _pairs_from_dict(payload: dict) -> tuple:
 
 
 def pert_from_dict(spec: AlgebraSpec, payload: dict, validate: bool = True) -> PertElement:
-    return PertElement(spec, _pairs_from_dict(payload), validate=validate)
+    return PertElement.from_pairs(spec, _pairs_from_dict(payload), validate=validate)
 
 
 def one_form_from_dict(spec: AlgebraSpec, payload: dict) -> UniversalOneForm:

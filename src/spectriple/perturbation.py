@@ -11,17 +11,19 @@ product of A (x) A^op, and they act on Dirac operators by
 which reproduces D + A_1 + eps_d J A_1 J^{-1} + A_2 with A_1 the represented
 one-form and A_2 the quadratic correction term.
 
-Perturbations are stored as their pairs, which are free to contain redundant
-terms, and compared through their canonical form, the block-diagonal matrix of
-A (x) A^op over ordered pairs of summands whose matrix product is the semigroup
-product.  A universal one-form is stored as its coefficients omega in A (x) A
-(:class:`UniversalOneForm`): the module actions, the star, A_1 and A_2 are
-fixed linear maps on omega, whatever the number of pairs it was built from.
+Perturbations (:class:`PertElement`) and universal one-forms
+(:class:`UniversalOneForm`) are stored as their coefficients: d x d matrices
+over the ambient matrix units, whatever the number of pairs they came from.
+The product, the flip, normalization, eta, the module actions and the star are
+fixed linear maps on them; the canonical form (block-diagonal over ordered
+pairs of summands, multiplied by the semigroup product) rearranges them.
+``from_pairs`` reads pairs, and ``pairs`` gives dim A pairs back.
 """
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import block_diag
@@ -63,40 +65,91 @@ __all__ = [
 ]
 
 
-def _coerce_pairs(pairs) -> tuple:
-    out = []
-    for p in pairs:
-        a, b = p
-        if not isinstance(a, AlgebraElement) or not isinstance(b, AlgebraElement):
-            raise TypeError("pairs must consist of AlgebraElement instances")
-        out.append((a, b))
-    return tuple(out)
+# ---------------------------------------------------------------------------
+# Coefficients in A (x) A: the fixed maps
 
 
-def _stacked(summands, elements) -> list:
-    """Per summand, the blocks of ``elements`` stacked along a leading axis."""
-    if any(tuple(len(b) for b in e.blocks) != summands for e in elements):
-        raise ValueError("element does not match the algebra")
-    return [
-        np.array([e.blocks[s] for e in elements], dtype=complex).reshape(-1, n, n)
-        for s, n in enumerate(summands)
-    ]
-
-
-def _cf_of_pairs(summands, pairs) -> np.ndarray:
+def _pair_coeffs(spec: AlgebraSpec, pairs) -> np.ndarray:
     """
-    Block-diagonal canonical form of sum_j a_j (x) b_j in A (x) A^op: over
-    ordered pairs (i, k) of summands, sum_j kron(a_j[i], b_j[k]^T), so that the
-    matrix product is the semigroup product.
+    X^T Y = sum_j vec(x_j) vec(y_j)^T for finite x_j, y_j in ``spec``, the
+    rows of X and Y.
     """
-    lefts = _stacked(summands, [a for a, _ in pairs])
-    rights = _stacked(summands, [b for _, b in pairs])
-    blocks = []
-    for left in lefts:
-        for right in rights:
-            size = left.shape[1] * right.shape[1]
-            blocks.append(np.einsum("jab,jdc->acbd", left, right).reshape(size, size))
-    return block_diag(*blocks)
+    flat = [e for x, y in pairs for e in (x, y)]
+    vecs = [e.vec() for e in flat]
+    finite = [bool(np.isfinite(v).all()) for v in vecs]
+    if not all(finite):
+        raise ValueError(f"pair {finite.index(False) // 2} has non-finite entries")
+    outside = spec.first_outside(flat)
+    if outside is not None:
+        raise ValueError(f"pair {outside // 2} is not in the algebra")
+    v = np.array(vecs, dtype=complex).reshape(-1, 2, spec.ambient_dim)
+    return v[:, 0].T @ v[:, 1]
+
+
+def _product_sum(summands, m: np.ndarray) -> np.ndarray:
+    """m(sum x (x) y) = vec(sum x y): m_s[a, d] = sum_b m[(s, a, b), (s, b, d)]."""
+    out, o = [], 0
+    for n in summands:
+        out.append(np.einsum("abbd->ad", m[o:o + n * n, o:o + n * n].reshape(n, n, n, n)).ravel())
+        o += n * n
+    return np.concatenate(out)
+
+
+def _eta(spec: AlgebraSpec, m: np.ndarray) -> np.ndarray:
+    """sum x (x) y  ->  sum x (x) y - (sum x y) (x) 1, the image of sum x d(y)."""
+    return m - np.outer(_product_sum(spec.summands, m), spec.unit().vec())
+
+
+def _flip(summands, m: np.ndarray) -> np.ndarray:
+    """a (x) b -> b* (x) a*: conj(m)^T with the units e_ij -> e_ji in both factors."""
+    offsets = np.cumsum((0,) + tuple(n * n for n in summands))
+    perm = np.concatenate(
+        [o + np.arange(n * n).reshape(n, n).T.ravel() for o, n in zip(offsets, summands)])
+    return np.conj(m[np.ix_(perm, perm)]).T
+
+
+@lru_cache(maxsize=None)
+def _cf_index(summands) -> np.ndarray:
+    """
+    For each coefficient (row-major), its flat position in the canonical form:
+    block (i, k) entry [(a, c), (b, d)] is P[(i, a, b), (k, d, c)].  Both hold
+    d^2 entries, so the canonical form is a rearrangement of P.
+    """
+    offsets = np.cumsum((0,) + tuple(n * n for n in summands))
+    side = sum(summands) ** 2
+    pos = np.empty((offsets[-1],) * 2, dtype=np.intp)
+    start = 0
+    for i, ni in enumerate(summands):
+        for k, nk in enumerate(summands):
+            a, b, d, c = np.ogrid[:ni, :ni, :nk, :nk]
+            at = (start + a * nk + c) * side + start + b * nk + d
+            pos[offsets[i] + a * ni + b, offsets[k] + d * nk + c] = at
+            start += ni * nk
+    pos.setflags(write=False)
+    return pos.ravel()
+
+
+def _view_coords(spec: AlgebraSpec, m: np.ndarray):
+    """
+    Rows of the first and second entries of the pairs (sum_k c_kl b_k, b_l)
+    over the spanning set b, c = B^+ m (B^+)^T: their x (x) y sum to m.
+    """
+    rows = np.array([b.vec() for b in spanning_set(spec)])
+    inv = np.linalg.pinv(rows.T)
+    return (inv @ m @ inv.T).T @ rows, rows
+
+
+def _pairs_view(spec: AlgebraSpec, m: np.ndarray) -> tuple:
+    left, right = _view_coords(spec, m)
+    return tuple(zip(spec.from_coords(left), spec.from_coords(right)))
+
+
+def _coefficients(spec: AlgebraSpec, m, what: str) -> np.ndarray:
+    d = spec.ambient_dim
+    m = np.asarray(m, dtype=complex)
+    if m.shape != (d, d):
+        raise ValueError(f"{what} coefficients must be {d}x{d}, got {m.shape}")
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -109,14 +162,6 @@ def _mult_map(summands, a: AlgebraElement, left: bool) -> np.ndarray:
         raise ValueError("element does not match the algebra")
     eyes = [identity(len(b)) for b in a.blocks]
     return block_diag(*(np.kron(b, i) if left else np.kron(i, b) for b, i in zip(a.blocks, eyes)))
-
-
-def _unit_transpose(summands) -> np.ndarray:
-    """For each ambient matrix unit e_ij (vec() order), the index of e_ji."""
-    offsets = np.cumsum((0,) + tuple(m * m for m in summands))
-    return np.concatenate(
-        [o + np.arange(m * m).reshape(m, m).T.ravel() for o, m in zip(offsets, summands)]
-    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,45 +181,17 @@ class UniversalOneForm:
     omega: np.ndarray
 
     def __post_init__(self):
-        d = self.spec.ambient_dim
-        omega = np.asarray(self.omega, dtype=complex)
-        if omega.shape != (d, d):
-            raise ValueError(f"one-form coefficients must be {d}x{d}, got {omega.shape}")
-        object.__setattr__(self, "omega", omega)
+        object.__setattr__(self, "omega", _coefficients(self.spec, self.omega, "one-form"))
 
     @classmethod
     def from_pairs(cls, spec: AlgebraSpec, pairs) -> "UniversalOneForm":
-        """
-        sum_j x_j d(y_j) for finite x_j, y_j in ``spec``:
-        omega = X^T Y - vec(sum_j x_j y_j) vec(1)^T, the x_j and y_j being the
-        rows of X and Y.
-        """
-        flat = [e for pair in _coerce_pairs(pairs) for e in pair]
-        finite = [bool(np.isfinite(e.vec()).all()) for e in flat]
-        if not all(finite):
-            raise ValueError(f"pair {finite.index(False) // 2} has non-finite entries")
-        outside = spec.first_outside(flat)
-        if outside is not None:
-            raise ValueError(f"pair {outside // 2} is not in the algebra")
-        xs, ys = _stacked(spec.summands, flat[0::2]), _stacked(spec.summands, flat[1::2])
-        xy = np.concatenate([np.einsum("jab,jbc->ac", x, y).ravel() for x, y in zip(xs, ys)])
-        x, y = (
-            np.concatenate([b.reshape(-1, b.shape[1] ** 2) for b in s], axis=1) for s in (xs, ys)
-        )
-        return cls(spec, x.T @ y - np.outer(xy, spec.unit().vec()))
+        """sum_j x_j d(y_j) for finite x_j, y_j in ``spec``."""
+        return cls(spec, _eta(spec, _pair_coeffs(spec, pairs)))
 
     @property
     def pairs(self) -> tuple:
-        """
-        Pairs (sum_k c_kl b_k, b_l) over the spanning set b of ``spec``, with
-        c = B^+ omega (B^+)^T for B the matrix of columns b_k: their x (x) y sum
-        to omega, and their products sum to m(omega) = 0.
-        """
-        basis = spanning_set(self.spec)
-        rows = np.array([b.vec() for b in basis])
-        inv = np.linalg.pinv(rows.T)
-        c = inv @ self.omega @ inv.T
-        return tuple(zip(self.spec.from_coords(c.T @ rows), basis))
+        """dim A pairs over the spanning set whose x (x) y sum to omega (so sum xy = 0)."""
+        return _pairs_view(self.spec, self.omega)
 
     def __add__(self, other: "UniversalOneForm") -> "UniversalOneForm":
         return UniversalOneForm(self.spec, self.omega + other.omega)
@@ -197,11 +214,10 @@ def one_form_rmul(w: UniversalOneForm, c: AlgebraElement) -> UniversalOneForm:
 def one_form_star(w: UniversalOneForm) -> UniversalOneForm:
     """
     The involution determined by rep(w*) = rep(w)^dagger for every triple,
-    (x d(y))* = y* d(x*) - d(y* x*).  On A (x) A it is a (x) b -> b* (x) a*:
-    omega -> conj(omega)^T with the matrix units of both factors transposed.
+    (x d(y))* = y* d(x*) - d(y* x*).  On A (x) A it is the flip
+    a (x) b -> b* (x) a*.
     """
-    perm = _unit_transpose(w.spec.summands)
-    return UniversalOneForm(w.spec, np.conj(w.omega[np.ix_(perm, perm)]).T)
+    return UniversalOneForm(w.spec, _flip(w.spec.summands, w.omega))
 
 
 def one_form_cf(spec: AlgebraSpec, w: UniversalOneForm) -> np.ndarray:
@@ -225,81 +241,78 @@ def random_one_form(spec: AlgebraSpec, rng: np.random.Generator, n_pairs: int = 
 @dataclass(frozen=True, eq=False)
 class PertElement:
     """
-    Normalized self-adjoint element of A (x) A^op, stored as pairs (a_j, b_j).
-
-    Construction checks membership of every entry in the algebra,
-    normalization sum_j a_j b_j = 1, and invariance under the flip involution
-    at canonical-form level.  ``validate=False`` skips the checks (used for
-    deliberately broken inputs in diagnostics).
+    An element of A (x) A^op over ``spec``, stored as its coefficients
+    P = sum_j vec(a_j) vec(b_j)^T over the ambient matrix units (rows for the
+    first factor, as ``UniversalOneForm.omega``).  :meth:`from_pairs` builds
+    one from pairs and checks that it is a perturbation; ``pairs`` gives pairs
+    back, over the spanning set of ``spec``.
     """
 
     spec: AlgebraSpec
-    pairs: tuple
-    validate: InitVar[bool] = True
+    coeffs: np.ndarray
 
-    def __post_init__(self, validate: bool):
-        object.__setattr__(self, "pairs", _coerce_pairs(self.pairs))
-        if not self.pairs:
-            raise ValueError("a perturbation needs at least one pair")
+    def __post_init__(self):
+        object.__setattr__(self, "coeffs", _coefficients(self.spec, self.coeffs, "perturbation"))
+
+    @classmethod
+    def from_pairs(cls, spec: AlgebraSpec, pairs, validate: bool = True) -> "PertElement":
+        """
+        sum_j a_j (x) b_j for finite a_j, b_j in ``spec``.  ``validate`` checks
+        m(P) = sum_j a_j b_j = 1 and P = flip(P) to 1e-9 (diagnostics skip it).
+        """
+        p = cls(spec, _pair_coeffs(spec, pairs))
         if validate:
-            self._validate()
+            total = _product_sum(spec.summands, p.coeffs)
+            defect = np.linalg.norm(total - spec.unit().vec())
+            if defect > 1e-9 * max(1.0, float(np.linalg.norm(total))):
+                raise ValueError("perturbation is not normalized: sum a_j b_j != 1")
+            if not approx_eq(p.coeffs, _flip(spec.summands, p.coeffs), 1e-9):
+                raise ValueError("perturbation is not self-adjoint under the flip involution")
+        return p
 
-    def _validate(self, tol: float = 1e-9):
-        outside = self.spec.first_outside([e for pair in self.pairs for e in pair])
-        if outside is not None:
-            raise ValueError(f"pair {outside // 2} is not in the algebra")
-        total = self.pairs[0][0] * self.pairs[0][1]
-        for a, b in self.pairs[1:]:
-            total = total + a * b
-        defect = (total - self.spec.unit()).norm()
-        if defect > tol * max(1.0, total.norm()):
-            raise ValueError("perturbation is not normalized: sum a_j b_j != 1")
-        cf = _cf_of_pairs(self.spec.summands, self.pairs)
-        cf_flip = _cf_of_pairs(
-            self.spec.summands, [(b.star(), a.star()) for a, b in self.pairs]
-        )
-        if not approx_eq(cf, cf_flip, tol):
-            raise ValueError("perturbation is not self-adjoint under the flip involution")
+    @property
+    def pairs(self) -> tuple:
+        """dim A pairs over the spanning set whose a (x) b sum to the coefficients."""
+        return _pairs_view(self.spec, self.coeffs)
 
 
 def canonical_form(p: PertElement) -> np.ndarray:
-    return _cf_of_pairs(p.spec.summands, p.pairs)
+    """The block-diagonal matrix of p in A (x) A^op, a rearrangement of its coefficients."""
+    side = sum(p.spec.summands) ** 2
+    cf = np.zeros(side * side, dtype=complex)
+    cf[_cf_index(p.spec.summands)] = p.coeffs.ravel()
+    return cf.reshape(side, side)
 
 
 def star_swap(p: PertElement) -> PertElement:
     """The flip involution sum a (x) b -> sum b* (x) a*."""
-    return PertElement(p.spec, tuple((b.star(), a.star()) for a, b in p.pairs))
+    return PertElement(p.spec, _flip(p.spec.summands, p.coeffs))
 
 
 def symmetrize(p: PertElement) -> PertElement:
     """(p + star_swap(p)) / 2; a projection onto the flip-invariant part."""
-    half = tuple((0.5 * a, b) for a, b in p.pairs)
-    flip = tuple((0.5 * b.star(), a.star()) for a, b in p.pairs)
-    return PertElement(p.spec, half + flip)
+    return PertElement(p.spec, 0.5 * (p.coeffs + _flip(p.spec.summands, p.coeffs)))
 
 
 def pert_mul(x: PertElement, y: PertElement) -> PertElement:
     """
-    Semigroup product (x as the left factor):
-    (a (x) b)(c (x) d) = ac (x) db, extended bilinearly.
+    Semigroup product (x as the left factor), (a (x) b)(c (x) d) = ac (x) db:
+    the product of the canonical forms, read back as coefficients.
     """
     if x.spec is not y.spec and x.spec.summands != y.spec.summands:
         raise ValueError("cannot multiply perturbations over different algebras")
-    pairs = tuple(
-        (xa * ya, yb * xb) for xa, xb in x.pairs for ya, yb in y.pairs
-    )
-    return PertElement(x.spec, pairs)
+    prod = canonical_form(x) @ canonical_form(y)
+    return PertElement(x.spec, prod.ravel()[_cf_index(x.spec.summands)].reshape(x.coeffs.shape))
 
 
 def from_unitary(spec: AlgebraSpec, u: AlgebraElement, tol: float = 1e-9) -> PertElement:
     """The perturbation u (x) u* attached to a unitary u in A."""
-    if not spec.contains(u):
-        raise ValueError("unitary is not in the algebra")
-    prod = (u * u.star()).vec()
+    p = PertElement.from_pairs(spec, ((u, u.star()),), validate=False)
     unit = spec.unit().vec()
-    if np.linalg.norm(prod - unit) > tol * max(1.0, float(np.linalg.norm(unit))):
+    defect = np.linalg.norm(_product_sum(spec.summands, p.coeffs) - unit)
+    if defect > tol * max(1.0, np.linalg.norm(unit)):
         raise ValueError("element is not unitary")
-    return PertElement(spec, ((u, u.star()),))
+    return p
 
 
 def gauge_transform(p: PertElement, u: AlgebraElement) -> PertElement:
@@ -307,21 +320,13 @@ def gauge_transform(p: PertElement, u: AlgebraElement) -> PertElement:
     return pert_mul(from_unitary(p.spec, u), p)
 
 
-def random_pert(
-    spec: AlgebraSpec, rng: np.random.Generator, n_pairs: int = 3
-) -> PertElement:
+def random_pert(spec: AlgebraSpec, rng: np.random.Generator, n_pairs: int = 3) -> PertElement:
     """
-    Random perturbation: random pairs, a prepended normalizer (1 - sum xy, 1)
-    (invisible to the one-form image since d(1) = 0), then symmetrization.
+    Random pairs behind the normalizer (1 - sum xy) (x) 1, symmetrized: the
+    section normalize_one_form of the one-form of the pairs.
     """
-    raw = [
-        (random_element(spec, rng), random_element(spec, rng)) for _ in range(n_pairs)
-    ]
-    total = raw[0][0] * raw[0][1]
-    for a, b in raw[1:]:
-        total = total + a * b
-    pairs = [(spec.unit() - total, spec.unit())] + raw
-    return symmetrize(PertElement(spec, tuple(pairs), validate=False))
+    raw = [(random_element(spec, rng), random_element(spec, rng)) for _ in range(n_pairs)]
+    return normalize_one_form(spec, UniversalOneForm.from_pairs(spec, raw))
 
 
 # ---------------------------------------------------------------------------
@@ -329,35 +334,21 @@ def random_pert(
 
 
 def eta_one_form(p: PertElement) -> UniversalOneForm:
-    """eta(p) = sum_j a_j d(b_j)."""
-    return UniversalOneForm.from_pairs(p.spec, p.pairs)
+    """eta(p) = sum_j a_j d(b_j): P - m(P) (x) 1."""
+    return UniversalOneForm(p.spec, _eta(p.spec, p.coeffs))
 
 
 def normalize_one_form(spec: AlgebraSpec, w: UniversalOneForm) -> PertElement:
     """
-    Section of eta: the pairs of w, whose products sum to 0, behind the
-    normalizer (1, 1), then symmetrized.  For self-adjoint w the image maps
-    back to w under eta; in general one gets the symmetrization of w.
+    Section of eta: omega + 1 (x) 1, then symmetrized.  For self-adjoint w the
+    image maps back to w under eta; in general one gets the symmetrization of w.
     """
-    return symmetrize(PertElement(spec, ((spec.unit(),) * 2,) + w.pairs, validate=False))
+    unit = spec.unit().vec()
+    return symmetrize(PertElement(spec, w.omega + np.outer(unit, unit)))
 
 
 # ---------------------------------------------------------------------------
 # Fluctuations
-
-
-def _represented_pairs(t: FiniteSpectralTriple, pairs, hatted: bool = False):
-    """
-    pi (or hat o pi) of the left and of the right entries of the pairs, as two
-    stacks read from the triple's tables; hat o pi takes the conjugated
-    coordinates.
-    """
-    if any(tuple(b.shape[0] for b in e.blocks) != t.algebra.summands for p in pairs for e in p):
-        raise ValueError("element does not match the triple's algebra")
-    table = t.pi_hat_table if hatted else t.pi_table
-    coords = np.array([[x.vec(), y.vec()] for x, y in pairs]).reshape(-1, 2, len(table))
-    reps = np.tensordot(np.conj(coords) if hatted else coords, table, 1)
-    return reps[:, 0], reps[:, 1]
 
 
 def _leg_weights(t: FiniteSpectralTriple, omega: np.ndarray, hatted: bool = False):
@@ -439,14 +430,17 @@ class RepresentedPert:
 def mu(t: FiniteSpectralTriple, p: PertElement) -> RepresentedPert:
     """
     Doubling homomorphism into Pert(B(H)):
-    mu(p) = sum_{i,j} pi(a_i) hat(pi(a_j)) (x) pi(b_i) hat(pi(b_j)).
+    mu(p) = sum_{i,j} pi(a_i) hat(pi(a_j)) (x) pi(b_i) hat(pi(b_j)) over the
+    dim A pairs of ``p.pairs``; pi reads the triple's tables, and hat o pi the
+    conjugated coordinates.
     """
-    ra, rb = _represented_pairs(t, p.pairs)
-    ha, hb = _represented_pairs(t, p.pairs, hatted=True)
+    if p.spec.summands != t.algebra.summands:
+        raise ValueError("element does not match the triple's algebra")
+    coords = np.array(_view_coords(p.spec, p.coeffs))
+    reps = np.tensordot(coords, t.pi_table, 1)
+    hats = np.tensordot(np.conj(coords), t.pi_hat_table, 1)
     n = t.dim_h
-    lefts = (ra[:, None] @ ha[None]).reshape(-1, n, n)
-    rights = (rb[:, None] @ hb[None]).reshape(-1, n, n)
-    return RepresentedPert(lefts, rights)
+    return RepresentedPert(*((r[:, None] @ h[None]).reshape(-1, n, n) for r, h in zip(reps, hats)))
 
 
 def fluctuate_combined(t: FiniteSpectralTriple, p: PertElement) -> np.ndarray:

@@ -414,12 +414,10 @@ def check_ko_signs(t: FiniteSpectralTriple) -> KOReport:
 
 
 def random_element(spec: AlgebraSpec, rng: np.random.Generator) -> AlgebraElement:
-    """Random element: complex standard-normal coefficients over a spanning set."""
-    out = spec.zero()
-    for e in spanning_set(spec):
-        c = rng.standard_normal() + 1j * rng.standard_normal()
-        out = out + c * e
-    return out
+    """Random element: complex standard-normal coefficients, (re, im) in turn, over a spanning set."""
+    coords = np.array([e.vec() for e in spanning_set(spec)])
+    re, im = rng.standard_normal((len(coords), 2)).T
+    return spec.from_coords([(re + 1j * im) @ coords])[0]
 
 
 def random_hermitian(spec: AlgebraSpec, rng: np.random.Generator) -> AlgebraElement:

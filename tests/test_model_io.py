@@ -51,6 +51,36 @@ def test_matrix_codec_is_bit_exact(rng):
         matrix_from_json([])
 
 
+def _entrywise(obj):
+    """The entry-by-entry reader: one complex_from_json call per entry."""
+    return np.array([[complex_from_json(entry) for entry in row] for row in obj], dtype=complex)
+
+
+def test_matrix_from_json_reads_pairs_in_one_conversion_and_bare_numbers_entrywise(rng):
+    m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    m[0, 1], m[2, 3] = complex(np.inf, -0.0), -0.0 + 1j
+    payload = matrix_to_json(m)
+    got = matrix_from_json(payload)
+    assert got.dtype == complex and got.tobytes() == _entrywise(payload).tobytes() == m.tobytes()
+    for obj in ([[1, 2], [3, 4]], [[[1, 2], 3]], [[True, [0.5, -1]]], [[["1", "2"]]]):
+        assert np.array_equal(matrix_from_json(obj), _entrywise(obj))
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ([[[1, 0], [2, 0]], [[3, 0]]], "inhomogeneous shape"),  # ragged rows
+        ([], "matrix payload must be a nested list"),  # empty
+        ([[["a", "b"]]], "could not convert string to float: 'a'"),  # non-numeric pair
+        ([["x"]], "cannot read complex number from 'x'"),  # non-numeric entry
+        ([[[1, 2, 3]]], r"cannot read complex number from \[1, 2, 3\]"),
+    ],
+)
+def test_matrix_from_json_keeps_its_errors(obj, message):
+    with pytest.raises(ValueError, match=message):
+        matrix_from_json(obj)
+
+
 def test_element_codec(rng):
     e = random_element(a_ev(), rng)
     back = element_from_json(element_to_json(e))
@@ -107,7 +137,8 @@ def test_pert_from_dict_validates(rng):
     with pytest.raises(ValueError, match="normalized"):
         pert_from_dict(spec, bad)
     p = pert_from_dict(spec, bad, validate=False)
-    assert len(p.pairs) == 1
+    unit = spec.unit().vec()
+    assert np.array_equal(p.coeffs, 2.0 * np.outer(unit, unit))
 
 
 def test_one_form_round_trip(rng):

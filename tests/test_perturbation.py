@@ -44,13 +44,13 @@ from spectriple.perturbation import (
 )
 from spectriple.spectral_triple import AlgebraSpec, random_element, random_unitary, spanning_set
 from spectriple.toy_model import ToyParams, a_ev, a_f
-from test_spectral_triple import _multi_triple
+from test_spectral_triple import _multi_triple, _tiled_triple
 
 SPEC = a_ev()
 
 
 def unit_pert():
-    return PertElement(SPEC, ((SPEC.unit(), SPEC.unit()),))
+    return PertElement.from_pairs(SPEC, ((SPEC.unit(), SPEC.unit()),))
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +94,7 @@ def test_valid_perts_are_flip_invariant(rng):
 def test_symmetrize_is_idempotent_on_canonical_forms(rng):
     # normalized but deliberately unsymmetric input (validation skipped)
     a, b = random_element(SPEC, rng), random_element(SPEC, rng)
-    raw = PertElement(
+    raw = PertElement.from_pairs(
         SPEC, ((a, b), (SPEC.unit() - a * b, SPEC.unit())), validate=False
     )
     once = symmetrize(raw)
@@ -105,7 +105,7 @@ def test_symmetrize_is_idempotent_on_canonical_forms(rng):
 def test_validation_rejects_unnormalized_pairs():
     a = AlgebraElement((2.0 * np.eye(2, dtype=complex), np.eye(2, dtype=complex)))
     with pytest.raises(ValueError, match="normalized"):
-        PertElement(SPEC, ((a, SPEC.unit()),))
+        PertElement.from_pairs(SPEC, ((a, SPEC.unit()),))
 
 
 def test_validation_rejects_flip_breaking_pairs(rng):
@@ -113,7 +113,7 @@ def test_validation_rejects_flip_breaking_pairs(rng):
     a, b = random_element(SPEC, rng), random_element(SPEC, rng)
     pairs = ((a, b), (SPEC.unit() - a * b, SPEC.unit()))
     with pytest.raises(ValueError, match="flip"):
-        PertElement(SPEC, pairs)
+        PertElement.from_pairs(SPEC, pairs)
 
 
 def test_validation_rejects_foreign_elements():
@@ -121,7 +121,7 @@ def test_validation_rejects_foreign_elements():
         (np.array([[0, 1], [0, 0]], dtype=complex), np.zeros((2, 2), dtype=complex))
     )
     with pytest.raises(ValueError, match="not in the algebra"):
-        PertElement(SPEC, ((SPEC.unit(), SPEC.unit()), (off, SPEC.zero())))
+        PertElement.from_pairs(SPEC, ((SPEC.unit(), SPEC.unit()), (off, SPEC.zero())))
 
 
 def test_from_unitary_requires_a_unitary(rng):
@@ -404,3 +404,141 @@ def test_mu_is_a_semigroup_homomorphism(toy, rng):
     assert approx_eq(lhs, rhs, 1e-12)
     # and mu(p) applied to D is the fluctuation itself
     assert np.array_equal(mu(toy, p).apply(toy.d), fluctuate_combined(toy, p))
+
+
+# ---------------------------------------------------------------------------
+# Perturbation coefficients against the pair formulas they replace
+
+
+def _reference_coeffs(pairs):
+    """sum_j vec(a_j) vec(b_j)^T, pair by pair."""
+    return sum(np.outer(a.vec(), b.vec()) for a, b in pairs)
+
+
+def _reference_cf(spec, pairs):
+    """Over ordered pairs (i, k) of summands, the blocks sum_j kron(a_j[i], b_j[k]^T)."""
+    r = range(len(spec.summands))
+    return block_diag(*(
+        sum(np.kron(a.blocks[i], b.blocks[k].T) for a, b in pairs) for i in r for k in r
+    ))
+
+
+def _reference_mul(xs, ys):
+    """(a (x) b)(c (x) d) = ac (x) db, pair by pair (x outer)."""
+    return [(a * c, d * b) for a, b in xs for c, d in ys]
+
+
+def _reference_flip(pairs):
+    return [(b.star(), a.star()) for a, b in pairs]
+
+
+def _reference_symmetrize(pairs):
+    return [(0.5 * a, b) for a, b in list(pairs) + _reference_flip(pairs)]
+
+
+def _reference_eta(spec, pairs):
+    """sum_j a_j (x) b_j - (sum_j a_j b_j) (x) 1."""
+    total = sum((a * b for a, b in pairs), spec.zero())
+    return _reference_coeffs(pairs) - np.outer(total.vec(), spec.unit().vec())
+
+
+def _reference_mu_cf(t, pairs):
+    """sum_{i,j} kron(pi(a_i) hat(pi(a_j)), (pi(b_i) hat(pi(b_j)))^T)."""
+    reps = [(represent(t, a), represent(t, b)) for a, b in pairs]
+    hats = [(t.hat(ra), t.hat(rb)) for ra, rb in reps]
+    return sum(np.kron(ra @ ha, (rb @ hb).T) for ra, rb in reps for ha, hb in hats)
+
+
+def _raw_pairs(spec, rng):
+    """Three random pairs behind the normalizer (1 - sum xy, 1): normalized, not flip-invariant."""
+    raw = [(random_element(spec, rng), random_element(spec, rng)) for _ in range(3)]
+    return [(spec.unit() - sum((a * b for a, b in raw), spec.zero()), spec.unit())] + raw
+
+
+def _pert_pairs(spec, rng, n_pairs):
+    """A valid perturbation as a pair list of 8 pairs, or their 64-pair product."""
+    pairs = _reference_symmetrize(_raw_pairs(spec, rng))
+    return pairs if n_pairs == 8 else _reference_mul(pairs, _reference_symmetrize(_raw_pairs(spec, rng)))
+
+
+def _close(a, b) -> bool:
+    return frob_norm(a - b) <= 1e-12 * max(1.0, frob_norm(b))
+
+
+def _small_multi_triple():
+    """M1 + M3 + M2, one tile each, on a 6-dimensional H: small enough for 4096 reference terms."""
+    return _tiled_triple((1, 3, 2), ((0, 1, 1), (1, 1, 1), (2, 1, 1)), order=(2, 0, 1))
+
+
+_LAYOUTS = {
+    "a_ev": (SPEC, lambda: build_toy(ToyParams())),
+    "M1+M3+M2": (AlgebraSpec((1, 3, 2)), _small_multi_triple),
+}
+
+
+@pytest.mark.parametrize("n_pairs", [8, 64])
+@pytest.mark.parametrize("layout", sorted(_LAYOUTS))
+def test_perturbation_maps_match_the_pair_formulas(layout, n_pairs):
+    spec, triple = _LAYOUTS[layout]
+    rng = np.random.default_rng(n_pairs)
+    xs, ys = _pert_pairs(spec, rng, n_pairs), _pert_pairs(spec, rng, 8)
+    assert len(xs) == n_pairs
+    p, q = PertElement.from_pairs(spec, xs), PertElement.from_pairs(spec, ys)
+    assert _close(p.coeffs, _reference_coeffs(xs))
+    assert _close(canonical_form(p), _reference_cf(spec, xs))
+    assert _close(canonical_form(pert_mul(p, q)), _reference_cf(spec, _reference_mul(xs, ys)))
+    assert _close(pert_mul(q, p).coeffs, _reference_coeffs(_reference_mul(ys, xs)))
+    assert _close(eta_one_form(p).omega, _reference_eta(spec, xs))
+    raw = _raw_pairs(spec, rng)
+    r = PertElement.from_pairs(spec, raw, validate=False)
+    assert _close(star_swap(r).coeffs, _reference_coeffs(_reference_flip(raw)))
+    assert _close(symmetrize(r).coeffs, _reference_coeffs(_reference_symmetrize(raw)))
+    t = triple()
+    assert _close(mu(t, p).canonical_form(), _reference_mu_cf(t, xs))
+
+
+@pytest.mark.parametrize("layout", sorted(_LAYOUTS))
+def test_from_pairs_rejects_what_the_pair_checks_reject(layout):
+    spec = _LAYOUTS[layout][0]
+    rng = np.random.default_rng(3)
+    good, unit = _pert_pairs(spec, rng, 8), spec.unit()
+    # off the diagonal of a_ev's first summand; M1+M3+M2 is full, so other summand shapes
+    foreign = (
+        SPEC.element(np.triu(np.ones((2, 2)), 1), np.zeros((2, 2))) if spec is SPEC
+        else AlgebraSpec(spec.summands[::-1]).unit()
+    )
+    cases = [
+        (good + [(foreign, spec.zero())], "pair 8 is not in the algebra"),
+        (good + [(unit, unit)], "not normalized"),
+        (_raw_pairs(spec, rng), "not self-adjoint under the flip involution"),
+        (good[:2] + [(unit, float("nan") * unit)] + good[2:], "pair 2 has non-finite entries"),
+    ]
+    for pairs, message in cases:
+        with pytest.raises(ValueError, match=message):
+            PertElement.from_pairs(spec, pairs)
+    # the pair formulas reject the normalization and flip cases too
+    total = sum((a * b for a, b in cases[1][0]), spec.zero())
+    assert (total - unit).norm() > 1e-9
+    raw = cases[2][0]
+    assert frob_norm(_reference_cf(spec, raw) - _reference_cf(spec, _reference_flip(raw))) > 1e-9
+    PertElement.from_pairs(spec, good)
+
+
+@pytest.mark.parametrize("layout", sorted(_LAYOUTS))
+def test_pert_pair_view_gives_the_coefficients_back(layout):
+    spec = _LAYOUTS[layout][0]
+    p = PertElement.from_pairs(spec, _pert_pairs(spec, np.random.default_rng(9), 64))
+    pairs = p.pairs
+    assert len(pairs) == spec.dim()
+    assert spec.first_outside([e for pair in pairs for e in pair]) is None
+    assert _close(PertElement.from_pairs(spec, pairs).coeffs, p.coeffs)
+
+
+def test_a_parent_format_file_with_eight_pairs_loads_to_the_same_canonical_form(tmp_path):
+    from spectriple.model_io import element_to_json, load_json, pert_from_dict, save_json
+
+    pairs = _pert_pairs(SPEC, np.random.default_rng(21), 8)
+    path = tmp_path / "pert.json"
+    save_json(str(path), {"pairs": [[element_to_json(a), element_to_json(b)] for a, b in pairs]})
+    back = pert_from_dict(SPEC, load_json(str(path)))
+    assert _close(canonical_form(back), _reference_cf(SPEC, pairs))

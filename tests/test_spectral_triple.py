@@ -286,7 +286,7 @@ def test_readers_of_the_table_reject_elements_over_other_summands():
     calls = (
         lambda: represent(t, other),
         lambda: a1(t, UniversalOneForm.from_pairs(AlgebraSpec((3, 1)), ((other, other),))),
-        lambda: mu(t, PertElement(AlgebraSpec((3, 1)), ((other, other),), validate=False)),
+        lambda: mu(t, PertElement.from_pairs(AlgebraSpec((3, 1)), ((other, other),), validate=False)),
         lambda: check_zeroth_order(t, algebra=AlgebraSpec((3, 1))),
     )
     for call in calls:
