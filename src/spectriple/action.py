@@ -10,22 +10,26 @@ Minimization works on the real chart
 
     coords = (x, s1, s2)  ->  FieldPoint(x, 1 + s1, s2),
 
-so the origin of the chart is the unfluctuated point.  The optimizer is
-scipy's trust-region Newton method ("trust-exact") on central-difference
-derivatives of the objective's values alone; it drives the gradient norm to
-1e-10 on this landscape, degenerate flat directions included.
+so the origin of the chart is the unfluctuated point.  Objectives are
+vectorized: ``fun`` maps chart points of shape (..., n) to values of shape
+(...), and a single point of shape (n,) gives a float.  Every
+finite-difference stencil is therefore one call.  The optimizer is scipy's
+trust-region Newton method ("trust-exact") on central-difference derivatives
+of the objective's values alone; it drives the gradient norm to 1e-10 on this
+landscape, degenerate flat directions included.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .matrix_core import adjoint, frob_norm
 from .spectral_triple import FiniteSpectralTriple, represent, spanning_set
-from .toy_model import FieldPoint, ToyParams, assemble_dirac, build_toy, closed_dirac
+from .toy_model import FieldPoint, ToyParams, build_toy, closed_dirac
 
 __all__ = [
     "ActionParams",
@@ -54,7 +58,7 @@ PI_SQ = math.pi ** 2
 
 @dataclass(frozen=True)
 class ActionParams:
-    """Moments of the cutoff function and the cutoff scale; all positive."""
+    """Moments of the cutoff function and the cutoff scale; all finite and positive."""
 
     f2: float = 1.0
     f0: float = 1.0
@@ -63,34 +67,38 @@ class ActionParams:
     def __post_init__(self):
         for name in ("f2", "f0", "lam"):
             value = float(getattr(self, name))
-            if value <= 0.0:
-                raise ValueError(f"{name} must be positive")
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and positive")
             object.__setattr__(self, name, value)
 
 
-def v_trace(tp: ToyParams, ap: ActionParams, fp: FieldPoint) -> float:
-    """The potential from honest traces of the fluctuated operator."""
+def v_trace(tp: ToyParams, ap: ActionParams, fp: FieldPoint):
+    """The potential from honest traces of D': a float, or an array for a batch of points."""
     d = closed_dirac(tp, fp)
     d2 = d @ d
-    tr2 = np.trace(d2)
-    if abs(tr2.imag) > 1e-12 * max(1.0, abs(tr2)):
+    tr2 = np.trace(d2, axis1=-2, axis2=-1)
+    if np.any(np.abs(tr2.imag) > 1e-12 * np.maximum(1.0, np.abs(tr2))):
         raise ArithmeticError("trace of D'^2 acquired an imaginary part")
-    # D'^2 is hermitian, so Tr(D'^4) is its squared Frobenius norm.
-    tr4 = float(np.linalg.norm(d2, "fro") ** 2)
-    return float(
-        -ap.f2 / (2.0 * PI_SQ) * ap.lam ** 2 * tr2.real + ap.f0 / (8.0 * PI_SQ) * tr4
-    )
+    # D'^2 is hermitian, so Tr(D'^4) is the sum of its squared moduli.
+    tr4 = np.sum(d2.real ** 2 + d2.imag ** 2, axis=(-2, -1))
+    value = -ap.f2 / (2.0 * PI_SQ) * ap.lam ** 2 * tr2.real + ap.f0 / (8.0 * PI_SQ) * tr4
+    return float(value) if value.ndim == 0 else value
 
 
 def v_reduced(tp: ToyParams, ap: ActionParams, x_sq, v_sq):
-    """Closed form as a function of u = |x|^2 and s = |v|^2 (vectorizes)."""
+    """
+    Closed form in u = |x|^2 and s = |v|^2 (broadcasts), in Horner form so the terms in s
+    alone stay on s's axes: (a ky2 + b ky2^2 s^2) s^2 + u (4a kx2 + 4b kx2 ky2 s^2 + 4b kx2^2 u).
+    """
     kx2 = abs(tp.k_x) ** 2
     ky2 = abs(tp.k_y) ** 2
+    a = -ap.f2 * ap.lam ** 2 / PI_SQ
+    b = ap.f0 / (4.0 * PI_SQ)
     u = np.asarray(x_sq, dtype=float)
-    s = np.asarray(v_sq, dtype=float)
-    quad = 4.0 * kx2 * u + ky2 * s ** 2
-    quart = 4.0 * kx2 ** 2 * u ** 2 + 4.0 * kx2 * ky2 * u * s ** 2 + ky2 ** 2 * s ** 4
-    return -ap.f2 * ap.lam ** 2 / PI_SQ * quad + ap.f0 / (4.0 * PI_SQ) * quart
+    s2 = np.asarray(v_sq, dtype=float) ** 2
+    return (a * ky2 + b * ky2 ** 2 * s2) * s2 + u * (
+        4.0 * a * kx2 + 4.0 * b * kx2 * ky2 * s2 + 4.0 * b * kx2 ** 2 * u
+    )
 
 
 def v_closed(tp: ToyParams, ap: ActionParams, fp: FieldPoint) -> float:
@@ -101,17 +109,17 @@ def v_closed(tp: ToyParams, ap: ActionParams, fp: FieldPoint) -> float:
 
 
 def field_point(coords) -> FieldPoint:
-    """Chart (x, s1, s2) -> FieldPoint(x, 1 + s1, s2) on the real slice."""
+    """Chart (x, s1, s2) -> FieldPoint(x, 1 + s1, s2) on the real slice; leading axes batch."""
     c = np.asarray(coords, dtype=float)
-    if c.shape != (3,):
-        raise ValueError("coords must be a real 3-vector")
-    return FieldPoint(c[0], 1.0 + c[1], c[2])
+    if c.shape[-1:] != (3,):
+        raise ValueError("coords must be real 3-vectors (last axis of length 3)")
+    return FieldPoint(c[..., 0], 1.0 + c[..., 1], c[..., 2])
 
 
 def potential_fn(tp: ToyParams, ap: ActionParams):
-    """The scalar objective on the real chart, backed by v_trace."""
+    """The vectorized objective on the real chart: v_trace of points (..., 3), shape (...)."""
 
-    def fun(coords) -> float:
+    def fun(coords):
         return v_trace(tp, ap, field_point(coords))
 
     return fun
@@ -121,50 +129,61 @@ def potential_fn(tp: ToyParams, ap: ActionParams):
 # Finite differences
 
 
-def _stencil(fun, x, step):
-    """Steps h_i = step * max(1, |x_i|) and the values f(x + h_i e_i), f(x - h_i e_i)."""
+@lru_cache(maxsize=None)
+def _offsets(n: int):
+    """
+    The stencil in units of the steps, 1 + 2n + 2n(n - 1) rows (0, +e_i, -e_i, then
+    ±e_i ±e_j in the order ++, +-, -+, -- over the pairs i < j), and the pairs (i, j).
+    """
+    eye, (i, j) = np.eye(n), np.triu_indices(n, 1)
+    corners = [a * eye[i] + b * eye[j] for a, b in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
+    tables = np.concatenate([np.zeros((1, n)), eye, -eye, *corners]), i, j
+    for t in tables:
+        t.setflags(write=False)  # cached: every caller shares these arrays
+    return tables
+
+
+def _stencil(x, step):
+    """Steps h_i = step * max(1, |x_i|) and the stencil's points x + offset * h."""
     h = step * np.maximum(1.0, np.abs(x))
-    plus, minus = np.zeros(x.size), np.zeros(x.size)
-    for i in range(x.size):
-        for out, delta in ((plus, h[i]), (minus, -h[i])):
-            shifted = x.copy()
-            shifted[i] += delta
-            out[i] = fun(shifted)
-    return h, plus, minus
+    return h, x + _offsets(x.size)[0] * h
 
 
-def _fd_grad(fun, x, step):
-    h, plus, minus = _stencil(fun, x, step)
-    return (plus - minus) / (2.0 * h)
+def _values(fun, points, finite: bool = False) -> np.ndarray:
+    """One call of the objective on a stack of points, its values checked."""
+    values = np.asarray(fun(points), dtype=float)
+    if finite and not np.isfinite(values).all():
+        k = np.flatnonzero(~np.isfinite(values))[0]
+        raise FloatingPointError(f"objective is {values.flat[k]} at {points[k]}")
+    if values.shape != points.shape[:-1]:
+        raise ValueError(f"objective gave values of shape {values.shape} at {points.shape} points")
+    return values
+
+
+def _central(values, h):
+    """Central differences from the values at x + h_i e_i, then at x - h_i e_i."""
+    return (values[:h.size] - values[h.size:2 * h.size]) / (2.0 * h)
+
+
+def _derivatives(values, h):
+    """Gradient and Hessian from the values at the points of ``_stencil``."""
+    n, (_, i, j) = h.size, _offsets(h.size)
+    f0, plus, minus = values[0], values[1:n + 1], values[n + 1:2 * n + 1]
+    hess = np.diag((plus - 2.0 * f0 + minus) / h ** 2)
+    fpp, fpm, fmp, fmm = values[2 * n + 1:].reshape(4, -1)
+    hess[i, j] = hess[j, i] = (fpp - fpm - fmp + fmm) / (4.0 * h[i] * h[j])
+    return _central(values[1:], h), hess
 
 
 def grad_hess(fun, point, step: float = 1e-5):
     """
-    Central-difference gradient and Hessian of ``fun`` at ``point``.
-
-    Per-coordinate steps are ``step * max(1, |x_i|)``; the Hessian uses the
-    standard four-point stencil off the diagonal and is exactly symmetric.
+    Central-difference gradient and Hessian of the vectorized ``fun`` at ``point``,
+    from one call on the whole stencil.  Per-coordinate steps are
+    ``step * max(1, |x_i|)``; the Hessian uses the standard four-point stencil
+    off the diagonal and is exactly symmetric.
     """
-    x = np.asarray(point, dtype=float).copy()
-    f0 = fun(x)
-    h, plus, minus = _stencil(fun, x, step)
-    grad = (plus - minus) / (2.0 * h)
-    hess = np.diag((plus - 2.0 * f0 + minus) / h ** 2)
-
-    def at(*shifts):
-        xp = x.copy()
-        for i, delta in shifts:
-            xp[i] += delta
-        return fun(xp)
-
-    for i in range(x.size):
-        for j in range(i + 1, x.size):
-            fpp = at((i, h[i]), (j, h[j]))
-            fpm = at((i, h[i]), (j, -h[j]))
-            fmp = at((i, -h[i]), (j, h[j]))
-            fmm = at((i, -h[i]), (j, -h[j]))
-            hess[i, j] = hess[j, i] = (fpp - fpm - fmp + fmm) / (4.0 * h[i] * h[j])
-    return grad, hess
+    h, points = _stencil(np.asarray(point, dtype=float), step)
+    return _derivatives(_values(fun, points), h)
 
 
 # ---------------------------------------------------------------------------
@@ -183,48 +202,45 @@ class MinimizeResult:
 
 def minimize(fun, start, fixed: dict | None = None, gate: float = 1e-10) -> MinimizeResult:
     """
-    Drive the gradient norm below ``gate`` from ``start``.
+    Drive the gradient norm of the vectorized ``fun`` below ``gate`` from ``start``.
 
     ``fixed`` pins coordinates (index -> value) and optimizes the rest with
-    scipy's trust-region Newton method ("trust-exact").  Only values of
-    ``fun`` are used: the gradient is a central difference with relative
-    step 3e-6 (difference noise sits below the gate) and the Hessian is
-    ``grad_hess`` with step 1e-4.  The gate is checked on the returned
-    point.  A non-finite value or a linear-algebra failure ends the run with
-    ``converged=False`` and the reason in ``message``.
+    scipy's trust-region Newton method ("trust-exact").  Only values of ``fun``
+    are used, from one call per trial point: the 2n points of a central
+    difference with relative step 3e-6 for the gradient (difference noise sits
+    below the gate) and the ``grad_hess`` stencil with step 1e-4 for the value
+    and the Hessian.  The gate is checked on the returned point.  A non-finite
+    value or a linear-algebra failure ends the run with ``converged=False`` and
+    the reason in ``message``.
     """
-    start = np.asarray(start, dtype=float).copy()
-    fixed = dict(fixed) if fixed else {}
-    for idx, val in fixed.items():
-        start[int(idx)] = float(val)
-    free = [i for i in range(start.size) if i not in {int(k) for k in fixed}]
+    start = np.array(start, dtype=float)
+    fixed = {int(k): float(v) for k, v in (fixed or {}).items()}
+    start[list(fixed)] = list(fixed.values())
+    free = [i for i in range(start.size) if i not in fixed]
     if not free:
-        val = float(fun(start))
-        return MinimizeResult(start, val, 0.0, True, 0)
+        return MinimizeResult(start, float(fun(start)), 0.0, True, 0)
 
     def embed(z):
-        full = start.copy()
-        full[free] = z
+        full = np.broadcast_to(start, z.shape[:-1] + start.shape).copy()
+        full[..., free] = z
         return full
 
-    def fv(z) -> float:
-        value = float(fun(embed(z)))
-        if not math.isfinite(value):
-            raise FloatingPointError(f"objective is {value} at {embed(z)}")
-        return value
+    @lru_cache(maxsize=1)  # scipy asks for the value, gradient and Hessian of a point apart
+    def evaluate(key: bytes):
+        z = np.frombuffer(key)
+        h_grad, grad_points = _stencil(z, 3e-6)
+        h_hess, hess_points = _stencil(z, 1e-4)
+        k = 2 * z.size
+        values = _values(fun, embed(np.concatenate([grad_points[1:k + 1], hess_points])), True)
+        return float(values[k]), _central(values, h_grad), _derivatives(values[k:], h_hess)[1]
 
     # scipy.optimize costs about 0.2 s and 19 MB to import; only this needs it.
     from scipy.optimize import minimize as trust_region
 
     try:
-        res = trust_region(
-            fv,
-            start[free],
-            method="trust-exact",
-            jac=lambda z: _fd_grad(fv, z, 3e-6),
-            hess=lambda z: grad_hess(fv, z, step=1e-4)[1],
-            options={"gtol": gate},
-        )
+        res = trust_region(lambda z: evaluate(z.tobytes())[0], start[free], method="trust-exact",
+                           jac=lambda z: evaluate(z.tobytes())[1],
+                           hess=lambda z: evaluate(z.tobytes())[2], options={"gtol": gate})
     except (FloatingPointError, np.linalg.LinAlgError) as exc:
         return MinimizeResult(start, math.nan, math.nan, False, 0, str(exc))
     ng = float(np.linalg.norm(res.jac))
@@ -242,19 +258,12 @@ class CriticalPoint:
 
 
 def classify_point(fun, coords, step: float = 1e-4, degenerate_tol: float = 1e-6):
-    """Label a critical point by its Hessian spectrum."""
-    _, hess = grad_hess(fun, coords, step=step)
-    eigs = np.linalg.eigvalsh(hess)
+    """Label a critical point of the vectorized ``fun`` by its Hessian spectrum."""
+    eigs = np.linalg.eigvalsh(grad_hess(fun, coords, step=step)[1])
     scale = max(1.0, float(np.max(np.abs(eigs))))
     if np.any(np.abs(eigs) < degenerate_tol * scale):
-        kind = "degenerate"
-    elif np.all(eigs > 0):
-        kind = "minimum"
-    elif np.all(eigs < 0):
-        kind = "maximum"
-    else:
-        kind = "saddle"
-    return kind, eigs
+        return "degenerate", eigs
+    return ("minimum" if np.all(eigs > 0) else "maximum" if np.all(eigs < 0) else "saddle"), eigs
 
 
 def _invariants(coords, value) -> np.ndarray:
@@ -264,24 +273,19 @@ def _invariants(coords, value) -> np.ndarray:
 
 
 def multi_start_minimize(
-    fun,
-    n_starts: int = 32,
-    seed: int = 0,
-    box: float = 2.5,
-    merge_tol: float = 1e-5,
+    fun, n_starts: int = 32, seed: int = 0, box: float = 2.5, merge_tol: float = 1e-5
 ) -> list:
     """
-    Seeded multistart: start i draws from default_rng(seed + i) uniformly in
-    [-box, box]^3.  Converged results are merged when their chart invariants
-    (|x|^2, |v|^2) and values agree within ``merge_tol``, so each gauge class
-    is one point, represented by its lowest value and classified once.
-    Returns CriticalPoint entries sorted by value.
+    Seeded multistart on the vectorized ``fun``: start i draws from
+    default_rng(seed + i) uniformly in [-box, box]^3.  Converged results are
+    merged when their chart invariants (|x|^2, |v|^2) and values agree within
+    ``merge_tol``, so each gauge class is one point, represented by its
+    lowest value and classified once.  Returns CriticalPoint entries sorted
+    by value.
     """
     found: list[CriticalPoint] = []
     for i in range(n_starts):
-        rng = np.random.default_rng(seed + i)
-        start = rng.uniform(-box, box, size=3)
-        res = minimize(fun, start)
+        res = minimize(fun, np.random.default_rng(seed + i).uniform(-box, box, size=3))
         if not res.converged:
             continue
         key = _invariants(res.coords, res.value)
@@ -289,15 +293,11 @@ def multi_start_minimize(
             if np.linalg.norm(_invariants(cp.coords, cp.value) - key) <= merge_tol:
                 cp.hits += 1
                 if res.value < cp.value:
-                    cp.coords = res.coords
-                    cp.value = res.value
-                    cp.grad_norm = res.grad_norm
+                    cp.coords, cp.value, cp.grad_norm = res.coords, res.value, res.grad_norm
                 break
         else:
             kind, eigs = classify_point(fun, res.coords)
-            found.append(
-                CriticalPoint(res.coords, res.value, res.grad_norm, kind, eigs)
-            )
+            found.append(CriticalPoint(res.coords, res.value, res.grad_norm, kind, eigs))
     found.sort(key=lambda cp: cp.value)
     return found
 
@@ -336,12 +336,9 @@ def vev_transform_check(tp: ToyParams, fp: FieldPoint, u, tol: float = 1e-9) -> 
     pu = represent(t, u)
     big = pu @ t.hat(pu)
     lhs = big @ closed_dirac(tp, fp) @ adjoint(big)
-    lam_r = u.blocks[0][0, 0]
-    lam_l = u.blocks[0][1, 1]
-    m = u.blocks[1]
-    x_new = lam_r * np.conj(lam_l) * fp.x
+    (lam_r, lam_l), m = np.diag(u.blocks[0]), u.blocks[1]
     v_new = np.conj(lam_r) * (m @ fp.v)
-    rhs = assemble_dirac(tp.k_x * x_new, tp.k_y * np.outer(v_new, v_new))
+    rhs = closed_dirac(tp, FieldPoint(lam_r * np.conj(lam_l) * fp.x, *v_new))
     return frob_norm(lhs - rhs) / max(1.0, frob_norm(rhs))
 
 
@@ -381,19 +378,15 @@ def sigma_grid(tp: ToyParams, ap: ActionParams, n: int = 201, lim: float = 3.0):
     Potential at x = 0 over a real (s1, s2) grid; the fields there are
     v = (1 + s1, s2).  Returns (s1 axis, s2 axis, V matrix).
     """
-    s1 = np.linspace(-lim, lim, n)
-    s2 = np.linspace(-lim, lim, n)
-    v_sq = (1.0 + s1[:, None]) ** 2 + s2[None, :] ** 2
-    values = v_reduced(tp, ap, np.zeros_like(v_sq), v_sq)
-    return s1, s2, values
+    axis = np.linspace(-lim, lim, n)
+    v_sq = (1.0 + axis[:, None]) ** 2 + axis[None, :] ** 2
+    return axis, axis.copy(), v_reduced(tp, ap, 0.0, v_sq)
 
 
 def sigma_valley_radius(tp: ToyParams, ap: ActionParams) -> float:
     """|v|^2 minimizing the potential on the x = 0 slice (0 when k_y = 0)."""
     ky2 = abs(tp.k_y) ** 2
-    if ky2 == 0.0:
-        return 0.0
-    return math.sqrt(2.0 * ap.f2 * ap.lam ** 2 / (ap.f0 * ky2))
+    return 0.0 if ky2 == 0.0 else math.sqrt(2.0 * ap.f2 * ap.lam ** 2 / (ap.f0 * ky2))
 
 
 def x_grid(tp: ToyParams, ap: ActionParams, n: int = 201, lim: float = 2.5):
@@ -401,9 +394,6 @@ def x_grid(tp: ToyParams, ap: ActionParams, n: int = 201, lim: float = 2.5):
     Potential over complex x = a + ib with v pinned on the sigma valley at
     (sqrt(w), 0), w the valley radius.  Returns (Re axis, Im axis, V matrix).
     """
-    re = np.linspace(-lim, lim, n)
-    im = np.linspace(-lim, lim, n)
-    x_sq = re[:, None] ** 2 + im[None, :] ** 2
-    v_sq = np.full_like(x_sq, sigma_valley_radius(tp, ap))
-    values = v_reduced(tp, ap, x_sq, v_sq)
-    return re, im, values
+    axis = np.linspace(-lim, lim, n)
+    x_sq = axis[:, None] ** 2 + axis[None, :] ** 2
+    return axis, axis.copy(), v_reduced(tp, ap, x_sq, sigma_valley_radius(tp, ap))

@@ -34,7 +34,6 @@ from .spectral_triple import (
     AlgebraSpec,
     FiniteSpectralTriple,
     random_element,
-    spanning_set,
 )
 
 __all__ = [
@@ -134,8 +133,7 @@ def _view_coords(spec: AlgebraSpec, m: np.ndarray):
     Rows of the first and second entries of the pairs (sum_k c_kl b_k, b_l)
     over the spanning set b, c = B^+ m (B^+)^T: their x (x) y sum to m.
     """
-    rows = np.array([b.vec() for b in spanning_set(spec)])
-    inv = np.linalg.pinv(rows.T)
+    rows, inv = spec.span_coords()
     return (inv @ m @ inv.T).T @ rows, rows
 
 

@@ -106,7 +106,8 @@ class AlgebraSpec:
     construction on the spanning set), which is exactly what makes the span a
     *-subalgebra.  The orthogonal projector onto the span, over the ambient
     coordinates of ``AlgebraElement.vec()``, is computed once and kept; every
-    membership test is one product with it.
+    membership test is one product with it.  The coordinates of the spanning
+    set and their pseudo-inverse are kept too, from their first use.
     """
 
     summands: tuple
@@ -118,6 +119,7 @@ class AlgebraSpec:
             raise ValueError("need at least one summand, all sizes >= 1")
         object.__setattr__(self, "summands", summands)
         object.__setattr__(self, "_proj", None)
+        object.__setattr__(self, "_span", None)
         if self.basis is not None:
             basis = tuple(self.basis)
             if not basis:
@@ -146,6 +148,16 @@ class AlgebraSpec:
     def dim(self) -> int:
         """Complex dimension of the (sub)algebra: the rank of its span."""
         return self.ambient_dim if self._proj is None else round(self._proj.trace().real)
+
+    def span_coords(self):
+        """
+        Rows B of the ambient coordinates of ``spanning_set(self)`` and the
+        pseudo-inverse of B^T, computed on the first call and kept.
+        """
+        if self._span is None:
+            rows = np.array([b.vec() for b in spanning_set(self)])
+            object.__setattr__(self, "_span", (rows, np.linalg.pinv(rows.T)))
+        return self._span
 
     def unit(self) -> AlgebraElement:
         return AlgebraElement(tuple(identity(n) for n in self.summands))

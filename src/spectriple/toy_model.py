@@ -18,6 +18,7 @@ fields: a complex coefficient x multiplying the k_x entries and a complex
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -55,13 +56,19 @@ class ToyParams:
     k_y: complex = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "k_x", complex(self.k_x))
-        object.__setattr__(self, "k_y", complex(self.k_y))
+        for name in ("k_x", "k_y"):
+            value = complex(getattr(self, name))
+            if not cmath.isfinite(value):
+                raise ValueError(f"{name} must be finite")
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
 class FieldPoint:
-    """Values of the two fields: scalar x and 2-vector v = (v1, v2)."""
+    """
+    Values of the two fields: scalar x and 2-vector v = (v1, v2).  Each field
+    may also be an array, all of one shape: a batch of points.
+    """
 
     x: complex
     v1: complex
@@ -69,11 +76,13 @@ class FieldPoint:
 
     def __post_init__(self):
         for name in ("x", "v1", "v2"):
-            object.__setattr__(self, name, complex(getattr(self, name)))
+            value = np.asarray(getattr(self, name), dtype=complex)
+            object.__setattr__(self, name, complex(value) if value.ndim == 0 else value)
 
     @property
     def v(self) -> np.ndarray:
-        return np.array([self.v1, self.v2], dtype=complex)
+        """Shape (..., 2): the batch axes of the fields, then (v1, v2)."""
+        return np.stack([self.v1, self.v2], axis=-1)
 
     @classmethod
     def unfluctuated(cls) -> "FieldPoint":
@@ -114,23 +123,31 @@ def a_f() -> AlgebraSpec:
     )
 
 
-def assemble_dirac(x_entry: complex, y_mat) -> np.ndarray:
+# The 16 non-zero slots of the model's operators: (row, column, source), the
+# source indexing (x, y00, y01, y10, y11) followed by the conjugates of the five.
+_SLOTS = np.array(
+    [(0, 2, 0), (1, 3, 0), (6, 4, 0), (7, 5, 0), (2, 0, 5), (3, 1, 5), (4, 6, 5), (5, 7, 5),
+     (4, 0, 1), (4, 1, 2), (5, 0, 3), (5, 1, 4), (0, 4, 6), (0, 5, 8), (1, 4, 7), (1, 5, 9)]
+).T
+
+
+def assemble_dirac(x_entry, y_mat) -> np.ndarray:
     """
     Hermitian 8x8 operator with the model's sparsity pattern: ``x_entry`` at
     the four k_x positions (conjugated where hermiticity demands it) and the
-    2x2 block ``y_mat`` coupling the primed to the unprimed half.
+    2x2 block ``y_mat`` coupling the primed to the unprimed half.  Leading
+    axes of ``x_entry`` (shape (...)) and ``y_mat`` (shape (..., 2, 2)) are
+    batch axes; they broadcast, and the result has shape (..., 8, 8).
     """
-    x_entry = complex(x_entry)
-    y_mat = as_matrix(y_mat)
-    if y_mat.shape != (2, 2):
+    x = np.asarray(x_entry, dtype=complex)[..., None]
+    y = np.asarray(y_mat, dtype=complex)
+    if y.shape[-2:] != (2, 2):
         raise ValueError("y block must be 2x2")
-    d = np.zeros((8, 8), dtype=complex)
-    d[0, 2] = d[1, 3] = x_entry
-    d[2, 0] = d[3, 1] = np.conj(x_entry)
-    d[4, 6] = d[5, 7] = np.conj(x_entry)
-    d[6, 4] = d[7, 5] = x_entry
-    d[4:6, 0:2] = y_mat
-    d[0:2, 4:6] = y_mat.conj().T
+    batch = np.broadcast_shapes(x.shape[:-1], y.shape[:-2])
+    y = np.broadcast_to(y, batch + (2, 2)).reshape(batch + (4,))
+    source = np.concatenate([np.broadcast_to(x, batch + (1,)), y], axis=-1)
+    d = np.zeros(batch + (8, 8), dtype=complex)
+    d[..., _SLOTS[0], _SLOTS[1]] = np.concatenate([source, source.conj()], axis=-1)[..., _SLOTS[2]]
     return d
 
 
@@ -161,8 +178,12 @@ def build_toy(params: ToyParams = ToyParams()) -> FiniteSpectralTriple:
 
 
 def closed_dirac(params: ToyParams, fp: FieldPoint) -> np.ndarray:
-    """The fluctuated operator at a field point: x scales k_x, v v^T scales k_y."""
-    return assemble_dirac(params.k_x * fp.x, params.k_y * np.outer(fp.v, fp.v))
+    """
+    The fluctuated operator at a field point: x scales k_x, v v^T scales k_y.
+    A batch of points gives the stack of operators, shape (..., 8, 8).
+    """
+    v = fp.v
+    return assemble_dirac(params.k_x * fp.x, params.k_y * (v[..., :, None] * v[..., None, :]))
 
 
 def extract_fields(w: UniversalOneForm) -> FieldPoint:

@@ -55,6 +55,13 @@ def test_action_params_must_be_positive():
         ActionParams(lam=-1.0)
 
 
+@pytest.mark.parametrize("name", ["f2", "f0", "lam"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_action_params_reject_non_finite_values(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        ActionParams(**{name: value})
+
+
 def test_bare_traces_and_potential():
     t = build_toy()
     d2 = t.d @ t.d
@@ -121,6 +128,24 @@ def test_field_point_chart():
     assert (fp.x, fp.v1, fp.v2) == (0.3, 0.9, 0.2)
     with pytest.raises(ValueError):
         field_point((1.0, 2.0))
+    batch = field_point(np.array([[0.3, -0.1, 0.2], [1.0, 0.0, -1.0]]))
+    assert np.array_equal(batch.x, [0.3, 1.0]) and np.array_equal(batch.v1, [0.9, 1.0])
+
+
+@pytest.mark.parametrize("shape", [(7,), (4, 5)])
+def test_potential_fn_evaluates_a_batch_point_by_point(rng, shape):
+    tp = ToyParams(0.9 + 0.2j, 1.4 - 0.1j)
+    ap = ActionParams(f2=0.7, f0=1.3, lam=1.1)
+    fun = potential_fn(tp, ap)
+    coords = rng.uniform(-2.5, 2.5, size=shape + (3,))
+    got = fun(coords)
+    assert got.shape == shape
+    for idx in np.ndindex(*shape):
+        want = v_trace(tp, ap, field_point(coords[idx]))
+        assert abs(got[idx] - want) <= 1e-13 * max(1.0, abs(want))
+    assert isinstance(fun(coords.reshape(-1, 3)[0]), float)
+    with pytest.raises(ValueError, match="last axis"):
+        fun(coords[..., :2])
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +157,7 @@ def test_grad_hess_recovers_a_quadratic():
     b = np.array([1.0, -1.0, 2.0])
 
     def f(z):
-        return 0.5 * z @ a @ z + b @ z
+        return 0.5 * np.einsum("...i,ij,...j->...", z, a, z) + z @ b
 
     z0 = np.array([0.3, -0.2, 0.1])
     g, h = grad_hess(f, z0)
@@ -141,18 +166,73 @@ def test_grad_hess_recovers_a_quadratic():
     assert np.array_equal(h, h.T)
 
 
+def _reference_grad_hess(fun, x, step):
+    """
+    The stencil one point at a time: steps h_i = step * max(1, |x_i|), central
+    differences on the diagonal and the four-point stencil off it.
+    """
+    h = step * np.maximum(1.0, np.abs(x))
+
+    def at(*shifts):
+        xp = x.copy()
+        for i, delta in shifts:
+            xp[i] += delta
+        return fun(xp)
+
+    f0, n = at(), x.size
+    grad, hess = np.zeros(n), np.zeros((n, n))
+    for i in range(n):
+        plus, minus = at((i, h[i])), at((i, -h[i]))
+        grad[i] = (plus - minus) / (2.0 * h[i])
+        hess[i, i] = (plus - 2.0 * f0 + minus) / h[i] ** 2
+        for j in range(i + 1, n):
+            fpp, fpm = at((i, h[i]), (j, h[j])), at((i, h[i]), (j, -h[j]))
+            fmp, fmm = at((i, -h[i]), (j, h[j])), at((i, -h[i]), (j, -h[j]))
+            hess[i, j] = hess[j, i] = (fpp - fpm - fmp + fmm) / (4.0 * h[i] * h[j])
+    return grad, hess
+
+
+@pytest.mark.parametrize("step", [1e-5, 1e-4])
+def test_grad_hess_matches_the_pointwise_stencil(rng, step):
+    # a batch evaluates each point as a single call does, so the one-call
+    # stencil reproduces the point-by-point one exactly
+    fun = potential_fn(ToyParams(0.9 + 0.2j, 1.4 - 0.1j), ActionParams(f2=0.7))
+    for x in rng.uniform(-2.0, 2.0, size=(5, 3)):
+        got, want = grad_hess(fun, x, step), _reference_grad_hess(fun, x, step)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    with pytest.raises(ValueError, match="shape"):
+        grad_hess(lambda z: float(np.sum(z)), np.zeros(3))
+
+
 def test_minimize_on_a_convex_quadratic():
     a = np.diag([1.0, 4.0, 9.0])
     c = np.array([0.5, -1.5, 2.0])
 
     def f(z):
-        return float((z - c) @ a @ (z - c))
+        return np.einsum("...i,ij,...j->...", z - c, a, z - c)
 
     res = minimize(f, np.zeros(3))
     assert res.converged
     assert res.grad_norm <= 1e-10
     assert np.allclose(res.coords, c, atol=1e-8)
     assert res.value == pytest.approx(0.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("fixed, n_points", [(None, 25), ({0: 0.0}, 13)])
+def test_minimize_makes_one_objective_call_per_trial_point(fixed, n_points):
+    # each call holds the 2n gradient points and the 1 + 2n + 2n(n - 1) of the
+    # Hessian stencil (n free coordinates)
+    fun = potential_fn(UNIT_TP, UNIT_AP)
+    shapes = []
+
+    def counted(z):
+        shapes.append(z.shape)
+        return fun(z)
+
+    res = minimize(counted, np.array([0.4, 0.2, 0.1]), fixed=fixed)
+    assert res.converged
+    assert len(shapes) <= res.iterations + 2
+    assert set(shapes) == {(n_points, 3)}
 
 
 def test_minimize_respects_fixed_coordinates():
@@ -198,7 +278,7 @@ def test_minimize_reports_a_nan_objective_as_not_converged():
 
 def test_minimize_reports_a_stall_as_not_converged():
     # a linear objective has no critical point: the gate is never met
-    res = minimize(lambda z: float(z[0]), np.zeros(3), fixed={1: 0.0, 2: 0.0})
+    res = minimize(lambda z: z[..., 0], np.zeros(3), fixed={1: 0.0, 2: 0.0})
     assert not res.converged
     assert res.grad_norm == pytest.approx(1.0)
     assert "iterations" in res.message
@@ -224,14 +304,14 @@ def test_hessian_spectrum_at_the_sigma_vev():
 
 
 def test_classify_point_kinds():
-    assert classify_point(lambda z: float(z @ z), np.zeros(3))[0] == "minimum"
-    assert classify_point(lambda z: float(-z @ z), np.zeros(3))[0] == "maximum"
+    assert classify_point(lambda z: np.sum(z * z, axis=-1), np.zeros(3))[0] == "minimum"
+    assert classify_point(lambda z: -np.sum(z * z, axis=-1), np.zeros(3))[0] == "maximum"
     assert (
-        classify_point(lambda z: float(z[0] ** 2 - z[1] ** 2 + z[2] ** 2), np.zeros(3))[0]
+        classify_point(lambda z: z[..., 0] ** 2 - z[..., 1] ** 2 + z[..., 2] ** 2, np.zeros(3))[0]
         == "saddle"
     )
     assert (
-        classify_point(lambda z: float(z[0] ** 4 + z[1] ** 2 + z[2] ** 2), np.zeros(3))[0]
+        classify_point(lambda z: z[..., 0] ** 4 + z[..., 1] ** 2 + z[..., 2] ** 2, np.zeros(3))[0]
         == "degenerate"
     )
 

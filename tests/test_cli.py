@@ -300,6 +300,18 @@ def test_bad_config_settings_are_input_errors(tmp_path, capsys, command, key, va
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "key, value", [("k_x", math.nan), ("k_y", math.inf), ("f2", math.nan), ("lam", math.inf)]
+)
+def test_non_finite_couplings_are_input_errors(tmp_path, capsys, key, value):
+    cfg = tmp_path / "cfg.json"
+    save_json(str(cfg), {key: value})
+    out = tmp_path / "out"
+    assert main(["minimize", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"{key} must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_subcommand_exits_with_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,14 @@ def test_toy_params_coerce_to_complex():
     assert tp.k_y == 0.0
 
 
+@pytest.mark.parametrize(
+    "k_x, k_y", [(math.nan, 1.0), (1.0, math.inf), (complex(1.0, -math.inf), 0.0)]
+)
+def test_toy_params_reject_non_finite_couplings(k_x, k_y):
+    with pytest.raises(ValueError, match="must be finite"):
+        ToyParams(k_x, k_y)
+
+
 def test_assemble_dirac_is_self_adjoint():
     d = assemble_dirac(0.3 - 2j, [[1j, 2], [0, 1]])
     assert np.array_equal(d, adjoint(d))
@@ -56,6 +66,25 @@ def test_assemble_dirac_is_self_adjoint():
 def test_y_block_reads_the_cross_coupling():
     y = np.array([[1, 2], [3, 4]], dtype=complex)
     assert np.array_equal(y_block(assemble_dirac(0.0, y)), y)
+
+
+def test_assemble_dirac_and_closed_dirac_take_batch_axes(rng):
+    x = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+    y = rng.standard_normal((4, 3, 2, 2)) + 1j * rng.standard_normal((4, 3, 2, 2))
+    d = assemble_dirac(x, y)
+    assert d.shape == (4, 3, 8, 8)
+    for idx in np.ndindex(4, 3):
+        assert np.array_equal(d[idx], assemble_dirac(x[idx], y[idx]))
+    # a scalar x broadcasts against a stack of y blocks
+    assert np.array_equal(assemble_dirac(0.5j, y[0])[2], assemble_dirac(0.5j, y[0, 2]))
+    tp = ToyParams(0.6 + 0.1j, 1.3 - 0.4j)
+    fields = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
+    stack = closed_dirac(tp, FieldPoint(*fields))
+    assert stack.shape == (5, 8, 8)
+    for k in range(5):
+        # complex products in array loops may round differently from scalar ones
+        want = closed_dirac(tp, FieldPoint(*fields[:, k]))
+        assert np.allclose(stack[k], want, rtol=1e-15, atol=1e-15)
 
 
 def test_unfluctuated_point_reproduces_d_exactly():
