@@ -250,7 +250,11 @@ def _cmd_morita(args) -> int:
     residuals = []
     for n in (1, 2, 3):
         for self_adjoint in (True, False):
-            e = mor.random_idempotent(t, n, rng, self_adjoint=self_adjoint)
+            try:
+                e = mor.random_idempotent(t, n, rng, self_adjoint=self_adjoint)
+            except RuntimeError as exc:  # the draw failed on valid input: exit 1, not 2
+                sys.stderr.write(f"error: {exc}\n")
+                return 1
             conn = mor.random_conn_form(t, n, rng, e)
             md = mor.MoritaData(t, n, e, conn)
             left = mor.twisted_dirac_left(md)

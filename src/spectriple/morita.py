@@ -12,18 +12,20 @@ through the left leg (``pi_big``) and, conjugated by the real structure,
 through the right leg (``pi_hat_big``).  A connection is an n x n matrix
 of universal one-forms B with e B e = B, each entry stored as its
 coefficients omega in A (x) A, so a connection is the (n, n, d, d) stack of
-:func:`conn_coefficients`: e B e is two matrix products on it
-(:func:`compress_coefficients`), and its action on a base operator is the
-one-form kernel of ``perturbation.a1`` placed in the cells of one leg
-(:func:`rep_conn`), whatever the number of pairs it was drawn from.  The
-module twist of D can then be computed in two orders -- left leg first or
-right leg first -- and the two agree identically, which is the analogue of
-the transitivity of ordinary inner fluctuations.
+:func:`conn_coefficients`: e B e is two matrix products on it, with the maps
+of the entries of e read off one cached multiplication tensor
+(:func:`compress_coefficients`), and its action on a base operator contracts
+the one-form kernel of ``perturbation.a1`` into the cells of one leg, with no
+Kronecker-expanded operator built (:func:`rep_conn`).  The module twist of D
+can then be computed in two orders -- left leg first or right leg first --
+and the two agree identically, which is the analogue of the transitivity of
+ordinary inner fluctuations.
 """
 
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -31,7 +33,7 @@ from .matrix_core import AntilinearOp, commutator, identity
 from .perturbation import (
     UniversalOneForm,
     _leg_weights,
-    _mult_map,
+    _mult_tensor,
     one_form_cf,
     one_form_scale,
     one_form_star,
@@ -41,7 +43,6 @@ from .spectral_triple import (
     AlgebraSpec,
     FiniteSpectralTriple,
     random_element,
-    spanning_set,
 )
 
 __all__ = [
@@ -64,7 +65,6 @@ __all__ = [
     "rep_conn",
     "twisted_dirac_left",
     "twisted_dirac_right",
-    "zeroth_order_induced",
 ]
 
 
@@ -159,11 +159,16 @@ def rep_conn(
     W^ik_beta = sum_alpha omega[i, k, alpha, beta] rho(e_alpha) in cell (i, k)
     of that leg: the kernel of ``perturbation.a1`` and ``a2_with``, cell by
     cell.  Pair by pair this is (E_ik (x) 1 (x) rho(x)) [base, 1 (x) 1 (x) rho(y)].
+    Neither L_beta nor 1 (x) 1 (x) rho is built: rho(e_beta) acts on the fibre
+    of base's columns, then W is contracted over (beta, k, fibre) into the leg.
     """
-    weights, rho = _leg_weights(t, omega, hatted)
-    lefts = _on_leg(weights, hatted)
-    rights = np.kron(identity(n * n)[None], rho)
-    return (lefts @ base @ rights).sum(axis=0)
+    weights, rho = _leg_weights(t, omega, hatted)  # (beta, i, k, h, g), (beta, g, f)
+    dim_h, dim = t.dim_h, base.shape[-1]
+    right = (base.reshape(-1, dim_h) @ rho).reshape(len(rho), n, n, dim_h, dim)
+    # right[beta, i, j, g, c] = (base (1 (x) 1 (x) rho(e_beta)))[(i, j, g), c]
+    out = np.tensordot(weights, right, axes=((0, 2, 4), (0, 2 if hatted else 1, 3)))
+    # left leg: (i, h, j, c); hatted leg: (j, h, i, c)
+    return out.transpose((2, 0, 1, 3) if hatted else (0, 2, 1, 3)).reshape(dim, dim)
 
 
 # ---------------------------------------------------------------------------
@@ -195,15 +200,14 @@ def compress_coefficients(e: AlgebraElement, omega: np.ndarray) -> np.ndarray:
     """
     e B e on coefficients: entry (i, l) is sum_jk (e_ij (x) 1) omega_jk (1 (x) e_kl),
     left multiplication by e_ij on the first factor and right multiplication
-    by e_kl on the second.
+    by e_kl on the second.  The maps of all n^2 entries come from one
+    contraction of their coordinates with the cached multiplication tensor.
     """
     n, _, d, _ = omega.shape
-    entries = mn_entries(e, n)
+    coords = _entry_coords(e, n)
     summands = tuple(len(b) // n for b in e.blocks)
-    left, right = (
-        np.block([[_mult_map(summands, a, side) for a in row] for row in entries])
-        for side in (True, False)
-    )
+    maps = (np.tensordot(coords, _mult_tensor(summands, side), 1) for side in (True, False))
+    left, right = (m.transpose(0, 2, 1, 3).reshape(n * d, n * d) for m in maps)
     big = omega.transpose(0, 2, 1, 3).reshape(n * d, n * d)
     return (left @ big @ right).reshape(n, d, n, d).transpose(0, 2, 1, 3)
 
@@ -242,10 +246,12 @@ class MoritaData:
     :func:`mn_from_entries`), together with an optional compressed connection.
 
     The coefficients of the connection (:func:`conn_coefficients`) are
-    stacked once and kept as ``omega``; the twists apply them.  Validation
-    checks that e and omega are finite, e^2 = e, membership of the entries of
-    e in the algebra, and (when a connection is present) the compression
-    identity e B e = B on the coefficients.
+    stacked once and kept as ``omega``; the twists apply them with pi_big(e),
+    pi_hat_big(e) and d_big, kept from their first use as ``proj``,
+    ``proj_hat`` and ``dirac``.  Validation checks that e and omega are
+    finite, e^2 = e, membership of the entries of e in the algebra, and (when
+    a connection is present) the compression identity e B e = B on the
+    coefficients.
     """
 
     triple: FiniteSpectralTriple
@@ -294,36 +300,33 @@ class MoritaData:
         if not np.all(defect <= bound):
             raise ValueError("connection is not compressed: e B e != B")
 
+    proj = cached_property(lambda self: pi_big(self.triple, self.size, self.idem))
+    proj_hat = cached_property(lambda self: pi_hat_big(self.triple, self.size, self.idem))
+    dirac = cached_property(lambda self: d_big(self.triple, self.size))
+
 
 def _entries_in(spec: AlgebraSpec, x: AlgebraElement, n: int, tol: float) -> bool:
     return spec.first_outside([entry for row in mn_entries(x, n) for entry in row], tol) is None
 
 
 def _one_sided(md: MoritaData, base: np.ndarray, hatted: bool) -> np.ndarray:
-    t, n = md.triple, md.size
-    proj = pi_hat_big(t, n, md.idem) if hatted else pi_big(t, n, md.idem)
-    out = proj @ base
-    if md.omega is not None:
-        out = out + rep_conn(t, n, md.omega, base, hatted)
-    return out
+    out = (md.proj_hat if hatted else md.proj) @ base
+    return out if md.omega is None else out + rep_conn(md.triple, md.size, md.omega, base, hatted)
 
 
 def twisted_dirac_left(md: MoritaData) -> np.ndarray:
     """Twist through the left leg first, then through the hatted right leg."""
-    o1 = _one_sided(md, d_big(md.triple, md.size), hatted=False)
-    return _one_sided(md, o1, hatted=True)
+    return _one_sided(md, _one_sided(md, md.dirac, hatted=False), hatted=True)
 
 
 def twisted_dirac_right(md: MoritaData) -> np.ndarray:
     """Twist through the hatted right leg first, then through the left leg."""
-    o2 = _one_sided(md, d_big(md.triple, md.size), hatted=True)
-    return _one_sided(md, o2, hatted=False)
+    return _one_sided(md, _one_sided(md, md.dirac, hatted=True), hatted=False)
 
 
 def corner_projector(md: MoritaData) -> np.ndarray:
     """pi(e) pihat(e): cuts out the module copy inside C^n (x) C^n (x) H."""
-    t, n = md.triple, md.size
-    return pi_big(t, n, md.idem) @ pi_hat_big(t, n, md.idem)
+    return md.proj @ md.proj_hat
 
 
 def corner(md: MoritaData, op: np.ndarray | None = None) -> np.ndarray:
@@ -353,23 +356,6 @@ def induced_real_structure(t: FiniteSpectralTriple, n: int) -> AntilinearOp:
     # row (i, j) of the swap is row (j, i) of the identity
     swap = identity(n * n).reshape(n, n, n * n).transpose(1, 0, 2).reshape(n * n, n * n)
     return AntilinearOp(np.kron(swap, t.j.m))
-
-
-def zeroth_order_induced(t: FiniteSpectralTriple, n: int) -> float:
-    """
-    Max commutator norm between the left action of M_n(A) and the conjugate
-    of its adjoint under the induced real structure (NaN if any norm is NaN).
-    """
-    jp = induced_real_structure(t, n)
-    span = np.array([s.vec() for s in spanning_set(t.algebra)])
-    reps = np.tensordot(span, t.pi_table, 1)
-    dim = n * n * t.dim_h
-    cells = np.einsum("ik,jl,shg->ijsklhg", identity(n), identity(n), reps)  # E_ij (x) pi(s)
-    lefts = _on_leg(cells, hatted=False).reshape(-1, dim, dim)
-    rights = jp.conjugate(np.conj(lefts).swapaxes(1, 2))
-    return float(
-        np.max([np.linalg.norm(left @ rights - rights @ left, axis=(1, 2)) for left in lefts])
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -154,12 +154,23 @@ def _coefficients(spec: AlgebraSpec, m, what: str) -> np.ndarray:
 # Universal one-forms
 
 
+@lru_cache(maxsize=None)
+def _mult_tensor(summands: tuple, left: bool) -> np.ndarray:
+    """Read-only (d, d, d): slice alpha is :func:`_mult_map` of the ambient matrix unit e_alpha."""
+    units = AlgebraSpec(summands).from_coords(identity(sum(n * n for n in summands)))
+    def side(b):
+        return np.kron(b, identity(len(b))) if left else np.kron(identity(len(b)), b)
+
+    maps = np.array([block_diag(*map(side, u.blocks)) for u in units])
+    maps.setflags(write=False)
+    return maps
+
+
 def _mult_map(summands, a: AlgebraElement, left: bool) -> np.ndarray:
     """x -> ax on column coordinate vectors (``left``), or x -> xa on row vectors."""
     if tuple(len(b) for b in a.blocks) != tuple(summands):
         raise ValueError("element does not match the algebra")
-    eyes = [identity(len(b)) for b in a.blocks]
-    return block_diag(*(np.kron(b, i) if left else np.kron(i, b) for b, i in zip(a.blocks, eyes)))
+    return np.tensordot(a.vec(), _mult_tensor(tuple(summands), left), 1)
 
 
 @dataclass(frozen=True, eq=False)

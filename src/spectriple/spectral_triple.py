@@ -177,11 +177,10 @@ class AlgebraSpec:
 
     def from_coords(self, rows) -> list:
         """The elements whose ambient coordinates (``AlgebraElement.vec()``) are the rows."""
-        cuts = np.cumsum([n * n for n in self.summands])[:-1]
-        return [
-            AlgebraElement(tuple(b.reshape(n, n) for b, n in zip(np.split(r, cuts), self.summands)))
-            for r in rows
-        ]
+        rows = np.asarray(rows, dtype=complex).reshape(len(rows), self.ambient_dim)
+        starts = np.cumsum((0,) + tuple(n * n for n in self.summands))
+        blocks = [rows[:, o:o + n * n].reshape(-1, n, n) for o, n in zip(starts, self.summands)]
+        return [AlgebraElement(tuple(b[i] for b in blocks)) for i in range(len(rows))]
 
     def first_outside(self, elements, tol: float = 1e-9) -> int | None:
         """
@@ -427,9 +426,9 @@ def check_ko_signs(t: FiniteSpectralTriple) -> KOReport:
 
 def random_element(spec: AlgebraSpec, rng: np.random.Generator) -> AlgebraElement:
     """Random element: complex standard-normal coefficients, (re, im) in turn, over a spanning set."""
-    coords = np.array([e.vec() for e in spanning_set(spec)])
-    re, im = rng.standard_normal((len(coords), 2)).T
-    return spec.from_coords([(re + 1j * im) @ coords])[0]
+    rows = spec.span_coords()[0]
+    re, im = rng.standard_normal((len(rows), 2)).T
+    return spec.from_coords([(re + 1j * im) @ rows])[0]
 
 
 def random_hermitian(spec: AlgebraSpec, rng: np.random.Generator) -> AlgebraElement:

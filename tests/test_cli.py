@@ -219,6 +219,18 @@ def test_morita_check_fails_on_a_nan_residual(capsys, monkeypatch):
     assert "status: FAILED" in capsys.readouterr().out
 
 
+def test_morita_check_reports_a_failed_idempotent_draw(capsys, monkeypatch):
+    # no clean draw is a failed computation on valid input: exit 1, not the input error 2
+    def no_draw(*args, **kwargs):
+        raise RuntimeError("could not draw a clean random idempotent")
+
+    monkeypatch.setattr(morita, "random_idempotent", no_draw)
+    assert main(["morita-check"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: could not draw a clean random idempotent\n"
+    assert "status:" not in captured.out
+
+
 def test_semigroup_verify_fails_on_a_nan_residual(capsys, monkeypatch):
     monkeypatch.setattr(perturbation, "check_transitivity", lambda t, p, q: math.nan)
     assert main(["semigroup-verify"]) == 1

@@ -35,10 +35,9 @@ from spectriple.morita import (
     random_conn_form,
     random_idempotent,
     rep_conn,
-    zeroth_order_induced,
 )
 from spectriple.perturbation import UniversalOneForm
-from spectriple.spectral_triple import AlgebraElement, random_element, represent
+from spectriple.spectral_triple import AlgebraElement, random_element, represent, spanning_set
 from spectriple.toy_model import a_f
 from test_perturbation import _reference_rmul, _reference_star
 from test_spectral_triple import _multi_triple
@@ -116,6 +115,23 @@ def _reference_rep_conn(t, n, grid, base, hatted):
             for x, y in grid[i][k]:
                 out += np.kron(cell, rho(x)) @ commutator(base, np.kron(identity(n * n), rho(y)))
     return out
+
+
+def _zeroth_order_induced(t, n):
+    """
+    Max commutator norm between the left action of M_n(A) and the conjugate
+    of its adjoint under the induced real structure (NaN if any norm is NaN),
+    over E_ij (x) pi(s) for the spanning set s, one pair at a time.
+    """
+    jp = induced_real_structure(t, n)
+    reps = np.array([represent(t, s) for s in spanning_set(t.algebra)])
+    dim = n * n * t.dim_h
+    cells = np.einsum("ik,jl,shg->ijsklhg", identity(n), identity(n), reps)  # E_ij (x) pi(s)
+    lefts = morita._on_leg(cells, hatted=False).reshape(-1, dim, dim)
+    rights = jp.conjugate(np.conj(lefts).swapaxes(1, 2))
+    return float(
+        np.max([np.linalg.norm(left @ rights - rights @ left, axis=(1, 2)) for left in lefts])
+    )
 
 
 def _mn_unit(spec, n):
@@ -253,22 +269,49 @@ def test_compress_connection_is_a_projection(toy, rng):
     )
 
 
+_TRIPLES = {
+    "a_ev": lambda toy: toy,
+    "a_f": lambda toy: dataclasses.replace(toy, algebra=a_f()),
+    "multi": lambda toy: _multi_triple(),
+}
+
+
+def _check_action_against_the_pairwise_loop(t, n, hatted, compressed):
+    spec, rng = t.algebra, np.random.default_rng(40 + n)
+    grid = _raw_pairs(spec, n, rng)
+    conn = _forms(spec, grid)
+    if compressed:
+        e = random_idempotent(t, n, rng, self_adjoint=False)
+        conn = compress_connection(e, hermitize_connection(conn))
+        grid = _reference_compress(e, _reference_hermitize(spec, grid))
+    dim = n * n * t.dim_h
+    base = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    got = rep_conn(t, n, conn_coefficients(spec, conn), base, hatted)
+    want = _reference_rep_conn(t, n, grid, base, hatted)
+    assert _rel(got, want) < 1e-12
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("hatted", [False, True])
 @pytest.mark.parametrize("compressed", [False, True])
 def test_coefficient_action_matches_the_pairwise_loop(toy, n, hatted, compressed):
-    rng = np.random.default_rng(40 + n)
-    grid = _raw_pairs(toy.algebra, n, rng)
-    conn = _forms(toy.algebra, grid)
-    if compressed:
-        e = random_idempotent(toy, n, rng, self_adjoint=False)
-        conn = compress_connection(e, hermitize_connection(conn))
-        grid = _reference_compress(e, _reference_hermitize(toy.algebra, grid))
-    dim = n * n * toy.dim_h
-    base = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    got = rep_conn(toy, n, conn_coefficients(toy.algebra, conn), base, hatted)
-    want = _reference_rep_conn(toy, n, grid, base, hatted)
-    assert _rel(got, want) < 1e-12
+    _check_action_against_the_pairwise_loop(toy, n, hatted, compressed)
+
+
+# multi at n = 3 compressed is left out: its 486 reference pairs on a
+# 225-dimensional space take about 3 s per case
+@pytest.mark.parametrize("which, n, compressed", [
+    (which, n, compressed)
+    for which in ("a_f", "multi")
+    for n in (1, 2, 3)
+    for compressed in (False, True)
+    if (which, n, compressed) != ("multi", 3, True)
+])
+@pytest.mark.parametrize("hatted", [False, True])
+def test_coefficient_action_matches_the_pairwise_loop_on_other_triples(
+    toy, which, n, hatted, compressed
+):
+    _check_action_against_the_pairwise_loop(_TRIPLES[which](toy), n, hatted, compressed)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -280,13 +323,6 @@ def test_compress_coefficients_matches_universal_compression(toy, n):
     got = compress_coefficients(e, conn_coefficients(toy.algebra, _forms(toy.algebra, grid)))
     want = conn_coefficients(toy.algebra, _forms(toy.algebra, _reference_compress(e, grid)))
     assert frob_norm(got - want) < 1e-12 * max(1.0, frob_norm(want))
-
-
-_TRIPLES = {
-    "a_ev": lambda toy: toy,
-    "a_f": lambda toy: dataclasses.replace(toy, algebra=a_f()),
-    "multi": lambda toy: _multi_triple(),
-}
 
 
 @settings(max_examples=20, deadline=None)
@@ -335,7 +371,19 @@ def test_reducers_pass_nan_through(toy, monkeypatch):
     assert np.isnan(check_idempotent_identity(toy, 1, nan_elem))
     monkeypatch.setattr(morita, "_on_leg", lambda cells, hatted: np.full(
         cells.shape[:-4] + (toy.dim_h, toy.dim_h), np.nan, dtype=complex))
-    assert np.isnan(zeroth_order_induced(toy, 1))
+    assert np.isnan(_zeroth_order_induced(toy, 1))
+
+
+def test_morita_data_builds_its_projectors_once(toy, monkeypatch):
+    rng = np.random.default_rng(9)
+    e = random_idempotent(toy, 2, rng)
+    md = MoritaData(toy, 2, e, random_conn_form(toy, 2, rng, e))
+    calls, cells = [], morita._cells
+    monkeypatch.setattr(morita, "_cells", lambda *args, **kw: calls.append(args) or cells(*args, **kw))
+    left, right = twisted_dirac_left(md), twisted_dirac_right(md)
+    assert approx_eq(corner(md), corner(md, right), 1e-12)
+    assert _rel(left, right) < 1e-12
+    assert len(calls) == 2  # pi_big(e) and pi_hat_big(e), once each
 
 
 def test_validation_rejects_non_idempotent(toy):
@@ -387,7 +435,7 @@ def test_induced_real_structure_commutes_with_the_twist(toy):
 
 
 def test_induced_zeroth_order(toy):
-    assert zeroth_order_induced(toy, 2) < 1e-12
+    assert _zeroth_order_induced(toy, 2) < 1e-12
 
 
 def test_left_and_hatted_actions_commute_on_the_module(toy, rng):

@@ -27,6 +27,8 @@ from spectriple import (
 from spectriple.matrix_core import adjoint, approx_eq, commutator, frob_norm, identity
 from spectriple.perturbation import (
     UniversalOneForm,
+    _mult_map,
+    _mult_tensor,
     a1,
     a2_with,
     check_transitivity,
@@ -157,6 +159,17 @@ def _cf_tensor(spec, a, left: bool):
     return block_diag(*(
         np.kron(b, identity(len(b))) if left else np.kron(identity(len(b)), b) for b in a.blocks
     ))
+
+
+@pytest.mark.parametrize("spec", [SPEC, AlgebraSpec((1, 2, 3))], ids=["toy", "1+2+3"])
+@pytest.mark.parametrize("left", [True, False])
+def test_mult_map_matches_the_kronecker_reference(spec, left):
+    rng = np.random.default_rng(12)
+    for a in [spec.unit()] + [random_element(spec, rng) for _ in range(3)]:
+        assert np.array_equal(_mult_map(spec.summands, a, left), _cf_tensor(spec, a, left))
+    with pytest.raises(ValueError, match="does not match the algebra"):
+        _mult_map(spec.summands[:-1], a, left)
+    assert not _mult_tensor(spec.summands, left).flags.writeable
 
 
 @settings(max_examples=40, deadline=None)

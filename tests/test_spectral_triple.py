@@ -140,6 +140,30 @@ def test_batched_membership_matches_a_least_squares_reference(spec):
     assert spec.first_outside([spec.unit(), nan]) == 1
 
 
+@pytest.mark.parametrize("summands", [(1,), (3,), (2, 2), (1, 3, 2), (2, 1, 1, 3)])
+def test_from_coords_inverts_vec(summands):
+    spec = AlgebraSpec(summands)
+    rng = np.random.default_rng(len(summands))
+    rows = rng.standard_normal((5, spec.ambient_dim)) + 1j * rng.standard_normal((5, spec.ambient_dim))
+    elems = spec.from_coords(rows)
+    assert [tuple(len(b) for b in a.blocks) for a in elems] == [summands] * 5
+    assert np.array_equal(np.array([a.vec() for a in elems]), rows)
+    assert np.array_equal(spec.from_coords(list(rows[:2]))[1].vec(), rows[1])  # a list of rows
+    assert spec.from_coords(np.zeros((0, spec.ambient_dim))) == []
+    assert spec.from_coords([]) == []
+    with pytest.raises(ValueError):
+        spec.from_coords(np.zeros((2, spec.ambient_dim + 1)))
+
+
+@pytest.mark.parametrize("spec", [a_ev(), AlgebraSpec((1, 3, 2))], ids=["toy", "unconstrained"])
+def test_random_element_draws_over_the_spanning_set(spec):
+    rows = np.array([e.vec() for e in spanning_set(spec)])
+    for seed in range(3):
+        got = random_element(spec, np.random.default_rng(seed)).vec()
+        re, im = np.random.default_rng(seed).standard_normal((len(rows), 2)).T
+        assert np.array_equal(got, (re + 1j * im) @ rows)
+
+
 def test_dim_is_the_rank_of_a_redundant_constraint_basis():
     e11 = AlgebraElement((np.diag([1.0, 0.0]),))
     e22 = AlgebraElement((np.diag([0.0, 1.0]),))
