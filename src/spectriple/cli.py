@@ -5,8 +5,8 @@ Every subcommand accepts --model/--config/--seed/--tol/--out; when a flag is
 absent the environment variables SPECTRIPLE_MODEL, SPECTRIPLE_CONFIG,
 SPECTRIPLE_SEED, SPECTRIPLE_TOL and SPECTRIPLE_OUT are consulted, then the
 config file, then built-in defaults.  Exit codes: 0 on success, 1 when a
-computation ran but an expectation failed (residual above tolerance, no
-converged minimum), 2 on input errors.
+computation failed on valid input or an expectation failed (residual above
+tolerance, no converged minimum), 2 on input errors.
 """
 
 from __future__ import annotations
@@ -73,19 +73,15 @@ def _first(*values):
     return None
 
 
-def _env(name: str):
-    return os.environ.get(name)
-
-
 def _resolve(args):
     """Flag > environment > config file > defaults."""
-    model = _first(args.model, _env("SPECTRIPLE_MODEL"))
-    config = _first(args.config, _env("SPECTRIPLE_CONFIG"))
+    model = _first(args.model, os.environ.get("SPECTRIPLE_MODEL"))
+    config = _first(args.config, os.environ.get("SPECTRIPLE_CONFIG"))
     cfg = mio.load_config(config)
-    env_seed = _env("SPECTRIPLE_SEED")
+    env_seed = os.environ.get("SPECTRIPLE_SEED")
     seed = _first(args.seed, int(env_seed) if env_seed is not None else None, cfg.seed)
-    tol = mio.valid_tol(_first(args.tol, _env("SPECTRIPLE_TOL"), cfg.tol))
-    out = _first(args.out, _env("SPECTRIPLE_OUT"))
+    tol = mio.valid_tol(_first(args.tol, os.environ.get("SPECTRIPLE_TOL"), cfg.tol))
+    out = _first(args.out, os.environ.get("SPECTRIPLE_OUT"))
     return model, cfg, int(seed), tol, out
 
 
@@ -335,6 +331,9 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except ArithmeticError as exc:  # e.g. v_trace's imaginary trace: exit 1, not 2
+        sys.stderr.write(f"error: {exc}\n")
+        return 1
 
 
 if __name__ == "__main__":

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .matrix_core import adjoint, approx_eq, frob_norm, identity
 from .spectral_triple import (
@@ -157,11 +156,12 @@ def _coefficients(spec: AlgebraSpec, m, what: str) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _mult_tensor(summands: tuple, left: bool) -> np.ndarray:
     """Read-only (d, d, d): slice alpha is :func:`_mult_map` of the ambient matrix unit e_alpha."""
-    units = AlgebraSpec(summands).from_coords(identity(sum(n * n for n in summands)))
-    def side(b):
-        return np.kron(b, identity(len(b))) if left else np.kron(identity(len(b)), b)
-
-    maps = np.array([block_diag(*map(side, u.blocks)) for u in units])
+    maps, o = np.zeros((sum(n * n for n in summands),) * 3, dtype=complex), 0
+    for n in summands:  # e_alpha of summand n fills only that summand's n^2 x n^2 tile
+        eye = identity(n)
+        for alpha, b in enumerate(identity(n * n).reshape(-1, n, n), start=o):
+            maps[alpha, o:o + n * n, o:o + n * n] = np.kron(b, eye) if left else np.kron(eye, b)
+        o += n * n
     maps.setflags(write=False)
     return maps
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
-from scipy.linalg import expm, orth
 
 from .matrix_core import (
     AntilinearOp,
@@ -104,10 +103,10 @@ class AlgebraSpec:
 
     A constraint basis must be closed under products and adjoints (checked at
     construction on the spanning set), which is exactly what makes the span a
-    *-subalgebra.  The orthogonal projector onto the span, over the ambient
-    coordinates of ``AlgebraElement.vec()``, is computed once and kept; every
-    membership test is one product with it.  The coordinates of the spanning
-    set and their pseudo-inverse are kept too, from their first use.
+    *-subalgebra; its entries must be finite.  The orthogonal projector onto
+    the span over ``AlgebraElement.vec()`` coordinates (a thin SVD, with the
+    rank cutoff of ``scipy.linalg.orth``) is kept; a membership test is one
+    product with it.  So are the spanning set's coordinates and pseudo-inverse.
     """
 
     summands: tuple
@@ -127,8 +126,12 @@ class AlgebraSpec:
             for e in basis:
                 if tuple(b.shape[0] for b in e.blocks) != summands:
                     raise ValueError("constraint basis element has wrong summand shapes")
+            cols = np.column_stack([e.vec() for e in basis])
+            if not np.isfinite(cols).all():
+                raise ValueError("constraint basis has non-finite entries")
             object.__setattr__(self, "basis", basis)
-            q = orth(np.column_stack([e.vec() for e in basis]))
+            u, s, _ = np.linalg.svd(cols, full_matrices=False)
+            q = u[:, s > s.max() * np.finfo(float).eps * max(cols.shape)]
             object.__setattr__(self, "_proj", q @ q.conj().T)
             self._check_closure()
 
@@ -438,8 +441,8 @@ def random_hermitian(spec: AlgebraSpec, rng: np.random.Generator) -> AlgebraElem
 
 def random_unitary(spec: AlgebraSpec, rng: np.random.Generator) -> AlgebraElement:
     """
-    exp(i h) for a random hermitian h in the algebra.  For multimatrix
-    algebras (every spec shipped here) the exponential stays in the algebra.
+    exp(i h) = V diag(e^{i l}) V* of a random hermitian h = V diag(l) V* in the algebra, per
+    block.  For multimatrix algebras (every spec shipped here) it stays in the algebra.
     """
-    h = random_hermitian(spec, rng)
-    return AlgebraElement(tuple(expm(1j * b) for b in h.blocks))
+    eigs = map(np.linalg.eigh, random_hermitian(spec, rng).blocks)
+    return AlgebraElement(tuple((v * np.exp(1j * lam)) @ v.conj().T for lam, v in eigs))

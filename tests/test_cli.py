@@ -1,11 +1,16 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from spectriple import build_toy, cli, fluctuate_combined, morita, perturbation, random_pert
+import spectriple
+from spectriple import action, build_toy, cli, fluctuate_combined, morita, perturbation, random_pert
 from spectriple.action import PI_SQ
 from spectriple.cli import main
 from spectriple.model_io import (
@@ -229,6 +234,37 @@ def test_morita_check_reports_a_failed_idempotent_draw(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.err == "error: could not draw a clean random idempotent\n"
     assert "status:" not in captured.out
+
+
+@pytest.mark.parametrize("command, name", [
+    ("minimize", "v_trace"),
+    ("hessian", "v_trace"),
+    ("potential-scan", "v_reduced"),  # the scan evaluates the closed form, not the trace
+])
+def test_a_failed_potential_evaluation_exits_1_with_a_message(capsys, monkeypatch, command, name):
+    # v_trace's ArithmeticError is a failed computation on valid input: exit 1, no traceback
+    def imaginary(*args, **kwargs):
+        raise ArithmeticError("trace of D'^2 acquired an imaginary part")
+
+    monkeypatch.setattr(action, name, imaginary)
+    assert main([command]) == 1
+    assert capsys.readouterr().err == "error: trace of D'^2 acquired an imaginary part\n"
+
+
+@pytest.mark.parametrize(
+    "args", [["check"], ["semigroup-verify", "--seed", "0"]], ids=["check", "semigroup"]
+)
+def test_python_m_spectriple_runs_without_importing_scipy(args):
+    # scipy.linalg alone is most of a start-up; only minimize imports scipy (scipy.optimize)
+    env = {**os.environ, "PYTHONPATH": str(Path(spectriple.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "spectriple", *args],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith("status: ok\n")
+    loaded = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+              if line.startswith("import time:")]
+    assert "spectriple.cli" in loaded
+    assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
 
 
 def test_semigroup_verify_fails_on_a_nan_residual(capsys, monkeypatch):

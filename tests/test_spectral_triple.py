@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import null_space
+from scipy.linalg import expm, null_space, orth
 
 from spectriple import (
     AlgebraElement,
@@ -164,10 +164,30 @@ def test_random_element_draws_over_the_spanning_set(spec):
         assert np.array_equal(got, (re + 1j * im) @ rows)
 
 
-def test_dim_is_the_rank_of_a_redundant_constraint_basis():
+def _redundant_spec():
     e11 = AlgebraElement((np.diag([1.0, 0.0]),))
     e22 = AlgebraElement((np.diag([0.0, 1.0]),))
-    assert AlgebraSpec((2,), basis=(e11, e22, e11 + e22)).dim() == 2
+    return AlgebraSpec((2,), basis=(e11, e22, e11 + e22))
+
+
+def test_dim_is_the_rank_of_a_redundant_constraint_basis():
+    assert _redundant_spec().dim() == 2
+
+
+@pytest.mark.parametrize("make", [a_ev, a_f, _redundant_spec])
+def test_span_projector_matches_the_scipy_orth_reference(make):
+    spec = make()
+    q = orth(np.column_stack([e.vec() for e in spec.basis]))
+    assert np.abs(spec._proj - q @ q.conj().T).max() < 1e-12
+    assert spec.dim() == q.shape[1]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_constraint_basis_must_be_finite(bad):
+    e11 = AlgebraElement((np.diag([1.0, 0.0]),))
+    e22 = AlgebraElement((np.diag([0.0, bad]),))
+    with pytest.raises(ValueError, match="non-finite entries"):
+        AlgebraSpec((2,), basis=(e11, e22))
 
 
 def test_constraint_basis_must_be_closed():
@@ -187,6 +207,17 @@ def test_random_hermitian_and_unitary(rng):
     uu = u * u.star()
     assert np.allclose(uu.vec(), spec.unit().vec(), atol=1e-12)
     assert spec.contains(u)
+
+
+@pytest.mark.parametrize("spec", [a_ev(), AlgebraSpec((1, 2, 3))], ids=["toy", "unconstrained"])
+def test_random_unitary_matches_the_scipy_expm_reference(spec):
+    for seed in range(5):
+        u = random_unitary(spec, np.random.default_rng(seed))
+        h = random_hermitian(spec, np.random.default_rng(seed))
+        for got, b in zip(u.blocks, h.blocks):
+            assert np.abs(got - expm(1j * b)).max() < 1e-13
+            assert np.abs(got @ got.conj().T - identity(len(b))).max() < 1e-13
+        assert spec.contains(u)
 
 
 # ---------------------------------------------------------------------------
