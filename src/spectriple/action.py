@@ -5,6 +5,7 @@ The potential is V(D') = -(f2/2 pi^2) L^2 Tr(D'^2) + (f0/8 pi^2) Tr(D'^4),
 evaluated on fluctuated operators.  Because the fluctuation closes on the
 field pair (x, v), V reduces to a polynomial in |x|^2 and |v|^2, which this
 module exposes both through honest traces and through the closed form.
+Its grid scan reads only the rows next to each column's vertex, O(n) of n^2 nodes.
 
 Minimization works on the real chart
 
@@ -27,9 +28,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .matrix_core import adjoint, frob_norm
 from .spectral_triple import FiniteSpectralTriple, represent, spanning_set
-from .toy_model import FieldPoint, ToyParams, build_toy, closed_dirac
+from .toy_model import FieldPoint, ToyParams, closed_dirac
 
 __all__ = [
     "ActionParams",
@@ -49,7 +49,6 @@ __all__ = [
     "v_closed",
     "v_reduced",
     "v_trace",
-    "vev_transform_check",
     "x_grid",
 ]
 
@@ -85,15 +84,17 @@ def v_trace(tp: ToyParams, ap: ActionParams, fp: FieldPoint):
     return float(value) if value.ndim == 0 else value
 
 
+def _coefficients(tp: ToyParams, ap: ActionParams):
+    """|k_x|^2, |k_y|^2, a = -f2 lam^2 / pi^2 and b = f0 / (4 pi^2): the constants of V."""
+    return abs(tp.k_x) ** 2, abs(tp.k_y) ** 2, -ap.f2 * ap.lam ** 2 / PI_SQ, ap.f0 / (4.0 * PI_SQ)
+
+
 def v_reduced(tp: ToyParams, ap: ActionParams, x_sq, v_sq):
     """
     Closed form in u = |x|^2 and s = |v|^2 (broadcasts), in Horner form so the terms in s
     alone stay on s's axes: (a ky2 + b ky2^2 s^2) s^2 + u (4a kx2 + 4b kx2 ky2 s^2 + 4b kx2^2 u).
     """
-    kx2 = abs(tp.k_x) ** 2
-    ky2 = abs(tp.k_y) ** 2
-    a = -ap.f2 * ap.lam ** 2 / PI_SQ
-    b = ap.f0 / (4.0 * PI_SQ)
+    kx2, ky2, a, b = _coefficients(tp, ap)
     u = np.asarray(x_sq, dtype=float)
     s2 = np.asarray(v_sq, dtype=float) ** 2
     return (a * ky2 + b * ky2 ** 2 * s2) * s2 + u * (
@@ -103,9 +104,7 @@ def v_reduced(tp: ToyParams, ap: ActionParams, x_sq, v_sq):
 
 def v_closed(tp: ToyParams, ap: ActionParams, fp: FieldPoint) -> float:
     """The same potential evaluated without building any operator."""
-    u = abs(fp.x) ** 2
-    s = abs(fp.v1) ** 2 + abs(fp.v2) ** 2
-    return float(v_reduced(tp, ap, u, s))
+    return float(v_reduced(tp, ap, abs(fp.x) ** 2, abs(fp.v1) ** 2 + abs(fp.v2) ** 2))
 
 
 def field_point(coords) -> FieldPoint:
@@ -215,6 +214,8 @@ def minimize(fun, start, fixed: dict | None = None, gate: float = 1e-10) -> Mini
     """
     start = np.array(start, dtype=float)
     fixed = {int(k): float(v) for k, v in (fixed or {}).items()}
+    if any(not 0 <= k < start.size for k in fixed):
+        raise ValueError(f"fixed indices must lie in range({start.size}), got {sorted(fixed)}")
     start[list(fixed)] = list(fixed.values())
     free = [i for i in range(start.size) if i not in fixed]
     if not free:
@@ -322,33 +323,11 @@ def stabilizer_dim(t: FiniteSpectralTriple, d_op, spec=None) -> int:
     return spec.dim() - int(np.sum(svals > 1e-8 * svals.max(initial=0.0)))
 
 
-def vev_transform_check(tp: ToyParams, fp: FieldPoint, u, tol: float = 1e-9) -> float:
-    """
-    Residual of the covariance law for a unitary u = (diag(r, l), m) of the
-    even subalgebra: conjugating the fluctuated operator by pi(u) hat(pi(u))
-    lands on the field point (r conj(l) x, conj(r) m v).
-    """
-    t = build_toy(tp)
-    uu = (u * u.star()).vec()
-    unit = t.algebra.unit().vec()
-    if np.linalg.norm(uu - unit) > tol * max(1.0, float(np.linalg.norm(unit))):
-        raise ValueError("element is not unitary")
-    pu = represent(t, u)
-    big = pu @ t.hat(pu)
-    lhs = big @ closed_dirac(tp, fp) @ adjoint(big)
-    (lam_r, lam_l), m = np.diag(u.blocks[0]), u.blocks[1]
-    v_new = np.conj(lam_r) * (m @ fp.v)
-    rhs = closed_dirac(tp, FieldPoint(lam_r * np.conj(lam_l) * fp.x, *v_new))
-    return frob_norm(lhs - rhs) / max(1.0, frob_norm(rhs))
-
-
 # ---------------------------------------------------------------------------
 # Scans
 
 
-# Rows per grid_scan block: 32 rows of a 4001-point grid need about 5 MB of
-# temporaries, where 256 rows took about 40 MB.
-_SCAN_ROWS = 32
+_SCAN_ROWS = 32  # rows per chunk of grid_scan's windows: about 5 MB of temporaries
 
 
 @dataclass
@@ -360,17 +339,38 @@ class ScanResult:
 
 def grid_scan(tp: ToyParams, ap: ActionParams, n: int = 4001) -> ScanResult:
     """
-    Minimum of the reduced potential over an n x n grid on [0, 4]^2 in
-    (|x|^2, |v|^2), the first one in row-major order on ties.
+    Minimum of the reduced potential over an n x n grid on [0, 4]^2 in (|x|^2, |v|^2), the
+    first in row-major order on ties, read from the O(n) rows next to each column's vertex.
+
+    In a column s = |v|^2, V = c0 + c1 u + c2 u^2 in u = |x|^2 with c2 = 4 b |k_x|^4 >= 0, so its
+    exact minimum lies next to the vertex u* = -c1 / 2 c2 clipped to [0, 4]; at k_x = 0 row 0 wins
+    an exact tie.  Rounding can tie rows of different exact value, so a column reads each row whose
+    exact excess over its best row, at least c2 (u - u*)^2 or |V'(u*)| |u - u*| at a clipped u*,
+    is within 64 eps times the sum of V's term moduli (a bound on ``v_reduced``'s rounding), plus
+    one row each side, in chunks of ``_SCAN_ROWS``.  The result is the full grid's, bit for bit.
     """
-    axis = np.linspace(0.0, 4.0, n)
-    best = ScanResult(math.inf, 0.0, 0.0)
-    for lo in range(0, n, _SCAN_ROWS):
-        block = v_reduced(tp, ap, axis[lo:lo + _SCAN_ROWS, None], axis[None, :])
-        i, j = np.unravel_index(np.argmin(block), block.shape)
-        if block[i, j] < best.value:
-            best = ScanResult(float(block[i, j]), float(axis[lo + i]), float(axis[j]))
-    return best
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"grid size must be an integer >= 1, got {n!r}")
+    axis, h = np.linspace(0.0, 4.0, n), 4.0 / max(n - 1, 1)
+    (kx2, ky2, a, b), s2 = _coefficients(tp, ap), axis ** 2
+    c1, c2 = 4.0 * a * kx2 + 4.0 * b * kx2 * ky2 * s2, 4.0 * b * kx2 ** 2
+    terms = abs(a) * ky2 * s2 + b * (ky2 * s2) ** 2 + 16.0 * (abs(a) * kx2 + b * kx2 * ky2 * s2 + c2)
+    tol = 64.0 * np.finfo(float).eps * terms + np.finfo(float).tiny
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        vertex = np.fmin(np.fmax(-c1 / (2.0 * c2), 0.0), 4.0)  # 0 when c1 = c2 = 0
+        slope = np.abs(2.0 * c2 * vertex + c1)  # 0 at an inner vertex
+        reach = np.fmin(np.sqrt(tol / c2) + h / 2, (tol + c2 * h * h / 4) / slope)
+    lo = np.fmax(np.floor((vertex - reach) / h) - 1, 0).astype(int)  # a NaN reach: all rows
+    hi = np.fmin(np.ceil((vertex + reach) / h) + 1, n - 1).astype(int)
+    width, best = (hi - lo + 1 if kx2 > 0.0 else np.ones(n, dtype=int)), (math.inf, 0, 0)
+    for t in range(0, int(width.max()), _SCAN_ROWS):
+        k = np.clip(width - t, 0, _SCAN_ROWS)
+        col = np.repeat(np.arange(n), k)
+        row = np.repeat(lo + t + k - np.cumsum(k), k) + np.arange(col.size)
+        vals = v_reduced(tp, ap, axis[row], axis[col])
+        i = np.argmin(np.where(vals == vals.min(), row * n + col, n * n))
+        best = min(best, (float(vals[i]), int(row[i]), int(col[i])))  # (value, row, column)
+    return ScanResult(best[0], float(axis[best[1]]), float(axis[best[2]]))
 
 
 def sigma_grid(tp: ToyParams, ap: ActionParams, n: int = 201, lim: float = 3.0):

@@ -14,27 +14,31 @@ from spectriple import (
     ActionParams,
     FieldPoint,
     ToyParams,
+    action,
     build_toy,
     closed_dirac,
+    frob_norm,
     grad_hess,
     grid_scan,
     minimize,
     multi_start_minimize,
+    represent,
     stabilizer_dim,
     v_closed,
     v_trace,
 )
 from spectriple.action import (
     PI_SQ,
+    ScanResult,
     classify_point,
     field_point,
     potential_fn,
     sigma_grid,
     sigma_valley_radius,
     v_reduced,
-    vev_transform_check,
     x_grid,
 )
+from spectriple.matrix_core import adjoint
 from spectriple.spectral_triple import random_element, random_unitary
 from spectriple.toy_model import a_ev, a_f
 
@@ -270,6 +274,13 @@ def test_constrained_minimum_from_former_stall_and_mirror_starts(s1):
     assert res.coords[1] == pytest.approx(S1_SIGMA, abs=1e-8)
 
 
+@pytest.mark.parametrize("index", [-1, 3, 5])
+def test_minimize_rejects_a_fixed_index_out_of_range(index):
+    # -1 once pinned start[2] and then optimized all three coordinates anyway
+    with pytest.raises(ValueError, match=r"range\(3\)"):
+        minimize(potential_fn(UNIT_TP, UNIT_AP), (0.5, 0.2, 0.3), fixed={index: 0.3})
+
+
 def test_minimize_reports_a_nan_objective_as_not_converged():
     res = minimize(lambda z: float("nan"), np.zeros(3))
     assert not res.converged
@@ -369,22 +380,113 @@ def test_stabilizer_dim_over_a_subalgebra(toy):
     assert stabilizer_dim(toy, np.zeros((8, 8)), spec=a_f()) == 3
 
 
+def _vev_transform_check(tp: ToyParams, fp: FieldPoint, u, tol: float = 1e-9) -> float:
+    """
+    Residual of the covariance law for a unitary u = (diag(r, l), m) of the
+    even subalgebra: conjugating the fluctuated operator by pi(u) hat(pi(u))
+    lands on the field point (r conj(l) x, conj(r) m v).
+    """
+    t = build_toy(tp)
+    uu = (u * u.star()).vec()
+    unit = t.algebra.unit().vec()
+    if np.linalg.norm(uu - unit) > tol * max(1.0, float(np.linalg.norm(unit))):
+        raise ValueError("element is not unitary")
+    pu = represent(t, u)
+    big = pu @ t.hat(pu)
+    lhs = big @ closed_dirac(tp, fp) @ adjoint(big)
+    (lam_r, lam_l), m = np.diag(u.blocks[0]), u.blocks[1]
+    v_new = np.conj(lam_r) * (m @ fp.v)
+    rhs = closed_dirac(tp, FieldPoint(lam_r * np.conj(lam_l) * fp.x, *v_new))
+    return frob_norm(lhs - rhs) / max(1.0, frob_norm(rhs))
+
+
 def test_vev_transform_matches_the_phase_prediction(rng):
     tp = ToyParams(1.1, 0.9 - 0.2j)
     fp = FieldPoint(0.4 + 0.2j, 1.2, -0.7j)
     for _ in range(5):
         u = random_unitary(a_ev(), rng)
-        assert vev_transform_check(tp, fp, u) < 1e-12
+        assert _vev_transform_check(tp, fp, u) < 1e-12
 
 
 def test_vev_transform_rejects_non_unitaries(rng):
     h = random_element(a_ev(), rng)
     with pytest.raises(ValueError, match="unitary"):
-        vev_transform_check(UNIT_TP, FieldPoint.unfluctuated(), h + a_ev().unit())
+        _vev_transform_check(UNIT_TP, FieldPoint.unfluctuated(), h + a_ev().unit())
 
 
 # ---------------------------------------------------------------------------
 # Scans
+
+
+def _reference_grid_scan(tp, ap, n):
+    """The full scan: every node of the grid, in blocks of 32 rows."""
+    axis = np.linspace(0.0, 4.0, n)
+    best = ScanResult(math.inf, 0.0, 0.0)
+    for lo in range(0, n, 32):
+        block = v_reduced(tp, ap, axis[lo:lo + 32, None], axis[None, :])
+        i, j = np.unravel_index(np.argmin(block), block.shape)
+        if block[i, j] < best.value:
+            best = ScanResult(float(block[i, j]), float(axis[lo + i]), float(axis[j]))
+    return best
+
+
+SCAN_CASES = [
+    (ToyParams(k_x, k_y), ap, n)
+    for k_x, k_y in [(1.0, 1.0), (0.0, 1.0), (1.0, 0.0), (0.0, 0.0), (0.5 + 0.5j, 2j),
+                     (1e-3, 1.0), (3.0, 1e-7), (1e3, 50.0)]
+    for ap in [UNIT_AP, ActionParams(5.0, 0.1, 3.0), ActionParams(0.2, 7.0, 0.5)]
+    for n in [1, 2, 3, 41, 401]
+] + [
+    # the u-slope, 9e-14 a row, is below one ulp of V ~ -2052: rows 397-400 tie
+    # after rounding, so the full scan returns row 397 (x_sq = 3.97), and a
+    # window of the 4 rows at the vertex would return row 400
+    (ToyParams(1e-6, 50.0), ActionParams(5.0, 0.1, 3.0), 401),
+    (ToyParams(1e-9, 1.0), UNIT_AP, 401),
+]
+
+
+@pytest.mark.parametrize("tp, ap, n", SCAN_CASES)
+def test_grid_scan_matches_the_full_scan_bit_for_bit(tp, ap, n):
+    got, want = grid_scan(tp, ap, n), _reference_grid_scan(tp, ap, n)
+    assert (got.value, got.x_sq, got.v_sq) == (want.value, want.x_sq, want.v_sq)
+
+
+def test_grid_scan_evaluates_o_of_n_nodes(monkeypatch):
+    nodes = []
+
+    def counted(tp, ap, x_sq, v_sq):
+        nodes.append(np.broadcast(np.asarray(x_sq), np.asarray(v_sq)).size)
+        return v_reduced(tp, ap, x_sq, v_sq)
+
+    monkeypatch.setattr(action, "v_reduced", counted)
+    res = grid_scan(UNIT_TP, UNIT_AP, n=4001)
+    assert sum(nodes) <= 8 * 4001
+    assert (res.x_sq, res.v_sq) == (2.0, 0.0)
+
+
+def test_grid_scan_breaks_a_planted_tie_in_row_major_order(monkeypatch):
+    # two nodes next to their columns' vertices share the lowest value; the one
+    # in the earlier row wins although its column comes later
+    axis = np.linspace(0.0, 4.0, 401)
+
+    def planted(tp, ap, x_sq, v_sq):
+        tied = (x_sq == axis[200]) & (v_sq == axis[0])
+        tied |= (x_sq == axis[188]) & (v_sq == axis[50])
+        return np.where(tied, -10.0, v_reduced(tp, ap, x_sq, v_sq))
+
+    monkeypatch.setattr(action, "v_reduced", planted)
+    assert grid_scan(UNIT_TP, UNIT_AP, n=401) == ScanResult(-10.0, axis[188], axis[50])
+
+
+@pytest.mark.parametrize("n", [0, -3, 5.5, 5.0, "41", None])
+def test_grid_scan_rejects_a_bad_size(n):
+    with pytest.raises(ValueError, match="integer >= 1"):
+        grid_scan(UNIT_TP, UNIT_AP, n=n)
+
+
+def test_grid_scan_on_one_node_is_the_origin():
+    assert grid_scan(UNIT_TP, UNIT_AP, n=1) == ScanResult(0.0, 0.0, 0.0)
+    assert grid_scan(UNIT_TP, UNIT_AP, n=np.int64(41)) == grid_scan(UNIT_TP, UNIT_AP, n=41)
 
 
 def test_grid_scan_hits_the_exact_node():
@@ -396,7 +498,7 @@ def test_grid_scan_hits_the_exact_node():
 
 def test_grid_scan_keeps_the_first_minimum_in_row_major_order():
     # with k_x = 0 the potential ignores |x|^2, so every row ties; the first
-    # row must win across row blocks
+    # row must win, though the scan reads no row but the first
     res = grid_scan(ToyParams(0.0, 1.0), UNIT_AP, n=101)
     assert res.x_sq == 0.0
     assert res.v_sq == pytest.approx(math.sqrt(2.0), abs=0.04)
