@@ -213,9 +213,10 @@ def minimize(fun, start, fixed: dict | None = None, gate: float = 1e-10) -> Mini
     the reason in ``message``.
     """
     start = np.array(start, dtype=float)
-    fixed = {int(k): float(v) for k, v in (fixed or {}).items()}
-    if any(not 0 <= k < start.size for k in fixed):
-        raise ValueError(f"fixed indices must lie in range({start.size}), got {sorted(fixed)}")
+    fixed = dict(fixed or {})
+    if any(not isinstance(k, (int, np.integer)) or not 0 <= k < start.size for k in fixed):
+        raise ValueError(f"fixed indices must be integers in range({start.size}): {list(fixed)}")
+    fixed = {int(k): float(v) for k, v in fixed.items()}
     start[list(fixed)] = list(fixed.values())
     free = [i for i in range(start.size) if i not in fixed]
     if not free:
@@ -337,6 +338,13 @@ class ScanResult:
     v_sq: float
 
 
+def _grid_axis(lo: float, hi: float, n) -> np.ndarray:
+    """n evenly spaced points on [lo, hi], for an integer n >= 1."""
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"grid size must be an integer >= 1, got {n!r}")
+    return np.linspace(lo, hi, n)
+
+
 def grid_scan(tp: ToyParams, ap: ActionParams, n: int = 4001) -> ScanResult:
     """
     Minimum of the reduced potential over an n x n grid on [0, 4]^2 in (|x|^2, |v|^2), the
@@ -349,9 +357,7 @@ def grid_scan(tp: ToyParams, ap: ActionParams, n: int = 4001) -> ScanResult:
     is within 64 eps times the sum of V's term moduli (a bound on ``v_reduced``'s rounding), plus
     one row each side, in chunks of ``_SCAN_ROWS``.  The result is the full grid's, bit for bit.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"grid size must be an integer >= 1, got {n!r}")
-    axis, h = np.linspace(0.0, 4.0, n), 4.0 / max(n - 1, 1)
+    axis, h = _grid_axis(0.0, 4.0, n), 4.0 / max(n - 1, 1)
     (kx2, ky2, a, b), s2 = _coefficients(tp, ap), axis ** 2
     c1, c2 = 4.0 * a * kx2 + 4.0 * b * kx2 * ky2 * s2, 4.0 * b * kx2 ** 2
     terms = abs(a) * ky2 * s2 + b * (ky2 * s2) ** 2 + 16.0 * (abs(a) * kx2 + b * kx2 * ky2 * s2 + c2)
@@ -378,7 +384,7 @@ def sigma_grid(tp: ToyParams, ap: ActionParams, n: int = 201, lim: float = 3.0):
     Potential at x = 0 over a real (s1, s2) grid; the fields there are
     v = (1 + s1, s2).  Returns (s1 axis, s2 axis, V matrix).
     """
-    axis = np.linspace(-lim, lim, n)
+    axis = _grid_axis(-lim, lim, n)
     v_sq = (1.0 + axis[:, None]) ** 2 + axis[None, :] ** 2
     return axis, axis.copy(), v_reduced(tp, ap, 0.0, v_sq)
 
@@ -394,6 +400,6 @@ def x_grid(tp: ToyParams, ap: ActionParams, n: int = 201, lim: float = 2.5):
     Potential over complex x = a + ib with v pinned on the sigma valley at
     (sqrt(w), 0), w the valley radius.  Returns (Re axis, Im axis, V matrix).
     """
-    axis = np.linspace(-lim, lim, n)
+    axis = _grid_axis(-lim, lim, n)
     x_sq = axis[:, None] ** 2 + axis[None, :] ** 2
     return axis, axis.copy(), v_reduced(tp, ap, x_sq, sigma_valley_radius(tp, ap))

@@ -8,18 +8,16 @@ sub-block of size m_s of its block s is the s-block of entry (i, k)
 
 Everything is phrased on the ambient space C^n (x) C^n (x) H.  M_n(A) acts
 there twice, reading the triple's tables pi(e_alpha) and hat(pi(e_alpha)):
-through the left leg (``pi_big``) and, conjugated by the real structure,
-through the right leg (``pi_hat_big``).  A connection is an n x n matrix
-of universal one-forms B with e B e = B, each entry stored as its
+through the cells (i, k) of the left leg and, conjugated by the real
+structure, of the right leg (:func:`_cells`).  A connection is an n x n
+matrix of universal one-forms B with e B e = B, each entry stored as its
 coefficients omega in A (x) A, so a connection is the (n, n, d, d) stack of
-:func:`conn_coefficients`: e B e is two matrix products on it, with the maps
-of the entries of e read off one cached multiplication tensor
-(:func:`compress_coefficients`), and its action on a base operator contracts
-the one-form kernel of ``perturbation.a1`` into the cells of one leg, with no
-Kronecker-expanded operator built (:func:`rep_conn`).  The module twist of D
-can then be computed in two orders -- left leg first or right leg first --
-and the two agree identically, which is the analogue of the transitivity of
-ordinary inner fluctuations.
+:func:`conn_coefficients`; e B e is two matrix products on it
+(:func:`compress_coefficients`).  The module twist of D can be computed in
+two orders -- left leg first or right leg first -- and the two agree
+identically, which is the analogue of the transitivity of ordinary inner
+fluctuations.  Both are contractions over cells of operators on H
+(:func:`_twist`), with no operator on the whole ambient space multiplied.
 """
 
 from __future__ import annotations
@@ -29,20 +27,19 @@ from functools import cached_property
 
 import numpy as np
 
-from .matrix_core import AntilinearOp, commutator, identity
+from .matrix_core import commutator, identity
 from .perturbation import (
     UniversalOneForm,
+    _eta,
+    _flip,
     _leg_weights,
     _mult_tensor,
     one_form_cf,
-    one_form_scale,
-    one_form_star,
 )
 from .spectral_triple import (
     AlgebraElement,
     AlgebraSpec,
     FiniteSpectralTriple,
-    random_element,
 )
 
 __all__ = [
@@ -53,16 +50,11 @@ __all__ = [
     "conn_coefficients",
     "corner",
     "corner_projector",
-    "d_big",
     "hermitize_connection",
-    "induced_real_structure",
     "mn_entries",
     "mn_from_entries",
-    "pi_big",
-    "pi_hat_big",
     "random_conn_form",
     "random_idempotent",
-    "rep_conn",
     "twisted_dirac_left",
     "twisted_dirac_right",
 ]
@@ -77,10 +69,8 @@ def mn_from_entries(grid) -> AlgebraElement:
     The element of M_n(A) with entries ``grid[i][k]``: block s has size
     n*m_s, and its (i, k) sub-block of size m_s is the s-block of entry (i, k).
     """
-    summands = range(len(grid[0][0].blocks))
-    return AlgebraElement(
-        tuple(np.block([[a.blocks[s] for a in row] for row in grid]) for s in summands)
-    )
+    summands = tuple(len(b) for b in grid[0][0].blocks)
+    return _from_entry_coords(summands, np.array([[a.vec() for a in row] for row in grid]))
 
 
 def mn_entries(x: AlgebraElement, n: int) -> tuple:
@@ -98,6 +88,15 @@ def _entry_coords(x: AlgebraElement, n: int) -> np.ndarray:
     return np.concatenate([g.reshape(n, n, -1) for g in grid], axis=-1)
 
 
+def _from_entry_coords(summands: tuple, coords: np.ndarray) -> AlgebraElement:
+    """The element of M_n(A) whose entries have the ambient coordinates ``coords`` (n, n, d)."""
+    n, starts = len(coords), np.cumsum((0,) + tuple(m * m for m in summands))
+    return AlgebraElement(tuple(
+        coords[..., o:o + m * m].reshape(n, n, m, m).transpose(0, 2, 1, 3).reshape(n * m, n * m)
+        for o, m in zip(starts, summands)
+    ))
+
+
 def _mn_spec(spec: AlgebraSpec, n: int) -> AlgebraSpec:
     """M_n of the ambient multimatrix algebra of ``spec``."""
     return AlgebraSpec(tuple(n * m for m in spec.summands))
@@ -105,18 +104,6 @@ def _mn_spec(spec: AlgebraSpec, n: int) -> AlgebraSpec:
 
 # ---------------------------------------------------------------------------
 # Representations on C^n (x) C^n (x) H
-
-
-def _on_leg(cells: np.ndarray, hatted: bool) -> np.ndarray:
-    """
-    Place cell operators on C^n (x) C^n (x) H: ``cells[..., i, k]`` (each on H)
-    fills cell (i, k) of the left C^n leg, or of the right leg when ``hatted``,
-    with the identity on the other leg.  Leading axes are kept.
-    """
-    n, dim_h = cells.shape[-3], cells.shape[-1]
-    layout = "...jkhg,il->...ijhlkg" if hatted else "...ikhg,jl->...ijhklg"
-    dim = n * n * dim_h
-    return np.einsum(layout, cells, identity(n)).reshape(cells.shape[:-4] + (dim, dim))
 
 
 def _cells(t: FiniteSpectralTriple, n: int, x: AlgebraElement, hatted: bool) -> np.ndarray:
@@ -131,63 +118,29 @@ def _cells(t: FiniteSpectralTriple, n: int, x: AlgebraElement, hatted: bool) -> 
     return np.tensordot(np.conj(coords) if hatted else coords, table, 1)
 
 
-def pi_big(t: FiniteSpectralTriple, n: int, x: AlgebraElement) -> np.ndarray:
-    """M_n(A) acting through the left C^n leg."""
-    return _on_leg(_cells(t, n, x, hatted=False), hatted=False)
-
-
-def pi_hat_big(t: FiniteSpectralTriple, n: int, x: AlgebraElement) -> np.ndarray:
-    """M_n(A) acting through the right C^n leg, with hatted fibre operators."""
-    return _on_leg(_cells(t, n, x, hatted=True), hatted=True)
-
-
-def d_big(t: FiniteSpectralTriple, n: int) -> np.ndarray:
-    return np.kron(identity(n * n), t.d)
-
-
-def rep_conn(
-    t: FiniteSpectralTriple, n: int, omega: np.ndarray, base: np.ndarray, hatted: bool = False
-) -> np.ndarray:
-    """
-    Action on ``base`` of a connection with coefficients ``omega`` (see
-    :func:`conn_coefficients`) through one leg:
-
-        sum_beta L_beta base (1 (x) 1 (x) rho(e_beta)),
-
-    where e_beta runs over the ambient matrix units of A, rho is pi on the
-    left leg and hat o pi on the hatted right leg, and L_beta puts
-    W^ik_beta = sum_alpha omega[i, k, alpha, beta] rho(e_alpha) in cell (i, k)
-    of that leg: the kernel of ``perturbation.a1`` and ``a2_with``, cell by
-    cell.  Pair by pair this is (E_ik (x) 1 (x) rho(x)) [base, 1 (x) 1 (x) rho(y)].
-    Neither L_beta nor 1 (x) 1 (x) rho is built: rho(e_beta) acts on the fibre
-    of base's columns, then W is contracted over (beta, k, fibre) into the leg.
-    """
-    weights, rho = _leg_weights(t, omega, hatted)  # (beta, i, k, h, g), (beta, g, f)
-    dim_h, dim = t.dim_h, base.shape[-1]
-    right = (base.reshape(-1, dim_h) @ rho).reshape(len(rho), n, n, dim_h, dim)
-    # right[beta, i, j, g, c] = (base (1 (x) 1 (x) rho(e_beta)))[(i, j, g), c]
-    out = np.tensordot(weights, right, axes=((0, 2, 4), (0, 2 if hatted else 1, 3)))
-    # left leg: (i, h, j, c); hatted leg: (j, h, i, c)
-    return out.transpose((2, 0, 1, 3) if hatted else (0, 2, 1, 3)).reshape(dim, dim)
-
-
 # ---------------------------------------------------------------------------
 # Connections
 
 
 def hermitize_connection(conn):
     """(B + B*)/2 with (B*)_{jk} = (B_{kj})*."""
-    n = len(conn)
-    return tuple(
-        tuple(one_form_scale(0.5, conn[j][k] + one_form_star(conn[k][j])) for k in range(n))
-        for j in range(n)
-    )
+    spec = conn[0][0].spec
+    return _forms(spec, _hermitize(spec, conn_coefficients(spec, conn)))
+
+
+def _hermitize(spec: AlgebraSpec, omega: np.ndarray) -> np.ndarray:
+    """(B + B*)/2 on the coefficient stack: entry (j, k) is (omega_jk + flip(omega_kj)) / 2."""
+    return 0.5 * (omega + _flip(spec.summands, omega.swapaxes(0, 1)))
 
 
 def compress_connection(e: AlgebraElement, conn):
     """(e B e)_{il} = sum_{jk} e_ij . B_jk . e_kl: :func:`compress_coefficients` on the entries."""
     spec = conn[0][0].spec
-    omega = compress_coefficients(e, conn_coefficients(spec, conn))
+    return _forms(spec, compress_coefficients(e, conn_coefficients(spec, conn)))
+
+
+def _forms(spec: AlgebraSpec, omega: np.ndarray) -> tuple:
+    """The n x n grid of one-forms with the (n, n, d, d) coefficient stack omega."""
     return tuple(tuple(UniversalOneForm(spec, w) for w in row) for row in omega)
 
 
@@ -220,19 +173,16 @@ def random_conn_form(
     n_pairs: int = 1,
     hermitian: bool = True,
 ):
-    """A random connection compressed to the module of ``e``."""
+    """
+    A random connection compressed to the module of ``e``: entry (i, k) is sum_p x_p d(y_p) over
+    pairs drawn row by row (:func:`_random_coords`), hermitized and compressed on the stack.
+    """
     spec = t.algebra
-
-    def pair():
-        return random_element(spec, rng), random_element(spec, rng)
-
-    raw = tuple(
-        tuple(UniversalOneForm.from_pairs(spec, [pair() for _ in range(n_pairs)]) for _ in range(n))
-        for _ in range(n)
-    )
+    x, y = np.moveaxis(_random_coords(spec, rng, (n, n, n_pairs, 2)), -2, 0)  # (n, n, pairs, d)
+    omega = _eta(spec, x.swapaxes(-1, -2) @ y)
     if hermitian:
-        raw = hermitize_connection(raw)
-    return compress_connection(e, raw)
+        omega = _hermitize(spec, omega)
+    return _forms(spec, compress_coefficients(e, omega))
 
 
 # ---------------------------------------------------------------------------
@@ -246,12 +196,12 @@ class MoritaData:
     :func:`mn_from_entries`), together with an optional compressed connection.
 
     The coefficients of the connection (:func:`conn_coefficients`) are
-    stacked once and kept as ``omega``; the twists apply them with pi_big(e),
-    pi_hat_big(e) and d_big, kept from their first use as ``proj``,
-    ``proj_hat`` and ``dirac``.  Validation checks that e and omega are
-    finite, e^2 = e, membership of the entries of e in the algebra, and (when
-    a connection is present) the compression identity e B e = B on the
-    coefficients.
+    stacked once and kept as ``omega``; the cells pi(e_ik), hat(pi(e_ik)) of
+    the two legs (``cells``, ``cells_hat``) and their twist kernels
+    (:func:`_leg_kernel`) are kept from first use.  Validation checks that e
+    and omega are finite, e^2 = e, membership of the entries of e in the
+    algebra, and (when a connection is present) the compression identity
+    e B e = B on the coefficients.
     """
 
     triple: FiniteSpectralTriple
@@ -300,33 +250,68 @@ class MoritaData:
         if not np.all(defect <= bound):
             raise ValueError("connection is not compressed: e B e != B")
 
-    proj = cached_property(lambda self: pi_big(self.triple, self.size, self.idem))
-    proj_hat = cached_property(lambda self: pi_hat_big(self.triple, self.size, self.idem))
-    dirac = cached_property(lambda self: d_big(self.triple, self.size))
+    cells = cached_property(lambda self: _cells(self.triple, self.size, self.idem, False))
+    cells_hat = cached_property(lambda self: _cells(self.triple, self.size, self.idem, True))
+    kernel = cached_property(lambda self: _leg_kernel(self, hatted=False))
+    kernel_hat = cached_property(lambda self: _leg_kernel(self, hatted=True))
 
 
 def _entries_in(spec: AlgebraSpec, x: AlgebraElement, n: int, tol: float) -> bool:
     return spec.first_outside([entry for row in mn_entries(x, n) for entry in row], tol) is None
 
 
-def _one_sided(md: MoritaData, base: np.ndarray, hatted: bool) -> np.ndarray:
-    out = (md.proj_hat if hatted else md.proj) @ base
-    return out if md.omega is None else out + rep_conn(md.triple, md.size, md.omega, base, hatted)
+def _leg_kernel(md: MoritaData, hatted: bool) -> tuple:
+    """
+    One leg's twist, base -> rho(e) base + sum_beta L_beta base (1 (x) 1 (x) rho(e_beta)) with
+    L_beta the connection's cells W^ik_beta (``perturbation._leg_weights``), as one kernel
+    (W', rho): rho(1) = 1 is the sum of rho(e_beta) over the diagonal units (pi is unital),
+    so W'^ik_beta = W^ik_beta + [e_beta diagonal] rho(e_ik), laid out (i, k, h, beta, g).
+    Without a connection W' = rho(e_ik) and rho is None (one beta, rho = 1).
+    """
+    cells = md.cells_hat if hatted else md.cells
+    if md.omega is None:
+        return cells, None
+    weights, rho = _leg_weights(md.triple, md.omega, hatted)  # (beta, i, k, h, g), (beta, g, f)
+    weights[np.flatnonzero(md.triple.algebra.unit().vec())] += cells
+    return np.ascontiguousarray(np.moveaxis(weights, 0, 3)), rho
+
+
+def _twist(md: MoritaData, hatted_first: bool) -> np.ndarray:
+    """
+    Both legs on 1 (x) 1 (x) D, each a matrix product on cells.  The first leg keeps the
+    identity on the other, with cells C[a, A] = sum_beta W'_beta[a, A] D rho(e_beta); the second
+    gives cell (a, b; A, B) of the result as sum_beta W'_beta[b, B] C[a, A] rho'(e_beta), with
+    (a, b) = (i, j) when the left leg goes first and (j, i) when the hatted leg does.
+    """
+    (w1, r1), (w2, r2) = (md.kernel_hat, md.kernel) if hatted_first else (md.kernel, md.kernel_hat)
+    n, dim_h, dim = md.size, md.triple.dim_h, md.size**2 * md.triple.dim_h
+    d = md.triple.d if r1 is None else (md.triple.d @ r1).reshape(-1, dim_h)
+    first = w1.reshape(dim, -1) @ d  # (a, A, h) x G
+    right = first if r2 is None else first @ r2.transpose(1, 0, 2).reshape(dim_h, -1)
+    right = right.reshape(n * n, dim_h, -1, dim_h).transpose(2, 1, 0, 3)  # (beta, g, aA, G)
+    out = w2.reshape(dim, -1) @ right.reshape(-1, dim)  # (b, B, h) x (a, A, G)
+    order = (0, 3, 2, 1, 4, 5) if hatted_first else (3, 0, 2, 4, 1, 5)
+    return out.reshape(n, n, dim_h, n, n, dim_h).transpose(order).reshape(dim, dim)
 
 
 def twisted_dirac_left(md: MoritaData) -> np.ndarray:
-    """Twist through the left leg first, then through the hatted right leg."""
-    return _one_sided(md, _one_sided(md, md.dirac, hatted=False), hatted=True)
+    """Twist through the left leg first, then through the hatted right leg (:func:`_twist`)."""
+    return _twist(md, hatted_first=False)
 
 
 def twisted_dirac_right(md: MoritaData) -> np.ndarray:
-    """Twist through the hatted right leg first, then through the left leg."""
-    return _one_sided(md, _one_sided(md, md.dirac, hatted=True), hatted=False)
+    """Twist through the hatted right leg first, then through the left leg (:func:`_twist`)."""
+    return _twist(md, hatted_first=True)
 
 
 def corner_projector(md: MoritaData) -> np.ndarray:
-    """pi(e) pihat(e): cuts out the module copy inside C^n (x) C^n (x) H."""
-    return md.proj @ md.proj_hat
+    """
+    pi(e) pihat(e): cuts out the module copy inside C^n (x) C^n (x) H; its cell
+    (i, j; I, J) is pi(e_iI) hat(pi(e_jJ)), a product over the fibre alone.
+    """
+    n, dim_h, dim = md.size, md.triple.dim_h, md.size**2 * md.triple.dim_h
+    p = md.cells.reshape(-1, dim_h) @ np.moveaxis(md.cells_hat, 2, 0).reshape(dim_h, -1)
+    return p.reshape(n, n, dim_h, n, n, dim_h).transpose(0, 3, 2, 1, 4, 5).reshape(dim, dim)
 
 
 def corner(md: MoritaData, op: np.ndarray | None = None) -> np.ndarray:
@@ -351,13 +336,6 @@ def check_idempotent_identity(t: FiniteSpectralTriple, n: int, e: AlgebraElement
     return float(np.max(np.linalg.norm(blocks, axis=(1, 3))))
 
 
-def induced_real_structure(t: FiniteSpectralTriple, n: int) -> AntilinearOp:
-    """Real structure on C^n (x) C^n (x) H: swap the two C^n legs, J in the fibre."""
-    # row (i, j) of the swap is row (j, i) of the identity
-    swap = identity(n * n).reshape(n, n, n * n).transpose(1, 0, 2).reshape(n * n, n * n)
-    return AntilinearOp(np.kron(swap, t.j.m))
-
-
 # ---------------------------------------------------------------------------
 # Random module data
 
@@ -373,11 +351,12 @@ def random_idempotent(
     A random idempotent in M_n(A): the positive spectral projection of a
     random hermitian matrix over the algebra (resampled when an eigenvalue
     sits too close to zero), optionally skewed by conjugation with an
-    invertible element so that it is no longer self-adjoint.
+    invertible element so that it is no longer self-adjoint.  Each n x n grid
+    of entries is one draw (:func:`_random_coords`).
     """
     spec = t.algebra
     for _ in range(max_tries):
-        h = mn_from_entries([[random_element(spec, rng) for _ in range(n)] for _ in range(n)])
+        h = _from_entry_coords(spec.summands, _random_coords(spec, rng, (n, n)))
         h = 0.5 * (h + h.star())
         eigs = [np.linalg.eigh(big) for big in h.blocks]
         if any(np.min(np.abs(vals)) < 1e-6 for vals, _ in eigs):
@@ -388,7 +367,7 @@ def random_idempotent(
             continue
         if self_adjoint:
             return e
-        g = mn_from_entries([[random_element(spec, rng) for _ in range(n)] for _ in range(n)])
+        g = _from_entry_coords(spec.summands, _random_coords(spec, rng, (n, n)))
         g = _mn_spec(spec, n).unit() + 0.3 * g
         if any(np.linalg.cond(big) > 1e6 for big in g.blocks):
             continue
@@ -397,3 +376,10 @@ def random_idempotent(
         if _entries_in(spec, skewed, n, tol=1e-8):
             return skewed
     raise RuntimeError("could not draw a clean random idempotent")
+
+
+def _random_coords(spec: AlgebraSpec, rng: np.random.Generator, shape: tuple) -> np.ndarray:
+    """Coordinates, shape + (d,), of ``random_element`` draws in row-major order, one rng call."""
+    rows = spec.span_coords()[0]
+    re, im = np.moveaxis(rng.standard_normal(shape + (len(rows), 2)), -1, 0)
+    return (re + 1j * im) @ rows

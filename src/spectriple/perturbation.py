@@ -85,25 +85,26 @@ def _pair_coeffs(spec: AlgebraSpec, pairs) -> np.ndarray:
 
 
 def _product_sum(summands, m: np.ndarray) -> np.ndarray:
-    """m(sum x (x) y) = vec(sum x y): m_s[a, d] = sum_b m[(s, a, b), (s, b, d)]."""
-    out, o = [], 0
+    """m(sum x (x) y) = vec(sum x y): m_s[a, d] = sum_b m[..., (s, a, b), (s, b, d)]."""
+    out, o, lead = [], 0, m.shape[:-2]
     for n in summands:
-        out.append(np.einsum("abbd->ad", m[o:o + n * n, o:o + n * n].reshape(n, n, n, n)).ravel())
+        tile = m[..., o:o + n * n, o:o + n * n].reshape(lead + (n, n, n, n))
+        out.append(np.einsum("...abbd->...ad", tile).reshape(lead + (n * n,)))
         o += n * n
-    return np.concatenate(out)
+    return np.concatenate(out, axis=-1)
 
 
 def _eta(spec: AlgebraSpec, m: np.ndarray) -> np.ndarray:
-    """sum x (x) y  ->  sum x (x) y - (sum x y) (x) 1, the image of sum x d(y)."""
-    return m - np.outer(_product_sum(spec.summands, m), spec.unit().vec())
+    """sum x (x) y  ->  sum x (x) y - (sum x y) (x) 1, the image of sum x d(y), on m[..., :, :]."""
+    return m - _product_sum(spec.summands, m)[..., None] * spec.unit().vec()
 
 
 def _flip(summands, m: np.ndarray) -> np.ndarray:
-    """a (x) b -> b* (x) a*: conj(m)^T with the units e_ij -> e_ji in both factors."""
+    """a (x) b -> b* (x) a*: conj(m[..., :, :])^T with the units e_ij -> e_ji in both factors."""
     offsets = np.cumsum((0,) + tuple(n * n for n in summands))
     perm = np.concatenate(
         [o + np.arange(n * n).reshape(n, n).T.ravel() for o, n in zip(offsets, summands)])
-    return np.conj(m[np.ix_(perm, perm)]).T
+    return np.conj(m[..., perm[:, None], perm]).swapaxes(-1, -2)
 
 
 @lru_cache(maxsize=None)

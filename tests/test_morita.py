@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from spectriple import MoritaData, morita, twisted_dirac_left, twisted_dirac_right
 from spectriple.matrix_core import (
+    AntilinearOp,
     adjoint,
     approx_eq,
     frob_norm,
@@ -24,18 +25,13 @@ from spectriple.morita import (
     conn_coefficients,
     corner,
     corner_projector,
-    d_big,
     hermitize_connection,
-    induced_real_structure,
     mn_entries,
     mn_from_entries,
-    pi_big,
-    pi_hat_big,
     random_conn_form,
     random_idempotent,
-    rep_conn,
 )
-from spectriple.perturbation import UniversalOneForm
+from spectriple.perturbation import UniversalOneForm, _leg_weights, one_form_scale, one_form_star
 from spectriple.spectral_triple import AlgebraElement, random_element, represent, spanning_set
 from spectriple.toy_model import a_f
 from test_perturbation import _reference_rmul, _reference_star
@@ -121,17 +117,90 @@ def _reference_rep_conn(t, n, grid, base, hatted):
     return out.reshape(base.shape)
 
 
+def _on_leg(cells, hatted):
+    """
+    Place cell operators on C^n (x) C^n (x) H: ``cells[..., i, k]`` (each on H)
+    fills cell (i, k) of the left C^n leg, or of the right leg when ``hatted``,
+    with the identity on the other leg.  Leading axes are kept.
+    """
+    n, dim_h = cells.shape[-3], cells.shape[-1]
+    layout = "...jkhg,il->...ijhlkg" if hatted else "...ikhg,jl->...ijhklg"
+    dim = n * n * dim_h
+    return np.einsum(layout, cells, identity(n)).reshape(cells.shape[:-4] + (dim, dim))
+
+
+def _pi_big(t, n, x):
+    """M_n(A) acting through the left C^n leg."""
+    return _on_leg(morita._cells(t, n, x, hatted=False), hatted=False)
+
+
+def _pi_hat_big(t, n, x):
+    """M_n(A) acting through the right C^n leg, with hatted fibre operators."""
+    return _on_leg(morita._cells(t, n, x, hatted=True), hatted=True)
+
+
+def _d_big(t, n):
+    """1 (x) 1 (x) D on C^n (x) C^n (x) H."""
+    return np.kron(identity(n * n), t.d)
+
+
+def _rep_conn(t, n, omega, base, hatted=False):
+    """
+    Action on ``base`` of a connection with coefficients ``omega`` (see
+    :func:`conn_coefficients`) through one leg:
+
+        sum_beta L_beta base (1 (x) 1 (x) rho(e_beta)),
+
+    where e_beta runs over the ambient matrix units of A, rho is pi on the
+    left leg and hat o pi on the hatted right leg, and L_beta puts
+    W^ik_beta = sum_alpha omega[i, k, alpha, beta] rho(e_alpha) in cell (i, k)
+    of that leg.  Pair by pair this is (E_ik (x) 1 (x) rho(x)) [base, 1 (x) 1 (x) rho(y)].
+    """
+    weights, rho = _leg_weights(t, omega, hatted)  # (beta, i, k, h, g), (beta, g, f)
+    dim_h, dim = t.dim_h, base.shape[-1]
+    right = (base.reshape(-1, dim_h) @ rho).reshape(len(rho), n, n, dim_h, dim)
+    # right[beta, i, j, g, c] = (base (1 (x) 1 (x) rho(e_beta)))[(i, j, g), c]
+    out = np.tensordot(weights, right, axes=((0, 2, 4), (0, 2 if hatted else 1, 3)))
+    # left leg: (i, h, j, c); hatted leg: (j, h, i, c)
+    return out.transpose((2, 0, 1, 3) if hatted else (0, 2, 1, 3)).reshape(dim, dim)
+
+
+def _one_sided(md, base, hatted):
+    """One leg's twist as dense products: _pi_big(e) base (_pi_hat_big when hatted) + _rep_conn."""
+    out = (_pi_hat_big if hatted else _pi_big)(md.triple, md.size, md.idem) @ base
+    return out if md.omega is None else out + _rep_conn(md.triple, md.size, md.omega, base, hatted)
+
+
+def _dense_twist(md, hatted_first):
+    """Both legs' twists of 1 (x) 1 (x) D, the first leg's before the second's, densely."""
+    base = _d_big(md.triple, md.size)
+    return _one_sided(md, _one_sided(md, base, hatted_first), not hatted_first)
+
+
+def _sequential_coords(spec, rng, shape):
+    """Coordinates of ``random_element`` draws made one at a time, in row-major order."""
+    draws = [random_element(spec, rng).vec() for _ in range(int(np.prod(shape)))]
+    return np.array(draws).reshape(shape + (spec.ambient_dim,))
+
+
+def _induced_real_structure(t, n):
+    """Real structure on C^n (x) C^n (x) H: swap the two C^n legs, J in the fibre."""
+    # row (i, j) of the swap is row (j, i) of the identity
+    swap = identity(n * n).reshape(n, n, n * n).transpose(1, 0, 2).reshape(n * n, n * n)
+    return AntilinearOp(np.kron(swap, t.j.m))
+
+
 def _zeroth_order_induced(t, n):
     """
     Max commutator norm between the left action of M_n(A) and the conjugate
     of its adjoint under the induced real structure (NaN if any norm is NaN),
     over E_ij (x) pi(s) for the spanning set s, one pair at a time.
     """
-    jp = induced_real_structure(t, n)
+    jp = _induced_real_structure(t, n)
     reps = np.array([represent(t, s) for s in spanning_set(t.algebra)])
     dim = n * n * t.dim_h
     cells = np.einsum("ik,jl,shg->ijsklhg", identity(n), identity(n), reps)  # E_ij (x) pi(s)
-    lefts = morita._on_leg(cells, hatted=False).reshape(-1, dim, dim)
+    lefts = _on_leg(cells, hatted=False).reshape(-1, dim, dim)
     rights = jp.conjugate(np.conj(lefts).swapaxes(1, 2))
     return float(
         np.max([np.linalg.norm(left @ rights - rights @ left, axis=(1, 2)) for left in lefts])
@@ -249,7 +318,7 @@ def test_hermitized_connection_represents_self_adjointly(toy, rng):
         for _ in range(n)
     )
     herm = hermitize_connection(raw)
-    op = rep_conn(toy, n, conn_coefficients(toy.algebra, herm), d_big(toy, n))
+    op = _rep_conn(toy, n, conn_coefficients(toy.algebra, herm), _d_big(toy, n))
     assert approx_eq(op, adjoint(op), 1e-12)
 
 
@@ -265,10 +334,10 @@ def test_compress_connection_is_a_projection(toy, rng):
     once = compress_connection(e, raw)
     twice = compress_connection(e, once)
     MoritaData(toy, 2, e, once)  # construction revalidates e B e = B
-    base = d_big(toy, 2)
+    base = _d_big(toy, 2)
     assert approx_eq(
-        rep_conn(toy, 2, conn_coefficients(toy.algebra, twice), base),
-        rep_conn(toy, 2, conn_coefficients(toy.algebra, once), base),
+        _rep_conn(toy, 2, conn_coefficients(toy.algebra, twice), base),
+        _rep_conn(toy, 2, conn_coefficients(toy.algebra, once), base),
         1e-10,
     )
 
@@ -290,7 +359,7 @@ def _check_action_against_the_pairwise_loop(t, n, hatted, compressed):
         grid = _reference_compress(e, _reference_hermitize(spec, grid))
     dim = n * n * t.dim_h
     base = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    got = rep_conn(t, n, conn_coefficients(spec, conn), base, hatted)
+    got = _rep_conn(t, n, conn_coefficients(spec, conn), base, hatted)
     want = _reference_rep_conn(t, n, grid, base, hatted)
     assert _rel(got, want) < 1e-12
 
@@ -353,6 +422,42 @@ def test_random_conn_form_matches_the_reference_pair_path(toy, n):
     assert _max_rel(conn, spec, _reference_compress(e, _reference_hermitize(spec, grid))) < 1e-12
 
 
+@pytest.mark.parametrize("which", sorted(_TRIPLES))
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cell_form_twists_match_the_dense_formulas(toy, which, n):
+    # _pi_big(e) base + _rep_conn per leg, on 1 (x) 1 (x) D, both orders, skewed e
+    t = _TRIPLES[which](toy)
+    rng = np.random.default_rng(110 + n)
+    e = random_idempotent(t, n, rng, self_adjoint=False)
+    for conn in (None, random_conn_form(t, n, rng, e)):
+        md = MoritaData(t, n, e, conn)
+        assert _rel(twisted_dirac_left(md), _dense_twist(md, hatted_first=False)) < 1e-12
+        assert _rel(twisted_dirac_right(md), _dense_twist(md, hatted_first=True)) < 1e-12
+        want = _pi_big(t, n, e) @ _pi_hat_big(t, n, e)
+        assert _rel(corner_projector(md), want) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n_pairs", [1, 2])
+def test_random_draws_match_the_sequential_draws_bit_for_bit(toy, monkeypatch, n, n_pairs):
+    spec = toy.algebra
+    e = random_idempotent(toy, n, np.random.default_rng(120 + n), self_adjoint=False)
+    rng, ref = np.random.default_rng(n), np.random.default_rng(n)
+    conn = random_conn_form(toy, n, rng, e, n_pairs=n_pairs)
+    raw = _forms(spec, _raw_pairs(spec, n, ref, n_pairs))
+    herm = [[one_form_scale(0.5, raw[j][k] + one_form_star(raw[k][j])) for k in range(n)]
+            for j in range(n)]
+    want = compress_coefficients(e, conn_coefficients(spec, herm))
+    assert np.array_equal(conn_coefficients(spec, conn), want)
+    assert rng.bit_generator.state == ref.bit_generator.state
+    # random_idempotent: each n x n grid as one draw, against entry-by-entry draws
+    got = [random_idempotent(toy, n, rng, self_adjoint=sa) for sa in (True, False)]
+    monkeypatch.setattr(morita, "_random_coords", _sequential_coords)
+    for sa, x in zip((True, False), got):
+        assert np.array_equal(random_idempotent(toy, n, ref, self_adjoint=sa).vec(), x.vec())
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
 def test_validation_rejects_non_finite_entries(toy):
     unit = toy.algebra.unit()
     nan_elem = float("nan") * unit
@@ -370,7 +475,7 @@ def test_validation_rejects_non_finite_entries(toy):
 def test_reducers_pass_nan_through(toy, monkeypatch):
     nan_elem = float("nan") * toy.algebra.unit()
     assert np.isnan(check_idempotent_identity(toy, 1, nan_elem))
-    monkeypatch.setattr(morita, "_on_leg", lambda cells, hatted: np.full(
+    monkeypatch.setitem(globals(), "_on_leg", lambda cells, hatted: np.full(
         cells.shape[:-4] + (toy.dim_h, toy.dim_h), np.nan, dtype=complex))
     assert np.isnan(_zeroth_order_induced(toy, 1))
 
@@ -408,9 +513,9 @@ def test_validation_rejects_uncompressed_connection(toy, rng):
 
 
 def test_induced_real_structure_swaps_legs_and_squares_to_plus_one(toy):
-    assert np.array_equal(induced_real_structure(toy, 1).m, toy.j.m)
+    assert np.array_equal(_induced_real_structure(toy, 1).m, toy.j.m)
     for n in (2, 3):
-        jp = induced_real_structure(toy, n)
+        jp = _induced_real_structure(toy, n)
         assert approx_eq(jp.square(), identity(n * n * 8), 1e-12)
         # swap (x) J: check one off-diagonal cell explicitly
         want = np.kron(
@@ -431,7 +536,7 @@ def test_induced_real_structure_commutes_with_the_twist(toy):
     md = MoritaData(toy, 2, e)
     o = twisted_dirac_left(md)
     assert frob_norm(o) > 0.1  # nondegenerate draw
-    jp = induced_real_structure(toy, 2)
+    jp = _induced_real_structure(toy, 2)
     assert approx_eq(jp.conjugate(o), o, 1e-12)
 
 
@@ -443,7 +548,7 @@ def test_left_and_hatted_actions_commute_on_the_module(toy, rng):
     n = 2
     x = _random_mn(toy.algebra, n, rng)
     y = _random_mn(toy.algebra, n, rng)
-    a, b = pi_big(toy, n, x), pi_hat_big(toy, n, y)
+    a, b = _pi_big(toy, n, x), _pi_hat_big(toy, n, y)
     assert frob_norm(a @ b - b @ a) < 1e-12
 
 
@@ -464,8 +569,8 @@ def _reference_pi_big(t, n, x, hatted):
 def test_pi_big_and_pi_hat_big_match_the_entrywise_sum(toy, n):
     rng = np.random.default_rng(60 + n)
     x = _random_mn(toy.algebra, n, rng)
-    assert frob_norm(pi_big(toy, n, x) - _reference_pi_big(toy, n, x, False)) < 1e-14
-    assert frob_norm(pi_hat_big(toy, n, x) - _reference_pi_big(toy, n, x, True)) < 1e-14
+    assert frob_norm(_pi_big(toy, n, x) - _reference_pi_big(toy, n, x, False)) < 1e-14
+    assert frob_norm(_pi_hat_big(toy, n, x) - _reference_pi_big(toy, n, x, True)) < 1e-14
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -498,7 +603,7 @@ def test_validation_rejects_an_idempotent_of_the_wrong_size(toy, rng):
     with pytest.raises(ValueError, match="must be an 3x3 matrix"):
         MoritaData(toy, 3, e)
     with pytest.raises(ValueError, match="does not match the triple's algebra"):
-        pi_big(toy, 3, e)
+        _pi_big(toy, 3, e)
 
 
 def test_validation_rejects_an_entry_outside_the_algebra(toy):
