@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spectral_triple import FiniteSpectralTriple, represent, spanning_set
+from .spectral_triple import FiniteSpectralTriple, _span_reps
 from .toy_model import FieldPoint, ToyParams, closed_dirac
 
 __all__ = [
@@ -178,9 +178,11 @@ def grad_hess(fun, point, step: float = 1e-5):
     """
     Central-difference gradient and Hessian of the vectorized ``fun`` at ``point``,
     from one call on the whole stencil.  Per-coordinate steps are
-    ``step * max(1, |x_i|)``; the Hessian uses the standard four-point stencil
-    off the diagonal and is exactly symmetric.
+    ``step * max(1, |x_i|)`` for a finite step > 0; the Hessian uses the
+    standard four-point stencil off the diagonal and is exactly symmetric.
     """
+    if not 0.0 < step < math.inf:
+        raise ValueError(f"step must be a finite number > 0, got {step!r}")
     h, points = _stencil(np.asarray(point, dtype=float), step)
     return _derivatives(_values(fun, points), h)
 
@@ -314,12 +316,14 @@ def stabilizer_dim(t: FiniteSpectralTriple, d_op, spec=None) -> int:
     anti-hermitian X in the algebra with [pi(X) + hat(pi(X)), d_op] = 0.
     """
     spec = spec if spec is not None else t.algebra
-    # the anti-hermitian parts of a spanning set span u(A), of real dimension dim_C A
-    parts = [c for e in spanning_set(spec) for c in (e - e.star(), 1j * (e + e.star()))]
-    ops = np.array([represent(t, xe) for xe in parts])
+    # the anti-hermitian parts e - e*, i(e + e*) of a spanning set span u(A), of real
+    # dimension dim_C A; pi is a *-homomorphism, so pi(e*) = pi(e)^dagger
+    reps = _span_reps(t, spec)
+    adj = reps.conj().swapaxes(1, 2)
+    ops = np.stack([reps - adj, 1j * (reps + adj)], axis=1).reshape(-1, t.dim_h, t.dim_h)
     ops = ops + t.hat(ops)
     d_op = np.asarray(d_op, dtype=complex)
-    k = (ops @ d_op - d_op @ ops).reshape(len(parts), -1)
+    k = (ops @ d_op - d_op @ ops).reshape(len(ops), -1)
     svals = np.linalg.svd(np.concatenate([k.real, k.imag], axis=1), compute_uv=False)
     return spec.dim() - int(np.sum(svals > 1e-8 * svals.max(initial=0.0)))
 

@@ -33,15 +33,12 @@ from .action import ActionParams
 __all__ = [
     "RunConfig",
     "complex_from_json",
-    "complex_to_json",
     "element_from_json",
     "element_to_json",
     "load_config",
     "load_json",
     "matrix_from_json",
     "matrix_to_json",
-    "one_form_from_dict",
-    "one_form_to_dict",
     "pert_from_dict",
     "pert_to_dict",
     "save_json",
@@ -49,11 +46,6 @@ __all__ = [
     "triple_to_dict",
     "valid_tol",
 ]
-
-
-def complex_to_json(z) -> list:
-    z = complex(z)
-    return [float(z.real), float(z.imag)]
 
 
 def complex_from_json(obj) -> complex:
@@ -155,19 +147,9 @@ def pert_to_dict(p: PertElement | UniversalOneForm) -> dict:
     return {"pairs": [[element_to_json(a), element_to_json(b)] for a, b in p.pairs]}
 
 
-one_form_to_dict = pert_to_dict
-
-
-def _pairs_from_dict(payload: dict) -> tuple:
-    return tuple((element_from_json(a), element_from_json(b)) for a, b in payload["pairs"])
-
-
 def pert_from_dict(spec: AlgebraSpec, payload: dict, validate: bool = True) -> PertElement:
-    return PertElement.from_pairs(spec, _pairs_from_dict(payload), validate=validate)
-
-
-def one_form_from_dict(spec: AlgebraSpec, payload: dict) -> UniversalOneForm:
-    return UniversalOneForm.from_pairs(spec, _pairs_from_dict(payload))
+    pairs = tuple((element_from_json(a), element_from_json(b)) for a, b in payload["pairs"])
+    return PertElement.from_pairs(spec, pairs, validate=validate)
 
 
 def save_json(path: str, obj) -> None:
@@ -235,10 +217,8 @@ def load_config(path: str | None) -> RunConfig:
             raise ValueError(f"unknown config key: {key}")
         if key in ("k_x", "k_y"):
             setattr(cfg, key, complex_from_json(value))
-        elif key == "seed":
-            cfg.seed = int(value)
-        elif key in ("n_starts", "grid_n"):
-            low = 1 if key == "n_starts" else 2
+        elif key in ("seed", "n_starts", "grid_n"):
+            low = {"seed": 0, "n_starts": 1, "grid_n": 2}[key]
             if isinstance(value, bool) or not isinstance(value, int) or value < low:
                 raise ValueError(f"config {key} must be an integer >= {low}, got {value!r}")
             setattr(cfg, key, value)
@@ -246,10 +226,10 @@ def load_config(path: str | None) -> RunConfig:
             cfg.tol = valid_tol(value)
         elif key == "point":
             if value is not None:
-                pt = [float(x) for x in value]
-                if len(pt) != 3:
-                    raise ValueError("config point must have three coordinates")
-                cfg.point = tuple(pt)
+                pt = tuple(float(x) for x in value)
+                if len(pt) != 3 or not all(map(math.isfinite, pt)):
+                    raise ValueError("config point must have three finite coordinates")
+                cfg.point = pt
         else:
             setattr(cfg, key, float(value))
     return cfg

@@ -3,8 +3,10 @@ Fluctuations induced by a finitely generated projective module e A^n.
 
 For A = M_{m_1} + ... + M_{m_k}, M_n(A) is the multimatrix algebra with blocks
 of size n*m_s, so the idempotent e is one ``AlgebraElement``: the (i, k)
-sub-block of size m_s of its block s is the s-block of entry (i, k)
-(:func:`mn_from_entries`, :func:`mn_entries`).
+sub-block of size m_s of its block s is the s-block of entry (i, k).  Inside,
+entries move as their (n, n, d) ambient coordinates (:func:`_entry_coords`),
+which are drawn, tested for membership and represented by the primitives of
+``spectral_triple``.
 
 Everything is phrased on the ambient space C^n (x) C^n (x) H.  M_n(A) acts
 there twice, reading the triple's tables pi(e_alpha) and hat(pi(e_alpha)):
@@ -40,6 +42,7 @@ from .spectral_triple import (
     AlgebraElement,
     AlgebraSpec,
     FiniteSpectralTriple,
+    _random_coords,
 )
 
 __all__ = [
@@ -50,9 +53,6 @@ __all__ = [
     "conn_coefficients",
     "corner",
     "corner_projector",
-    "hermitize_connection",
-    "mn_entries",
-    "mn_from_entries",
     "random_conn_form",
     "random_idempotent",
     "twisted_dirac_left",
@@ -62,24 +62,6 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # Matrices over the algebra: M_n(A) is the multimatrix algebra of blocks n*m_s
-
-
-def mn_from_entries(grid) -> AlgebraElement:
-    """
-    The element of M_n(A) with entries ``grid[i][k]``: block s has size
-    n*m_s, and its (i, k) sub-block of size m_s is the s-block of entry (i, k).
-    """
-    summands = tuple(len(b) for b in grid[0][0].blocks)
-    return _from_entry_coords(summands, np.array([[a.vec() for a in row] for row in grid]))
-
-
-def mn_entries(x: AlgebraElement, n: int) -> tuple:
-    """The n x n grid of entries of an element of M_n(A) (views, no copies)."""
-    grid = [b.reshape(n, len(b) // n, n, -1) for b in x.blocks]  # (i, row, k, column)
-    return tuple(
-        tuple(AlgebraElement(tuple(g[i, :, k] for g in grid)) for k in range(n))
-        for i in range(n)
-    )
 
 
 def _entry_coords(x: AlgebraElement, n: int) -> np.ndarray:
@@ -98,7 +80,9 @@ def _from_entry_coords(summands: tuple, coords: np.ndarray) -> AlgebraElement:
 
 
 def _mn_spec(spec: AlgebraSpec, n: int) -> AlgebraSpec:
-    """M_n of the ambient multimatrix algebra of ``spec``."""
+    """M_n of the ambient multimatrix algebra of ``spec``, for a module size n: an integer >= 1."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"module size n must be an integer >= 1, got {n!r}")
     return AlgebraSpec(tuple(n * m for m in spec.summands))
 
 
@@ -107,25 +91,14 @@ def _mn_spec(spec: AlgebraSpec, n: int) -> AlgebraSpec:
 
 
 def _cells(t: FiniteSpectralTriple, n: int, x: AlgebraElement, hatted: bool) -> np.ndarray:
-    """
-    pi (or hat o pi) of every entry of x in M_n(A), shape (n, n, N, N), read
-    from the triple's tables; hat o pi takes the conjugated coordinates.
-    """
+    """pi (or hat o pi) of every entry of x in M_n(A), shape (n, n, N, N), by ``t.rep``."""
     if tuple(len(b) for b in x.blocks) != _mn_spec(t.algebra, n).summands:
         raise ValueError("element does not match the triple's algebra")
-    coords = _entry_coords(x, n)
-    table = t.pi_hat_table if hatted else t.pi_table
-    return np.tensordot(np.conj(coords) if hatted else coords, table, 1)
+    return t.rep(_entry_coords(x, n), hatted)
 
 
 # ---------------------------------------------------------------------------
 # Connections
-
-
-def hermitize_connection(conn):
-    """(B + B*)/2 with (B*)_{jk} = (B_{kj})*."""
-    spec = conn[0][0].spec
-    return _forms(spec, _hermitize(spec, conn_coefficients(spec, conn)))
 
 
 def _hermitize(spec: AlgebraSpec, omega: np.ndarray) -> np.ndarray:
@@ -178,6 +151,7 @@ def random_conn_form(
     pairs drawn row by row (:func:`_random_coords`), hermitized and compressed on the stack.
     """
     spec = t.algebra
+    _mn_spec(spec, n)  # rejects a bad module size
     x, y = np.moveaxis(_random_coords(spec, rng, (n, n, n_pairs, 2)), -2, 0)  # (n, n, pairs, d)
     omega = _eta(spec, x.swapaxes(-1, -2) @ y)
     if hermitian:
@@ -193,7 +167,7 @@ def random_conn_form(
 class MoritaData:
     """
     An idempotent e in M_n(A), one element whose block s has size n*m_s (see
-    :func:`mn_from_entries`), together with an optional compressed connection.
+    :func:`_from_entry_coords`), together with an optional compressed connection.
 
     The coefficients of the connection (:func:`conn_coefficients`) are
     stacked once and kept as ``omega``; the cells pi(e_ik), hat(pi(e_ik)) of
@@ -232,7 +206,7 @@ class MoritaData:
             raise ValueError("idempotent has non-finite entries")
         if self.omega is not None and not np.isfinite(self.omega).all():
             raise ValueError("connection has non-finite entries")
-        if not _entries_in(spec, self.idem, n, tol=1e-9):
+        if spec.outside(_entry_coords(self.idem, n), 1e-9).any():
             raise ValueError("idempotent entry is not in the algebra")
         # the largest Frobenius norm of an entry, of e and of e^2 - e
         norm, defect = (
@@ -254,10 +228,6 @@ class MoritaData:
     cells_hat = cached_property(lambda self: _cells(self.triple, self.size, self.idem, True))
     kernel = cached_property(lambda self: _leg_kernel(self, hatted=False))
     kernel_hat = cached_property(lambda self: _leg_kernel(self, hatted=True))
-
-
-def _entries_in(spec: AlgebraSpec, x: AlgebraElement, n: int, tol: float) -> bool:
-    return spec.first_outside([entry for row in mn_entries(x, n) for entry in row], tol) is None
 
 
 def _leg_kernel(md: MoritaData, hatted: bool) -> tuple:
@@ -354,7 +324,7 @@ def random_idempotent(
     invertible element so that it is no longer self-adjoint.  Each n x n grid
     of entries is one draw (:func:`_random_coords`).
     """
-    spec = t.algebra
+    spec, unit = t.algebra, _mn_spec(t.algebra, n).unit()
     for _ in range(max_tries):
         h = _from_entry_coords(spec.summands, _random_coords(spec, rng, (n, n)))
         h = 0.5 * (h + h.star())
@@ -363,23 +333,16 @@ def random_idempotent(
             continue
         pos = [vecs[:, vals > 0] for vals, vecs in eigs]
         e = AlgebraElement(tuple(v @ v.conj().T for v in pos))
-        if not _entries_in(spec, e, n, tol=1e-8):
+        if spec.outside(_entry_coords(e, n), 1e-8).any():
             continue
         if self_adjoint:
             return e
         g = _from_entry_coords(spec.summands, _random_coords(spec, rng, (n, n)))
-        g = _mn_spec(spec, n).unit() + 0.3 * g
+        g = unit + 0.3 * g
         if any(np.linalg.cond(big) > 1e6 for big in g.blocks):
             continue
         g_inv = AlgebraElement(tuple(np.linalg.inv(big) for big in g.blocks))
         skewed = g * e * g_inv
-        if _entries_in(spec, skewed, n, tol=1e-8):
+        if not spec.outside(_entry_coords(skewed, n), 1e-8).any():
             return skewed
     raise RuntimeError("could not draw a clean random idempotent")
-
-
-def _random_coords(spec: AlgebraSpec, rng: np.random.Generator, shape: tuple) -> np.ndarray:
-    """Coordinates, shape + (d,), of ``random_element`` draws in row-major order, one rng call."""
-    rows = spec.span_coords()[0]
-    re, im = np.moveaxis(rng.standard_normal(shape + (len(rows), 2)), -1, 0)
-    return (re + 1j * im) @ rows

@@ -32,7 +32,7 @@ from .spectral_triple import (
     AlgebraElement,
     AlgebraSpec,
     FiniteSpectralTriple,
-    random_element,
+    _random_coords,
 )
 
 __all__ = [
@@ -53,12 +53,10 @@ __all__ = [
     "one_form_cf",
     "one_form_lmul",
     "one_form_rmul",
-    "one_form_scale",
     "one_form_star",
     "pert_mul",
     "random_one_form",
     "random_pert",
-    "star_swap",
     "symmetrize",
 ]
 
@@ -207,10 +205,6 @@ class UniversalOneForm:
         return UniversalOneForm(self.spec, self.omega + other.omega)
 
 
-def one_form_scale(z, w: UniversalOneForm) -> UniversalOneForm:
-    return UniversalOneForm(w.spec, complex(z) * w.omega)
-
-
 def one_form_lmul(a: AlgebraElement, w: UniversalOneForm) -> UniversalOneForm:
     """Left module action a . (x d(y)) = (ax) d(y): omega -> (a (x) 1) omega."""
     return UniversalOneForm(w.spec, _mult_map(w.spec.summands, a, left=True) @ w.omega)
@@ -237,11 +231,16 @@ def one_form_cf(spec: AlgebraSpec, w: UniversalOneForm) -> np.ndarray:
     return w.omega
 
 
+def _random_pairs_form(spec: AlgebraSpec, rng: np.random.Generator, n_pairs: int) -> np.ndarray:
+    """omega of sum_j x_j d(y_j) over n_pairs random pairs, drawn pair by pair in one rng call."""
+    x, y = np.moveaxis(_random_coords(spec, rng, (n_pairs, 2)), 1, 0)  # (pairs, d) each
+    return _eta(spec, x.T @ y)
+
+
 def random_one_form(spec: AlgebraSpec, rng: np.random.Generator, n_pairs: int = 2) -> UniversalOneForm:
     """A random self-adjoint one-form, built as w + w* from random pairs."""
-    pairs = [(random_element(spec, rng), random_element(spec, rng)) for _ in range(n_pairs)]
-    w = UniversalOneForm.from_pairs(spec, pairs)
-    return w + one_form_star(w)
+    omega = _random_pairs_form(spec, rng, n_pairs)
+    return UniversalOneForm(spec, omega + _flip(spec.summands, omega))
 
 
 # ---------------------------------------------------------------------------
@@ -294,13 +293,8 @@ def canonical_form(p: PertElement) -> np.ndarray:
     return cf.reshape(side, side)
 
 
-def star_swap(p: PertElement) -> PertElement:
-    """The flip involution sum a (x) b -> sum b* (x) a*."""
-    return PertElement(p.spec, _flip(p.spec.summands, p.coeffs))
-
-
 def symmetrize(p: PertElement) -> PertElement:
-    """(p + star_swap(p)) / 2; a projection onto the flip-invariant part."""
+    """(p + flip(p)) / 2 for the flip sum a (x) b -> sum b* (x) a*: onto the invariant part."""
     return PertElement(p.spec, 0.5 * (p.coeffs + _flip(p.spec.summands, p.coeffs)))
 
 
@@ -335,8 +329,7 @@ def random_pert(spec: AlgebraSpec, rng: np.random.Generator, n_pairs: int = 3) -
     Random pairs behind the normalizer (1 - sum xy) (x) 1, symmetrized: the
     section normalize_one_form of the one-form of the pairs.
     """
-    raw = [(random_element(spec, rng), random_element(spec, rng)) for _ in range(n_pairs)]
-    return normalize_one_form(spec, UniversalOneForm.from_pairs(spec, raw))
+    return normalize_one_form(spec, UniversalOneForm(spec, _random_pairs_form(spec, rng, n_pairs)))
 
 
 # ---------------------------------------------------------------------------
@@ -366,9 +359,8 @@ def _leg_weights(t: FiniteSpectralTriple, omega: np.ndarray, hatted: bool = Fals
     The stack over beta of W_beta = sum_alpha omega[..., alpha, beta] rho(e_alpha),
     and rho, for rho = pi or, when ``hatted``, the antilinear hat o pi.
     """
-    rho = t.pi_hat_table if hatted else t.pi_table
-    coeffs = np.conj(omega) if hatted else omega
-    return np.moveaxis(np.tensordot(coeffs, rho, axes=(-2, 0)), -3, 0), rho
+    weights = t.rep(np.swapaxes(omega, -1, -2), hatted)
+    return np.moveaxis(weights, -3, 0), t.pi_hat_table if hatted else t.pi_table
 
 
 def _act(t: FiniteSpectralTriple, omega: np.ndarray, base: np.ndarray, hatted: bool = False):
@@ -447,9 +439,7 @@ def mu(t: FiniteSpectralTriple, p: PertElement) -> RepresentedPert:
     if p.spec.summands != t.algebra.summands:
         raise ValueError("element does not match the triple's algebra")
     coords = np.array(_view_coords(p.spec, p.coeffs))
-    reps = np.tensordot(coords, t.pi_table, 1)
-    hats = np.tensordot(np.conj(coords), t.pi_hat_table, 1)
-    n = t.dim_h
+    reps, hats, n = t.rep(coords), t.rep(coords, hatted=True), t.dim_h
     return RepresentedPert(*((r[:, None] @ h[None]).reshape(-1, n, n) for r, h in zip(reps, hats)))
 
 

@@ -10,6 +10,10 @@ the values Pi_alpha = pi(e_alpha) on the ambient matrix units and their hats
 J Pi_alpha J^{-1}: pi(a) sums a's coordinates against Pi, and hat(pi(a)) the
 conjugated coordinates against the hats (the e_alpha are real).  The right
 action is derived as pi_op(a) = J pi(a)* J^{-1}.
+Inside the package algebra data moves as ambient coordinates (..., d) in the
+``AlgebraElement.vec()`` layout, with one draw (``_random_coords``), one
+membership test (``AlgebraSpec.outside``) and one representation kernel
+(``FiniteSpectralTriple.rep``); lists of elements are the public edge.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from .matrix_core import (
     AntilinearOp,
     adjoint,
     as_matrix,
-    commutator,
     frob_norm,
     identity,
 )
@@ -185,18 +188,24 @@ class AlgebraSpec:
         blocks = [rows[:, o:o + n * n].reshape(-1, n, n) for o, n in zip(starts, self.summands)]
         return [AlgebraElement(tuple(b[i] for b in blocks)) for i in range(len(rows))]
 
+    def outside(self, rows, tol: float = 1e-9) -> np.ndarray:
+        """Mask of the coordinate rows (..., d) off the span by > tol * max(1, |row|), or NaN."""
+        rows = np.asarray(rows, dtype=complex)
+        if self._proj is None:
+            return np.zeros(rows.shape[:-1], dtype=bool)
+        resid = np.linalg.norm(rows - rows @ self._proj.T, axis=-1)
+        return ~(resid <= tol * np.maximum(1.0, np.linalg.norm(rows, axis=-1)))
+
     def first_outside(self, elements, tol: float = 1e-9) -> int | None:
         """
         Index of the first element not in the algebra (other summand shapes, or
-        farther than tol * max(1, |a|) from the span, or NaN), None if all are.
+        :meth:`outside` on its coordinates), None if all are.
         """
         fits = np.array(
             [tuple(b.shape[0] for b in a.blocks) == self.summands for a in elements], dtype=bool
         )
-        if self._proj is not None and fits.any():
-            v = np.array([a.vec() for a, ok in zip(elements, fits) if ok])
-            resid = np.linalg.norm(v - v @ self._proj.T, axis=1)
-            fits[fits] = resid <= tol * np.maximum(1.0, np.linalg.norm(v, axis=1))
+        if fits.any():
+            fits[fits] = ~self.outside([a.vec() for a, ok in zip(elements, fits) if ok], tol)
         bad = np.flatnonzero(~fits)
         return int(bad[0]) if bad.size else None
 
@@ -323,9 +332,9 @@ class FiniteSpectralTriple:
             raise ValueError("gamma is not self-adjoint")
         if frob_norm(self.gamma @ self.d + self.d @ self.gamma) > tol * scale:
             raise ValueError("gamma does not anticommute with D")
-        for a in spanning_set(self.algebra):
-            if frob_norm(commutator(self.gamma, represent(self, a))) > tol:
-                raise ValueError("gamma does not commute with the represented algebra")
+        reps = _span_reps(self, self.algebra)
+        if np.any(np.linalg.norm(self.gamma @ reps - reps @ self.gamma, axis=(1, 2)) > tol):
+            raise ValueError("gamma does not commute with the represented algebra")
         jj = self.j.square()
         if frob_norm(jj - self.signs.eps_j * identity(self.dim_h)) > tol:
             raise ValueError("J^2 does not match declared eps_j")
@@ -334,12 +343,25 @@ class FiniteSpectralTriple:
         """The hat operation T -> J T J^{-1}."""
         return self.j.conjugate(t)
 
+    def rep(self, coords, hatted: bool = False) -> np.ndarray:
+        """pi, or hat o pi if ``hatted``, of ambient coordinates (..., d): shape (..., N, N)."""
+        if hatted:
+            return np.tensordot(np.conj(coords), self.pi_hat_table, 1)
+        return np.tensordot(coords, self.pi_table, 1)
+
 
 def represent(t: FiniteSpectralTriple, a: AlgebraElement) -> np.ndarray:
     """pi(a) = sum_alpha a_alpha Pi_alpha, read from the triple's table."""
     if tuple(b.shape[0] for b in a.blocks) != t.algebra.summands:
         raise ValueError("element does not match the triple's algebra")
-    return np.tensordot(a.vec(), t.pi_table, 1)
+    return t.rep(a.vec())
+
+
+def _span_reps(t: FiniteSpectralTriple, spec: AlgebraSpec) -> np.ndarray:
+    """pi of the spanning set of ``spec`` (over the triple's summands), stacked."""
+    if spec.summands != t.algebra.summands:
+        raise ValueError("element does not match the triple's algebra")
+    return t.rep(spec.span_coords()[0])
 
 
 def represent_opposite(t: FiniteSpectralTriple, a: AlgebraElement) -> np.ndarray:
@@ -363,11 +385,9 @@ def _worst_pair(t: FiniteSpectralTriple, spec: AlgebraSpec, with_d: bool) -> Che
     Max over spanning pairs (a, b) of ||[L(a), pi_op(b)]||_F, L(a) = [D, pi(a)] if
     ``with_d`` else pi(a), at the first maximal pair in row-major order; NaN comes through.
     """
-    elems = spanning_set(spec)
-    lefts = np.array([represent(t, e) for e in elems])
-    if with_d:
-        lefts = t.d @ lefts - lefts @ t.d
-    rights = np.array([represent_opposite(t, e) for e in elems])
+    reps = _span_reps(t, spec)
+    rights = t.j.conjugate(reps.conj().swapaxes(1, 2))  # pi_op of each spanning element
+    lefts = t.d @ reps - reps @ t.d if with_d else reps
     comm = np.einsum("iab,kbc->ikac", lefts, rights) - np.einsum("kab,ibc->ikac", rights, lefts)
     defects = np.linalg.norm(comm, axis=(2, 3))
     i, k = np.unravel_index(np.argmax(defects), defects.shape)
@@ -427,11 +447,19 @@ def check_ko_signs(t: FiniteSpectralTriple) -> KOReport:
 # Random elements (seeded; used by tests and the CLI).
 
 
-def random_element(spec: AlgebraSpec, rng: np.random.Generator) -> AlgebraElement:
-    """Random element: complex standard-normal coefficients, (re, im) in turn, over a spanning set."""
+def _random_coords(spec: AlgebraSpec, rng: np.random.Generator, shape: tuple) -> np.ndarray:
+    """
+    Coordinates, shape + (d,), of ``random_element`` draws in row-major order, from one rng
+    call: complex standard-normal coefficients, (re, im) in turn, over the spanning set.
+    """
     rows = spec.span_coords()[0]
-    re, im = rng.standard_normal((len(rows), 2)).T
-    return spec.from_coords([(re + 1j * im) @ rows])[0]
+    re, im = np.moveaxis(rng.standard_normal(shape + (len(rows), 2)), -1, 0)
+    return (re + 1j * im) @ rows
+
+
+def random_element(spec: AlgebraSpec, rng: np.random.Generator) -> AlgebraElement:
+    """Random element: :func:`_random_coords` of one draw."""
+    return spec.from_coords([_random_coords(spec, rng, ())])[0]
 
 
 def random_hermitian(spec: AlgebraSpec, rng: np.random.Generator) -> AlgebraElement:

@@ -168,6 +168,9 @@ def test_grad_hess_recovers_a_quadratic():
     assert np.allclose(g, a @ z0 + b, atol=1e-9)
     assert np.allclose(h, a, atol=1e-5)
     assert np.array_equal(h, h.T)
+    for step in (0.0, -1e-5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="step must be a finite number > 0"):
+            grad_hess(f, z0, step)
 
 
 def _reference_grad_hess(fun, x, step):

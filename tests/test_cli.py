@@ -338,6 +338,8 @@ def test_bad_tolerance_in_the_environment_is_an_input_error(capsys, monkeypatch)
     ("potential-scan", "grid_n", 0),
     ("potential-scan", "grid_n", 1),
     ("check", "tol", -1.0),
+    ("semigroup-verify", "seed", 1.5),
+    ("check", "seed", True),
 ])
 def test_bad_config_settings_are_input_errors(tmp_path, capsys, command, key, value):
     cfg = tmp_path / "cfg.json"
@@ -346,6 +348,14 @@ def test_bad_config_settings_are_input_errors(tmp_path, capsys, command, key, va
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
     assert f"{key} must be" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("coord", ["NaN", "1e400"])
+def test_a_non_finite_config_point_is_an_input_error(tmp_path, capsys, coord):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(f'{{"point": [{coord}, 0, 0]}}\n')
+    assert main(["hessian", "--config", str(cfg)]) == 2
+    assert "config point must have three finite coordinates" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -6,15 +6,12 @@ from spectriple.matrix_core import approx_eq
 from spectriple.model_io import (
     RunConfig,
     complex_from_json,
-    complex_to_json,
     element_from_json,
     element_to_json,
     load_config,
     load_json,
     matrix_from_json,
     matrix_to_json,
-    one_form_from_dict,
-    one_form_to_dict,
     pert_from_dict,
     pert_to_dict,
     save_json,
@@ -27,7 +24,6 @@ from spectriple.toy_model import ToyParams, a_ev
 
 
 def test_complex_codec():
-    assert complex_to_json(1.5 - 2j) == [1.5, -2.0]
     assert complex_from_json([1.5, -2.0]) == 1.5 - 2j
     assert complex_from_json(3) == 3.0 + 0j
     assert complex_from_json(0.25) == 0.25 + 0j
@@ -42,8 +38,8 @@ def test_matrix_codec_is_bit_exact(rng):
     m[0, 0] = 1.0 / 3.0 + 0.1j  # non-dyadic values survive repr round-trips
     m[1, 2] = -0.0 - 0.0j
     assert np.array_equal(matrix_from_json(matrix_to_json(m)), m)
-    # entry by entry, the same Python floats as the scalar codec
-    want = [[complex_to_json(z) for z in row] for row in m]
+    # entry by entry, the Python floats of the real and imaginary parts
+    want = [[[float(z.real), float(z.imag)] for z in row] for row in m]
     assert repr(matrix_to_json(m)) == repr(want)
     with pytest.raises(ValueError):
         matrix_from_json("garbage")
@@ -144,18 +140,18 @@ def test_pert_from_dict_validates(rng):
 def test_one_form_round_trip(rng):
     spec = a_ev()
     w = random_one_form(spec, rng)
-    payload = one_form_to_dict(w)
-    # one-forms and perturbations share the pair format
+    payload = pert_to_dict(w)
+    # one-forms and perturbations share the pair format: the pairs sum to omega
     assert set(payload) == {"pairs"} and len(payload["pairs"]) == spec.dim()
-    back = one_form_from_dict(spec, payload)
-    assert approx_eq(one_form_cf(spec, back), one_form_cf(spec, w), 1e-13)
+    back = pert_from_dict(spec, payload, validate=False)
+    assert approx_eq(back.coeffs, one_form_cf(spec, w), 1e-13)
 
 
-def test_one_form_from_dict_validates(rng):
+def test_pert_from_dict_rejects_pairs_outside_the_algebra(rng):
     full = AlgebraSpec((2, 2))
     outside = UniversalOneForm.from_pairs(full, ((random_element(full, rng),) * 2,))
     with pytest.raises(ValueError, match="not in the algebra"):
-        one_form_from_dict(a_ev(), one_form_to_dict(outside))
+        pert_from_dict(a_ev(), pert_to_dict(outside), validate=False)
 
 
 def test_save_json_appends_newline(tmp_path):
@@ -214,6 +210,7 @@ def test_config_rejects_unknown_keys(tmp_path):
     ("n_starts", -3), ("n_starts", 0), ("n_starts", 2.7), ("n_starts", True),
     ("grid_n", 0), ("grid_n", 1), ("grid_n", 5.0), ("grid_n", "11"),
     ("tol", -1.0), ("tol", 0.0), ("tol", float("nan")), ("tol", float("inf")),
+    ("seed", 1.5), ("seed", True), ("seed", -1), ("seed", "3"),
 ])
 def test_config_rejects_bad_counts_and_tolerances(tmp_path, key, value):
     path = tmp_path / "cfg.json"
@@ -224,9 +221,10 @@ def test_config_rejects_bad_counts_and_tolerances(tmp_path, key, value):
 
 def test_config_rejects_bad_point(tmp_path):
     path = tmp_path / "cfg.json"
-    save_json(str(path), {"point": [1.0, 2.0]})
-    with pytest.raises(ValueError, match="three"):
-        load_config(str(path))
+    for point in ("[1.0, 2.0]", "[NaN, 0, 0]", "[1e400, 0, 0]", "[0, -Infinity, 0]"):
+        path.write_text(f'{{"point": {point}}}\n')
+        with pytest.raises(ValueError, match="three finite coordinates"):
+            load_config(str(path))
 
 
 def test_config_missing_file():

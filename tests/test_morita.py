@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spectriple import MoritaData, morita, twisted_dirac_left, twisted_dirac_right
+from spectriple import MoritaData, morita, spectral_triple, twisted_dirac_left, twisted_dirac_right
 from spectriple.matrix_core import (
     AntilinearOp,
     adjoint,
@@ -25,14 +25,18 @@ from spectriple.morita import (
     conn_coefficients,
     corner,
     corner_projector,
-    hermitize_connection,
-    mn_entries,
-    mn_from_entries,
     random_conn_form,
     random_idempotent,
 )
-from spectriple.perturbation import UniversalOneForm, _leg_weights, one_form_scale, one_form_star
-from spectriple.spectral_triple import AlgebraElement, random_element, represent, spanning_set
+from spectriple.morita import _entry_coords, _from_entry_coords, _hermitize
+from spectriple.perturbation import UniversalOneForm, _leg_weights, one_form_star
+from spectriple.spectral_triple import (
+    AlgebraElement,
+    _random_coords,
+    random_element,
+    represent,
+    spanning_set,
+)
 from spectriple.toy_model import a_f
 from test_perturbation import _reference_rmul, _reference_star
 from test_spectral_triple import _multi_triple
@@ -57,13 +61,23 @@ def _reference_hermitize(spec, grid):
     ]
 
 
-def _reference_compress(e, grid):
+def _entries(spec, x, n):
+    """The n x n grid of entries of x in M_n(A), as elements."""
+    return [spec.from_coords(row) for row in _entry_coords(x, n)]
+
+
+def _hermitized(spec, conn):
+    """(B + B*)/2 of a grid of one-forms, on the coefficient stack."""
+    return morita._forms(spec, _hermitize(spec, conn_coefficients(spec, conn)))
+
+
+def _reference_compress(spec, e, grid):
     """
     e B e on pair lists through the Leibniz rule: entry (i, l) collects
     e_ij . (x d(y)) . e_kl = (e_ij x) d(y e_kl) - (e_ij x y) d(e_kl) over j, k.
     """
     n = len(grid)
-    ents = mn_entries(e, n)
+    ents = _entries(spec, e, n)
     return [
         [[(ents[i][j] * x, y) for j in range(n) for k in range(n)
           for x, y in _reference_rmul(grid[j][k], ents[k][l])]
@@ -208,12 +222,11 @@ def _zeroth_order_induced(t, n):
 
 
 def _mn_unit(spec, n):
-    zero = spec.zero()
-    return mn_from_entries([[spec.unit() if i == k else zero for k in range(n)] for i in range(n)])
+    return _from_entry_coords(spec.summands, identity(n)[..., None] * spec.unit().vec())
 
 
 def _random_mn(spec, n, rng):
-    return mn_from_entries([[random_element(spec, rng) for _ in range(n)] for _ in range(n)])
+    return _from_entry_coords(spec.summands, _random_coords(spec, rng, (n, n)))
 
 
 def test_rank_one_unit_module_gives_back_d(toy):
@@ -224,8 +237,8 @@ def test_rank_one_unit_module_gives_back_d(toy):
 
 def test_diagonal_projection_cuts_the_corner(toy):
     # e = diag(1, 0) embeds D into the (0,0) cell of the doubled index grid
-    unit, zero = toy.algebra.unit(), toy.algebra.zero()
-    e = mn_from_entries(((unit, zero), (zero, zero)))
+    spec = toy.algebra
+    e = _from_entry_coords(spec.summands, _unit(2, 0, 0)[..., None] * spec.unit().vec())
     md = MoritaData(toy, 2, e)
     want = np.zeros((32, 32), dtype=complex)
     want[0:8, 0:8] = toy.d
@@ -242,7 +255,7 @@ def test_unit_module_with_diagonal_connection_reduces_entrywise(toy, rng):
     conn = tuple(
         tuple(w if i == k else zero_form for k in range(n)) for i in range(n)
     )
-    conn = hermitize_connection(conn)
+    conn = _hermitized(toy.algebra, conn)
     md = MoritaData(toy, n, _mn_unit(toy.algebra, n), conn)
     big = twisted_dirac_left(md)
     small = MoritaData(toy, 1, toy.algebra.unit(), ((conn[0][0],),))
@@ -274,25 +287,15 @@ def test_idempotent_identity_vanishes(toy):
 def test_random_idempotents_are_what_they_claim(toy, rng):
     e = random_idempotent(toy, 2, rng, self_adjoint=True)
     assert [len(b) for b in e.blocks] == [4, 4]  # M_2(A): blocks of size 2 * m_s
-    sq, star = mn_entries(e * e, 2), mn_entries(e.star(), 2)
-    entries = mn_entries(e, 2)
-    for j in range(2):
-        for k in range(2):
-            assert (sq[j][k] - entries[j][k]).norm() < 1e-10
-            assert (star[j][k] - entries[j][k]).norm() < 1e-10
-            assert toy.algebra.contains(entries[j][k], tol=1e-8)
+
+    def gap(x, y):  # the largest distance between corresponding entries
+        return np.max(np.linalg.norm(_entry_coords(x, 2) - _entry_coords(y, 2), axis=-1))
+
+    assert gap(e * e, e) < 1e-10 and gap(e.star(), e) < 1e-10
+    assert not toy.algebra.outside(_entry_coords(e, 2), tol=1e-8).any()
     skew = random_idempotent(toy, 2, rng, self_adjoint=False)
-    gap = max(
-        (a - b).norm()
-        for row_a, row_b in zip(mn_entries(skew.star(), 2), mn_entries(skew, 2))
-        for a, b in zip(row_a, row_b)
-    )
-    assert gap > 1e-3  # genuinely not self-adjoint
-    assert max(
-        (a - b).norm()
-        for row_a, row_b in zip(mn_entries(skew * skew, 2), mn_entries(skew, 2))
-        for a, b in zip(row_a, row_b)
-    ) < 1e-8
+    assert gap(skew.star(), skew) > 1e-3  # genuinely not self-adjoint
+    assert gap(skew * skew, skew) < 1e-8
 
 
 def test_corner_projector_is_idempotent_and_corner_self_adjoint(toy):
@@ -317,8 +320,8 @@ def test_hermitized_connection_represents_self_adjointly(toy, rng):
         )
         for _ in range(n)
     )
-    herm = hermitize_connection(raw)
-    op = _rep_conn(toy, n, conn_coefficients(toy.algebra, herm), _d_big(toy, n))
+    herm = _hermitize(toy.algebra, conn_coefficients(toy.algebra, raw))
+    op = _rep_conn(toy, n, herm, _d_big(toy, n))
     assert approx_eq(op, adjoint(op), 1e-12)
 
 
@@ -355,8 +358,8 @@ def _check_action_against_the_pairwise_loop(t, n, hatted, compressed):
     conn = _forms(spec, grid)
     if compressed:
         e = random_idempotent(t, n, rng, self_adjoint=False)
-        conn = compress_connection(e, hermitize_connection(conn))
-        grid = _reference_compress(e, _reference_hermitize(spec, grid))
+        conn = compress_connection(e, _hermitized(spec, conn))
+        grid = _reference_compress(spec, e, _reference_hermitize(spec, grid))
     dim = n * n * t.dim_h
     base = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     got = _rep_conn(t, n, conn_coefficients(spec, conn), base, hatted)
@@ -391,7 +394,8 @@ def test_compress_coefficients_matches_universal_compression(toy, n):
     e = random_idempotent(toy, n, rng, self_adjoint=False)
     grid = _raw_pairs(toy.algebra, n, rng)
     got = compress_coefficients(e, conn_coefficients(toy.algebra, _forms(toy.algebra, grid)))
-    want = conn_coefficients(toy.algebra, _forms(toy.algebra, _reference_compress(e, grid)))
+    spec = toy.algebra
+    want = conn_coefficients(spec, _forms(spec, _reference_compress(spec, e, grid)))
     assert frob_norm(got - want) < 1e-12 * max(1.0, frob_norm(want))
 
 
@@ -407,9 +411,9 @@ def test_hermitize_and_compress_match_the_leibniz_pair_formulas(toy, which, n, s
     spec, rng = t.algebra, np.random.default_rng(seed)
     e = random_idempotent(t, n, rng, self_adjoint=sa)
     grid = _raw_pairs(spec, n, rng, n_pairs=2)
-    herm, ref = hermitize_connection(_forms(spec, grid)), _reference_hermitize(spec, grid)
+    herm, ref = _hermitized(spec, _forms(spec, grid)), _reference_hermitize(spec, grid)
     assert _max_rel(herm, spec, ref) < 1e-12
-    assert _max_rel(compress_connection(e, herm), spec, _reference_compress(e, ref)) < 1e-12
+    assert _max_rel(compress_connection(e, herm), spec, _reference_compress(spec, e, ref)) < 1e-12
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -419,7 +423,8 @@ def test_random_conn_form_matches_the_reference_pair_path(toy, n):
     e = random_idempotent(toy, n, np.random.default_rng(80 + n), self_adjoint=False)
     conn = random_conn_form(toy, n, np.random.default_rng(90 + n), e)
     grid = _raw_pairs(spec, n, np.random.default_rng(90 + n))
-    assert _max_rel(conn, spec, _reference_compress(e, _reference_hermitize(spec, grid))) < 1e-12
+    want = _reference_compress(spec, e, _reference_hermitize(spec, grid))
+    assert _max_rel(conn, spec, want) < 1e-12
 
 
 @pytest.mark.parametrize("which", sorted(_TRIPLES))
@@ -445,13 +450,16 @@ def test_random_draws_match_the_sequential_draws_bit_for_bit(toy, monkeypatch, n
     rng, ref = np.random.default_rng(n), np.random.default_rng(n)
     conn = random_conn_form(toy, n, rng, e, n_pairs=n_pairs)
     raw = _forms(spec, _raw_pairs(spec, n, ref, n_pairs))
-    herm = [[one_form_scale(0.5, raw[j][k] + one_form_star(raw[k][j])) for k in range(n)]
-            for j in range(n)]
+    herm = [[UniversalOneForm(spec, 0.5 * (raw[j][k] + one_form_star(raw[k][j])).omega)
+             for k in range(n)] for j in range(n)]
     want = compress_coefficients(e, conn_coefficients(spec, herm))
     assert np.array_equal(conn_coefficients(spec, conn), want)
     assert rng.bit_generator.state == ref.bit_generator.state
     # random_idempotent: each n x n grid as one draw, against entry-by-entry draws
     got = [random_idempotent(toy, n, rng, self_adjoint=sa) for sa in (True, False)]
+    # the one draw lives in spectral_triple; random_idempotent reads morita's import of it,
+    # and _sequential_coords reads random_element, which reads spectral_triple's
+    assert morita._random_coords is spectral_triple._random_coords
     monkeypatch.setattr(morita, "_random_coords", _sequential_coords)
     for sa, x in zip((True, False), got):
         assert np.array_equal(random_idempotent(toy, n, ref, self_adjoint=sa).vec(), x.vec())
@@ -555,7 +563,7 @@ def test_left_and_hatted_actions_commute_on_the_module(toy, rng):
 def _reference_pi_big(t, n, x, hatted):
     """sum_ik kron(E_ik, kron(1, pi(x_ik))), or kron(1, kron(E_ik, hat(pi(x_ik)))) when hatted."""
     out = np.zeros((n * n * t.dim_h,) * 2, dtype=complex)
-    for i, row in enumerate(mn_entries(x, n)):
+    for i, row in enumerate(_entries(t.algebra, x, n)):
         for k, entry in enumerate(row):
             cell = _unit(n, i, k)
             if hatted:
@@ -576,20 +584,16 @@ def test_pi_big_and_pi_hat_big_match_the_entrywise_sum(toy, n):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_grid_constructor_and_entry_accessor_round_trip(toy, n):
     rng = np.random.default_rng(70 + n)
-    grid = [[random_element(toy.algebra, rng) for _ in range(n)] for _ in range(n)]
-    x = mn_from_entries(grid)
-    assert [len(b) for b in x.blocks] == [n * m for m in toy.algebra.summands]
-    back = mn_entries(x, n)
-    assert all(
-        np.array_equal(a.vec(), b.vec())
-        for row_a, row_b in zip(grid, back)
-        for a, b in zip(row_a, row_b)
-    )
-    again = mn_from_entries(back)
+    spec = toy.algebra
+    coords = _random_coords(spec, rng, (n, n))
+    x = _from_entry_coords(spec.summands, coords)
+    assert [len(b) for b in x.blocks] == [n * m for m in spec.summands]
+    assert np.array_equal(_entry_coords(x, n), coords)
+    again = _from_entry_coords(spec.summands, _entry_coords(x, n))
     assert all(np.array_equal(a, b) for a, b in zip(again.blocks, x.blocks))
     # products in M_n(A) are the matrix products of the entries
-    y = _random_mn(toy.algebra, n, rng)
-    xy, ys = mn_entries(x * y, n), mn_entries(y, n)
+    y = _random_mn(spec, n, rng)
+    grid, xy, ys = (_entries(spec, z, n) for z in (x, x * y, y))
     for i in range(n):
         for k in range(n):
             want = grid[i][0] * ys[0][k]
@@ -604,6 +608,12 @@ def test_validation_rejects_an_idempotent_of_the_wrong_size(toy, rng):
         MoritaData(toy, 3, e)
     with pytest.raises(ValueError, match="does not match the triple's algebra"):
         _pi_big(toy, 3, e)
+    # a module size that is not an integer >= 1, with one message
+    for n in (0, -1, 1.5, True, "2"):
+        for call in (lambda: random_idempotent(toy, n, rng), lambda: MoritaData(toy, n, e),
+                     lambda: random_conn_form(toy, n, rng, e)):
+            with pytest.raises(ValueError, match="module size n must be an integer >= 1"):
+                call()
 
 
 def test_validation_rejects_an_entry_outside_the_algebra(toy):
@@ -614,6 +624,7 @@ def test_validation_rejects_an_entry_outside_the_algebra(toy):
     assert not toy.algebra.contains(outside)
     with pytest.raises(ValueError, match="idempotent entry is not in the algebra"):
         MoritaData(toy, 1, outside)
-    zero = toy.algebra.zero()
+    coords = np.zeros((2, 2, toy.algebra.ambient_dim), dtype=complex)
+    coords[0, 0], coords[1, 1] = toy.algebra.unit().vec(), outside.vec()
     with pytest.raises(ValueError, match="idempotent entry is not in the algebra"):
-        MoritaData(toy, 2, mn_from_entries(((toy.algebra.unit(), zero), (zero, outside))))
+        MoritaData(toy, 2, _from_entry_coords(toy.algebra.summands, coords))

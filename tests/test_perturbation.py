@@ -27,6 +27,7 @@ from spectriple import (
 from spectriple.matrix_core import adjoint, approx_eq, commutator, frob_norm, identity
 from spectriple.perturbation import (
     UniversalOneForm,
+    _flip,
     _mult_map,
     _mult_tensor,
     a1,
@@ -38,10 +39,8 @@ from spectriple.perturbation import (
     one_form_cf,
     one_form_lmul,
     one_form_rmul,
-    one_form_scale,
     one_form_star,
     random_one_form,
-    star_swap,
     symmetrize,
 )
 from spectriple.spectral_triple import AlgebraSpec, random_element, random_unitary, spanning_set
@@ -90,7 +89,8 @@ def test_unit_pert_is_a_two_sided_identity(rng):
 
 def test_valid_perts_are_flip_invariant(rng):
     p = random_pert(SPEC, rng)
-    assert approx_eq(canonical_form(star_swap(p)), canonical_form(p), 1e-12)
+    flipped = PertElement(SPEC, _flip(SPEC.summands, p.coeffs))
+    assert approx_eq(canonical_form(flipped), canonical_form(p), 1e-12)
 
 
 def test_symmetrize_is_idempotent_on_canonical_forms(rng):
@@ -197,7 +197,8 @@ def test_one_form_module_actions_match_their_representations(toy, rng):
     ra, rc = represent(toy, aa), represent(toy, cc)
     assert approx_eq(a1(toy, one_form_lmul(aa, w)), ra @ a1(toy, w), 1e-12)
     assert approx_eq(a1(toy, one_form_rmul(w, cc)), a1(toy, w) @ rc, 1e-12)
-    assert approx_eq(a1(toy, one_form_scale(2 - 1j, w)), (2 - 1j) * a1(toy, w), 1e-12)
+    scaled = UniversalOneForm(SPEC, (2 - 1j) * w.omega)
+    assert approx_eq(a1(toy, scaled), (2 - 1j) * a1(toy, w), 1e-12)
 
 
 def test_one_form_star_represents_as_the_adjoint(toy, rng):
@@ -250,7 +251,26 @@ def test_one_form_maps_match_the_leibniz_pair_formulas(name, seed, n_pairs):
     assert _matches(one_form_lmul(a, w), spec, [(a * x, y) for x, y in pairs])
     assert _matches(one_form_rmul(w, c), spec, _reference_rmul(pairs, c))
     assert _matches(one_form_star(w), spec, _reference_star(spec, pairs))
-    assert _matches(one_form_scale(2 - 1j, w) + w, spec, [((3 - 1j) * x, y) for x, y in pairs])
+    scaled = UniversalOneForm(spec, (2 - 1j) * w.omega)
+    assert _matches(scaled + w, spec, [((3 - 1j) * x, y) for x, y in pairs])
+
+
+@pytest.mark.parametrize("name", ["a_ev", "a_f", "multi", "complex basis"])
+@pytest.mark.parametrize("n_pairs", [1, 3])
+def test_random_draws_match_the_element_by_element_draws_bit_for_bit(name, n_pairs):
+    # one rng call per draw against random_element pairs read through from_pairs
+    spec = _SPECS[name] if name in _SPECS else _complex_basis_spec()
+    rng, ref = np.random.default_rng(n_pairs), np.random.default_rng(n_pairs)
+
+    def reference_form():
+        pairs = [(random_element(spec, ref), random_element(spec, ref)) for _ in range(n_pairs)]
+        return UniversalOneForm.from_pairs(spec, pairs)
+
+    got, want = random_pert(spec, rng, n_pairs), normalize_one_form(spec, reference_form())
+    assert np.array_equal(got.coeffs, want.coeffs)
+    w, v = random_one_form(spec, rng, n_pairs), reference_form()
+    assert np.array_equal(w.omega, (v + one_form_star(v)).omega)
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 @pytest.mark.parametrize("name", ["a_ev", "a_f", "multi", "complex basis"])
@@ -504,7 +524,7 @@ def test_perturbation_maps_match_the_pair_formulas(layout, n_pairs):
     assert _close(eta_one_form(p).omega, _reference_eta(spec, xs))
     raw = _raw_pairs(spec, rng)
     r = PertElement.from_pairs(spec, raw, validate=False)
-    assert _close(star_swap(r).coeffs, _reference_coeffs(_reference_flip(raw)))
+    assert _close(_flip(spec.summands, r.coeffs), _reference_coeffs(_reference_flip(raw)))
     assert _close(symmetrize(r).coeffs, _reference_coeffs(_reference_symmetrize(raw)))
     t = triple()
     assert _close(mu(t, p).canonical_form(), _reference_mu_cf(t, xs))

@@ -131,6 +131,10 @@ def test_batched_membership_matches_a_least_squares_reference(spec):
     want = [_lstsq_contains(spec, a) for a in elems]
     assert want.count(True) == 100
     assert [spec.contains(a) for a in elems] == want
+    # outside on coordinate rows, in any leading shape
+    rows = np.array([a.vec() for a in elems])
+    assert (~spec.outside(rows)).tolist() == want
+    assert (~spec.outside(rows.reshape(4, 50, -1))).ravel().tolist() == want
     for start in range(0, 200, 7):
         first = next((k for k, ok in enumerate(want[start:]) if not ok), None)
         assert spec.first_outside(elems[start:]) == first
@@ -138,6 +142,7 @@ def test_batched_membership_matches_a_least_squares_reference(spec):
     nan = _from_vec(spec.summands, np.full(spec.ambient_dim, np.nan))
     assert spec.first_outside([spec.unit(), AlgebraElement(([[1]],)), nan]) == 1
     assert spec.first_outside([spec.unit(), nan]) == 1
+    assert spec.outside(np.array([spec.unit().vec(), nan.vec()])).tolist() == [False, True]
 
 
 @pytest.mark.parametrize("summands", [(1,), (3,), (2, 2), (1, 3, 2), (2, 1, 1, 3)])
