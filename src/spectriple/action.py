@@ -201,9 +201,12 @@ class MinimizeResult:
     message: str = ""
 
 
-def minimize(fun, start, fixed: dict | None = None, gate: float = 1e-10) -> MinimizeResult:
+_GATE = 1e-10  # the gradient norm that counts as converged
+
+
+def minimize(fun, start, fixed: dict | None = None) -> MinimizeResult:
     """
-    Drive the gradient norm of the vectorized ``fun`` below ``gate`` from ``start``.
+    Drive the gradient norm of the vectorized ``fun`` below 1e-10 from ``start``.
 
     ``fixed`` pins coordinates (index -> value) and optimizes the rest with
     scipy's trust-region Newton method ("trust-exact").  Only values of ``fun``
@@ -244,11 +247,11 @@ def minimize(fun, start, fixed: dict | None = None, gate: float = 1e-10) -> Mini
     try:
         res = trust_region(lambda z: evaluate(z.tobytes())[0], start[free], method="trust-exact",
                            jac=lambda z: evaluate(z.tobytes())[1],
-                           hess=lambda z: evaluate(z.tobytes())[2], options={"gtol": gate})
+                           hess=lambda z: evaluate(z.tobytes())[2], options={"gtol": _GATE})
     except (FloatingPointError, np.linalg.LinAlgError) as exc:
         return MinimizeResult(start, math.nan, math.nan, False, 0, str(exc))
     ng = float(np.linalg.norm(res.jac))
-    return MinimizeResult(embed(res.x), float(res.fun), ng, ng <= gate, res.nit, res.message)
+    return MinimizeResult(embed(res.x), float(res.fun), ng, ng <= _GATE, res.nit, res.message)
 
 
 @dataclass
@@ -261,11 +264,14 @@ class CriticalPoint:
     hits: int = 1
 
 
-def classify_point(fun, coords, step: float = 1e-4, degenerate_tol: float = 1e-6):
-    """Label a critical point of the vectorized ``fun`` by its Hessian spectrum."""
-    eigs = np.linalg.eigvalsh(grad_hess(fun, coords, step=step)[1])
+def classify_point(fun, coords):
+    """
+    Label a critical point of the vectorized ``fun`` by its Hessian spectrum (step 1e-4);
+    an eigenvalue below 1e-6 times the largest (at least 1) makes it degenerate.
+    """
+    eigs = np.linalg.eigvalsh(grad_hess(fun, coords, step=1e-4)[1])
     scale = max(1.0, float(np.max(np.abs(eigs))))
-    if np.any(np.abs(eigs) < degenerate_tol * scale):
+    if np.any(np.abs(eigs) < 1e-6 * scale):
         return "degenerate", eigs
     return ("minimum" if np.all(eigs > 0) else "maximum" if np.all(eigs < 0) else "saddle"), eigs
 
@@ -276,25 +282,22 @@ def _invariants(coords, value) -> np.ndarray:
     return np.array([c0 ** 2, (1.0 + c1) ** 2 + c2 ** 2, value])
 
 
-def multi_start_minimize(
-    fun, n_starts: int = 32, seed: int = 0, box: float = 2.5, merge_tol: float = 1e-5
-) -> list:
+def multi_start_minimize(fun, n_starts: int = 32, seed: int = 0) -> list:
     """
     Seeded multistart on the vectorized ``fun``: start i draws from
-    default_rng(seed + i) uniformly in [-box, box]^3.  Converged results are
+    default_rng(seed + i) uniformly in [-2.5, 2.5]^3.  Converged results are
     merged when their chart invariants (|x|^2, |v|^2) and values agree within
-    ``merge_tol``, so each gauge class is one point, represented by its
-    lowest value and classified once.  Returns CriticalPoint entries sorted
-    by value.
+    1e-5, so each gauge class is one point, represented by its lowest value
+    and classified once.  Returns CriticalPoint entries sorted by value.
     """
     found: list[CriticalPoint] = []
     for i in range(n_starts):
-        res = minimize(fun, np.random.default_rng(seed + i).uniform(-box, box, size=3))
+        res = minimize(fun, np.random.default_rng(seed + i).uniform(-2.5, 2.5, size=3))
         if not res.converged:
             continue
         key = _invariants(res.coords, res.value)
         for cp in found:
-            if np.linalg.norm(_invariants(cp.coords, cp.value) - key) <= merge_tol:
+            if np.linalg.norm(_invariants(cp.coords, cp.value) - key) <= 1e-5:
                 cp.hits += 1
                 if res.value < cp.value:
                     cp.coords, cp.value, cp.grad_norm = res.coords, res.value, res.grad_norm
@@ -310,22 +313,21 @@ def multi_start_minimize(
 # Symmetry diagnostics
 
 
-def stabilizer_dim(t: FiniteSpectralTriple, d_op, spec=None) -> int:
+def stabilizer_dim(t: FiniteSpectralTriple, d_op) -> int:
     """
     Real dimension of the unitary-gauge stabilizer of an operator: the
     anti-hermitian X in the algebra with [pi(X) + hat(pi(X)), d_op] = 0.
     """
-    spec = spec if spec is not None else t.algebra
     # the anti-hermitian parts e - e*, i(e + e*) of a spanning set span u(A), of real
     # dimension dim_C A; pi is a *-homomorphism, so pi(e*) = pi(e)^dagger
-    reps = _span_reps(t, spec)
+    reps = _span_reps(t, t.algebra)
     adj = reps.conj().swapaxes(1, 2)
     ops = np.stack([reps - adj, 1j * (reps + adj)], axis=1).reshape(-1, t.dim_h, t.dim_h)
     ops = ops + t.hat(ops)
     d_op = np.asarray(d_op, dtype=complex)
     k = (ops @ d_op - d_op @ ops).reshape(len(ops), -1)
     svals = np.linalg.svd(np.concatenate([k.real, k.imag], axis=1), compute_uv=False)
-    return spec.dim() - int(np.sum(svals > 1e-8 * svals.max(initial=0.0)))
+    return t.algebra.dim() - int(np.sum(svals > 1e-8 * svals.max(initial=0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -383,12 +385,12 @@ def grid_scan(tp: ToyParams, ap: ActionParams, n: int = 4001) -> ScanResult:
     return ScanResult(best[0], float(axis[best[1]]), float(axis[best[2]]))
 
 
-def sigma_grid(tp: ToyParams, ap: ActionParams, n: int = 201, lim: float = 3.0):
+def sigma_grid(tp: ToyParams, ap: ActionParams, n: int = 201):
     """
-    Potential at x = 0 over a real (s1, s2) grid; the fields there are
-    v = (1 + s1, s2).  Returns (s1 axis, s2 axis, V matrix).
+    Potential at x = 0 over a real (s1, s2) grid on [-3, 3]^2; the fields there
+    are v = (1 + s1, s2).  Returns (s1 axis, s2 axis, V matrix).
     """
-    axis = _grid_axis(-lim, lim, n)
+    axis = _grid_axis(-3.0, 3.0, n)
     v_sq = (1.0 + axis[:, None]) ** 2 + axis[None, :] ** 2
     return axis, axis.copy(), v_reduced(tp, ap, 0.0, v_sq)
 
@@ -399,11 +401,11 @@ def sigma_valley_radius(tp: ToyParams, ap: ActionParams) -> float:
     return 0.0 if ky2 == 0.0 else math.sqrt(2.0 * ap.f2 * ap.lam ** 2 / (ap.f0 * ky2))
 
 
-def x_grid(tp: ToyParams, ap: ActionParams, n: int = 201, lim: float = 2.5):
+def x_grid(tp: ToyParams, ap: ActionParams, n: int = 201):
     """
-    Potential over complex x = a + ib with v pinned on the sigma valley at
-    (sqrt(w), 0), w the valley radius.  Returns (Re axis, Im axis, V matrix).
+    Potential over complex x = a + ib on [-2.5, 2.5]^2 with v pinned on the sigma
+    valley at (sqrt(w), 0), w the valley radius.  Returns (Re axis, Im axis, V matrix).
     """
-    axis = _grid_axis(-lim, lim, n)
+    axis = _grid_axis(-2.5, 2.5, n)
     x_sq = axis[:, None] ** 2 + axis[None, :] ** 2
     return axis, axis.copy(), v_reduced(tp, ap, x_sq, sigma_valley_radius(tp, ap))

@@ -100,10 +100,6 @@ class AntilinearOp:
     def dim(self) -> int:
         return self.m.shape[0]
 
-    def apply(self, xi: np.ndarray) -> np.ndarray:
-        """Apply to a vector (or columnwise to a matrix of vectors)."""
-        return self.m @ np.conj(xi)
-
     def conjugate(self, t: np.ndarray) -> np.ndarray:
         """J T J^{-1} for a linear operator t, or for each of a stack of them."""
         t = np.asarray(t, dtype=complex)

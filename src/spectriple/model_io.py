@@ -111,7 +111,7 @@ def triple_to_dict(t: FiniteSpectralTriple) -> dict:
     }
 
 
-def triple_from_dict(payload: dict, validate: bool = True) -> FiniteSpectralTriple:
+def triple_from_dict(payload: dict) -> FiniteSpectralTriple:
     summands = tuple(int(n) for n in payload["summands"])
     basis = payload.get("basis")
     if basis is not None:
@@ -138,7 +138,6 @@ def triple_from_dict(payload: dict, validate: bool = True) -> FiniteSpectralTrip
         j=AntilinearOp(matrix_from_json(payload["j_m"])),
         gamma=matrix_from_json(payload["gamma"]),
         signs=KOSigns(int(signs["eps_j"]), int(signs["eps_d"]), int(signs["eps_gamma"])),
-        validate=validate,
     )
 
 
@@ -147,9 +146,9 @@ def pert_to_dict(p: PertElement | UniversalOneForm) -> dict:
     return {"pairs": [[element_to_json(a), element_to_json(b)] for a, b in p.pairs]}
 
 
-def pert_from_dict(spec: AlgebraSpec, payload: dict, validate: bool = True) -> PertElement:
+def pert_from_dict(spec: AlgebraSpec, payload: dict) -> PertElement:
     pairs = tuple((element_from_json(a), element_from_json(b)) for a, b in payload["pairs"])
-    return PertElement.from_pairs(spec, pairs, validate=validate)
+    return PertElement.from_pairs(spec, pairs)
 
 
 def save_json(path: str, obj) -> None:

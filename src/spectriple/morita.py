@@ -24,7 +24,7 @@ fluctuations.  Both are contractions over cells of operators on H
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -144,7 +144,6 @@ def random_conn_form(
     rng: np.random.Generator,
     e: AlgebraElement,
     n_pairs: int = 1,
-    hermitian: bool = True,
 ):
     """
     A random connection compressed to the module of ``e``: entry (i, k) is sum_p x_p d(y_p) over
@@ -153,9 +152,7 @@ def random_conn_form(
     spec = t.algebra
     _mn_spec(spec, n)  # rejects a bad module size
     x, y = np.moveaxis(_random_coords(spec, rng, (n, n, n_pairs, 2)), -2, 0)  # (n, n, pairs, d)
-    omega = _eta(spec, x.swapaxes(-1, -2) @ y)
-    if hermitian:
-        omega = _hermitize(spec, omega)
+    omega = _hermitize(spec, _eta(spec, x.swapaxes(-1, -2) @ y))
     return _forms(spec, compress_coefficients(e, omega))
 
 
@@ -182,10 +179,9 @@ class MoritaData:
     size: int
     idem: AlgebraElement
     conn: tuple | None = None
-    validate: InitVar[bool] = True
     omega: np.ndarray | None = field(init=False, default=None, repr=False)
 
-    def __post_init__(self, validate: bool):
+    def __post_init__(self):
         n = self.size
         if tuple(len(b) for b in self.idem.blocks) != _mn_spec(self.triple.algebra, n).summands:
             raise ValueError(f"idempotent must be an {n}x{n} matrix of elements")
@@ -195,10 +191,9 @@ class MoritaData:
                 raise ValueError(f"connection must be an {n}x{n} matrix of one-forms")
             object.__setattr__(self, "conn", conn)
             object.__setattr__(self, "omega", conn_coefficients(self.triple.algebra, conn))
-        if validate:
-            self._validate_entries()
-            if self.conn is not None:
-                self._validate_compressed()
+        self._validate_entries()
+        if self.conn is not None:
+            self._validate_compressed()
 
     def _validate_entries(self, tol: float = 1e-8):
         spec, n = self.triple.algebra, self.size
@@ -284,11 +279,9 @@ def corner_projector(md: MoritaData) -> np.ndarray:
     return p.reshape(n, n, dim_h, n, n, dim_h).transpose(0, 3, 2, 1, 4, 5).reshape(dim, dim)
 
 
-def corner(md: MoritaData, op: np.ndarray | None = None) -> np.ndarray:
-    """P op P for the corner projector P (op defaults to the left twist)."""
+def corner(md: MoritaData, op: np.ndarray) -> np.ndarray:
+    """P op P for the corner projector P."""
     p = corner_projector(md)
-    if op is None:
-        op = twisted_dirac_left(md)
     return p @ op @ p
 
 
@@ -315,17 +308,16 @@ def random_idempotent(
     n: int,
     rng: np.random.Generator,
     self_adjoint: bool = True,
-    max_tries: int = 50,
 ):
     """
     A random idempotent in M_n(A): the positive spectral projection of a
     random hermitian matrix over the algebra (resampled when an eigenvalue
     sits too close to zero), optionally skewed by conjugation with an
-    invertible element so that it is no longer self-adjoint.  Each n x n grid
-    of entries is one draw (:func:`_random_coords`).
+    invertible element so that it is no longer self-adjoint, in at most 50
+    tries.  Each n x n grid of entries is one draw (:func:`_random_coords`).
     """
     spec, unit = t.algebra, _mn_spec(t.algebra, n).unit()
-    for _ in range(max_tries):
+    for _ in range(50):
         h = _from_entry_coords(spec.summands, _random_coords(spec, rng, (n, n)))
         h = 0.5 * (h + h.star())
         eigs = [np.linalg.eigh(big) for big in h.blocks]

@@ -309,12 +309,12 @@ def pert_mul(x: PertElement, y: PertElement) -> PertElement:
     return PertElement(x.spec, prod.ravel()[_cf_index(x.spec.summands)].reshape(x.coeffs.shape))
 
 
-def from_unitary(spec: AlgebraSpec, u: AlgebraElement, tol: float = 1e-9) -> PertElement:
-    """The perturbation u (x) u* attached to a unitary u in A."""
+def from_unitary(spec: AlgebraSpec, u: AlgebraElement) -> PertElement:
+    """The perturbation u (x) u* attached to a unitary u in A (to 1e-9)."""
     p = PertElement.from_pairs(spec, ((u, u.star()),), validate=False)
     unit = spec.unit().vec()
     defect = np.linalg.norm(_product_sum(spec.summands, p.coeffs) - unit)
-    if defect > tol * max(1.0, np.linalg.norm(unit)):
+    if defect > 1e-9 * max(1.0, np.linalg.norm(unit)):
         raise ValueError("element is not unitary")
     return p
 
@@ -382,15 +382,16 @@ def a2_with(t: FiniteSpectralTriple, w: UniversalOneForm, base: np.ndarray) -> n
     return _act(t, one_form_cf(t.algebra, w), base, hatted=True)
 
 
-def fluctuate(t: FiniteSpectralTriple, w: UniversalOneForm, tol: float = 1e-9) -> np.ndarray:
+def fluctuate(t: FiniteSpectralTriple, w: UniversalOneForm) -> np.ndarray:
     """
     D + A_1 + eps_d J A_1 J^{-1} + A_2 for a one-form with self-adjoint A_1.
 
     The self-adjointness of the represented one-form is a precondition (it
-    holds automatically for eta of any valid perturbation) and is enforced.
+    holds automatically for eta of any valid perturbation) and is enforced
+    to 1e-9.
     """
     pot = a1(t, w)
-    if frob_norm(pot - adjoint(pot)) > tol * max(1.0, frob_norm(pot)):
+    if frob_norm(pot - adjoint(pot)) > 1e-9 * max(1.0, frob_norm(pot)):
         raise ValueError("represented one-form is not self-adjoint")
     return t.d + pot + t.signs.eps_d * t.hat(pot) + a2_with(t, w, pot)
 
@@ -420,13 +421,6 @@ class RepresentedPert:
         n = self.lefts.shape[-1]
         cf = np.einsum("tab,tdc->acbd", self.lefts, self.rights, optimize=True)
         return cf.reshape(n * n, n * n)
-
-    def mul(self, other: "RepresentedPert") -> "RepresentedPert":
-        """Composition, self after other: the pairs (L_s L_t, R_t R_s), s outer."""
-        n = self.lefts.shape[-1]
-        lefts = self.lefts[:, None] @ other.lefts[None]
-        rights = other.rights[None] @ self.rights[:, None]
-        return RepresentedPert(lefts.reshape(-1, n, n), rights.reshape(-1, n, n))
 
 
 def mu(t: FiniteSpectralTriple, p: PertElement) -> RepresentedPert:

@@ -84,11 +84,6 @@ class FieldPoint:
         """Shape (..., 2): the batch axes of the fields, then (v1, v2)."""
         return np.stack([self.v1, self.v2], axis=-1)
 
-    @classmethod
-    def unfluctuated(cls) -> "FieldPoint":
-        """The point where the fluctuated operator is the bare D."""
-        return cls(1.0, 1.0, 0.0)
-
 
 def _ev_basis():
     z, units = np.zeros((2, 2), dtype=complex), identity(4).reshape(4, 2, 2)  # E11, E12, E21, E22

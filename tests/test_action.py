@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -50,6 +51,7 @@ V_BARE = -11.0 / (4.0 * PI_SQ)          # potential of the unfluctuated operator
 V_SIGMA = -1.0 / PI_SQ                  # bottom of the x = 0 valley, |v|^2 = sqrt(2)
 V_GLOBAL = -4.0 / PI_SQ                 # global minimum, v = 0, |x|^2 = 2
 S1_SIGMA = -1.0 + 2.0 ** 0.25           # chart coordinate of the sigma valley at s2 = 0
+UNFLUCTUATED = FieldPoint(1.0, 1.0, 0.0)  # the point where the fluctuated operator is D
 
 
 def test_action_params_must_be_positive():
@@ -71,7 +73,7 @@ def test_bare_traces_and_potential():
     d2 = t.d @ t.d
     assert np.trace(d2).real == pytest.approx(10.0, abs=1e-13)
     assert np.trace(d2 @ d2).real == pytest.approx(18.0, abs=1e-13)
-    got = v_trace(UNIT_TP, UNIT_AP, FieldPoint.unfluctuated())
+    got = v_trace(UNIT_TP, UNIT_AP, UNFLUCTUATED)
     assert got == pytest.approx(V_BARE, abs=1e-15)
 
 
@@ -381,7 +383,7 @@ def test_stabilizer_dim_is_scale_invariant(toy):
 def test_stabilizer_dim_over_a_subalgebra(toy):
     # the first-order subalgebra has a 3-dimensional unitary Lie algebra,
     # all of which fixes the zero operator
-    assert stabilizer_dim(toy, np.zeros((8, 8)), spec=a_f()) == 3
+    assert stabilizer_dim(dataclasses.replace(toy, algebra=a_f()), np.zeros((8, 8))) == 3
 
 
 def _vev_transform_check(tp: ToyParams, fp: FieldPoint, u, tol: float = 1e-9) -> float:
@@ -415,7 +417,7 @@ def test_vev_transform_matches_the_phase_prediction(rng):
 def test_vev_transform_rejects_non_unitaries(rng):
     h = random_element(a_ev(), rng)
     with pytest.raises(ValueError, match="unitary"):
-        _vev_transform_check(UNIT_TP, FieldPoint.unfluctuated(), h + a_ev().unit())
+        _vev_transform_check(UNIT_TP, UNFLUCTUATED, h + a_ev().unit())
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +519,7 @@ def test_grid_scan_keeps_the_first_minimum_in_row_major_order():
 
 
 def test_sigma_grid_values_and_symmetry():
-    s1, s2, vals = sigma_grid(UNIT_TP, UNIT_AP, n=61, lim=3.0)
+    s1, s2, vals = sigma_grid(UNIT_TP, UNIT_AP, n=61)
     assert vals.shape == (61, 61)
     i, j = 17, 40
     want = v_reduced(UNIT_TP, UNIT_AP, 0.0, (1.0 + s1[i]) ** 2 + s2[j] ** 2)
@@ -532,7 +534,7 @@ def test_sigma_grid_values_and_symmetry():
 
 
 def test_x_grid_values_and_symmetry():
-    re, im, vals = x_grid(UNIT_TP, UNIT_AP, n=41, lim=2.5)
+    re, im, vals = x_grid(UNIT_TP, UNIT_AP, n=41)
     assert vals.shape == (41, 41)
     w = sigma_valley_radius(UNIT_TP, UNIT_AP)
     want = v_reduced(UNIT_TP, UNIT_AP, re[5] ** 2 + im[30] ** 2, w)

@@ -51,6 +51,9 @@ def test_check_model_file_round_trip(capsys, tmp_path):
     assert main(["export-toy", "--out", str(model2)]) == 0
     assert model.read_bytes() == model2.read_bytes()
     capsys.readouterr()
+    # and printed without --out, it is the same bytes
+    assert main(["export-toy"]) == 0
+    assert capsys.readouterr().out.encode() == model.read_bytes()
 
 
 def test_check_rejects_a_corrupt_model_file(tmp_path, capsys):

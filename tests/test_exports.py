@@ -1,12 +1,16 @@
 """
 Every name a spectriple module exports resolves, so ``import *`` cannot break, and has a
-caller, so library code that nothing calls does not linger.
+caller, so library code that nothing calls does not linger.  The same holds one level
+down: a public method or property of an exported class has a caller, and an optional
+parameter of an exported function or method has a caller that passes it.
 """
 
 import ast
 import importlib
+import inspect
 import pathlib
 import pkgutil
+from functools import cached_property
 
 import pytest
 
@@ -15,6 +19,15 @@ import spectriple
 MODULES = ["spectriple"] + [
     f"spectriple.{info.name}" for info in pkgutil.iter_modules(spectriple.__path__)
 ]
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+# a caller is code in the package, the benchmark or the acceptance claims
+CALLER_FILES = [*(ROOT / "src").rglob("*.py"), *(ROOT / "perfbench").glob("*.py"),
+                ROOT / "tests" / "test_acceptance.py"]
+# optional parameters that only tests pass, each on purpose
+TEST_ONLY_OPTIONS = {
+    "n_pairs": "tests draw forms of several pairs to check that the maps do not depend "
+               "on how a coefficient matrix was split into pairs",
+}
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -24,11 +37,15 @@ def test_every_name_in_all_resolves(name):
     assert missing == []
 
 
+def _tree(path):
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
 def _loaded_names(path):
     """Every name the file loads bare or as an attribute."""
     return {
         node.id if isinstance(node, ast.Name) else node.attr
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        for node in ast.walk(_tree(path))
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
         or isinstance(node, ast.Attribute)
     }
@@ -36,21 +53,94 @@ def _loaded_names(path):
 
 def _span_targets(path):
     """The dotted names in the strings of the benchmark's ``TARGETS`` table."""
-    body = ast.parse(path.read_text(encoding="utf-8")).body
+    body = _tree(path).body
     table = next(node.value for node in body if isinstance(node, ast.Assign)
                  and getattr(node.targets[0], "id", "") == "TARGETS")
     return {part for node in ast.walk(table) if isinstance(node, ast.Constant)
             and isinstance(node.value, str) for part in node.value.split(".")}
 
 
+def _used():
+    """Names with a caller; a traced benchmark target and a package-level name count."""
+    return set(spectriple.__all__).union(_span_targets(ROOT / "perfbench" / "spans.py"),
+                                         *map(_loaded_names, CALLER_FILES))
+
+
+def _exports():
+    """(label, object) of each exported name of each module, once per object."""
+    seen, out = set(), []
+    for name in MODULES:
+        module = importlib.import_module(name)
+        for export in module.__all__:
+            obj = getattr(module, export)
+            if id(obj) not in seen:
+                seen.add(id(obj))
+                out.append((f"{name}.{export}", obj))
+    return out
+
+
+def _members(cls):
+    """(name, attribute) of the public methods and properties a class defines itself."""
+    kinds = (property, cached_property, classmethod, staticmethod)
+    return [(name, attr) for name, attr in vars(cls).items()
+            if not name.startswith("_") and (callable(attr) or isinstance(attr, kinds))]
+
+
 def test_every_exported_name_has_a_caller():
-    # a caller loads the name in the package, the benchmark or the acceptance claims;
-    # a traced benchmark target and the package's own public names count as used
-    root = pathlib.Path(__file__).resolve().parents[1]
-    files = [*(root / "src").rglob("*.py"), *(root / "perfbench").glob("*.py"),
-             root / "tests" / "test_acceptance.py"]
-    used = set(spectriple.__all__).union(_span_targets(root / "perfbench" / "spans.py"),
-                                         *map(_loaded_names, files))
+    used = _used()
     unused = [f"{name}.{export}" for name in MODULES
               for export in importlib.import_module(name).__all__ if export not in used]
     assert unused == []
+
+
+def test_every_public_method_of_an_exported_class_has_a_caller():
+    used = _used()
+    unused = [f"{label}.{name}" for label, obj in _exports() if inspect.isclass(obj)
+              for name, _ in _members(obj) if name not in used]
+    assert unused == []
+
+
+def _calls(path):
+    """(callee name, positional count, keyword names, unpacks) of each call in the file."""
+    out = []
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            keywords = {k.arg for k in node.keywords}
+            out.append((name, len(node.args), keywords, starred or None in keywords))
+    return out
+
+
+def _options():
+    """(label, callee name, parameter name, positional index or None) of each optional one."""
+    routines = []
+    for label, obj in _exports():
+        if inspect.isfunction(obj):
+            routines.append((label, obj.__name__, obj))
+        elif inspect.isclass(obj):
+            routines += [(f"{label}.{name}", name, getattr(obj, name))
+                         for name, attr in _members(obj)
+                         if not isinstance(attr, (property, cached_property))]
+    out = []
+    for label, name, fn in routines:
+        params = list(inspect.signature(fn).parameters.values())
+        if params and params[0].name == "self":  # read off the class, a classmethod has no cls
+            params = params[1:]
+        for index, p in enumerate(params):
+            if p.default is not inspect.Parameter.empty:
+                positional = index if p.kind is p.POSITIONAL_OR_KEYWORD else None
+                out.append((f"{label}({p.name}=)", name, p.name, positional))
+    return out
+
+
+def test_every_optional_parameter_has_a_caller_that_passes_it():
+    calls = [call for path in CALLER_FILES for call in _calls(path)]
+    unset = [
+        label for label, name, param, index in _options() if param not in TEST_ONLY_OPTIONS
+        and not any(callee == name and (param in keywords or unpacks
+                                        or index is not None and n_args > index)
+                    for callee, n_args, keywords, unpacks in calls)
+    ]
+    assert unset == []

@@ -43,7 +43,8 @@ def test_commutator_antisymmetry(a, b):
 
 
 def test_commutator_rejects_nonsquare():
-    with pytest.raises(ValueError):
+    # equal shapes that are not square: numpy's own matmul error reads otherwise
+    with pytest.raises(ValueError, match="equal square shapes"):
         commutator(np.ones((2, 3)), np.ones((2, 3)))
 
 
@@ -76,10 +77,11 @@ def test_approx_eq_absolute_floor_and_relative_scale():
 
 
 def test_antilinear_apply_is_m_conj():
-    m = np.array([[0, 1], [1, 0]], dtype=complex)
-    j = AntilinearOp(m)
-    xi = np.array([1 + 2j, 3 - 1j])
-    assert np.array_equal(j.apply(xi), m @ np.conj(xi))
+    # J xi = m conj(xi), so the hat J T J^{-1} maps J xi to J (T xi)
+    rng = np.random.default_rng(4)
+    m, t = (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(2))
+    xi = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))  # two vectors
+    assert approx_eq(AntilinearOp(m).conjugate(t) @ (m @ np.conj(xi)), m @ np.conj(t @ xi), 1e-12)
 
 
 def test_antilinear_conjugate_is_multiplicative():

@@ -106,8 +106,6 @@ def test_triple_from_dict_revalidates(tmp_path):
     payload["d"][0][0] = [5.0, 0.0]  # diagonal entry breaks gamma-D anticommutation
     with pytest.raises(ValueError):
         triple_from_dict(payload)
-    t = triple_from_dict(payload, validate=False)
-    assert t.d[0, 0] == 5.0
 
 
 def test_triple_file_keeps_the_plain_mode_key_and_rejects_others(tmp_path):
@@ -132,9 +130,6 @@ def test_pert_from_dict_validates(rng):
     bad = {"pairs": [[element_to_json(spec.unit()), element_to_json(2.0 * spec.unit())]]}
     with pytest.raises(ValueError, match="normalized"):
         pert_from_dict(spec, bad)
-    p = pert_from_dict(spec, bad, validate=False)
-    unit = spec.unit().vec()
-    assert np.array_equal(p.coeffs, 2.0 * np.outer(unit, unit))
 
 
 def test_one_form_round_trip(rng):
@@ -143,15 +138,16 @@ def test_one_form_round_trip(rng):
     payload = pert_to_dict(w)
     # one-forms and perturbations share the pair format: the pairs sum to omega
     assert set(payload) == {"pairs"} and len(payload["pairs"]) == spec.dim()
-    back = pert_from_dict(spec, payload, validate=False)
-    assert approx_eq(back.coeffs, one_form_cf(spec, w), 1e-13)
+    pairs = [(element_from_json(x), element_from_json(y)) for x, y in payload["pairs"]]
+    back = UniversalOneForm.from_pairs(spec, pairs)  # eta leaves pairs with sum xy = 0 alone
+    assert approx_eq(back.omega, one_form_cf(spec, w), 1e-13)
 
 
 def test_pert_from_dict_rejects_pairs_outside_the_algebra(rng):
     full = AlgebraSpec((2, 2))
     outside = UniversalOneForm.from_pairs(full, ((random_element(full, rng),) * 2,))
     with pytest.raises(ValueError, match="not in the algebra"):
-        pert_from_dict(a_ev(), pert_to_dict(outside), validate=False)
+        pert_from_dict(a_ev(), pert_to_dict(outside))
 
 
 def test_save_json_appends_newline(tmp_path):
@@ -172,6 +168,7 @@ def test_config_defaults():
     assert cfg.toy_params() == ToyParams(1.0, 1.0)
     ap = cfg.action_params()
     assert (ap.f2, ap.f0, ap.lam) == (1.0, 1.0, 1.0)
+    assert cfg.n_starts == 32  # claim 11 in tests/test_acceptance.py finds the minimum from 32
 
 
 def test_config_file_parsing(tmp_path):

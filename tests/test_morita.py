@@ -305,7 +305,7 @@ def test_corner_projector_is_idempotent_and_corner_self_adjoint(toy):
     md = MoritaData(toy, 2, e, conn)
     p = corner_projector(md)
     assert approx_eq(p @ p, p, 1e-10)
-    c = corner(md)
+    c = corner(md, twisted_dirac_left(md))
     assert approx_eq(c, adjoint(c), 1e-10)
     # the corner is the restriction of the full twist
     assert approx_eq(p @ twisted_dirac_left(md) @ p, c, 1e-12)
@@ -495,7 +495,7 @@ def test_morita_data_builds_its_projectors_once(toy, monkeypatch):
     calls, cells = [], morita._cells
     monkeypatch.setattr(morita, "_cells", lambda *args, **kw: calls.append(args) or cells(*args, **kw))
     left, right = twisted_dirac_left(md), twisted_dirac_right(md)
-    assert approx_eq(corner(md), corner(md, right), 1e-12)
+    assert approx_eq(corner(md, left), corner(md, right), 1e-12)
     assert _rel(left, right) < 1e-12
     assert len(calls) == 2  # pi_big(e) and pi_hat_big(e), once each
 
@@ -505,6 +505,25 @@ def test_validation_rejects_non_idempotent(toy):
     half = 0.5 * unit
     with pytest.raises(ValueError, match="idempotent"):
         MoritaData(toy, 1, half)
+
+
+def test_idempotent_tolerance_scales_with_the_squared_entry_norm(toy):
+    # e = [[1, -s], [0, 0]] times the unit is a skewed idempotent with entry norm 2s; entry
+    # (1, 1) moved to delta stays in the algebra and makes |e^2 - e| = 2 s delta
+    spec, s = toy.algebra, 100.0
+    unit = spec.unit().vec()
+    bound = 1e-8 * (2.0 * s) ** 2
+    for ratio in (0.5, 2.0):
+        delta = ratio * bound / (2.0 * s)
+        coords = np.array([[unit, -s * unit], [0 * unit, delta * unit]])
+        e = _from_entry_coords(spec.summands, coords)
+        norm, defect = (np.linalg.norm(_entry_coords(x, 2), axis=-1).max() for x in (e, e * e - e))
+        assert defect / (1e-8 * norm**2) == pytest.approx(ratio, rel=1e-3)
+        if ratio < 1.0:
+            MoritaData(toy, 2, e)
+        else:
+            with pytest.raises(ValueError, match="not idempotent"):
+                MoritaData(toy, 2, e)
 
 
 def test_validation_rejects_uncompressed_connection(toy, rng):
@@ -599,7 +618,7 @@ def test_grid_constructor_and_entry_accessor_round_trip(toy, n):
             want = grid[i][0] * ys[0][k]
             for j in range(1, n):
                 want = want + grid[i][j] * ys[j][k]
-            assert (xy[i][k] - want).norm() < 1e-12
+            assert np.linalg.norm((xy[i][k] - want).vec()) < 1e-12
 
 
 def test_validation_rejects_an_idempotent_of_the_wrong_size(toy, rng):
