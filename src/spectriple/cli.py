@@ -53,7 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("check", parents=[common], help="axiom and sign residuals")
     fl = sub.add_parser("fluctuate", parents=[common], help="apply a perturbation to D")
-    fl.add_argument("--pert", required=True, help="JSON file with perturbation pairs")
+    fl.add_argument("--pert", required=True, help="JSON perturbation file (format 2 or 1)")
     ps = sub.add_parser("potential-scan", parents=[common], help="potential on a grid, as CSV")
     ps.add_argument("--figure", type=int, choices=(1, 2), default=1,
                     help="1: sigma plane at x=0; 2: complex x at the sigma valley")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrix_core import AntilinearOp, as_matrix
-from .perturbation import PertElement, UniversalOneForm
+from .perturbation import PertElement, _checked_pert
 from .spectral_triple import (
     AlgebraElement,
     AlgebraSpec,
@@ -141,14 +141,28 @@ def triple_from_dict(payload: dict) -> FiniteSpectralTriple:
     )
 
 
-def pert_to_dict(p: PertElement | UniversalOneForm) -> dict:
-    """The pairs of a perturbation, or the derived pairs of a one-form."""
-    return {"pairs": [[element_to_json(a), element_to_json(b)] for a, b in p.pairs]}
+def pert_to_dict(p: PertElement) -> dict:
+    """Format 2: the coefficient matrix P of the perturbation."""
+    return {"format": 2, "coeffs": matrix_to_json(p.coeffs)}
 
 
 def pert_from_dict(spec: AlgebraSpec, payload: dict) -> PertElement:
-    pairs = tuple((element_from_json(a), element_from_json(b)) for a, b in payload["pairs"])
-    return PertElement.from_pairs(spec, pairs)
+    """Format 2 (P as ``coeffs``) or 1, the default (a_j, b_j as ``pairs``); both validated."""
+    if not isinstance(payload, dict):
+        raise ValueError("perturbation file must hold a JSON object")
+    fmt = payload.get("format", 1)
+    if ("pairs" if fmt == 1 else "coeffs" if fmt == 2 else None) not in payload:
+        raise ValueError(f"perturbation files hold 'pairs' (format 1) or 'coeffs' (format 2), "
+                         f"not format {fmt!r} with keys {sorted(payload)}")
+    if fmt == 1:
+        pairs = tuple((element_from_json(a), element_from_json(b)) for a, b in payload["pairs"])
+        return PertElement.from_pairs(spec, pairs)
+    p = PertElement(spec, matrix_from_json(payload["coeffs"]))
+    if not np.isfinite(p.coeffs).all():
+        raise ValueError("perturbation coefficients have non-finite entries")
+    if spec.outside(p.coeffs).any() or spec.outside(p.coeffs.T).any():  # rows and columns in A
+        raise ValueError("perturbation coefficients are not in the algebra's A (x) A^op")
+    return _checked_pert(p)
 
 
 def save_json(path: str, obj) -> None:

@@ -265,24 +265,24 @@ class PertElement:
 
     @classmethod
     def from_pairs(cls, spec: AlgebraSpec, pairs, validate: bool = True) -> "PertElement":
-        """
-        sum_j a_j (x) b_j for finite a_j, b_j in ``spec``.  ``validate`` checks
-        m(P) = sum_j a_j b_j = 1 and P = flip(P) to 1e-9 (diagnostics skip it).
-        """
+        """sum_j a_j (x) b_j for finite a_j, b_j in ``spec``, checked by :func:`_checked_pert`."""
         p = cls(spec, _pair_coeffs(spec, pairs))
-        if validate:
-            total = _product_sum(spec.summands, p.coeffs)
-            defect = np.linalg.norm(total - spec.unit().vec())
-            if defect > 1e-9 * max(1.0, float(np.linalg.norm(total))):
-                raise ValueError("perturbation is not normalized: sum a_j b_j != 1")
-            if not approx_eq(p.coeffs, _flip(spec.summands, p.coeffs), 1e-9):
-                raise ValueError("perturbation is not self-adjoint under the flip involution")
-        return p
+        return _checked_pert(p) if validate else p
 
     @property
     def pairs(self) -> tuple:
         """dim A pairs over the spanning set whose a (x) b sum to the coefficients."""
         return _pairs_view(self.spec, self.coeffs)
+
+
+def _checked_pert(p: PertElement) -> PertElement:
+    """p, once m(P) = sum_j a_j b_j = 1 and P = flip(P) hold to 1e-9 (ValueError otherwise)."""
+    total = _product_sum(p.spec.summands, p.coeffs)
+    if np.linalg.norm(total - p.spec.unit().vec()) > 1e-9 * max(1.0, float(np.linalg.norm(total))):
+        raise ValueError("perturbation is not normalized: sum a_j b_j != 1")
+    if not approx_eq(p.coeffs, _flip(p.spec.summands, p.coeffs), 1e-9):
+        raise ValueError("perturbation is not self-adjoint under the flip involution")
+    return p
 
 
 def canonical_form(p: PertElement) -> np.ndarray:
@@ -399,9 +399,9 @@ def fluctuate(t: FiniteSpectralTriple, w: UniversalOneForm) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class RepresentedPert:
     """
-    The map D -> sum_t L_t D R_t on B(H), stored as two stacks ``lefts`` and
-    ``rights`` of shape (T, N, N) holding L_t and R_t; ``pairs`` views them
-    as the T pairs (L_t, R_t).
+    The map D -> sum_t L_t D R_t on B(H), stored as stacks ``lefts`` and ``rights``
+    (T, N, N) of the L_t and R_t, and applied and put in canonical form by products
+    of the stacks; ``pairs`` views them as the T pairs (L_t, R_t).
     """
 
     lefts: np.ndarray
@@ -412,23 +412,22 @@ class RepresentedPert:
         return tuple(zip(self.lefts, self.rights))
 
     def apply(self, d: np.ndarray) -> np.ndarray:
-        """sum_t L_t d R_t: the canonical form on the row-major vector of d."""
-        d = np.asarray(d, dtype=complex)
-        return (self.canonical_form() @ d.reshape(-1)).reshape(d.shape)
+        """sum_t L_t d R_t."""
+        return (self.lefts @ np.asarray(d, dtype=complex) @ self.rights).sum(axis=0)
 
     def canonical_form(self) -> np.ndarray:
-        """Matrix of X -> sum_t L_t X R_t on row-major vectorized operators."""
-        n = self.lefts.shape[-1]
-        cf = np.einsum("tab,tdc->acbd", self.lefts, self.rights, optimize=True)
-        return cf.reshape(n * n, n * n)
+        """Matrix of X -> sum_t L_t X R_t on row-major vectors, one product over t rearranged."""
+        t, n = self.lefts.shape[:2]
+        cf = self.lefts.reshape(t, n * n).T @ self.rights.reshape(t, n * n)  # [(a, b), (d, c)]
+        return cf.reshape(n, n, n, n).transpose(0, 3, 1, 2).reshape(n * n, n * n)
 
 
 def mu(t: FiniteSpectralTriple, p: PertElement) -> RepresentedPert:
     """
     Doubling homomorphism into Pert(B(H)):
-    mu(p) = sum_{i,j} pi(a_i) hat(pi(a_j)) (x) pi(b_i) hat(pi(b_j)) over the
-    dim A pairs of ``p.pairs``; pi reads the triple's tables, and hat o pi the
-    conjugated coordinates.
+    mu(p) = sum_{i,j} pi(a_i) hat(pi(a_j)) (x) pi(b_i) hat(pi(b_j)) over the dim A
+    pairs of ``_view_coords`` (their a (x) b sum to P); pi reads the triple's
+    tables, and hat o pi the conjugated coordinates.
     """
     if p.spec.summands != t.algebra.summands:
         raise ValueError("element does not match the triple's algebra")

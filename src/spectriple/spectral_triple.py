@@ -334,9 +334,10 @@ class FiniteSpectralTriple:
 
     def rep(self, coords, hatted: bool = False) -> np.ndarray:
         """pi, or hat o pi if ``hatted``, of ambient coordinates (..., d): shape (..., N, N)."""
-        if hatted:
-            return np.tensordot(np.conj(coords), self.pi_hat_table, 1)
-        return np.tensordot(coords, self.pi_table, 1)
+        table = self.pi_hat_table if hatted else self.pi_table
+        coords = np.conj(coords) if hatted else np.asarray(coords)
+        d, n = table.shape[:2]  # one 2-D product; a last axis other than d fails a reshape
+        return (coords.reshape(-1, d) @ table.reshape(d, n * n)).reshape(coords.shape[:-1] + (n, n))
 
 
 def represent(t: FiniteSpectralTriple, a: AlgebraElement) -> np.ndarray:

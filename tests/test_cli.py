@@ -22,6 +22,7 @@ from spectriple.model_io import (
 )
 from spectriple.spectral_triple import KOReport
 from spectriple.toy_model import a_ev
+from test_model_io import BAD_V2, _v1_payload
 
 
 @pytest.fixture(autouse=True)
@@ -113,11 +114,45 @@ def test_fluctuate_rejects_malformed_pert_files(tmp_path, capsys):
     bad.write_text('{"wrong_key": []}\n')
     assert main(["fluctuate", "--pert", str(bad)]) == 2
     # structurally fine but not normalized -> input error as well
-    payload = pert_to_dict(random_pert(a_ev(), np.random.default_rng(3)))
+    payload = _v1_payload(random_pert(a_ev(), np.random.default_rng(3)))
     payload["pairs"] = payload["pairs"] + payload["pairs"]
     bad.write_text(json.dumps(payload))
     assert main(["fluctuate", "--pert", str(bad)]) == 2
     capsys.readouterr()
+    # format 2: an unknown format is named, a list is no payload, twice the rows is
+    # the wrong shape
+    payload = pert_to_dict(random_pert(a_ev(), np.random.default_rng(3)))
+    for text, message in (
+        (json.dumps({**payload, "format": "2"}), "format '2'"),
+        ("[[1.0, 0.0]]", "JSON object"),
+        (json.dumps({**payload, "coeffs": payload["coeffs"] * 2}), "must be 8x8"),
+    ):
+        bad.write_text(text)
+        assert main(["fluctuate", "--pert", str(bad)]) == 2
+        assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", sorted(BAD_V2))
+def test_fluctuate_exits_2_on_a_bad_format_2_file(case, tmp_path, capsys):
+    payload, message = BAD_V2[case]
+    path = tmp_path / "pert.json"
+    path.write_text(json.dumps(payload))
+    assert main(["fluctuate", "--pert", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_a_format_1_file_and_its_format_2_rewrite_fluctuate_alike(seed, tmp_path, capsys):
+    v1, v2 = tmp_path / "v1.json", tmp_path / "v2.json"
+    save_json(str(v1), _v1_payload(random_pert(a_ev(), np.random.default_rng(seed))))
+    save_json(str(v2), pert_to_dict(pert_from_dict(a_ev(), load_json(str(v1)))))
+    assert load_json(str(v2))["format"] == 2
+    runs = []
+    for path in (v1, v2):
+        out = tmp_path / f"{path.stem}-dprime.json"
+        assert main(["fluctuate", "--pert", str(path), "--out", str(out)]) == 0
+        runs.append((capsys.readouterr().out, out.read_bytes()))
+    assert runs[0] == runs[1]
 
 
 def test_missing_config_file_is_an_input_error(capsys):

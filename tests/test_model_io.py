@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from spectriple import build_toy, canonical_form, random_pert
+from spectriple import build_toy, random_pert
 from spectriple.matrix_core import approx_eq
 from spectriple.model_io import (
     RunConfig,
@@ -18,7 +20,7 @@ from spectriple.model_io import (
     triple_from_dict,
     triple_to_dict,
 )
-from spectriple.perturbation import UniversalOneForm, one_form_cf, random_one_form
+from spectriple.perturbation import UniversalOneForm, random_one_form
 from spectriple.spectral_triple import AlgebraSpec, random_element
 from spectriple.toy_model import ToyParams, a_ev
 
@@ -118,11 +120,61 @@ def test_triple_file_keeps_the_plain_mode_key_and_rejects_others(tmp_path):
         triple_from_dict(load_json(str(path)))
 
 
+def _v1_payload(p) -> dict:
+    """The format-1 file of p (no ``format`` key): its ``.pairs`` view as algebra elements."""
+    return {"pairs": [[element_to_json(a), element_to_json(b)] for a, b in p.pairs]}
+
+
+def _bad_v2_payloads() -> dict:
+    """name -> (format-2 payload over a_ev, text of the ValueError that pert_from_dict raises)."""
+    spec, rng = a_ev(), np.random.default_rng(5)
+    coeffs, unit = random_pert(spec, rng).coeffs, spec.unit().vec()
+    off = random_element(AlgebraSpec(spec.summands), rng).vec()  # not in a_ev
+    nan = coeffs.copy()
+    nan[2, 5] = np.nan
+    twisted = coeffs + 1j * random_one_form(spec, rng).omega  # normalized, but flip gives -i
+
+    def v2(m):
+        return {"format": 2, "coeffs": matrix_to_json(m)}
+
+    return {
+        "unknown_format": ({**v2(coeffs), "format": 3}, "format 3"),
+        "no_coeffs": ({"format": 2}, "format 2 with keys"),
+        "non_finite_entry": (v2(nan), "non-finite"),
+        "wrong_shape": (v2(coeffs[:, :-1]), "must be 8x8"),
+        # rows in A, columns not (only the test of P^T sees it), and the reverse
+        "first_factor_outside": (v2(coeffs + np.outer(off, unit)), "not in the algebra"),
+        "second_factor_outside": (v2(coeffs + np.outer(unit, off)), "not in the algebra"),
+        "not_normalized": (v2(2.0 * coeffs), "not normalized"),
+        "not_flip_invariant": (v2(twisted), "flip"),
+    }
+
+
+BAD_V2 = _bad_v2_payloads()
+
+
 def test_pert_round_trip(rng):
     spec = a_ev()
     p = random_pert(spec, rng)
-    back = pert_from_dict(spec, pert_to_dict(p))
-    assert np.array_equal(canonical_form(back), canonical_form(p))
+    payload = json.loads(json.dumps(pert_to_dict(p)))
+    assert set(payload) == {"format", "coeffs"} and payload["format"] == 2
+    assert np.array_equal(pert_from_dict(spec, payload).coeffs, p.coeffs)
+
+
+def test_format_1_payloads_still_load(rng):
+    spec = a_ev()
+    p = random_pert(spec, rng)
+    back = pert_from_dict(spec, _v1_payload(p))
+    assert approx_eq(back.coeffs, p.coeffs, 1e-13)
+    # "format": 1 names the same layout
+    assert np.array_equal(pert_from_dict(spec, {"format": 1, **_v1_payload(p)}).coeffs, back.coeffs)
+
+
+@pytest.mark.parametrize("case", sorted(BAD_V2))
+def test_pert_from_dict_rejects_a_bad_format_2_payload(case):
+    payload, message = BAD_V2[case]
+    with pytest.raises(ValueError, match=message):
+        pert_from_dict(a_ev(), json.loads(json.dumps(payload)))
 
 
 def test_pert_from_dict_validates(rng):
@@ -132,22 +184,11 @@ def test_pert_from_dict_validates(rng):
         pert_from_dict(spec, bad)
 
 
-def test_one_form_round_trip(rng):
-    spec = a_ev()
-    w = random_one_form(spec, rng)
-    payload = pert_to_dict(w)
-    # one-forms and perturbations share the pair format: the pairs sum to omega
-    assert set(payload) == {"pairs"} and len(payload["pairs"]) == spec.dim()
-    pairs = [(element_from_json(x), element_from_json(y)) for x, y in payload["pairs"]]
-    back = UniversalOneForm.from_pairs(spec, pairs)  # eta leaves pairs with sum xy = 0 alone
-    assert approx_eq(back.omega, one_form_cf(spec, w), 1e-13)
-
-
 def test_pert_from_dict_rejects_pairs_outside_the_algebra(rng):
     full = AlgebraSpec((2, 2))
     outside = UniversalOneForm.from_pairs(full, ((random_element(full, rng),) * 2,))
     with pytest.raises(ValueError, match="not in the algebra"):
-        pert_from_dict(a_ev(), pert_to_dict(outside))
+        pert_from_dict(a_ev(), _v1_payload(outside))
 
 
 def test_save_json_appends_newline(tmp_path):

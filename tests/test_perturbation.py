@@ -431,14 +431,16 @@ def test_gauge_transform_conjugates_the_fluctuated_operator(toy, rng):
 
 
 def test_represented_pert_stacks_match_the_pairwise_formulas(toy, rng):
-    p = random_pert(SPEC, rng)
-    mp = mu(toy, p)
-    assert len(mp.pairs) == len(p.pairs) ** 2 == len(mp.lefts) == len(mp.rights)
-    d = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-    applied = sum(left @ d @ right for left, right in mp.pairs)
-    assert frob_norm(mp.apply(d) - applied) < 1e-12 * frob_norm(applied)
-    cf = sum(np.kron(left, right.T) for left, right in mp.pairs)
-    assert frob_norm(mp.canonical_form() - cf) < 1e-12 * frob_norm(cf)
+    for t in (toy, _multi_triple()):
+        p = random_pert(t.algebra, rng)
+        mp = mu(t, p)
+        assert len(mp.pairs) == len(p.pairs) ** 2 == len(mp.lefts) == len(mp.rights)
+        n = t.dim_h
+        d = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        applied = sum(left @ d @ right for left, right in mp.pairs)
+        assert frob_norm(mp.apply(d) - applied) < 1e-12 * frob_norm(applied)
+        cf = sum(np.kron(left, right.T) for left, right in mp.pairs)
+        assert frob_norm(mp.canonical_form() - cf) < 1e-12 * frob_norm(cf)
 
 
 def test_mu_is_a_semigroup_homomorphism(toy, rng):

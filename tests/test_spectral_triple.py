@@ -335,6 +335,22 @@ def test_table_matches_the_tile_by_tile_representation(toy, which):
         assert approx_eq(hat, t.hat(want), 1e-12)
 
 
+@pytest.mark.parametrize("which", ["toy", "multi"])
+def test_rep_is_the_tensordot_over_the_tables_bit_for_bit(toy, which):
+    t = toy if which == "toy" else _multi_triple()
+    d, rng = t.algebra.ambient_dim, np.random.default_rng(23)
+    for shape in ((d,), (5, d), (3, 4, d)):
+        coords = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        got = t.rep(coords)
+        assert got.shape == shape[:-1] + (t.dim_h, t.dim_h)
+        assert np.array_equal(got, np.tensordot(coords, t.pi_table, 1))
+        want = np.tensordot(np.conj(coords), t.pi_hat_table, 1)
+        assert np.array_equal(t.rep(coords, hatted=True), want)
+    for shape in ((d - 1,), (d, d - 1)):  # a last axis other than d is refused, not misread
+        with pytest.raises(ValueError):
+            t.rep(np.ones(shape, dtype=complex))
+
+
 def test_tables_are_read_only_and_kept_out_of_repr(toy):
     for table in (toy.pi_table, toy.pi_hat_table):
         with pytest.raises(ValueError):
