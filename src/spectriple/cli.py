@@ -4,20 +4,23 @@ Command-line front end.
 Every subcommand accepts --model/--config/--seed/--tol/--out; when a flag is
 absent the environment variables SPECTRIPLE_MODEL, SPECTRIPLE_CONFIG,
 SPECTRIPLE_SEED, SPECTRIPLE_TOL and SPECTRIPLE_OUT are consulted, then the
-config file, then built-in defaults.  Exit codes: 0 on success, 1 when a
-computation failed on valid input or an expectation failed (residual above
-tolerance, no converged minimum), 2 on input errors.
+config file, then built-in defaults.  One load stage resolves these settings,
+builds the couplings and reads the model and --pert files before any
+computation starts.  Exit codes: 0 on success, 1 when a computation failed on
+valid input or an expectation failed (residual above tolerance, no converged
+minimum), 2 when the load stage refuses a setting or an input file, and only
+then: a fault inside a computation raises with its traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import os
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,6 +30,7 @@ from . import morita as mor
 from . import perturbation as pert
 from . import toy_model as toy
 from .spectral_triple import (
+    FiniteSpectralTriple,
     check_first_order,
     check_ko_signs,
     check_zeroth_order,
@@ -38,57 +42,41 @@ from .matrix_core import adjoint, frob_norm
 __all__ = ["main"]
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--model", help="JSON model file (default: built-in toy model)")
-    common.add_argument("--config", help="JSON run configuration")
-    common.add_argument("--seed", type=int, help="seed for all random draws")
-    common.add_argument("--tol", type=float, help="tolerance for pass/fail residuals")
-    common.add_argument("--out", help="output file (JSON, or CSV for scans)")
+@dataclass(frozen=True)
+class _Run:
+    """What the load stage read: the settings, the couplings and the input files."""
 
-    parser = argparse.ArgumentParser(
-        prog="spectriple",
-        description="Finite spectral triples with generalized inner fluctuations.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("check", parents=[common], help="axiom and sign residuals")
-    fl = sub.add_parser("fluctuate", parents=[common], help="apply a perturbation to D")
-    fl.add_argument("--pert", required=True, help="JSON perturbation file (format 2 or 1)")
-    ps = sub.add_parser("potential-scan", parents=[common], help="potential on a grid, as CSV")
-    ps.add_argument("--figure", type=int, choices=(1, 2), default=1,
-                    help="1: sigma plane at x=0; 2: complex x at the sigma valley")
-    sub.add_parser("minimize", parents=[common], help="multistart search for critical points")
-    sub.add_parser("hessian", parents=[common], help="gradient and Hessian at a point")
-    sub.add_parser("stabilizer", parents=[common], help="gauge stabilizer dimensions at the vacua")
-    sub.add_parser("morita-check", parents=[common], help="module twist order independence")
-    sub.add_parser("semigroup-verify", parents=[common], help="semigroup action identities")
-    sub.add_parser("export-toy", parents=[common], help="write the toy model as JSON")
-    return parser
+    cfg: mio.RunConfig
+    seed: int
+    tol: float
+    out: str | None
+    model: str | None
+    tp: toy.ToyParams
+    ap: act.ActionParams
+    triple: FiniteSpectralTriple | None  # --model, or the toy, for the commands that read one
+    perturbation: pert.PertElement | None  # fluctuate's --pert
+    figure: int  # potential-scan's --figure
 
 
-def _first(*values):
-    for v in values:
-        if v is not None:
-            return v
-    return None
-
-
-def _resolve(args):
-    """Flag > environment > config file > defaults."""
-    model = _first(args.model, os.environ.get("SPECTRIPLE_MODEL"))
-    config = _first(args.config, os.environ.get("SPECTRIPLE_CONFIG"))
+def _load(args) -> _Run:
+    """Flag > environment > config file > default, once; then the files the command reads."""
+    flags = vars(args)
+    config, seed, tol, out, model = (
+        os.environ.get(f"SPECTRIPLE_{name.upper()}") if flags[name] is None else flags[name]
+        for name in ("config", "seed", "tol", "out", "model"))
     cfg = mio.load_config(config)
-    env_seed = os.environ.get("SPECTRIPLE_SEED")
-    seed = _first(args.seed, int(env_seed) if env_seed is not None else None, cfg.seed)
-    tol = mio.valid_tol(_first(args.tol, os.environ.get("SPECTRIPLE_TOL"), cfg.tol))
-    out = _first(args.out, os.environ.get("SPECTRIPLE_OUT"))
-    return model, cfg, int(seed), tol, out
-
-
-def _triple(model_path, cfg):
-    if model_path is not None:
-        return mio.triple_from_dict(mio.load_json(model_path))
-    return toy.build_toy(cfg.toy_params())
+    seed = cfg.seed if seed is None else int(seed)
+    tol = mio.valid_tol(cfg.tol if tol is None else tol)
+    if out is not None and (os.path.isdir(out)
+                            or not os.path.isdir(os.path.dirname(os.path.abspath(out)))):
+        raise ValueError(f"--out must name a file in an existing directory, got {out!r}")
+    tp, ap = cfg.toy_params(), cfg.action_params()
+    triple = p = None
+    if _COMMANDS[args.command][2]:
+        triple = toy.build_toy(tp) if model is None else mio.triple_from_dict(mio.load_json(model))
+        if args.command == "fluctuate":
+            p = mio.pert_from_dict(triple.algebra, mio.load_json(args.pert))
+    return _Run(cfg, seed, tol, out, model, tp, ap, triple, p, getattr(args, "figure", 1))
 
 
 def _emit_json(out, payload) -> None:
@@ -103,103 +91,82 @@ def _emit_text(text: str) -> None:
     sys.stdout.write(text + "\n")
 
 
-def _cmd_check(args) -> int:
-    model, cfg, _seed, tol, out = _resolve(args)
-    t = _triple(model, cfg)
-    zeroth = check_zeroth_order(t)
-    first = check_first_order(t)
-    ko = check_ko_signs(t)
-    _emit_text(f"zeroth-order max defect : {zeroth.max_defect:.3e}")
-    _emit_text(f"first-order max defect  : {first.max_defect:.3e}")
-    _emit_text(f"KO sign residual        : {ko.worst:.3e}")
-    ok = zeroth.max_defect <= tol and ko.passed(tol)
-    if out is not None:
-        _emit_json(out, {
-            "zeroth_order": zeroth.max_defect,
-            "first_order": first.max_defect,
-            "ko_signs": [ko.res_j_squared, ko.res_jd, ko.res_jgamma],
-            "passed": ok,
-        })
+def _verdict(run: _Run, ok: bool, record: dict) -> int:
+    """Write the --out record with "passed", print the status line, and return 0 or 1."""
+    if run.out is not None:
+        mio.save_json(run.out, {**record, "passed": ok})
     _emit_text("status: ok" if ok else "status: FAILED")
     return 0 if ok else 1
 
 
-def _cmd_fluctuate(args) -> int:
-    model, cfg, _seed, _tol, out = _resolve(args)
-    t = _triple(model, cfg)
-    p = mio.pert_from_dict(t.algebra, mio.load_json(args.pert))
-    d_prime = pert.fluctuate_combined(t, p)
+def _cmd_check(run: _Run) -> int:
+    zeroth = check_zeroth_order(run.triple)
+    first = check_first_order(run.triple)
+    ko = check_ko_signs(run.triple)
+    _emit_text(f"zeroth-order max defect : {zeroth.max_defect:.3e}")
+    _emit_text(f"first-order max defect  : {first.max_defect:.3e}")
+    _emit_text(f"KO sign residual        : {ko.worst:.3e}")
+    return _verdict(run, zeroth.max_defect <= run.tol and ko.passed(run.tol), {
+        "zeroth_order": zeroth.max_defect,
+        "first_order": first.max_defect,
+        "ko_signs": [ko.res_j_squared, ko.res_jd, ko.res_jgamma],
+    })
+
+
+def _cmd_fluctuate(run: _Run) -> int:
+    d_prime = pert.fluctuate_combined(run.triple, run.perturbation)
     _emit_text(f"fluctuated operator norm: {frob_norm(d_prime):.12g}")
-    if model is None:
-        fp = toy.extract_fields(pert.eta_one_form(p))
+    if run.model is None:
+        fp = toy.extract_fields(pert.eta_one_form(run.perturbation))
         _emit_text(f"x  = {fp.x:.12g}")
         _emit_text(f"v1 = {fp.v1:.12g}")
         _emit_text(f"v2 = {fp.v2:.12g}")
-    _emit_json(out, {"matrix": mio.matrix_to_json(d_prime)})
+    _emit_json(run.out, {"matrix": mio.matrix_to_json(d_prime)})
     return 0
 
 
-def _cmd_potential_scan(args) -> int:
-    _model, cfg, _seed, _tol, out = _resolve(args)
-    tp, ap = cfg.toy_params(), cfg.action_params()
-    if args.figure == 1:
-        ax1, ax2, values = act.sigma_grid(tp, ap, n=cfg.grid_n)
+def _cmd_potential_scan(run: _Run) -> int:
+    if run.figure == 1:
+        ax1, ax2, values = act.sigma_grid(run.tp, run.ap, n=run.cfg.grid_n)
     else:
-        ax1, ax2, values = act.x_grid(tp, ap, n=cfg.grid_n)
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["coord1", "coord2", "V"])
-    for i, a in enumerate(ax1):
-        for j, b in enumerate(ax2):
-            writer.writerow([repr(float(a)), repr(float(b)), repr(float(values[i, j]))])
-    if out is None:
-        sys.stdout.write(buf.getvalue())
+        ax1, ax2, values = act.x_grid(run.tp, run.ap, n=run.cfg.grid_n)
+    rows = [[repr(float(a)), repr(float(b)), repr(float(values[i, j]))]
+            for i, a in enumerate(ax1) for j, b in enumerate(ax2)]
+    if run.out is None:
+        csv.writer(sys.stdout).writerows([["coord1", "coord2", "V"], *rows])
     else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(buf.getvalue())
+        with open(run.out, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerows([["coord1", "coord2", "V"], *rows])
     return 0
 
 
-def _cmd_minimize(args) -> int:
-    _model, cfg, seed, _tol, out = _resolve(args)
-    tp, ap = cfg.toy_params(), cfg.action_params()
-    fun = act.potential_fn(tp, ap)
-    points = act.multi_start_minimize(fun, n_starts=cfg.n_starts, seed=seed)
+def _cmd_minimize(run: _Run) -> int:
+    fun = act.potential_fn(run.tp, run.ap)
+    points = act.multi_start_minimize(fun, n_starts=run.cfg.n_starts, seed=run.seed)
     for cp in points:
         coords = ", ".join(f"{c: .10f}" for c in cp.coords)
         _emit_text(
             f"V = {cp.value: .12f}  at ({coords})  [{cp.kind}, hits={cp.hits}, |g|={cp.grad_norm:.2e}]"
         )
-    if out is not None:
-        _emit_json(out, {
-            "critical_points": [
-                {
-                    "coords": [float(c) for c in cp.coords],
-                    "value": cp.value,
-                    "grad_norm": cp.grad_norm,
-                    "kind": cp.kind,
-                    "eigenvalues": [float(e) for e in cp.eigenvalues],
-                    "hits": cp.hits,
-                }
-                for cp in points
-            ]
-        })
+    if run.out is not None:
+        mio.save_json(run.out, {"critical_points": [
+            {"coords": [float(c) for c in cp.coords], "value": cp.value,
+             "grad_norm": cp.grad_norm, "kind": cp.kind,
+             "eigenvalues": [float(e) for e in cp.eigenvalues], "hits": cp.hits}
+            for cp in points
+        ]})
     if not points:
         _emit_text("no converged critical points")
         return 1
     return 0
 
 
-def _default_point(tp, ap):
-    w = act.sigma_valley_radius(tp, ap)
-    return (0.0, math.sqrt(w) - 1.0 if w > 0 else 0.0, 0.0)
-
-
-def _cmd_hessian(args) -> int:
-    _model, cfg, _seed, _tol, out = _resolve(args)
-    tp, ap = cfg.toy_params(), cfg.action_params()
-    fun = act.potential_fn(tp, ap)
-    point = cfg.point if cfg.point is not None else _default_point(tp, ap)
+def _cmd_hessian(run: _Run) -> int:
+    fun = act.potential_fn(run.tp, run.ap)
+    point = run.cfg.point
+    if point is None:  # the sigma vacuum
+        w = act.sigma_valley_radius(run.tp, run.ap)
+        point = (0.0, math.sqrt(w) - 1.0 if w > 0 else 0.0, 0.0)
     grad, hess = act.grad_hess(fun, point)
     eigs = np.linalg.eigvalsh(hess)
     _emit_text(f"point     : {list(point)}")
@@ -207,19 +174,15 @@ def _cmd_hessian(args) -> int:
     for row in hess:
         _emit_text("hessian   : " + "  ".join(f"{v: .10e}" for v in row))
     _emit_text(f"eigenvalues: {[float(e) for e in eigs]}")
-    if out is not None:
-        _emit_json(out, {
-            "point": list(point),
-            "gradient": [float(g) for g in grad],
-            "hessian": [[float(v) for v in row] for row in hess],
-            "eigenvalues": [float(e) for e in eigs],
-        })
+    if run.out is not None:
+        mio.save_json(run.out, {"point": list(point), "gradient": [float(g) for g in grad],
+                                "hessian": [[float(v) for v in row] for row in hess],
+                                "eigenvalues": [float(e) for e in eigs]})
     return 0
 
 
-def _cmd_stabilizer(args) -> int:
-    _model, cfg, _seed, _tol, out = _resolve(args)
-    tp, ap = cfg.toy_params(), cfg.action_params()
+def _cmd_stabilizer(run: _Run) -> int:
+    tp, ap = run.tp, run.ap
     t = toy.build_toy(tp)
     w = act.sigma_valley_radius(tp, ap)
     kx2 = abs(tp.k_x) ** 2
@@ -233,17 +196,14 @@ def _cmd_stabilizer(args) -> int:
     for name, d_op in vacua.items():
         dims[name] = act.stabilizer_dim(t, d_op)
         _emit_text(f"stabilizer dim ({name}): {dims[name]}")
-    if out is not None:
-        _emit_json(out, dims)
+    if run.out is not None:
+        mio.save_json(run.out, dims)
     return 0
 
 
-def _cmd_morita(args) -> int:
-    model, cfg, seed, tol, out = _resolve(args)
-    t = _triple(model, cfg)
-    rng = np.random.default_rng(seed)
-    rows = []
-    residuals = []
+def _cmd_morita_check(run: _Run) -> int:
+    t, rng = run.triple, np.random.default_rng(run.seed)
+    rows, residuals = [], []
     for n in (1, 2, 3):
         for self_adjoint in (True, False):
             try:
@@ -253,8 +213,7 @@ def _cmd_morita(args) -> int:
                 return 1
             conn = mor.random_conn_form(t, n, rng, e)
             md = mor.MoritaData(t, n, e, conn)
-            left = mor.twisted_dirac_left(md)
-            right = mor.twisted_dirac_right(md)
+            left, right = mor.twisted_dirac_left(md), mor.twisted_dirac_right(md)
             assoc = frob_norm(left - right) / max(1.0, frob_norm(right))
             idem_res = mor.check_idempotent_identity(t, n, e)
             residuals += [assoc, idem_res]
@@ -263,17 +222,11 @@ def _cmd_morita(args) -> int:
             _emit_text(
                 f"n={n} sa={int(self_adjoint)}  order defect {assoc:.3e}  e de e {idem_res:.3e}"
             )
-    ok = bool(np.max(residuals) <= tol)  # NaN fails
-    if out is not None:
-        _emit_json(out, {"rows": rows, "passed": ok})
-    _emit_text("status: ok" if ok else "status: FAILED")
-    return 0 if ok else 1
+    return _verdict(run, bool(np.max(residuals) <= run.tol), {"rows": rows})  # NaN fails
 
 
-def _cmd_semigroup(args) -> int:
-    model, cfg, seed, tol, out = _resolve(args)
-    t = _triple(model, cfg)
-    rng = np.random.default_rng(seed)
+def _cmd_semigroup_verify(run: _Run) -> int:
+    t, rng = run.triple, np.random.default_rng(run.seed)
     runs = {"transitivity": [], "gauge": [], "combined": [], "cf_mult": []}
     for _ in range(10):
         p = pert.random_pert(t.algebra, rng)
@@ -297,40 +250,60 @@ def _cmd_semigroup(args) -> int:
     worst = {name: float(np.max(values)) for name, values in runs.items()}  # NaN comes through
     for name, value in worst.items():
         _emit_text(f"{name:13s}: {value:.3e}")
-    ok = bool(np.max(list(worst.values())) <= tol)
-    if out is not None:
-        _emit_json(out, {**worst, "passed": ok})
-    _emit_text("status: ok" if ok else "status: FAILED")
-    return 0 if ok else 1
+    return _verdict(run, bool(np.max(list(worst.values())) <= run.tol), worst)
 
 
-def _cmd_export_toy(args) -> int:
-    _model, cfg, _seed, _tol, out = _resolve(args)
-    t = toy.build_toy(cfg.toy_params())
-    _emit_json(out, mio.triple_to_dict(t))
+def _cmd_export_toy(run: _Run) -> int:
+    _emit_json(run.out, mio.triple_to_dict(toy.build_toy(run.tp)))
     return 0
 
 
-_DISPATCH = {
-    "check": _cmd_check,
-    "fluctuate": _cmd_fluctuate,
-    "potential-scan": _cmd_potential_scan,
-    "minimize": _cmd_minimize,
-    "hessian": _cmd_hessian,
-    "stabilizer": _cmd_stabilizer,
-    "morita-check": _cmd_morita,
-    "semigroup-verify": _cmd_semigroup,
-    "export-toy": _cmd_export_toy,
+# name: (handler, help, reads a triple: --model, or the toy)
+_COMMANDS = {
+    "check": (_cmd_check, "axiom and sign residuals", True),
+    "fluctuate": (_cmd_fluctuate, "apply a perturbation to D", True),
+    "potential-scan": (_cmd_potential_scan, "potential on a grid, as CSV", False),
+    "minimize": (_cmd_minimize, "multistart search for critical points", False),
+    "hessian": (_cmd_hessian, "gradient and Hessian at a point", False),
+    "stabilizer": (_cmd_stabilizer, "gauge stabilizer dimensions at the vacua", False),
+    "morita-check": (_cmd_morita_check, "module twist order independence", True),
+    "semigroup-verify": (_cmd_semigroup_verify, "semigroup action identities", True),
+    "export-toy": (_cmd_export_toy, "write the toy model as JSON", False),
 }
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--model", help="JSON model file (default: built-in toy model)")
+    common.add_argument("--config", help="JSON run configuration")
+    common.add_argument("--seed", type=int, help="seed for all random draws")
+    common.add_argument("--tol", type=float, help="tolerance for pass/fail residuals")
+    common.add_argument("--out", help="output file (JSON, or CSV for scans)")
+
+    parser = argparse.ArgumentParser(
+        prog="spectriple",
+        description="Finite spectral triples with generalized inner fluctuations.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    subs = {name: sub.add_parser(name, parents=[common], help=text)
+            for name, (_, text, _) in _COMMANDS.items()}
+    subs["fluctuate"].add_argument("--pert", required=True,
+                                   help="JSON perturbation file (format 2 or 1)")
+    subs["potential-scan"].add_argument(
+        "--figure", type=int, choices=(1, 2), default=1,
+        help="1: sigma plane at x=0; 2: complex x at the sigma valley")
+    return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _DISPATCH[args.command](args)
+        run = _load(args)
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    try:
+        return _COMMANDS[args.command][0](run)
     except ArithmeticError as exc:  # e.g. v_trace's imaginary trace: exit 1, not 2
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -70,6 +70,11 @@ def _entry_coords(x: AlgebraElement, n: int) -> np.ndarray:
     return np.concatenate([g.reshape(n, n, -1) for g in grid], axis=-1)
 
 
+def _entries_outside(spec: AlgebraSpec, x: AlgebraElement, n: int) -> bool:
+    """Whether an entry of x in M_n(A) is off the algebra (``AlgebraSpec.outside``, 1e-9)."""
+    return bool(spec.outside(_entry_coords(x, n)).any())
+
+
 def _from_entry_coords(summands: tuple, coords: np.ndarray) -> AlgebraElement:
     """The element of M_n(A) whose entries have the ambient coordinates ``coords`` (n, n, d)."""
     n, starts = len(coords), np.cumsum((0,) + tuple(m * m for m in summands))
@@ -201,7 +206,7 @@ class MoritaData:
             raise ValueError("idempotent has non-finite entries")
         if self.omega is not None and not np.isfinite(self.omega).all():
             raise ValueError("connection has non-finite entries")
-        if spec.outside(_entry_coords(self.idem, n), 1e-9).any():
+        if _entries_outside(spec, self.idem, n):
             raise ValueError("idempotent entry is not in the algebra")
         # the largest Frobenius norm of an entry, of e and of e^2 - e
         norm, defect = (
@@ -325,7 +330,7 @@ def random_idempotent(
             continue
         pos = [vecs[:, vals > 0] for vals, vecs in eigs]
         e = AlgebraElement(tuple(v @ v.conj().T for v in pos))
-        if spec.outside(_entry_coords(e, n), 1e-8).any():
+        if _entries_outside(spec, e, n):
             continue
         if self_adjoint:
             return e
@@ -335,6 +340,6 @@ def random_idempotent(
             continue
         g_inv = AlgebraElement(tuple(np.linalg.inv(big) for big in g.blocks))
         skewed = g * e * g_inv
-        if not spec.outside(_entry_coords(skewed, n), 1e-8).any():
+        if not _entries_outside(spec, skewed, n):
             return skewed
     raise RuntimeError("could not draw a clean random idempotent")

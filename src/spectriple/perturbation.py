@@ -17,7 +17,7 @@ over the ambient matrix units, whatever the number of pairs they came from.
 The product, the flip, normalization, eta, the module actions and the star are
 fixed linear maps on them; the canonical form (block-diagonal over ordered
 pairs of summands, multiplied by the semigroup product) rearranges them.
-``from_pairs`` reads pairs, and ``pairs`` gives dim A pairs back.
+``PertElement.from_pairs`` reads pairs, and ``pairs`` gives dim A pairs back.
 """
 
 from __future__ import annotations
@@ -181,8 +181,7 @@ class UniversalOneForm:
 
     the d x d matrix over the ambient matrix units (``AlgebraElement.vec()``
     order, rows for the first factor).  Two forms are equal exactly when their
-    omegas are.  :meth:`from_pairs` builds one from pairs; ``pairs`` gives
-    pairs back, over the spanning set of ``spec``.
+    omegas are.  ``pairs`` gives pairs back, over the spanning set of ``spec``.
     """
 
     spec: AlgebraSpec
@@ -190,11 +189,6 @@ class UniversalOneForm:
 
     def __post_init__(self):
         object.__setattr__(self, "omega", _coefficients(self.spec, self.omega, "one-form"))
-
-    @classmethod
-    def from_pairs(cls, spec: AlgebraSpec, pairs) -> "UniversalOneForm":
-        """sum_j x_j d(y_j) for finite x_j, y_j in ``spec``."""
-        return cls(spec, _eta(spec, _pair_coeffs(spec, pairs)))
 
     @property
     def pairs(self) -> tuple:
@@ -264,10 +258,9 @@ class PertElement:
         object.__setattr__(self, "coeffs", _coefficients(self.spec, self.coeffs, "perturbation"))
 
     @classmethod
-    def from_pairs(cls, spec: AlgebraSpec, pairs, validate: bool = True) -> "PertElement":
+    def from_pairs(cls, spec: AlgebraSpec, pairs) -> "PertElement":
         """sum_j a_j (x) b_j for finite a_j, b_j in ``spec``, checked by :func:`_checked_pert`."""
-        p = cls(spec, _pair_coeffs(spec, pairs))
-        return _checked_pert(p) if validate else p
+        return _checked_pert(cls(spec, _pair_coeffs(spec, pairs)))
 
     @property
     def pairs(self) -> tuple:
@@ -311,7 +304,7 @@ def pert_mul(x: PertElement, y: PertElement) -> PertElement:
 
 def from_unitary(spec: AlgebraSpec, u: AlgebraElement) -> PertElement:
     """The perturbation u (x) u* attached to a unitary u in A (to 1e-9)."""
-    p = PertElement.from_pairs(spec, ((u, u.star()),), validate=False)
+    p = PertElement(spec, _pair_coeffs(spec, ((u, u.star()),)))
     unit = spec.unit().vec()
     defect = np.linalg.norm(_product_sum(spec.summands, p.coeffs) - unit)
     if defect > 1e-9 * max(1.0, np.linalg.norm(unit)):

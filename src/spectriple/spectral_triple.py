@@ -101,12 +101,13 @@ class AlgebraSpec:
     Direct sum of full matrix algebras M_{n_1} ⊕ ... ⊕ M_{n_k}, optionally
     constrained to the span of an explicit basis of elements.
 
-    A constraint basis must be closed under products and adjoints (checked at
-    construction on the spanning set), which is exactly what makes the span a
-    *-subalgebra; its entries must be finite.  The orthogonal projector onto
-    the span over ``AlgebraElement.vec()`` coordinates (a thin SVD, with the
-    rank cutoff of ``scipy.linalg.orth``) is kept; a membership test is one
-    product with it.  So are the spanning set's coordinates and pseudo-inverse.
+    A constraint basis must be finite, closed under products and adjoints
+    (checked at construction on the spanning set), which makes the span a
+    *-subalgebra, and span the unit, which everything downstream assumes (the
+    normalizer 1 (x) 1, rho(1) = 1).  The orthogonal projector onto the span
+    over ``AlgebraElement.vec()`` coordinates (a thin SVD, with the rank cutoff
+    of ``scipy.linalg.orth``) is kept; a membership test is one product with
+    it.  So are the spanning set's coordinates and pseudo-inverse.
     """
 
     summands: tuple
@@ -134,6 +135,8 @@ class AlgebraSpec:
             q = u[:, s > s.max() * np.finfo(float).eps * max(cols.shape)]
             object.__setattr__(self, "_proj", q @ q.conj().T)
             self._check_closure()
+            if self.outside(self.unit().vec())[()]:
+                raise ValueError("constraint basis does not span the unit")
 
     def _check_closure(self):
         stars = self.first_outside([a.star() for a in self.basis])
@@ -172,17 +175,17 @@ class AlgebraSpec:
         blocks = [rows[:, o:o + n * n].reshape(-1, n, n) for o, n in zip(starts, self.summands)]
         return [AlgebraElement(tuple(b[i] for b in blocks)) for i in range(len(rows))]
 
-    def outside(self, rows, tol: float = 1e-9) -> np.ndarray:
+    def outside(self, rows) -> np.ndarray:
         """
         Mask of the coordinate rows (..., d) that are not finite or lie off the span by more
-        than tol * max(1, |row|).
+        than 1e-9 * max(1, |row|).
         """
         rows = np.asarray(rows, dtype=complex)
         bad = ~np.isfinite(rows).all(-1)
         if self._proj is not None:
             rows = np.where(bad[..., None], 0.0, rows)  # measured as zero, already outside
             resid = np.linalg.norm(rows - rows @ self._proj.T, axis=-1)
-            bad |= resid > tol * np.maximum(1.0, np.linalg.norm(rows, axis=-1))
+            bad |= resid > 1e-9 * np.maximum(1.0, np.linalg.norm(rows, axis=-1))
         return bad
 
     def first_outside(self, elements) -> int | None:

@@ -10,10 +10,20 @@ import numpy as np
 import pytest
 
 import spectriple
-from spectriple import action, build_toy, cli, fluctuate_combined, morita, perturbation, random_pert
+from spectriple import (
+    AlgebraElement,
+    action,
+    build_toy,
+    cli,
+    fluctuate_combined,
+    morita,
+    perturbation,
+    random_pert,
+)
 from spectriple.action import PI_SQ
 from spectriple.cli import main
 from spectriple.model_io import (
+    element_to_json,
     load_json,
     matrix_from_json,
     pert_from_dict,
@@ -406,6 +416,64 @@ def test_non_finite_couplings_are_input_errors(tmp_path, capsys, key, value):
     assert main(["minimize", "--config", str(cfg), "--out", str(out)]) == 2
     assert f"{key} must be finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("error", [ValueError, KeyError, TypeError])
+def test_a_fault_inside_a_computation_raises_instead_of_exiting_2(monkeypatch, capsys, error):
+    # exit 2 is for settings and input files; a fault in a computation keeps its traceback
+    def broken(t, p, q):
+        raise error("a fault inside the computation")
+
+    monkeypatch.setattr(perturbation, "check_transitivity", broken)
+    with pytest.raises(error, match="a fault inside the computation"):
+        main(["semigroup-verify"])
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("command", [
+    "check", "fluctuate", "potential-scan", "minimize", "hessian", "stabilizer", "morita-check",
+    "semigroup-verify", "export-toy",
+])
+def test_every_subcommand_refuses_a_non_positive_coupling(tmp_path, capsys, command):
+    cfg = tmp_path / "cfg.json"
+    save_json(str(cfg), {"f2": -1})
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+    if command == "fluctuate":
+        argv += ["--pert", str(tmp_path / "none.json")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: f2 must be finite and positive\n"
+    assert captured.out == "" and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("where", ["no-such-dir/out.json", "."])
+def test_an_out_path_that_cannot_be_a_file_is_an_input_error(tmp_path, capsys, monkeypatch, where):
+    monkeypatch.chdir(tmp_path)
+    assert main(["check", "--out", where]) == 2
+    captured = capsys.readouterr()
+    message = f"--out must name a file in an existing directory, got {where!r}"
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+def test_a_seed_flag_beats_a_malformed_seed_in_the_environment(capsys, monkeypatch):
+    monkeypatch.setenv("SPECTRIPLE_SEED", "not a number")
+    assert main(["semigroup-verify", "--seed", "0"]) == 0
+    capsys.readouterr()
+    assert main(["semigroup-verify"]) == 2
+    assert "invalid literal for int()" in capsys.readouterr().err
+
+
+def test_a_model_whose_constraint_basis_misses_the_unit_is_an_input_error(tmp_path, capsys):
+    model = tmp_path / "toy.json"
+    assert main(["export-toy", "--out", str(model)]) == 0
+    payload = load_json(str(model))
+    e11 = AlgebraElement((np.diag([1.0, 0.0]), np.zeros((2, 2))))
+    payload["basis"] = [element_to_json(e11)]  # closed under products and adjoints, not unital
+    save_json(str(model), payload)
+    for command in ("check", "semigroup-verify"):
+        assert main([command, "--model", str(model)]) == 2
+        assert capsys.readouterr().err == "error: constraint basis does not span the unit\n"
 
 
 def test_missing_subcommand_exits_with_usage_error():

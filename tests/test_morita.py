@@ -28,7 +28,7 @@ from spectriple.morita import (
     random_conn_form,
     random_idempotent,
 )
-from spectriple.morita import _entry_coords, _from_entry_coords, _hermitize
+from spectriple.morita import _entries_outside, _entry_coords, _from_entry_coords, _hermitize
 from spectriple.perturbation import UniversalOneForm, _leg_weights, one_form_star
 from spectriple.spectral_triple import (
     AlgebraElement,
@@ -38,7 +38,7 @@ from spectriple.spectral_triple import (
     spanning_set,
 )
 from spectriple.toy_model import a_f
-from test_perturbation import _reference_rmul, _reference_star
+from test_perturbation import _form_from_pairs, _reference_rmul, _reference_star
 from test_spectral_triple import _multi_triple
 
 
@@ -87,7 +87,7 @@ def _reference_compress(spec, e, grid):
 
 
 def _forms(spec, grid):
-    return tuple(tuple(UniversalOneForm.from_pairs(spec, pairs) for pairs in row) for row in grid)
+    return tuple(tuple(_form_from_pairs(spec, pairs) for pairs in row) for row in grid)
 
 
 def _raw_pairs(spec, n, rng, n_pairs=1):
@@ -102,7 +102,7 @@ def _raw_pairs(spec, n, rng, n_pairs=1):
 def _max_rel(conn, spec, grid):
     """Largest relative distance between the entries of conn and the pair lists of grid."""
     return max(
-        _rel(w.omega, UniversalOneForm.from_pairs(spec, pairs).omega)
+        _rel(w.omega, _form_from_pairs(spec, pairs).omega)
         for row, ref_row in zip(conn, grid)
         for w, pairs in zip(row, ref_row)
     )
@@ -250,8 +250,8 @@ def test_unit_module_with_diagonal_connection_reduces_entrywise(toy, rng):
     # e = 1_n with conn = diag(w): the twist acts like the rank-one case in
     # every diagonal cell
     n = 2
-    w = UniversalOneForm.from_pairs(toy.algebra, ((random_element(toy.algebra, rng),) * 2,))
-    zero_form = UniversalOneForm.from_pairs(toy.algebra, ())
+    w = _form_from_pairs(toy.algebra, ((random_element(toy.algebra, rng),) * 2,))
+    zero_form = _form_from_pairs(toy.algebra, ())
     conn = tuple(
         tuple(w if i == k else zero_form for k in range(n)) for i in range(n)
     )
@@ -292,10 +292,30 @@ def test_random_idempotents_are_what_they_claim(toy, rng):
         return np.max(np.linalg.norm(_entry_coords(x, 2) - _entry_coords(y, 2), axis=-1))
 
     assert gap(e * e, e) < 1e-10 and gap(e.star(), e) < 1e-10
-    assert not toy.algebra.outside(_entry_coords(e, 2), tol=1e-8).any()
+    assert not _entries_outside(toy.algebra, e, 2)
     skew = random_idempotent(toy, 2, rng, self_adjoint=False)
     assert gap(skew.star(), skew) > 1e-3  # genuinely not self-adjoint
     assert gap(skew * skew, skew) < 1e-8
+
+
+def test_the_draw_and_the_bundle_share_one_membership_tolerance(toy, monkeypatch):
+    # every entry pushed a relative 5e-9 off the span: the bundle refuses it, so the draw must
+    # redraw it too instead of handing MoritaData an idempotent it then refuses
+    e = random_idempotent(toy, 2, np.random.default_rng(0))
+    off = np.random.default_rng(1).standard_normal(toy.algebra.ambient_dim)
+    off = off - off @ toy.algebra._proj.T
+    off /= np.linalg.norm(off)
+
+    def pushed(x, n):
+        coords = _entry_coords(x, n)
+        return coords + 5e-9 * np.maximum(1.0, np.linalg.norm(coords, axis=-1))[..., None] * off
+
+    monkeypatch.setattr(morita, "_entry_coords", pushed)
+    with pytest.raises(ValueError, match="idempotent entry is not in the algebra"):
+        MoritaData(toy, 2, e)
+    for self_adjoint in (True, False):
+        with pytest.raises(RuntimeError, match="could not draw a clean random idempotent"):
+            random_idempotent(toy, 2, np.random.default_rng(0), self_adjoint=self_adjoint)
 
 
 def test_corner_projector_is_idempotent_and_corner_self_adjoint(toy):
@@ -315,7 +335,7 @@ def test_hermitized_connection_represents_self_adjointly(toy, rng):
     n = 2
     raw = tuple(
         tuple(
-            UniversalOneForm.from_pairs(toy.algebra, ((random_element(toy.algebra, rng),) * 2,))
+            _form_from_pairs(toy.algebra, ((random_element(toy.algebra, rng),) * 2,))
             for _ in range(n)
         )
         for _ in range(n)
@@ -329,7 +349,7 @@ def test_compress_connection_is_a_projection(toy, rng):
     e = random_idempotent(toy, 2, rng)
     raw = tuple(
         tuple(
-            UniversalOneForm.from_pairs(toy.algebra, ((random_element(toy.algebra, rng),) * 2,))
+            _form_from_pairs(toy.algebra, ((random_element(toy.algebra, rng),) * 2,))
             for _ in range(2)
         )
         for _ in range(2)
@@ -471,7 +491,7 @@ def test_validation_rejects_non_finite_entries(toy):
     nan_elem = float("nan") * unit
     with pytest.raises(ValueError, match="idempotent has non-finite"):
         MoritaData(toy, 1, nan_elem)
-    # from_pairs refuses non-finite pairs, so build the coefficients directly
+    # the pair reader refuses non-finite pairs, so build the coefficients directly
     for bad in (np.nan, np.inf):
         omega = np.zeros((8, 8), dtype=complex)
         omega[4, 0] = bad
@@ -530,7 +550,7 @@ def test_validation_rejects_uncompressed_connection(toy, rng):
     e = random_idempotent(toy, 2, rng)
     raw = tuple(
         tuple(
-            UniversalOneForm.from_pairs(toy.algebra, ((random_element(toy.algebra, rng),) * 2,))
+            _form_from_pairs(toy.algebra, ((random_element(toy.algebra, rng),) * 2,))
             for _ in range(2)
         )
         for _ in range(2)

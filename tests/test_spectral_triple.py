@@ -207,6 +207,15 @@ def test_constraint_basis_must_be_closed():
         AlgebraSpec((2,), basis=(e12, e21))
 
 
+def test_constraint_basis_must_span_the_unit():
+    # e11 alone is a closed *-subalgebra of M2, but not a unital one
+    e11 = AlgebraElement((np.diag([1.0, 0.0]),))
+    with pytest.raises(ValueError, match="does not span the unit"):
+        AlgebraSpec((2,), basis=(e11,))
+    e22 = AlgebraElement((np.diag([0.0, 1.0]),))
+    assert AlgebraSpec((2,), basis=(e11, e22)).dim() == 2
+
+
 def test_random_hermitian_and_unitary(rng):
     spec = a_ev()
     h = random_hermitian(spec, rng)
@@ -364,8 +373,8 @@ def test_readers_of_the_table_reject_elements_over_other_summands():
     other = random_element(AlgebraSpec((3, 1)), np.random.default_rng(0))
     calls = (
         lambda: represent(t, other),
-        lambda: a1(t, UniversalOneForm.from_pairs(AlgebraSpec((3, 1)), ((other, other),))),
-        lambda: mu(t, PertElement.from_pairs(AlgebraSpec((3, 1)), ((other, other),), validate=False)),
+        lambda: a1(t, UniversalOneForm(AlgebraSpec((3, 1)), np.outer(other.vec(), other.vec()))),
+        lambda: mu(t, PertElement(AlgebraSpec((3, 1)), np.outer(other.vec(), other.vec()))),
     )
     for call in calls:
         with pytest.raises(ValueError, match="does not match"):

@@ -5,7 +5,7 @@ import pytest
 
 from spectriple import AlgebraElement, build_toy, closed_dirac, extract_fields, fluctuate
 from spectriple.matrix_core import adjoint, approx_eq
-from spectriple.perturbation import UniversalOneForm, random_one_form
+from spectriple.perturbation import random_one_form
 from spectriple.spectral_triple import AlgebraSpec, random_element
 from spectriple.toy_model import (
     FieldPoint,
@@ -14,6 +14,7 @@ from spectriple.toy_model import (
     assemble_dirac,
     y_block,
 )
+from test_perturbation import _form_from_pairs
 
 
 def test_dirac_entries():
@@ -107,7 +108,7 @@ def test_extract_fields_hand_computed_pair():
     spec = a_ev()
     a = AlgebraElement((np.diag([2.0, 3.0]), [[1, 2], [3, 4]]))
     b = AlgebraElement((np.diag([5.0, 7.0]), [[0, 1], [1, 0]]))
-    fp = extract_fields(UniversalOneForm.from_pairs(spec, ((a, b),)))
+    fp = extract_fields(_form_from_pairs(spec, ((a, b),)))
     # phi = r'(l - r) = 2 (7 - 5) = 4
     assert fp.x == 1.0 + 4.0
     # m' m = [[2, 1], [4, 3]]; sigma_1 = 1*5 - 2, sigma_2 = 3*5 - 4
@@ -147,7 +148,7 @@ def test_extract_fields_is_additive_in_the_form(rng):
 
 def test_extract_fields_rejects_elements_outside_the_even_subalgebra(rng):
     full = AlgebraSpec((2, 2))
-    w = UniversalOneForm.from_pairs(full, ((random_element(full, rng),) * 2,))
+    w = _form_from_pairs(full, ((random_element(full, rng),) * 2,))
     with pytest.raises(ValueError, match="not over the even subalgebra"):
         extract_fields(w)
 
