@@ -23,6 +23,7 @@ landscape, degenerate flat directions included.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -65,10 +66,11 @@ class ActionParams:
 
     def __post_init__(self):
         for name in ("f2", "f0", "lam"):
-            value = float(getattr(self, name))
-            if not (math.isfinite(value) and value > 0.0):
+            value = getattr(self, name)  # a bool or a string is not a number
+            if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                    and math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be finite and positive")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, float(value))
 
 
 def v_trace(tp: ToyParams, ap: ActionParams, fp: FieldPoint):
@@ -219,7 +221,7 @@ def minimize(fun, start, fixed: dict | None = None) -> MinimizeResult:
     """
     start = np.array(start, dtype=float)
     fixed = dict(fixed or {})
-    if any(not isinstance(k, (int, np.integer)) or not 0 <= k < start.size for k in fixed):
+    if any(not np.issubdtype(type(k), np.integer) or not 0 <= k < start.size for k in fixed):
         raise ValueError(f"fixed indices must be integers in range({start.size}): {list(fixed)}")
     fixed = {int(k): float(v) for k, v in fixed.items()}
     start[list(fixed)] = list(fixed.values())
@@ -346,7 +348,7 @@ class ScanResult:
 
 def _grid_axis(lo: float, hi: float, n) -> np.ndarray:
     """n evenly spaced points on [lo, hi], for an integer n >= 1."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    if not np.issubdtype(type(n), np.integer) or n < 1:  # a bool is not an integer
         raise ValueError(f"grid size must be an integer >= 1, got {n!r}")
     return np.linspace(lo, hi, n)
 

@@ -4,12 +4,14 @@ Command-line front end.
 Every subcommand accepts --model/--config/--seed/--tol/--out; when a flag is
 absent the environment variables SPECTRIPLE_MODEL, SPECTRIPLE_CONFIG,
 SPECTRIPLE_SEED, SPECTRIPLE_TOL and SPECTRIPLE_OUT are consulted, then the
-config file, then built-in defaults.  One load stage resolves these settings,
-builds the couplings and reads the model and --pert files before any
-computation starts.  Exit codes: 0 on success, 1 when a computation failed on
-valid input or an expectation failed (residual above tolerance, no converged
-minimum), 2 when the load stage refuses a setting or an input file, and only
-then: a fault inside a computation raises with its traceback.
+config file, then the defaults of the settings table.  One load stage runs
+before any computation: it puts every value a setting is given, whatever its
+source, through that setting's one check, builds the couplings (ToyParams and
+ActionParams check them) and reads the model and --pert files.  Exit codes: 0
+on success, 1 when a computation failed on valid input or an expectation
+failed (residual above tolerance, no converged minimum), 2 when the load stage
+refuses a setting or an input file, and only then: a fault inside a
+computation raises with its traceback.
 """
 
 from __future__ import annotations
@@ -42,13 +44,42 @@ from .matrix_core import adjoint, frob_norm
 __all__ = ["main"]
 
 
+def _number(kinds: tuple, above, what: str):
+    """The check of a number of one of ``kinds`` in (above, inf); a bool is not an int."""
+    def check(name, value):
+        if not (type(value) in kinds and above < value < math.inf):
+            raise ValueError(f"{name} must be {what}, got {value!r}")
+        return value
+    return check
+
+
+def _point(name, value):
+    if value is not None and not (isinstance(value, list) and len(value) == 3 and all(
+            type(c) in (int, float) and math.isfinite(c) for c in value)):
+        raise ValueError("config point must have three finite coordinates")
+    return value if value is None else tuple(map(float, value))
+
+
+# setting: (default, check), one per config key; a check takes the name and a value and
+# returns it or raises.  A number is an int or a float, as JSON and argparse give them: a bool
+# or a string is not one.  ToyParams and ActionParams check the couplings.  seed and tol also
+# have a flag and a SPECTRIPLE_* variable, read as the type of the default, as argparse does.
+_SETTINGS = {
+    **dict.fromkeys(("k_x", "k_y"), (1.0, lambda name, value: mio.complex_from_json(value))),
+    **dict.fromkeys(("f2", "f0", "lam"), (1.0, lambda name, value: value)),
+    "seed": (0, _number((int,), -1, "an integer >= 0")),
+    "tol": (1e-9, _number((int, float), 0.0, "a finite number > 0")),
+    "n_starts": (32, _number((int,), 0, "an integer >= 1")),
+    "grid_n": (201, _number((int,), 1, "an integer >= 2")),
+    "point": (None, _point),
+}
+
+
 @dataclass(frozen=True)
 class _Run:
     """What the load stage read: the settings, the couplings and the input files."""
 
-    cfg: mio.RunConfig
-    seed: int
-    tol: float
+    settings: dict  # setting of _SETTINGS -> its checked value
     out: str | None
     model: str | None
     tp: toy.ToyParams
@@ -59,24 +90,34 @@ class _Run:
 
 
 def _load(args) -> _Run:
-    """Flag > environment > config file > default, once; then the files the command reads."""
-    flags = vars(args)
-    config, seed, tol, out, model = (
-        os.environ.get(f"SPECTRIPLE_{name.upper()}") if flags[name] is None else flags[name]
-        for name in ("config", "seed", "tol", "out", "model"))
-    cfg = mio.load_config(config)
-    seed = cfg.seed if seed is None else int(seed)
-    tol = mio.valid_tol(cfg.tol if tol is None else tol)
+    """Each setting once, flag > environment > config file > default, every source checked."""
+    given = {name: os.environ.get(f"SPECTRIPLE_{name.upper()}") if getattr(args, name) is None
+             else getattr(args, name) for name in ("config", "seed", "tol", "out", "model")}
+    config, out, model = given["config"], given["out"], given["model"]
+    if config is not None and not os.path.exists(config):
+        raise FileNotFoundError(f"config file not found: {config}")
+    entries = {} if config is None else mio.load_json(config)
+    if not isinstance(entries, dict):
+        raise ValueError("config file must hold a JSON object")
+    for key in entries:
+        if key not in _SETTINGS:
+            raise ValueError(f"unknown config key: {key}")
+    settings = {}
+    for name, (default, check) in _SETTINGS.items():
+        settings[name] = check(name, entries.get(name, default))  # checked even when overridden
+        if given.get(name) is not None:
+            settings[name] = check(name, type(default)(given[name]))
     if out is not None and (os.path.isdir(out)
                             or not os.path.isdir(os.path.dirname(os.path.abspath(out)))):
         raise ValueError(f"--out must name a file in an existing directory, got {out!r}")
-    tp, ap = cfg.toy_params(), cfg.action_params()
+    tp = toy.ToyParams(settings["k_x"], settings["k_y"])
+    ap = act.ActionParams(settings["f2"], settings["f0"], settings["lam"])
     triple = p = None
     if _COMMANDS[args.command][2]:
         triple = toy.build_toy(tp) if model is None else mio.triple_from_dict(mio.load_json(model))
         if args.command == "fluctuate":
             p = mio.pert_from_dict(triple.algebra, mio.load_json(args.pert))
-    return _Run(cfg, seed, tol, out, model, tp, ap, triple, p, getattr(args, "figure", 1))
+    return _Run(settings, out, model, tp, ap, triple, p, getattr(args, "figure", 1))
 
 
 def _emit_json(out, payload) -> None:
@@ -106,7 +147,8 @@ def _cmd_check(run: _Run) -> int:
     _emit_text(f"zeroth-order max defect : {zeroth.max_defect:.3e}")
     _emit_text(f"first-order max defect  : {first.max_defect:.3e}")
     _emit_text(f"KO sign residual        : {ko.worst:.3e}")
-    return _verdict(run, zeroth.max_defect <= run.tol and ko.passed(run.tol), {
+    tol = run.settings["tol"]
+    return _verdict(run, zeroth.max_defect <= tol and ko.passed(tol), {
         "zeroth_order": zeroth.max_defect,
         "first_order": first.max_defect,
         "ko_signs": [ko.res_j_squared, ko.res_jd, ko.res_jgamma],
@@ -127,9 +169,9 @@ def _cmd_fluctuate(run: _Run) -> int:
 
 def _cmd_potential_scan(run: _Run) -> int:
     if run.figure == 1:
-        ax1, ax2, values = act.sigma_grid(run.tp, run.ap, n=run.cfg.grid_n)
+        ax1, ax2, values = act.sigma_grid(run.tp, run.ap, n=run.settings["grid_n"])
     else:
-        ax1, ax2, values = act.x_grid(run.tp, run.ap, n=run.cfg.grid_n)
+        ax1, ax2, values = act.x_grid(run.tp, run.ap, n=run.settings["grid_n"])
     rows = [[repr(float(a)), repr(float(b)), repr(float(values[i, j]))]
             for i, a in enumerate(ax1) for j, b in enumerate(ax2)]
     if run.out is None:
@@ -142,7 +184,8 @@ def _cmd_potential_scan(run: _Run) -> int:
 
 def _cmd_minimize(run: _Run) -> int:
     fun = act.potential_fn(run.tp, run.ap)
-    points = act.multi_start_minimize(fun, n_starts=run.cfg.n_starts, seed=run.seed)
+    points = act.multi_start_minimize(fun, n_starts=run.settings["n_starts"],
+                                      seed=run.settings["seed"])
     for cp in points:
         coords = ", ".join(f"{c: .10f}" for c in cp.coords)
         _emit_text(
@@ -163,7 +206,7 @@ def _cmd_minimize(run: _Run) -> int:
 
 def _cmd_hessian(run: _Run) -> int:
     fun = act.potential_fn(run.tp, run.ap)
-    point = run.cfg.point
+    point = run.settings["point"]
     if point is None:  # the sigma vacuum
         w = act.sigma_valley_radius(run.tp, run.ap)
         point = (0.0, math.sqrt(w) - 1.0 if w > 0 else 0.0, 0.0)
@@ -202,7 +245,7 @@ def _cmd_stabilizer(run: _Run) -> int:
 
 
 def _cmd_morita_check(run: _Run) -> int:
-    t, rng = run.triple, np.random.default_rng(run.seed)
+    t, rng = run.triple, np.random.default_rng(run.settings["seed"])
     rows, residuals = [], []
     for n in (1, 2, 3):
         for self_adjoint in (True, False):
@@ -222,11 +265,11 @@ def _cmd_morita_check(run: _Run) -> int:
             _emit_text(
                 f"n={n} sa={int(self_adjoint)}  order defect {assoc:.3e}  e de e {idem_res:.3e}"
             )
-    return _verdict(run, bool(np.max(residuals) <= run.tol), {"rows": rows})  # NaN fails
+    return _verdict(run, bool(np.max(residuals) <= run.settings["tol"]), {"rows": rows})  # NaN fails
 
 
 def _cmd_semigroup_verify(run: _Run) -> int:
-    t, rng = run.triple, np.random.default_rng(run.seed)
+    t, rng = run.triple, np.random.default_rng(run.settings["seed"])
     runs = {"transitivity": [], "gauge": [], "combined": [], "cf_mult": []}
     for _ in range(10):
         p = pert.random_pert(t.algebra, rng)
@@ -250,7 +293,7 @@ def _cmd_semigroup_verify(run: _Run) -> int:
     worst = {name: float(np.max(values)) for name, values in runs.items()}  # NaN comes through
     for name, value in worst.items():
         _emit_text(f"{name:13s}: {value:.3e}")
-    return _verdict(run, bool(np.max(list(worst.values())) <= run.tol), worst)
+    return _verdict(run, bool(np.max(list(worst.values())) <= run.settings["tol"]), worst)
 
 
 def _cmd_export_toy(run: _Run) -> int:
@@ -299,7 +342,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         run = _load(args)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     try:

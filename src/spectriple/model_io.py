@@ -1,20 +1,17 @@
 """
-JSON codecs for triples, perturbations and run configuration.
+JSON codecs for triples and perturbations.
 
 Complex numbers are stored as [re, im] pairs and matrices as nested lists of
 those, so a dump/load cycle is bit-exact (json round-trips Python floats
 through repr).  Model files carry the full triple: algebra summands, an
 optional constraint basis, representation tiling, D, the J matrix, gamma and
 the declared KO signs.  Every tile is plain, so its ``"mode"`` key must be
-``"plain"``.
+``"plain"``.  A number is a JSON integer or float: a bool is refused.
 """
 
 from __future__ import annotations
 
 import json
-import math
-import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,15 +24,11 @@ from .spectral_triple import (
     KOSigns,
     RepBlock,
 )
-from .toy_model import ToyParams
-from .action import ActionParams
 
 __all__ = [
-    "RunConfig",
     "complex_from_json",
     "element_from_json",
     "element_to_json",
-    "load_config",
     "load_json",
     "matrix_from_json",
     "matrix_to_json",
@@ -44,14 +37,13 @@ __all__ = [
     "save_json",
     "triple_from_dict",
     "triple_to_dict",
-    "valid_tol",
 ]
 
 
 def complex_from_json(obj) -> complex:
-    if isinstance(obj, (int, float)):
+    if isinstance(obj, (int, float)) and not isinstance(obj, bool):
         return complex(float(obj), 0.0)
-    if isinstance(obj, (list, tuple)) and len(obj) == 2:
+    if isinstance(obj, (list, tuple)) and len(obj) == 2 and bool not in map(type, obj):
         return complex(float(obj[0]), float(obj[1]))
     raise ValueError(f"cannot read complex number from {obj!r}")
 
@@ -62,14 +54,15 @@ def matrix_to_json(m) -> list:
 
 
 def matrix_from_json(obj) -> np.ndarray:
-    """[re, im] pairs in one array conversion; other payloads (bare numbers) entry by entry."""
+    """[re, im] pairs in one array conversion; other payloads, and bools, entry by entry."""
     if not isinstance(obj, list) or not obj or not isinstance(obj[0], list):
         raise ValueError("matrix payload must be a nested list")
     try:
         arr = np.asarray(obj)
     except ValueError:  # ragged rows: the entry-by-entry reader raises numpy's error
         arr = np.asarray(None)
-    if arr.ndim == 3 and arr.shape[2] == 2 and arr.dtype.kind in "biuf":
+    if arr.ndim == 3 and arr.shape[2] == 2 and arr.dtype.kind in "iuf" and bool not in {
+            type(part) for row in obj for pair in row for part in pair}:
         return np.ascontiguousarray(arr, dtype=float).view(complex)[..., 0]
     return np.array([[complex_from_json(entry) for entry in row] for row in obj], dtype=complex)
 
@@ -174,75 +167,3 @@ def save_json(path: str, obj) -> None:
 def load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
-
-
-# ---------------------------------------------------------------------------
-# Run configuration
-
-
-_CONFIG_KEYS = {
-    "k_x", "k_y", "f2", "f0", "lam", "seed", "tol", "n_starts", "grid_n", "point",
-}
-
-
-@dataclass
-class RunConfig:
-    """Knobs shared by the command-line tools, with sane defaults."""
-
-    k_x: complex = 1.0 + 0.0j
-    k_y: complex = 1.0 + 0.0j
-    f2: float = 1.0
-    f0: float = 1.0
-    lam: float = 1.0
-    seed: int = 0
-    tol: float = 1e-9
-    n_starts: int = 32
-    grid_n: int = 201
-    point: tuple | None = None
-
-    def toy_params(self) -> ToyParams:
-        return ToyParams(k_x=self.k_x, k_y=self.k_y)
-
-    def action_params(self) -> ActionParams:
-        return ActionParams(f2=self.f2, f0=self.f0, lam=self.lam)
-
-
-def valid_tol(value) -> float:
-    """A tolerance: a finite number > 0 (ValueError otherwise)."""
-    tol = float(value)
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be a finite number > 0, got {value!r}")
-    return tol
-
-
-def load_config(path: str | None) -> RunConfig:
-    """Read a config file; missing path means defaults."""
-    cfg = RunConfig()
-    if path is None:
-        return cfg
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"config file not found: {path}")
-    payload = load_json(path)
-    if not isinstance(payload, dict):
-        raise ValueError("config file must hold a JSON object")
-    for key, value in payload.items():
-        if key not in _CONFIG_KEYS:
-            raise ValueError(f"unknown config key: {key}")
-        if key in ("k_x", "k_y"):
-            setattr(cfg, key, complex_from_json(value))
-        elif key in ("seed", "n_starts", "grid_n"):
-            low = {"seed": 0, "n_starts": 1, "grid_n": 2}[key]
-            if isinstance(value, bool) or not isinstance(value, int) or value < low:
-                raise ValueError(f"config {key} must be an integer >= {low}, got {value!r}")
-            setattr(cfg, key, value)
-        elif key == "tol":
-            cfg.tol = valid_tol(value)
-        elif key == "point":
-            if value is not None:
-                pt = tuple(float(x) for x in value)
-                if len(pt) != 3 or not all(map(math.isfinite, pt)):
-                    raise ValueError("config point must have three finite coordinates")
-                cfg.point = pt
-        else:
-            setattr(cfg, key, float(value))
-    return cfg

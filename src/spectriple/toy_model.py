@@ -19,6 +19,7 @@ fields: a complex coefficient x multiplying the k_x entries and a complex
 from __future__ import annotations
 
 import cmath
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -57,10 +58,11 @@ class ToyParams:
 
     def __post_init__(self):
         for name in ("k_x", "k_y"):
-            value = complex(getattr(self, name))
-            if not cmath.isfinite(value):
+            value = getattr(self, name)  # a bool or a string is not a number
+            if not (isinstance(value, numbers.Complex) and not isinstance(value, bool)
+                    and cmath.isfinite(value)):
                 raise ValueError(f"{name} must be finite")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, complex(value))
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@ Rewrite the golden command-line transcripts that ``tests/test_golden.py`` compar
 
 Each case runs in a fresh temporary directory with the ``SPECTRIPLE_*`` variables unset
 and BLAS on one thread, as in the test suite.  ``<case>.json`` gets the arguments, the
-input files, the exit code, stdout and stderr; ``<case>.out`` the ``--out`` bytes, if any.
+input files, the exit code, stdout, stderr and the fingerprints of the random draws;
+``<case>.out`` the ``--out`` bytes, if any.
 """
 
 import os
@@ -49,6 +50,9 @@ def _cases():
     yield "error-bad-tol", ["check", "--tol", "nan", "--out", "out.json"], {}
     yield "error-bad-coupling", ["minimize", "--config", "bad.json", "--out", "out.json"], \
         {"bad.json": {"f2": float("nan")}}
+    yield "error-negative-seed", ["semigroup-verify", "--seed", "-1", "--out", "out.json"], {}
+    yield "error-bool-coupling", ["hessian", "--config", "bad.json", "--out", "out.json"], \
+        {"bad.json": {"f2": True}}
     yield "error-unknown-config-key", ["check", "--config", "bad.json"], {"bad.json": {"bogus": 1}}
     yield "error-missing-config", ["hessian", "--config", "no-such-config.json"], {}
     yield "error-missing-model", ["check", "--model", "no-such-model.json"], {}
@@ -66,10 +70,11 @@ def main() -> int:
         with tempfile.TemporaryDirectory() as tmp:
             os.chdir(tmp)
             try:
-                code, stdout, stderr, written = run_case(argv, inputs)
+                code, stdout, stderr, written, draws = run_case(argv, inputs)
             finally:
                 os.chdir(home)
-        record = {"argv": argv, "inputs": inputs, "exit": code, "stdout": stdout, "stderr": stderr}
+        record = {"argv": argv, "inputs": inputs, "exit": code, "stdout": stdout, "stderr": stderr,
+                  "draws": draws}
         (HERE / f"{name}.json").write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
         if written is not None:
             (HERE / f"{name}.out").write_bytes(written)

@@ -62,8 +62,8 @@ def test_action_params_must_be_positive():
 
 
 @pytest.mark.parametrize("name", ["f2", "f0", "lam"])
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-def test_action_params_reject_non_finite_values(name, value):
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, True, "2.5"])
+def test_action_params_reject_non_finite_values(name, value):  # a bool or a string is no number
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         ActionParams(**{name: value})
 
@@ -279,10 +279,10 @@ def test_constrained_minimum_from_former_stall_and_mirror_starts(s1):
     assert res.coords[1] == pytest.approx(S1_SIGMA, abs=1e-8)
 
 
-@pytest.mark.parametrize("index", [-1, 3, 5, 1.5, 1.0, "1"])
+@pytest.mark.parametrize("index", [-1, 3, 5, 1.5, 1.0, "1", True])
 def test_minimize_rejects_a_fixed_index_out_of_range(index):
     # -1 once pinned start[2] and then optimized all three coordinates anyway;
-    # 1.5 once pinned coordinate 1 and returned converged=False
+    # 1.5 once pinned coordinate 1 and returned converged=False, and True pinned coordinate 1
     with pytest.raises(ValueError, match=r"range\(3\)"):
         minimize(potential_fn(UNIT_TP, UNIT_AP), (0.5, 0.2, 0.3), fixed={index: 0.3})
 
@@ -484,16 +484,16 @@ def test_grid_scan_breaks_a_planted_tie_in_row_major_order(monkeypatch):
     assert grid_scan(UNIT_TP, UNIT_AP, n=401) == ScanResult(-10.0, axis[188], axis[50])
 
 
-@pytest.mark.parametrize("n", [0, -3, 5.5, 5.0, "41", None])
+@pytest.mark.parametrize("n", [0, -3, 5.5, 5.0, "41", None, True])
 def test_grid_scan_rejects_a_bad_size(n):
     with pytest.raises(ValueError, match="integer >= 1"):
         grid_scan(UNIT_TP, UNIT_AP, n=n)
 
 
-@pytest.mark.parametrize("n", [0, -2, 5.5, "41"])
+@pytest.mark.parametrize("n", [0, -2, 5.5, "41", True])
 @pytest.mark.parametrize("grid", [sigma_grid, x_grid])
 def test_potential_grids_reject_a_bad_size(grid, n):
-    # n = 0 once gave empty (0, 0) grids, 5.5 numpy's TypeError
+    # n = 0 once gave empty (0, 0) grids, 5.5 numpy's TypeError, True a 1 x 1 grid
     with pytest.raises(ValueError, match="integer >= 1"):
         grid(UNIT_TP, UNIT_AP, n=n)
 

@@ -388,6 +388,11 @@ def test_bad_tolerance_in_the_environment_is_an_input_error(capsys, monkeypatch)
     ("check", "tol", -1.0),
     ("semigroup-verify", "seed", 1.5),
     ("check", "seed", True),
+    # a bool or a string is not a number: each of these once ran
+    ("check", "tol", True),
+    ("check", "tol", "0.1"),
+    ("hessian", "f2", True),
+    ("hessian", "lam", "2.5"),
 ])
 def test_bad_config_settings_are_input_errors(tmp_path, capsys, command, key, value):
     cfg = tmp_path / "cfg.json"
@@ -398,7 +403,7 @@ def test_bad_config_settings_are_input_errors(tmp_path, capsys, command, key, va
     assert not out.exists()
 
 
-@pytest.mark.parametrize("coord", ["NaN", "1e400"])
+@pytest.mark.parametrize("coord", ["NaN", "1e400", '"0.2"', "false"])
 def test_a_non_finite_config_point_is_an_input_error(tmp_path, capsys, coord):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(f'{{"point": [{coord}, 0, 0]}}\n')
@@ -462,6 +467,50 @@ def test_a_seed_flag_beats_a_malformed_seed_in_the_environment(capsys, monkeypat
     capsys.readouterr()
     assert main(["semigroup-verify"]) == 2
     assert "invalid literal for int()" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, env", [
+    (["semigroup-verify", "--seed", "-1"], {}),
+    (["minimize"], {"SPECTRIPLE_SEED": "-1"}),
+], ids=["flag", "environment"])
+def test_a_negative_seed_from_a_flag_or_the_environment_is_an_input_error(
+        capsys, monkeypatch, argv, env):
+    # the one check of a config seed: this once reached numpy and raised
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: seed must be an integer >= 0, got -1\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("source", ["flag", "environment"])
+def test_a_config_entry_is_checked_when_a_flag_or_the_environment_overrides_it(
+        tmp_path, capsys, monkeypatch, source):
+    cfg = tmp_path / "cfg.json"
+    save_json(str(cfg), {"seed": -1})
+    argv = ["semigroup-verify", "--config", str(cfg)]
+    if source == "flag":
+        argv += ["--seed", "0"]
+    else:
+        monkeypatch.setenv("SPECTRIPLE_SEED", "0")
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: seed must be an integer >= 0, got -1\n"
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("k_x", True, "cannot read complex number from True"),  # a bool is not a number
+    ("k_y", [0.5, True], "cannot read complex number from [0.5, True]"),
+    ("f0", 10 ** 400, "int too large to convert to float"),  # once a traceback
+], ids=["k_x-bool", "k_y-bool", "f0-10**400"])
+def test_a_coupling_that_is_not_a_float_is_an_input_error(tmp_path, capsys, key, value, message):
+    cfg = tmp_path / "cfg.json"
+    save_json(str(cfg), {key: value})
+    out = tmp_path / "out"
+    assert main(["hessian", "--config", str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == "" and not out.exists()
 
 
 def test_a_model_whose_constraint_basis_misses_the_unit_is_an_input_error(tmp_path, capsys):

@@ -1,16 +1,25 @@
+import csv
 import json
+import math
 
 import numpy as np
 import pytest
 
-from spectriple import build_toy, random_pert
+from spectriple import build_toy, perturbation, random_pert
+from spectriple.action import (
+    ActionParams,
+    grad_hess,
+    multi_start_minimize,
+    potential_fn,
+    sigma_grid,
+    sigma_valley_radius,
+)
+from spectriple.cli import main
 from spectriple.matrix_core import approx_eq
 from spectriple.model_io import (
-    RunConfig,
     complex_from_json,
     element_from_json,
     element_to_json,
-    load_config,
     load_json,
     matrix_from_json,
     matrix_to_json,
@@ -34,6 +43,9 @@ def test_complex_codec():
         complex_from_json("nope")
     with pytest.raises(ValueError):
         complex_from_json([1.0])
+    for obj in (True, [True, 0.5], [0.5, False]):  # a bool is not a number
+        with pytest.raises(ValueError, match="cannot read complex number"):
+            complex_from_json(obj)
 
 
 def test_matrix_codec_is_bit_exact(rng):
@@ -61,7 +73,7 @@ def test_matrix_from_json_reads_pairs_in_one_conversion_and_bare_numbers_entrywi
     payload = matrix_to_json(m)
     got = matrix_from_json(payload)
     assert got.dtype == complex and got.tobytes() == _entrywise(payload).tobytes() == m.tobytes()
-    for obj in ([[1, 2], [3, 4]], [[[1, 2], 3]], [[True, [0.5, -1]]], [[["1", "2"]]]):
+    for obj in ([[1, 2], [3, 4]], [[[1, 2], 3]], [[1, [0.5, -1]]], [[["1", "2"]]]):
         assert np.array_equal(matrix_from_json(obj), _entrywise(obj))
 
 
@@ -73,6 +85,10 @@ def test_matrix_from_json_reads_pairs_in_one_conversion_and_bare_numbers_entrywi
         ([[["a", "b"]]], "could not convert string to float: 'a'"),  # non-numeric pair
         ([["x"]], "cannot read complex number from 'x'"),  # non-numeric entry
         ([[[1, 2, 3]]], r"cannot read complex number from \[1, 2, 3\]"),
+        # a bool is not a number: alone, in a pair of bools, or beside a float
+        ([[True, [0.5, -1]]], "cannot read complex number from True"),
+        ([[[True, False]]], r"cannot read complex number from \[True, False\]"),
+        ([[[0.5, 0.0], [1.0, True]]], r"cannot read complex number from \[1.0, True\]"),
     ],
 )
 def test_matrix_from_json_keeps_its_errors(obj, message):
@@ -134,9 +150,11 @@ def _bad_v2_payloads() -> dict:
     nan = coeffs.copy()
     nan[2, 5] = np.nan
     twisted = coeffs + 1j * random_one_form(spec, rng).omega  # normalized, but flip gives -i
+    with_bool = matrix_to_json(coeffs)
+    with_bool[0][0][1] = False  # an imaginary part as a bool
 
     def v2(m):
-        return {"format": 2, "coeffs": matrix_to_json(m)}
+        return {"format": 2, "coeffs": m if isinstance(m, list) else matrix_to_json(m)}
 
     return {
         "unknown_format": ({**v2(coeffs), "format": 3}, "format 3"),
@@ -148,6 +166,7 @@ def _bad_v2_payloads() -> dict:
         "second_factor_outside": (v2(coeffs + np.outer(unit, off)), "not in the algebra"),
         "not_normalized": (v2(2.0 * coeffs), "not normalized"),
         "not_flip_invariant": (v2(twisted), "flip"),
+        "bool_entry": (v2(with_bool), "cannot read complex number"),
     }
 
 
@@ -201,48 +220,73 @@ def test_save_json_appends_newline(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Run configuration
+# Config files, read by the command line's load stage: each case runs ``main``
 
 
-def test_config_defaults():
-    cfg = load_config(None)
-    assert cfg == RunConfig()
-    assert cfg.toy_params() == ToyParams(1.0, 1.0)
-    ap = cfg.action_params()
-    assert (ap.f2, ap.f0, ap.lam) == (1.0, 1.0, 1.0)
-    assert cfg.n_starts == 32  # claim 11 in tests/test_acceptance.py finds the minimum from 32
-
-
-def test_config_file_parsing(tmp_path):
+@pytest.fixture
+def run(tmp_path, capsys, monkeypatch):
+    """
+    main(argv + ["--config", file]) with the file holding ``config``, JSON text or a value to
+    dump, and with no SPECTRIPLE_* variable set: (exit code, stdout, stderr).
+    """
+    for name in ("MODEL", "CONFIG", "SEED", "TOL", "OUT"):
+        monkeypatch.delenv(f"SPECTRIPLE_{name}", raising=False)
     path = tmp_path / "cfg.json"
-    save_json(
-        str(path),
-        {
-            "k_x": [0.5, -0.25],
-            "k_y": 2,
-            "f2": 0.75,
-            "seed": 9,
-            "n_starts": 4,
-            "grid_n": 11,
-            "point": [0.0, 0.2, 0.0],
-        },
-    )
-    cfg = load_config(str(path))
-    assert cfg.k_x == 0.5 - 0.25j
-    assert cfg.k_y == 2.0 + 0j
-    assert cfg.f2 == 0.75
-    assert cfg.f0 == 1.0  # untouched default
-    assert cfg.seed == 9
-    assert cfg.n_starts == 4
-    assert cfg.grid_n == 11
-    assert cfg.point == (0.0, 0.2, 0.0)
+
+    def run(argv, config=None):
+        if config is not None:
+            path.write_text(config if isinstance(config, str) else json.dumps(config))
+            argv = [*argv, "--config", str(path)]
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    return run
 
 
-def test_config_rejects_unknown_keys(tmp_path):
-    path = tmp_path / "cfg.json"
-    save_json(str(path), {"k_q": 1.0})
-    with pytest.raises(ValueError, match="unknown config key"):
-        load_config(str(path))
+def _csv_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def test_config_defaults(run, tmp_path, monkeypatch):
+    out = str(tmp_path / "out")
+    tp, ap = ToyParams(1.0, 1.0), ActionParams(1.0, 1.0, 1.0)
+    assert run(["hessian", "--out", out])[0] == 0  # at the sigma vacuum of tp and ap
+    want = grad_hess(potential_fn(tp, ap), (0.0, math.sqrt(sigma_valley_radius(tp, ap)) - 1, 0.0))
+    assert load_json(out)["hessian"] == want[1].tolist()
+    # claim 11 in tests/test_acceptance.py finds the minimum from 32 starts, at seed 0
+    assert run(["minimize", "--out", out])[0] == 0
+    points = multi_start_minimize(potential_fn(tp, ap), n_starts=32, seed=0)
+    assert [p["hits"] for p in load_json(out)["critical_points"]] == [cp.hits for cp in points]
+    assert run(["potential-scan", "--out", out])[0] == 0
+    assert len(_csv_rows(out)) == 1 + 201 * 201
+    # a residual passes at the tolerance 1e-9 and fails above it
+    for residual, code in ((1e-9, 0), (1.01e-9, 1)):
+        monkeypatch.setattr(perturbation, "check_transitivity", lambda t, p, q: residual)
+        assert run(["semigroup-verify"])[0] == code
+
+
+def test_config_file_parsing(run, tmp_path):
+    config = {"k_x": [0.5, -0.25], "k_y": 2, "f2": 0.75, "seed": 9, "n_starts": 4, "grid_n": 11,
+              "point": [0.0, 0.2, 0.0]}
+    tp, ap = ToyParams(0.5 - 0.25j, 2.0), ActionParams(f2=0.75)  # f0 and lam at their defaults
+    out = str(tmp_path / "out")
+    code, stdout, _ = run(["hessian", "--out", out], config)
+    assert code == 0 and "point     : [0.0, 0.2, 0.0]" in stdout
+    assert load_json(out)["hessian"] == grad_hess(potential_fn(tp, ap), (0.0, 0.2, 0.0))[1].tolist()
+    assert run(["minimize", "--out", out], config)[0] == 0
+    points = multi_start_minimize(potential_fn(tp, ap), n_starts=4, seed=9)
+    assert [p["coords"] for p in load_json(out)["critical_points"]] == [
+        cp.coords.tolist() for cp in points]
+    assert run(["potential-scan", "--out", out], config)[0] == 0
+    values = sigma_grid(tp, ap, n=11)[2]
+    assert [float(row[2]) for row in _csv_rows(out)[1:]] == values.ravel().tolist()
+
+
+def test_config_rejects_unknown_keys(run):
+    code, _, err = run(["check"], {"k_q": 1.0})
+    assert code == 2 and err == "error: unknown config key: k_q\n"
 
 
 @pytest.mark.parametrize("key, value", [
@@ -251,28 +295,24 @@ def test_config_rejects_unknown_keys(tmp_path):
     ("tol", -1.0), ("tol", 0.0), ("tol", float("nan")), ("tol", float("inf")),
     ("seed", 1.5), ("seed", True), ("seed", -1), ("seed", "3"),
 ])
-def test_config_rejects_bad_counts_and_tolerances(tmp_path, key, value):
-    path = tmp_path / "cfg.json"
-    save_json(str(path), {key: value})
-    with pytest.raises(ValueError, match=key):
-        load_config(str(path))
+def test_config_rejects_bad_counts_and_tolerances(run, tmp_path, key, value):
+    out = tmp_path / "out"
+    code, stdout, err = run(["check", "--out", str(out)], {key: value})
+    assert code == 2 and stdout == "" and not out.exists()
+    assert err.startswith(f"error: {key} must be ")
 
 
-def test_config_rejects_bad_point(tmp_path):
-    path = tmp_path / "cfg.json"
+def test_config_rejects_bad_point(run):
     for point in ("[1.0, 2.0]", "[NaN, 0, 0]", "[1e400, 0, 0]", "[0, -Infinity, 0]"):
-        path.write_text(f'{{"point": {point}}}\n')
-        with pytest.raises(ValueError, match="three finite coordinates"):
-            load_config(str(path))
+        code, _, err = run(["hessian"], f'{{"point": {point}}}\n')
+        assert code == 2 and "config point must have three finite coordinates" in err
 
 
-def test_config_missing_file():
-    with pytest.raises(FileNotFoundError):
-        load_config("/nonexistent/config.json")
+def test_config_missing_file(run):
+    code, _, err = run(["check", "--config", "/nonexistent/config.json"])
+    assert code == 2 and err == "error: config file not found: /nonexistent/config.json\n"
 
 
-def test_config_must_be_an_object(tmp_path):
-    path = tmp_path / "cfg.json"
-    path.write_text("[1, 2, 3]\n")
-    with pytest.raises(ValueError, match="object"):
-        load_config(str(path))
+def test_config_must_be_an_object(run):
+    code, _, err = run(["check"], "[1, 2, 3]\n")
+    assert code == 2 and err == "error: config file must hold a JSON object\n"

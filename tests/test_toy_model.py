@@ -49,9 +49,10 @@ def test_toy_params_coerce_to_complex():
     assert tp.k_y == 0.0
 
 
-@pytest.mark.parametrize(
-    "k_x, k_y", [(math.nan, 1.0), (1.0, math.inf), (complex(1.0, -math.inf), 0.0)]
-)
+@pytest.mark.parametrize("k_x, k_y", [
+    (math.nan, 1.0), (1.0, math.inf), (complex(1.0, -math.inf), 0.0),
+    (True, 1.0), (1.0, False), ("1+2j", 1.0), (1.0, [1.0]),  # a bool or a string is no number
+])
 def test_toy_params_reject_non_finite_couplings(k_x, k_y):
     with pytest.raises(ValueError, match="must be finite"):
         ToyParams(k_x, k_y)
