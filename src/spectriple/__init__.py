@@ -15,7 +15,6 @@ from .spectral_triple import (
     check_ko_signs,
     check_zeroth_order,
     represent,
-    represent_opposite,
 )
 from .perturbation import (
     PertElement,
@@ -76,7 +75,6 @@ __all__ = [
     "pert_mul",
     "random_pert",
     "represent",
-    "represent_opposite",
     "stabilizer_dim",
     "twisted_dirac_left",
     "twisted_dirac_right",

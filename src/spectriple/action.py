@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spectral_triple import FiniteSpectralTriple, _span_reps
+from .spectral_triple import FiniteSpectralTriple, _integer, _span_reps
 from .toy_model import FieldPoint, ToyParams, closed_dirac
 
 __all__ = [
@@ -220,10 +220,10 @@ def minimize(fun, start, fixed: dict | None = None) -> MinimizeResult:
     the reason in ``message``.
     """
     start = np.array(start, dtype=float)
-    fixed = dict(fixed or {})
-    if any(not np.issubdtype(type(k), np.integer) or not 0 <= k < start.size for k in fixed):
-        raise ValueError(f"fixed indices must be integers in range({start.size}): {list(fixed)}")
-    fixed = {int(k): float(v) for k, v in fixed.items()}
+    name = f"a fixed index in range({start.size})"
+    fixed = {_integer(name, k, 0): float(v) for k, v in (fixed or {}).items()}
+    if any(k >= start.size for k in fixed):
+        raise ValueError(f"{name} must be below {start.size}, got {list(fixed)}")
     start[list(fixed)] = list(fixed.values())
     free = [i for i in range(start.size) if i not in fixed]
     if not free:
@@ -348,9 +348,7 @@ class ScanResult:
 
 def _grid_axis(lo: float, hi: float, n) -> np.ndarray:
     """n evenly spaced points on [lo, hi], for an integer n >= 1."""
-    if not np.issubdtype(type(n), np.integer) or n < 1:  # a bool is not an integer
-        raise ValueError(f"grid size must be an integer >= 1, got {n!r}")
-    return np.linspace(lo, hi, n)
+    return np.linspace(lo, hi, _integer("grid size", n, 1))
 
 
 def grid_scan(tp: ToyParams, ap: ActionParams, n: int = 4001) -> ScanResult:

@@ -23,6 +23,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -33,6 +34,7 @@ from . import perturbation as pert
 from . import toy_model as toy
 from .spectral_triple import (
     FiniteSpectralTriple,
+    _integer,
     check_first_order,
     check_ko_signs,
     check_zeroth_order,
@@ -44,13 +46,10 @@ from .matrix_core import adjoint, frob_norm
 __all__ = ["main"]
 
 
-def _number(kinds: tuple, above, what: str):
-    """The check of a number of one of ``kinds`` in (above, inf); a bool is not an int."""
-    def check(name, value):
-        if not (type(value) in kinds and above < value < math.inf):
-            raise ValueError(f"{name} must be {what}, got {value!r}")
-        return value
-    return check
+def _tol(name, value):
+    if not (type(value) in (int, float) and 0.0 < value < math.inf):  # a bool is not an int
+        raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
+    return value
 
 
 def _point(name, value):
@@ -61,16 +60,17 @@ def _point(name, value):
 
 
 # setting: (default, check), one per config key; a check takes the name and a value and
-# returns it or raises.  A number is an int or a float, as JSON and argparse give them: a bool
-# or a string is not one.  ToyParams and ActionParams check the couplings.  seed and tol also
-# have a flag and a SPECTRIPLE_* variable, read as the type of the default, as argparse does.
+# returns it or raises.  A count is an integer by the library's one rule (``_integer``), tol an
+# int or a float, as JSON and argparse give them: a bool or a string is neither.  ToyParams and
+# ActionParams check the couplings.  seed and tol also have a flag and a SPECTRIPLE_* variable,
+# read as the type of the default, as argparse does.
 _SETTINGS = {
     **dict.fromkeys(("k_x", "k_y"), (1.0, lambda name, value: mio.complex_from_json(value))),
     **dict.fromkeys(("f2", "f0", "lam"), (1.0, lambda name, value: value)),
-    "seed": (0, _number((int,), -1, "an integer >= 0")),
-    "tol": (1e-9, _number((int, float), 0.0, "a finite number > 0")),
-    "n_starts": (32, _number((int,), 0, "an integer >= 1")),
-    "grid_n": (201, _number((int,), 1, "an integer >= 2")),
+    "seed": (0, partial(_integer, low=0)),
+    "tol": (1e-9, _tol),
+    "n_starts": (32, partial(_integer, low=1)),
+    "grid_n": (201, partial(_integer, low=2)),
     "point": (None, _point),
 }
 

@@ -107,13 +107,7 @@ class AntilinearOp:
             raise ValueError(f"operator shape {t.shape} does not match J dimension {self.m.shape}")
         return self.m @ np.conj(t) @ self._m_inv
 
-    def compose(self, other: "AntilinearOp") -> np.ndarray:
-        """The linear map (m1 conj) ∘ (m2 conj) = m1 @ conj(m2)."""
-        if self.m.shape != other.m.shape:
-            raise ValueError("dimension mismatch composing antilinear operators")
-        return self.m @ np.conj(other.m)
-
     def square(self) -> np.ndarray:
-        """J^2 as a linear matrix (equals eps_J * identity for real structures)."""
-        return self.compose(self)
+        """J^2 = (m conj) ∘ (m conj) = m conj(m), a linear matrix (eps_J * 1 for real structures)."""
+        return self.m @ np.conj(self.m)
 

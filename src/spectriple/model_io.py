@@ -6,7 +6,8 @@ those, so a dump/load cycle is bit-exact (json round-trips Python floats
 through repr).  Model files carry the full triple: algebra summands, an
 optional constraint basis, representation tiling, D, the J matrix, gamma and
 the declared KO signs.  Every tile is plain, so its ``"mode"`` key must be
-``"plain"``.  A number is a JSON integer or float: a bool is refused.
+``"plain"``.  A number is a JSON integer or float, and the sizes, tile fields
+and KO signs are JSON integers: a bool or a string is neither.
 """
 
 from __future__ import annotations
@@ -41,10 +42,10 @@ __all__ = [
 
 
 def complex_from_json(obj) -> complex:
-    if isinstance(obj, (int, float)) and not isinstance(obj, bool):
-        return complex(float(obj), 0.0)
-    if isinstance(obj, (list, tuple)) and len(obj) == 2 and bool not in map(type, obj):
-        return complex(float(obj[0]), float(obj[1]))
+    """A number, or an [re, im] pair of numbers: a number is an int or a float, not a bool."""
+    parts = obj if isinstance(obj, (list, tuple)) and len(obj) == 2 else (obj, 0.0)
+    if all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in parts):
+        return complex(float(parts[0]), float(parts[1]))
     raise ValueError(f"cannot read complex number from {obj!r}")
 
 
@@ -105,32 +106,25 @@ def triple_to_dict(t: FiniteSpectralTriple) -> dict:
 
 
 def triple_from_dict(payload: dict) -> FiniteSpectralTriple:
-    summands = tuple(int(n) for n in payload["summands"])
+    """The triple of a model file; its constructors check every value, integers included."""
     basis = payload.get("basis")
     if basis is not None:
         basis = tuple(element_from_json(e) for e in basis)
-    spec = AlgebraSpec(summands, basis=basis)
+    spec = AlgebraSpec(payload["summands"], basis=basis)
     for rb in payload["rep_blocks"]:
         if rb.get("mode", "plain") != "plain":
             raise ValueError(f"unsupported representation mode {rb['mode']!r}: tiles are 'plain'")
-    blocks = tuple(
-        RepBlock(
-            summand=int(rb["summand"]),
-            left_mult_dim=int(rb["left"]),
-            right_mult_dim=int(rb["right"]),
-            offset=int(rb.get("offset", 0)),
-        )
-        for rb in payload["rep_blocks"]
-    )
+    blocks = tuple(RepBlock(rb["summand"], rb["left"], rb["right"], rb.get("offset", 0))
+                   for rb in payload["rep_blocks"])
     signs = payload["signs"]
     return FiniteSpectralTriple(
         algebra=spec,
-        dim_h=int(payload["dim_h"]),
+        dim_h=payload["dim_h"],
         rep_blocks=blocks,
         d=matrix_from_json(payload["d"]),
         j=AntilinearOp(matrix_from_json(payload["j_m"])),
         gamma=matrix_from_json(payload["gamma"]),
-        signs=KOSigns(int(signs["eps_j"]), int(signs["eps_d"]), int(signs["eps_gamma"])),
+        signs=KOSigns(signs["eps_j"], signs["eps_d"], signs["eps_gamma"]),
     )
 
 

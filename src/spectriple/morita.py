@@ -42,6 +42,7 @@ from .spectral_triple import (
     AlgebraElement,
     AlgebraSpec,
     FiniteSpectralTriple,
+    _integer,
     _random_coords,
 )
 
@@ -86,8 +87,7 @@ def _from_entry_coords(summands: tuple, coords: np.ndarray) -> AlgebraElement:
 
 def _mn_spec(spec: AlgebraSpec, n: int) -> AlgebraSpec:
     """M_n of the ambient multimatrix algebra of ``spec``, for a module size n: an integer >= 1."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"module size n must be an integer >= 1, got {n!r}")
+    n = _integer("module size n", n, 1)
     return AlgebraSpec(tuple(n * m for m in spec.summands))
 
 

@@ -13,7 +13,8 @@ action is derived as pi_op(a) = J pi(a)* J^{-1}.
 Inside the package algebra data moves as ambient coordinates (..., d) in the
 ``AlgebraElement.vec()`` layout, with one draw (``_random_coords``), one
 membership test (``AlgebraSpec.outside``) and one representation kernel
-(``FiniteSpectralTriple.rep``); lists of elements are the public edge.
+(``FiniteSpectralTriple.rep``); lists of elements are the public edge.  One
+rule, ``_integer``, checks the integer inputs, each where its value is built.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ __all__ = [
     "random_hermitian",
     "random_unitary",
     "represent",
-    "represent_opposite",
     "spanning_set",
 ]
 
@@ -114,9 +114,9 @@ class AlgebraSpec:
     basis: tuple | None = None
 
     def __post_init__(self):
-        summands = tuple(int(n) for n in self.summands)
-        if not summands or any(n < 1 for n in summands):
-            raise ValueError("need at least one summand, all sizes >= 1")
+        summands = tuple(_integer("summand size", n, 1) for n in self.summands)
+        if not summands:
+            raise ValueError("need at least one summand")
         object.__setattr__(self, "summands", summands)
         object.__setattr__(self, "_proj", None)
         object.__setattr__(self, "_span", None)
@@ -229,8 +229,8 @@ class RepBlock:
     offset: int = 0
 
     def __post_init__(self):
-        if min(self.left_mult_dim, self.right_mult_dim) < 1 or min(self.summand, self.offset) < 0:
-            raise ValueError(f"{self}: multiplicities must be positive, summand and offset >= 0")
+        for name, low in (("summand", 0), ("left_mult_dim", 1), ("right_mult_dim", 1), ("offset", 0)):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), low))
 
 
 @dataclass(frozen=True)
@@ -243,8 +243,10 @@ class KOSigns:
 
     def __post_init__(self):
         for name in ("eps_j", "eps_d", "eps_gamma"):
-            if getattr(self, name) not in (+1, -1):
-                raise ValueError(f"{name} must be exactly +1 or -1")
+            value = getattr(self, name)
+            if value not in (+1, -1):
+                raise ValueError(f"{name} must be exactly +1 or -1, got {value!r}")
+            object.__setattr__(self, name, _integer(name, value, -1))  # refuses True and 1.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,13 +254,14 @@ class FiniteSpectralTriple:
     """
     (A, H, D; J, gamma) with declared KO signs.
 
-    Construction checks that the tiles partition H, keeps the read-only tables
-    ``pi_table`` (Pi_alpha = pi(e_alpha) on the ambient matrix units, in
-    ``AlgebraElement.vec()`` order) and ``pi_hat_table`` (J Pi_alpha J^{-1}),
-    and validates the even-triple axioms (finite entries, D self-adjoint, gamma
-    a self-adjoint involution anticommuting with D and commuting with the
-    represented algebra, J-matrix consistent with eps_j).  ``validate=False``
-    is an escape hatch for deliberately corrupted triples in diagnostics.
+    Construction checks that dim_h is an integer and the tiles partition H, keeps the
+    read-only tables ``pi_table`` (Pi_alpha = pi(e_alpha) on the ambient matrix units,
+    in ``AlgebraElement.vec()`` order) and ``pi_hat_table`` (J Pi_alpha J^{-1}), and
+    validates the real even-triple axioms to 1e-12: finite entries, D self-adjoint,
+    gamma a self-adjoint involution anticommuting with D and commuting with pi(A),
+    J = m conj antiunitary (m m* = 1) with J^2 = eps_j, and order zero.  JD = eps_d DJ
+    and J gamma = eps_gamma gamma J are measured (``check_ko_signs``), not enforced.
+    ``validate=False`` is an escape hatch for deliberately corrupted triples.
     """
 
     algebra: AlgebraSpec
@@ -273,6 +276,7 @@ class FiniteSpectralTriple:
     pi_hat_table: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self, validate: bool):
+        object.__setattr__(self, "dim_h", _integer("dim_h", self.dim_h, 1))
         object.__setattr__(self, "rep_blocks", tuple(self.rep_blocks))
         object.__setattr__(self, "d", as_matrix(self.d))
         object.__setattr__(self, "gamma", as_matrix(self.gamma))
@@ -327,9 +331,12 @@ class FiniteSpectralTriple:
         reps = _span_reps(self, self.algebra)
         if np.any(np.linalg.norm(self.gamma @ reps - reps @ self.gamma, axis=(1, 2)) > tol):
             raise ValueError("gamma does not commute with the represented algebra")
-        jj = self.j.square()
-        if frob_norm(jj - self.signs.eps_j * identity(self.dim_h)) > tol:
+        if frob_norm(self.j.m @ adjoint(self.j.m) - identity(self.dim_h)) > tol:
+            raise ValueError("J is not antiunitary: its matrix part m has m m* != 1")
+        if frob_norm(self.j.square() - self.signs.eps_j * identity(self.dim_h)) > tol:
             raise ValueError("J^2 does not match declared eps_j")
+        if _worst_pair(self, self.algebra, with_d=False).max_defect > tol:
+            raise ValueError("the order zero condition fails: [pi(a), J pi(b)* J^-1] != 0")
 
     def hat(self, t: np.ndarray) -> np.ndarray:
         """The hat operation T -> J T J^{-1}."""
@@ -353,11 +360,6 @@ def represent(t: FiniteSpectralTriple, a: AlgebraElement) -> np.ndarray:
 def _span_reps(t: FiniteSpectralTriple, spec: AlgebraSpec) -> np.ndarray:
     """pi of the spanning set of ``spec``, a subalgebra of the triple's, stacked."""
     return t.rep(spec.span_coords()[0])
-
-
-def represent_opposite(t: FiniteSpectralTriple, a: AlgebraElement) -> np.ndarray:
-    """The right action pi_op(a) = J pi(a)* J^{-1}."""
-    return t.j.conjugate(adjoint(represent(t, a)))
 
 
 @dataclass(frozen=True)
@@ -426,7 +428,14 @@ def check_ko_signs(t: FiniteSpectralTriple) -> KOReport:
 
 
 # ---------------------------------------------------------------------------
-# Random elements (seeded; used by tests and the CLI).
+# Shared privates: the integer rule and the random draw.
+
+
+def _integer(name: str, value, low: int) -> int:
+    """``value`` as an int, for an int or numpy integer >= ``low``; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
 
 
 def _random_coords(spec: AlgebraSpec, rng: np.random.Generator, shape: tuple) -> np.ndarray:

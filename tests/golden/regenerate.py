@@ -24,8 +24,8 @@ import numpy as np  # noqa: E402
 HERE = pathlib.Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent))
 
-from spectriple import PertElement, random_pert  # noqa: E402
-from spectriple.model_io import pert_to_dict  # noqa: E402
+from spectriple import PertElement, build_toy, random_pert  # noqa: E402
+from spectriple.model_io import matrix_to_json, pert_to_dict, triple_to_dict  # noqa: E402
 from spectriple.toy_model import a_ev  # noqa: E402
 from test_golden import run_case  # noqa: E402
 
@@ -58,6 +58,10 @@ def _cases():
     yield "error-missing-model", ["check", "--model", "no-such-model.json"], {}
     yield "error-unnormalized-pert", ["fluctuate", "--pert", "bad.json", "--out", "out.json"], \
         {"bad.json": pert_to_dict(PertElement(p.spec, 2.0 * p.coeffs))}
+    toy = triple_to_dict(build_toy())
+    yield "error-float-dim-h", ["check", "--model", "bad.json"], {"bad.json": {**toy, "dim_h": 8.9}}
+    yield "error-order-zero", ["check", "--model", "bad.json"], \
+        {"bad.json": {**toy, "j_m": matrix_to_json(np.eye(8))}}  # J is complex conjugation alone
 
 
 def main() -> int:

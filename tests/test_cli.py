@@ -26,6 +26,7 @@ from spectriple.model_io import (
     element_to_json,
     load_json,
     matrix_from_json,
+    matrix_to_json,
     pert_from_dict,
     pert_to_dict,
     save_json,
@@ -90,7 +91,30 @@ def _nan_in_d(payload):
     payload["d"][0][2] = payload["d"][2][0] = [math.nan, 0.0]
 
 
-@pytest.mark.parametrize("corrupt", [_summand_out_of_range, _overlapping_tiles, _nan_in_d])
+def _float_dim_h(payload):
+    payload["dim_h"] = 8.9  # once read as 8
+
+
+def _string_dim_h(payload):
+    payload["dim_h"] = "8"
+
+
+def _bool_sign(payload):
+    payload["signs"]["eps_j"] = True  # once read as +1
+
+
+def _float_summand(payload):
+    payload["summands"] = [2, 2.0]
+
+
+def _j_without_its_permutation(payload):
+    # complex conjugation alone: J^2 = 1 still, but the order zero condition fails
+    payload["j_m"] = matrix_to_json(np.eye(8))
+
+
+@pytest.mark.parametrize("corrupt", [_summand_out_of_range, _overlapping_tiles, _nan_in_d,
+                                     _float_dim_h, _string_dim_h, _bool_sign, _float_summand,
+                                     _j_without_its_permutation])
 def test_check_rejects_bad_tilings_and_non_finite_models(tmp_path, capsys, corrupt):
     model = tmp_path / "toy.json"
     assert main(["export-toy", "--out", str(model)]) == 0

@@ -70,9 +70,11 @@ def _span_targets(path):
 
 
 def _used():
-    """Names with a caller; a traced benchmark target and a package-level name count."""
-    return set(spectriple.__all__).union(_span_targets(ROOT / "perfbench" / "spans.py"),
-                                         *map(_loaded_names, CALLER_FILES))
+    """
+    Names with a caller; a traced benchmark target counts.  The package's ``__all__`` does
+    not: a name it re-exports needs a caller of its own, like any other export.
+    """
+    return _span_targets(ROOT / "perfbench" / "spans.py").union(*map(_loaded_names, CALLER_FILES))
 
 
 def _exports():

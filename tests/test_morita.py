@@ -29,7 +29,16 @@ from spectriple.morita import (
     random_idempotent,
 )
 from spectriple.morita import _entries_outside, _entry_coords, _from_entry_coords, _hermitize
-from spectriple.perturbation import UniversalOneForm, _leg_weights, one_form_star
+from spectriple.perturbation import (
+    UniversalOneForm,
+    _leg_weights,
+    eta_one_form,
+    fluctuate,
+    fluctuate_combined,
+    one_form_star,
+    random_one_form,
+    random_pert,
+)
 from spectriple.spectral_triple import (
     AlgebraElement,
     _random_coords,
@@ -263,6 +272,24 @@ def test_unit_module_with_diagonal_connection_reduces_entrywise(toy, rng):
     for i in range(n):
         sl = slice(i * (n * 8) + i * 8, i * (n * 8) + (i + 1) * 8)
         assert approx_eq(big[sl, sl], cell, 1e-12)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_inner_fluctuations_are_the_unit_module_twist(toy, seed):
+    # the Morita self-equivalence e = 1 in M_1(A) with connection w twists D on both sides into
+    # D + A_1 + eps_d J A_1 J^-1 + A_2, the quadratic term of a failing first-order condition
+    # included; with eta(p) as the connection, into the fluctuation by p
+    rng = np.random.default_rng(seed)
+    spec = toy.algebra
+    w, p = random_one_form(spec, rng), random_pert(spec, rng)
+    for conn, want in ((w, fluctuate(toy, w)), (eta_one_form(p), fluctuate_combined(toy, p))):
+        md = MoritaData(toy, 1, spec.unit(), ((conn,),))
+        assert frob_norm(corner(md, twisted_dirac_left(md)) - want) < 1e-12
+    # at n = 2, e = 1_2 with the connection diag(w, w) twists every cell of C^2 (x) C^2 alike
+    zero = UniversalOneForm(spec, np.zeros((spec.ambient_dim,) * 2))
+    md = MoritaData(toy, 2, _mn_unit(spec, 2), ((w, zero), (zero, w)))
+    want = np.kron(identity(4), fluctuate(toy, w))
+    assert frob_norm(corner(md, twisted_dirac_left(md)) - want) < 1e-12
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

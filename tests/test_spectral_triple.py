@@ -18,7 +18,6 @@ from spectriple import (
     check_ko_signs,
     check_zeroth_order,
     represent,
-    represent_opposite,
 )
 from spectriple.matrix_core import adjoint, approx_eq, commutator, frob_norm, identity
 from spectriple.perturbation import PertElement, UniversalOneForm, a1, mu
@@ -32,6 +31,11 @@ from spectriple.spectral_triple import (
 from spectriple.toy_model import ToyParams, a_ev, a_f, build_toy
 
 Z2 = np.zeros((2, 2), dtype=complex)
+
+
+def represent_opposite(t, a):
+    """The right action J pi(a)* J^{-1}, from the matrix part m of J = m conj: m pi(a)^T m^{-1}."""
+    return t.j.m @ represent(t, a).T @ np.linalg.inv(t.j.m)
 
 
 # ---------------------------------------------------------------------------
@@ -77,6 +81,13 @@ def test_spec_unit_zero_element():
     assert [b.shape for b in zero.blocks] == [(1, 1), (2, 2)] and not zero.vec().any()
     assert spec.contains(AlgebraElement(([[5.0]], [[1, 2], [3, 4]])))
     assert not spec.contains(AlgebraElement(([[1, 2], [3, 4]],) * 2))  # first summand is 1x1
+
+
+@pytest.mark.parametrize("summands", [(2.7, True), (2, 2.0), (2, "2"), (True,), (2, 0)])
+def test_summand_sizes_are_integers_at_least_one(summands):
+    # (2.7, True) once read as (2, 1), and (2, "2") as (2, 2)
+    with pytest.raises(ValueError, match="summand size must be an integer >= 1"):
+        AlgebraSpec(summands)
 
 
 def test_spec_dims():
@@ -285,9 +296,12 @@ def test_hat_is_an_involution_here(toy):
 
 
 def test_rep_block_validation():
-    for bad in (dict(left_mult_dim=0), dict(summand=-1), dict(offset=-1)):
+    for bad in (dict(left_mult_dim=0), dict(summand=-1), dict(offset=-1),
+                dict(summand=True, left_mult_dim=1.5), dict(right_mult_dim="1"), dict(offset=2.0)):
         with pytest.raises(ValueError):
             RepBlock(**{"summand": 0, "left_mult_dim": 1, "right_mult_dim": 1, **bad})
+    tile = RepBlock(np.int64(1), np.int64(2), 1)  # a numpy integer is stored as an int
+    assert type(tile.summand) is type(tile.left_mult_dim) is int
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +441,7 @@ def test_batched_checks_match_the_per_pair_loop(toy, case, with_d):
     elif case == "toy_af":
         spec = a_f()
     elif case == "wrong_j":
-        t = FiniteSpectralTriple(**_toy_kwargs(toy, j=AntilinearOp(identity(8))))
+        t = FiniteSpectralTriple(**_toy_kwargs(toy, j=AntilinearOp(identity(8))), validate=False)
     elif case in ("multi", "complex_basis"):
         t = _multi_triple()
     if case == "complex_basis":
@@ -507,6 +521,9 @@ def test_ko_report_fails_on_a_nan_residual():
 def test_ko_signs_validated():
     with pytest.raises(ValueError):
         KOSigns(eps_j=0, eps_d=1, eps_gamma=1)
+    for signs in ((True, 1, -1), (1, 1.0, -1), (1, 1, -1.0), (True, 1.0, -1)):  # ints only
+        with pytest.raises(ValueError, match="must be an integer"):
+            KOSigns(*signs)
 
 
 # ---------------------------------------------------------------------------
@@ -535,6 +552,12 @@ def test_non_self_adjoint_d_rejected(toy):
     # the escape hatch admits it for diagnostics
     t = FiniteSpectralTriple(**_toy_kwargs(toy, d=bad), validate=False)
     assert t.d[0, 2] == 5.0
+
+
+@pytest.mark.parametrize("dim_h", [8.0, 8.9, "8", True, None])
+def test_dim_h_must_be_an_integer(toy, dim_h):
+    with pytest.raises(ValueError, match="dim_h must be an integer >= 1"):
+        FiniteSpectralTriple(**_toy_kwargs(toy, dim_h=dim_h))
 
 
 def test_gamma_must_anticommute_with_d(toy):
@@ -590,5 +613,16 @@ def test_nan_in_d_comes_through_the_order_checks(toy):
 def test_wrong_real_structure_breaks_zeroth_order(toy):
     # plain entrywise conjugation makes the right action the transpose of the
     # left one, which no longer commutes with it
-    t = FiniteSpectralTriple(**_toy_kwargs(toy, j=AntilinearOp(identity(8))))
-    assert check_zeroth_order(t).max_defect > 0.1
+    t = FiniteSpectralTriple(**_toy_kwargs(toy, j=AntilinearOp(identity(8))), validate=False)
+    assert check_zeroth_order(t).max_defect == pytest.approx(2.0)
+    with pytest.raises(ValueError, match="order zero"):  # and it is not a real spectral triple
+        FiniteSpectralTriple(**_toy_kwargs(toy, j=AntilinearOp(identity(8))))
+
+
+def test_j_must_be_antiunitary(toy):
+    # m' = s m s^{-1} with real s keeps J'^2 = s m conj(m) s^{-1} = eps_j but not m' m'* = 1
+    s = np.diag([2.0] + [1.0] * 7)
+    j = AntilinearOp(s @ toy.j.m @ np.linalg.inv(s))
+    assert np.array_equal(j.square(), toy.j.square())
+    with pytest.raises(ValueError, match="antiunitary"):
+        FiniteSpectralTriple(**_toy_kwargs(toy, j=j))
