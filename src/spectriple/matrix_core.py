@@ -5,7 +5,7 @@ antilinear-operator support.
 Operators live in plain numpy arrays of dtype complex128.  The helpers here
 add the shape discipline the rest of the package relies on (mismatched shapes
 are rejected, never broadcast) and the conjugation rule for antilinear
-operators J = m ∘ (complex conjugation), which carries the real structure of
+operators J = m ∘ (complex conjugation), m unitary, which carries the real structure of
 a spectral triple and the "hat" operation T -> J T J^{-1}.
 """
 
@@ -73,12 +73,9 @@ def approx_eq(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bool:
 @dataclass(frozen=True, eq=False)
 class AntilinearOp:
     """
-    Antilinear operator xi -> m @ conj(xi).
-
-    Only the matrix part is stored; the conjugation semantics are fixed by
-    convention.  Composing two of these gives a plain linear matrix, and
-    conjugating a linear operator T gives J T J^{-1} = m @ conj(T) @ inv(m)
-    (exact for the signed-permutation m's used by the shipped models).
+    Antiunitary operator xi -> m @ conj(xi).  Only the matrix part m is stored, and
+    construction refuses it unless it is finite and unitary (m m* = 1 to 1e-12), so
+    conjugating a linear operator T gives J T J^{-1} = m @ conj(T) @ m*.
     """
 
     m: np.ndarray
@@ -90,22 +87,15 @@ class AntilinearOp:
         object.__setattr__(self, "m", m)
         if not np.isfinite(m).all():
             raise ValueError("antilinear operator matrix part has non-finite entries")
-        try:
-            m_inv = np.linalg.inv(m)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError("antilinear operator matrix part is singular") from exc
-        object.__setattr__(self, "_m_inv", m_inv)
-
-    @property
-    def dim(self) -> int:
-        return self.m.shape[0]
+        if frob_norm(m @ adjoint(m) - identity(len(m))) > 1e-12:
+            raise ValueError("J is not antiunitary: its matrix part m has m m* != 1")
 
     def conjugate(self, t: np.ndarray) -> np.ndarray:
         """J T J^{-1} for a linear operator t, or for each of a stack of them."""
         t = np.asarray(t, dtype=complex)
         if t.shape[-2:] != self.m.shape:
             raise ValueError(f"operator shape {t.shape} does not match J dimension {self.m.shape}")
-        return self.m @ np.conj(t) @ self._m_inv
+        return self.m @ np.conj(t) @ adjoint(self.m)
 
     def square(self) -> np.ndarray:
         """J^2 = (m conj) ∘ (m conj) = m conj(m), a linear matrix (eps_J * 1 for real structures)."""

@@ -105,26 +105,36 @@ def triple_to_dict(t: FiniteSpectralTriple) -> dict:
     }
 
 
+def _field(obj, key: str, kind: type = object):
+    """obj[key] of a JSON object; a missing key, or a value that is not a ``kind``, is named."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise ValueError(f"missing key {key!r}")
+    if not isinstance(obj[key], kind):
+        raise ValueError(f"{key} must be a {kind.__name__}, got {obj[key]!r}")
+    return obj[key]
+
+
 def triple_from_dict(payload: dict) -> FiniteSpectralTriple:
     """The triple of a model file; its constructors check every value, integers included."""
-    basis = payload.get("basis")
+    basis = payload.get("basis") if isinstance(payload, dict) else None
     if basis is not None:
-        basis = tuple(element_from_json(e) for e in basis)
-    spec = AlgebraSpec(payload["summands"], basis=basis)
-    for rb in payload["rep_blocks"]:
+        basis = tuple(element_from_json(e) for e in _field(payload, "basis", list))
+    spec = AlgebraSpec(_field(payload, "summands", list), basis=basis)
+    blocks = []
+    for rb in _field(payload, "rep_blocks", list):
+        fields = [_field(rb, key) for key in ("summand", "left", "right")]
         if rb.get("mode", "plain") != "plain":
             raise ValueError(f"unsupported representation mode {rb['mode']!r}: tiles are 'plain'")
-    blocks = tuple(RepBlock(rb["summand"], rb["left"], rb["right"], rb.get("offset", 0))
-                   for rb in payload["rep_blocks"])
-    signs = payload["signs"]
+        blocks.append(RepBlock(*fields, rb.get("offset", 0)))
+    signs = _field(payload, "signs")
     return FiniteSpectralTriple(
         algebra=spec,
-        dim_h=payload["dim_h"],
+        dim_h=_field(payload, "dim_h"),
         rep_blocks=blocks,
-        d=matrix_from_json(payload["d"]),
-        j=AntilinearOp(matrix_from_json(payload["j_m"])),
-        gamma=matrix_from_json(payload["gamma"]),
-        signs=KOSigns(signs["eps_j"], signs["eps_d"], signs["eps_gamma"]),
+        d=matrix_from_json(_field(payload, "d")),
+        j=AntilinearOp(matrix_from_json(_field(payload, "j_m"))),
+        gamma=matrix_from_json(_field(payload, "gamma")),
+        signs=KOSigns(*(_field(signs, key) for key in ("eps_j", "eps_d", "eps_gamma"))),
     )
 
 

@@ -8,8 +8,8 @@ product of A (x) A^op, and they act on Dirac operators by
 
     D  ->  sum_{i,j} pi(a_i) hat(pi(a_j)) D pi(b_i) hat(pi(b_j)),
 
-which reproduces D + A_1 + eps_d J A_1 J^{-1} + A_2 with A_1 the represented
-one-form and A_2 the quadratic correction term.
+which is D + A_1 + eps_d J A_1 J^{-1} + A_2 (A_1 the represented one-form, A_2 the
+quadratic term); order zero makes it S_pi o S_hat, two legs of dim A terms (``mu``).
 
 Perturbations (:class:`PertElement`) and universal one-forms
 (:class:`UniversalOneForm`) are stored as their coefficients: d x d matrices
@@ -392,9 +392,9 @@ def fluctuate(t: FiniteSpectralTriple, w: UniversalOneForm) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class RepresentedPert:
     """
-    The map D -> sum_t L_t D R_t on B(H), stored as stacks ``lefts`` and ``rights``
-    (T, N, N) of the L_t and R_t, and applied and put in canonical form by products
-    of the stacks; ``pairs`` views them as the T pairs (L_t, R_t).
+    S_0 o S_1 on B(H), S_k(D) = sum_t L_kt D R_kt, stored as stacks ``lefts`` and ``rights``
+    (2, T, N, N) of the L_kt and R_kt: the pi leg (k = 0) and the hat leg (k = 1) of :func:`mu`.
+    ``pairs`` views them as the T^2 pairs (L_0s L_1t, R_0s R_1t).
     """
 
     lefts: np.ndarray
@@ -402,31 +402,35 @@ class RepresentedPert:
 
     @property
     def pairs(self) -> tuple:
-        return tuple(zip(self.lefts, self.rights))
+        (l0, l1), (r0, r1), n = self.lefts, self.rights, self.lefts.shape[-1]
+        return tuple(zip((l0[:, None] @ l1[None]).reshape(-1, n, n),
+                         (r0[:, None] @ r1[None]).reshape(-1, n, n)))
 
     def apply(self, d: np.ndarray) -> np.ndarray:
-        """sum_t L_t d R_t."""
-        return (self.lefts @ np.asarray(d, dtype=complex) @ self.rights).sum(axis=0)
+        """S_0(S_1(d)): the hat leg first."""
+        (l0, l1), (r0, r1) = self.lefts, self.rights
+        return (l0 @ (l1 @ d @ r1).sum(axis=0) @ r0).sum(axis=0)
 
     def canonical_form(self) -> np.ndarray:
-        """Matrix of X -> sum_t L_t X R_t on row-major vectors, one product over t rearranged."""
-        t, n = self.lefts.shape[:2]
-        cf = self.lefts.reshape(t, n * n).T @ self.rights.reshape(t, n * n)  # [(a, b), (d, c)]
-        return cf.reshape(n, n, n, n).transpose(0, 3, 1, 2).reshape(n * n, n * n)
+        """Matrix of :meth:`apply` on row-major vectors: one product per leg, rearranged, multiplied."""
+        k, t, n = self.lefts.shape[:3]
+        cf = self.lefts.reshape(k, t, n * n).swapaxes(1, 2) @ self.rights.reshape(k, t, n * n)
+        cf = cf.reshape(k, n, n, n, n).transpose(0, 1, 4, 2, 3).reshape(k, n * n, n * n)
+        return cf[0] @ cf[1]  # each leg [(a, b), (d, c)] read as [(a, c), (b, d)]
 
 
 def mu(t: FiniteSpectralTriple, p: PertElement) -> RepresentedPert:
     """
-    Doubling homomorphism into Pert(B(H)):
-    mu(p) = sum_{i,j} pi(a_i) hat(pi(a_j)) (x) pi(b_i) hat(pi(b_j)) over the dim A
-    pairs of ``_view_coords`` (their a (x) b sum to P); pi reads the triple's
-    tables, and hat o pi the conjugated coordinates.
+    Doubling homomorphism into Pert(B(H)): S_pi o S_hat, S_rho(D) = sum_i rho(a_i) D rho(b_i)
+    over the dim A pairs of ``_view_coords`` (their a (x) b sum to P), with pi and hat o pi
+    read from the triple's tables.  Order zero makes the legs commute, so this is the sum
+    of pi(a_i) hat(pi(a_j)) (x) pi(b_i) hat(pi(b_j)) over i, j; on a ``validate=False``
+    triple that breaks order zero it is still S_pi o S_hat, which is not that sum.
     """
     if p.spec.summands != t.algebra.summands:
         raise ValueError("element does not match the triple's algebra")
     coords = np.array(_view_coords(p.spec, p.coeffs))
-    reps, hats, n = t.rep(coords), t.rep(coords, hatted=True), t.dim_h
-    return RepresentedPert(*((r[:, None] @ h[None]).reshape(-1, n, n) for r, h in zip(reps, hats)))
+    return RepresentedPert(*np.stack([t.rep(coords), t.rep(coords, hatted=True)], axis=1))
 
 
 def fluctuate_combined(t: FiniteSpectralTriple, p: PertElement) -> np.ndarray:

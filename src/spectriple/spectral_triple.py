@@ -259,9 +259,9 @@ class FiniteSpectralTriple:
     in ``AlgebraElement.vec()`` order) and ``pi_hat_table`` (J Pi_alpha J^{-1}), and
     validates the real even-triple axioms to 1e-12: finite entries, D self-adjoint,
     gamma a self-adjoint involution anticommuting with D and commuting with pi(A),
-    J = m conj antiunitary (m m* = 1) with J^2 = eps_j, and order zero.  JD = eps_d DJ
-    and J gamma = eps_gamma gamma J are measured (``check_ko_signs``), not enforced.
-    ``validate=False`` is an escape hatch for deliberately corrupted triples.
+    J^2 = eps_j, and order zero; :class:`AntilinearOp` makes J antiunitary in any case.
+    JD = eps_d DJ and J gamma = eps_gamma gamma J are measured (``check_ko_signs``), not
+    enforced.  ``validate=False`` is an escape hatch for deliberately corrupted triples.
     """
 
     algebra: AlgebraSpec
@@ -281,11 +281,9 @@ class FiniteSpectralTriple:
         object.__setattr__(self, "d", as_matrix(self.d))
         object.__setattr__(self, "gamma", as_matrix(self.gamma))
         n = self.dim_h
-        for name, m in (("d", self.d), ("gamma", self.gamma)):
+        for name, m in (("d", self.d), ("gamma", self.gamma), ("J", self.j.m)):
             if m.shape != (n, n):
                 raise ValueError(f"{name} must be {n}x{n}, got {m.shape}")
-        if self.j.dim != n:
-            raise ValueError("J dimension does not match dim_h")
         pi = self._build_table()
         for name, table in (("pi_table", pi), ("pi_hat_table", self.j.conjugate(pi))):
             table.flags.writeable = False
@@ -331,8 +329,6 @@ class FiniteSpectralTriple:
         reps = _span_reps(self, self.algebra)
         if np.any(np.linalg.norm(self.gamma @ reps - reps @ self.gamma, axis=(1, 2)) > tol):
             raise ValueError("gamma does not commute with the represented algebra")
-        if frob_norm(self.j.m @ adjoint(self.j.m) - identity(self.dim_h)) > tol:
-            raise ValueError("J is not antiunitary: its matrix part m has m m* != 1")
         if frob_norm(self.j.square() - self.signs.eps_j * identity(self.dim_h)) > tol:
             raise ValueError("J^2 does not match declared eps_j")
         if _worst_pair(self, self.algebra, with_d=False).max_defect > tol:
@@ -378,7 +374,7 @@ def _worst_pair(t: FiniteSpectralTriple, spec: AlgebraSpec, with_d: bool) -> Che
     reps = _span_reps(t, spec)
     rights = t.j.conjugate(reps.conj().swapaxes(1, 2))  # pi_op of each spanning element
     lefts = t.d @ reps - reps @ t.d if with_d else reps
-    comm = np.einsum("iab,kbc->ikac", lefts, rights) - np.einsum("kab,ibc->ikac", rights, lefts)
+    comm = lefts[:, None] @ rights[None] - rights[None] @ lefts[:, None]
     defects = np.linalg.norm(comm, axis=(2, 3))
     i, k = np.unravel_index(np.argmax(defects), defects.shape)
     return CheckReport(float(np.max(defects)), (int(i), int(k)))

@@ -62,6 +62,9 @@ def _cases():
     yield "error-float-dim-h", ["check", "--model", "bad.json"], {"bad.json": {**toy, "dim_h": 8.9}}
     yield "error-order-zero", ["check", "--model", "bad.json"], \
         {"bad.json": {**toy, "j_m": matrix_to_json(np.eye(8))}}  # J is complex conjugation alone
+    tiles = [{key: value for key, value in rb.items() if key != "left"} for rb in toy["rep_blocks"]]
+    yield "error-missing-key", ["check", "--model", "bad.json"], \
+        {"bad.json": {**toy, "rep_blocks": tiles}}  # no tile says how many times it repeats
 
 
 def main() -> int:

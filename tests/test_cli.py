@@ -112,9 +112,14 @@ def _j_without_its_permutation(payload):
     payload["j_m"] = matrix_to_json(np.eye(8))
 
 
+def _j_not_unitary(payload):
+    # 2m: J^2 = 4 eps_j as well, but the antiunitary check comes first, in AntilinearOp
+    payload["j_m"] = [[[2 * x for x in entry] for entry in row] for row in payload["j_m"]]
+
+
 @pytest.mark.parametrize("corrupt", [_summand_out_of_range, _overlapping_tiles, _nan_in_d,
                                      _float_dim_h, _string_dim_h, _bool_sign, _float_summand,
-                                     _j_without_its_permutation])
+                                     _j_without_its_permutation, _j_not_unitary])
 def test_check_rejects_bad_tilings_and_non_finite_models(tmp_path, capsys, corrupt):
     model = tmp_path / "toy.json"
     assert main(["export-toy", "--out", str(model)]) == 0
@@ -123,6 +128,39 @@ def test_check_rejects_bad_tilings_and_non_finite_models(tmp_path, capsys, corru
     save_json(str(model), payload)
     assert main(["check", "--model", str(model)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def _tile_without_left(payload):
+    del payload["rep_blocks"][1]["left"]
+
+
+def _bare_summands(payload):
+    payload["summands"] = 2
+
+
+def _signs_without_eps_d(payload):
+    del payload["signs"]["eps_d"]
+
+
+def _bare_basis(payload):
+    payload["basis"] = 5
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_tile_without_left, "error: missing key 'left'\n"),
+    (_bare_summands, "error: summands must be a list, got 2\n"),
+    (_signs_without_eps_d, "error: missing key 'eps_d'\n"),
+    (_bare_basis, "error: basis must be a list, got 5\n"),
+], ids=["tile-without-left", "bare-summands", "signs-without-eps-d", "bare-basis"])
+def test_model_files_with_a_missing_key_or_a_bare_number_name_it(tmp_path, capsys, corrupt,
+                                                                  message):
+    model = tmp_path / "toy.json"
+    assert main(["export-toy", "--out", str(model)]) == 0
+    payload = load_json(str(model))
+    corrupt(payload)
+    save_json(str(model), payload)
+    assert main(["check", "--model", str(model)]) == 2
+    assert capsys.readouterr().err == message
 
 
 def test_fluctuate_prints_fields_and_writes_the_operator(capsys, tmp_path, rng):

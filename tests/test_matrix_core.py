@@ -80,6 +80,7 @@ def test_antilinear_apply_is_m_conj():
     # J xi = m conj(xi), so the hat J T J^{-1} maps J xi to J (T xi)
     rng = np.random.default_rng(4)
     m, t = (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(2))
+    m = np.linalg.qr(m)[0]  # J is antiunitary: m is unitary
     xi = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))  # two vectors
     assert approx_eq(AntilinearOp(m).conjugate(t) @ (m @ np.conj(xi)), m @ np.conj(t @ xi), 1e-12)
 
@@ -87,7 +88,7 @@ def test_antilinear_apply_is_m_conj():
 def test_antilinear_conjugate_is_multiplicative():
     rng = np.random.default_rng(3)
     m, s, t = (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)) for _ in range(3))
-    j = AntilinearOp(m)
+    j = AntilinearOp(np.linalg.qr(m)[0])
     lhs = j.conjugate(s @ t)
     rhs = j.conjugate(s) @ j.conjugate(t)
     assert approx_eq(lhs, rhs, tol=1e-12)
@@ -109,6 +110,9 @@ def test_antilinear_square_matches_composition():
 def test_antilinear_rejects_singular_matrix_part():
     with pytest.raises(ValueError):
         AntilinearOp(np.zeros((2, 2)))
+    # invertible, but J would not be antiunitary
+    with pytest.raises(ValueError, match="antiunitary"):
+        AntilinearOp(np.diag([2.0, 1.0]))
 
 
 @pytest.mark.parametrize("where", [(0, 1), (0, 4), (0, 5), (1, 0)])

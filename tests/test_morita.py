@@ -48,7 +48,7 @@ from spectriple.spectral_triple import (
 )
 from spectriple.toy_model import a_f
 from test_perturbation import _form_from_pairs, _reference_rmul, _reference_star
-from test_spectral_triple import _multi_triple
+from triples import _bimodule_triple, _multi_triple
 
 
 def _rel(a, b):
@@ -274,21 +274,24 @@ def test_unit_module_with_diagonal_connection_reduces_entrywise(toy, rng):
         assert approx_eq(big[sl, sl], cell, 1e-12)
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_inner_fluctuations_are_the_unit_module_twist(toy, seed):
+@pytest.mark.parametrize("eps_d, seed", [(None, 0), (None, 1), (None, 2), (None, 3), (1, 0), (-1, 0)],
+                         ids=["0", "1", "2", "3", "bimodule+", "bimodule-"])
+def test_inner_fluctuations_are_the_unit_module_twist(toy, eps_d, seed):
     # the Morita self-equivalence e = 1 in M_1(A) with connection w twists D on both sides into
     # D + A_1 + eps_d J A_1 J^-1 + A_2, the quadratic term of a failing first-order condition
-    # included; with eta(p) as the connection, into the fluctuation by p
+    # included; with eta(p) as the connection, into the fluctuation by p.  On the toy, and on
+    # the bimodule triple (several summands, H = C^10) at eps_d = +1 and -1
+    t = toy if eps_d is None else _bimodule_triple(eps_d)
     rng = np.random.default_rng(seed)
-    spec = toy.algebra
+    spec = t.algebra
     w, p = random_one_form(spec, rng), random_pert(spec, rng)
-    for conn, want in ((w, fluctuate(toy, w)), (eta_one_form(p), fluctuate_combined(toy, p))):
-        md = MoritaData(toy, 1, spec.unit(), ((conn,),))
+    for conn, want in ((w, fluctuate(t, w)), (eta_one_form(p), fluctuate_combined(t, p))):
+        md = MoritaData(t, 1, spec.unit(), ((conn,),))
         assert frob_norm(corner(md, twisted_dirac_left(md)) - want) < 1e-12
     # at n = 2, e = 1_2 with the connection diag(w, w) twists every cell of C^2 (x) C^2 alike
     zero = UniversalOneForm(spec, np.zeros((spec.ambient_dim,) * 2))
-    md = MoritaData(toy, 2, _mn_unit(spec, 2), ((w, zero), (zero, w)))
-    want = np.kron(identity(4), fluctuate(toy, w))
+    md = MoritaData(t, 2, _mn_unit(spec, 2), ((w, zero), (zero, w)))
+    want = np.kron(identity(4), fluctuate(t, w))
     assert frob_norm(corner(md, twisted_dirac_left(md)) - want) < 1e-12
 
 

@@ -47,9 +47,14 @@ from spectriple.perturbation import (
 )
 from spectriple.spectral_triple import AlgebraSpec, random_element, random_unitary, spanning_set
 from spectriple.toy_model import ToyParams, a_ev, a_f
-from test_spectral_triple import _multi_triple, _tiled_triple
+from triples import _bimodule_triple, _multi_triple
 
 SPEC = a_ev()
+
+
+def _real_triples(toy):
+    """The toy and the bimodule triple at eps_d = +1 and -1: where the paper's theorems hold."""
+    return toy, _bimodule_triple(+1), _bimodule_triple(-1)
 
 
 def unit_pert():
@@ -157,6 +162,16 @@ def test_from_unitary_requires_a_unitary(rng):
     u = random_unitary(SPEC, rng)
     cf = canonical_form(from_unitary(SPEC, u))
     assert approx_eq(cf @ adjoint(cf), identity(16), 1e-12)
+
+
+@pytest.mark.parametrize("spec", [SPEC, AlgebraSpec((1, 3, 2))], ids=["a_ev", "M1+M3+M2"])
+def test_from_unitary_extends_the_unitary_group(spec):
+    # the perturbations u (x) u* multiply as the unitaries do
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        u, v = random_unitary(spec, rng), random_unitary(spec, rng)
+        product = pert_mul(from_unitary(spec, u), from_unitary(spec, v))
+        assert approx_eq(product.coeffs, from_unitary(spec, u * v).coeffs, 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -394,11 +409,12 @@ def test_fluctuated_operator_is_self_adjoint(toy, rng):
 
 
 def test_combined_fluctuation_equals_the_two_step_formula(toy, rng):
-    for _ in range(5):
-        p = random_pert(SPEC, rng)
-        via_pairs = fluctuate_combined(toy, p)
-        via_forms = fluctuate(toy, eta_one_form(p))
-        assert approx_eq(via_pairs, via_forms, 1e-12)
+    for t in _real_triples(toy):
+        for _ in range(5):
+            p = random_pert(t.algebra, rng)
+            via_pairs = fluctuate_combined(t, p)
+            via_forms = fluctuate(t, eta_one_form(p))
+            assert approx_eq(via_pairs, via_forms, 1e-12)
 
 
 def test_quadratic_term_vanishes_without_the_cross_coupling(rng):
@@ -412,9 +428,10 @@ def test_trivial_pert_fixes_d(toy):
 
 
 def test_transitivity_of_repeated_fluctuation(toy, rng):
-    for _ in range(5):
-        p, q = random_pert(SPEC, rng), random_pert(SPEC, rng)
-        assert check_transitivity(toy, p, q) < 1e-12
+    for t in _real_triples(toy):
+        for _ in range(5):
+            p, q = random_pert(t.algebra, rng), random_pert(t.algebra, rng)
+            assert check_transitivity(t, p, q) < 1e-12
 
 
 def test_transitivity_raw_composition(toy, rng):
@@ -426,21 +443,24 @@ def test_transitivity_raw_composition(toy, rng):
 
 
 def test_gauge_transform_conjugates_the_fluctuated_operator(toy, rng):
-    for _ in range(5):
-        p = random_pert(SPEC, rng)
-        u = random_unitary(SPEC, rng)
-        big = represent(toy, u) @ toy.hat(represent(toy, u))
-        lhs = big @ fluctuate_combined(toy, p) @ adjoint(big)
-        rhs = fluctuate_combined(toy, gauge_transform(p, u))
-        assert approx_eq(lhs, rhs, 1e-12)
+    for t in _real_triples(toy):
+        for _ in range(5):
+            p = random_pert(t.algebra, rng)
+            u = random_unitary(t.algebra, rng)
+            big = represent(t, u) @ t.hat(represent(t, u))
+            lhs = big @ fluctuate_combined(t, p) @ adjoint(big)
+            rhs = fluctuate_combined(t, gauge_transform(p, u))
+            assert approx_eq(lhs, rhs, 1e-12)
 
 
 def test_represented_pert_stacks_match_the_pairwise_formulas(toy, rng):
-    for t in (toy, _multi_triple()):
+    for t in _real_triples(toy):
         p = random_pert(t.algebra, rng)
         mp = mu(t, p)
-        assert len(mp.pairs) == len(p.pairs) ** 2 == len(mp.lefts) == len(mp.rights)
         n = t.dim_h
+        # the pi leg and the hat leg of dim A terms each; the pairs are their products
+        assert mp.lefts.shape == mp.rights.shape == (2, len(p.pairs), n, n)
+        assert len(mp.pairs) == len(p.pairs) ** 2
         d = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         applied = sum(left @ d @ right for left, right in mp.pairs)
         assert frob_norm(mp.apply(d) - applied) < 1e-12 * frob_norm(applied)
@@ -449,12 +469,13 @@ def test_represented_pert_stacks_match_the_pairwise_formulas(toy, rng):
 
 
 def test_mu_is_a_semigroup_homomorphism(toy, rng):
-    p, q = random_pert(SPEC, rng), random_pert(SPEC, rng)
-    lhs = mu(toy, pert_mul(p, q)).canonical_form()
-    rhs = mu(toy, p).canonical_form() @ mu(toy, q).canonical_form()
-    assert approx_eq(lhs, rhs, 1e-12)
-    # and mu(p) applied to D is the fluctuation itself
-    assert np.array_equal(mu(toy, p).apply(toy.d), fluctuate_combined(toy, p))
+    for t in _real_triples(toy):
+        p, q = random_pert(t.algebra, rng), random_pert(t.algebra, rng)
+        lhs = mu(t, pert_mul(p, q)).canonical_form()
+        rhs = mu(t, p).canonical_form() @ mu(t, q).canonical_form()
+        assert approx_eq(lhs, rhs, 1e-12)
+        # and mu(p) applied to D is the fluctuation itself
+        assert np.array_equal(mu(t, p).apply(t.d), fluctuate_combined(t, p))
 
 
 # ---------------------------------------------------------------------------
@@ -516,14 +537,9 @@ def _close(a, b) -> bool:
     return frob_norm(a - b) <= 1e-12 * max(1.0, frob_norm(b))
 
 
-def _small_multi_triple():
-    """M1 + M3 + M2, one tile each, on a 6-dimensional H: small enough for 4096 reference terms."""
-    return _tiled_triple((1, 3, 2), ((0, 1, 1), (1, 1, 1), (2, 1, 1)), order=(2, 0, 1))
-
-
 _LAYOUTS = {
     "a_ev": (SPEC, lambda: build_toy(ToyParams())),
-    "M1+M3+M2": (AlgebraSpec((1, 3, 2)), _small_multi_triple),
+    "M1+M3+M2": (AlgebraSpec((1, 3, 2)), lambda: _bimodule_triple(+1)),
 }
 
 

@@ -29,6 +29,7 @@ from spectriple.spectral_triple import (
     spanning_set,
 )
 from spectriple.toy_model import ToyParams, a_ev, a_f, build_toy
+from triples import _bimodule_triple, _multi_triple, _tiled_triple
 
 Z2 = np.zeros((2, 2), dtype=complex)
 
@@ -319,32 +320,6 @@ def _reference_represent(t, a):
     return out
 
 
-def _tiled_triple(summands, tiles, order, seed=0):
-    """
-    A validate=False triple over the given summands: ``tiles`` are
-    (summand, left, right) and are laid out on H in the order ``order``;
-    D and the matrix part of J are generic complex matrices.
-    """
-    spec = AlgebraSpec(summands)
-    sizes = [left * spec.summands[s] * right for s, left, right in tiles]
-    offsets, at = [0] * len(tiles), 0
-    for idx in order:
-        offsets[idx], at = at, at + sizes[idx]
-    rng = np.random.default_rng(seed)
-    x, m = (rng.standard_normal((at, at)) + 1j * rng.standard_normal((at, at)) for _ in range(2))
-    blocks = tuple(RepBlock(*tile, offset=o) for tile, o in zip(tiles, offsets))
-    signs = KOSigns(eps_j=+1, eps_d=+1, eps_gamma=+1)
-    return FiniteSpectralTriple(
-        spec, at, blocks, x + adjoint(x), AntilinearOp(m), identity(at), signs, validate=False
-    )
-
-
-def _multi_triple():
-    """M1 + M3 + M2 with several tiles per summand, multiplicities above 1, shuffled offsets."""
-    tiles = ((1, 1, 2), (0, 2, 1), (2, 2, 1), (1, 2, 1), (0, 1, 1), (2, 1, 3))
-    return _tiled_triple((1, 3, 2), tiles, order=(3, 0, 5, 1, 4, 2))
-
-
 @pytest.mark.parametrize("which", ["toy", "multi"])
 def test_table_matches_the_tile_by_tile_representation(toy, which):
     t = toy if which == "toy" else _multi_triple()
@@ -504,6 +479,14 @@ def test_ko_signs_all_match(toy):
     assert max(rep.res_j_squared, rep.res_jd, rep.res_jgamma) < 1e-12
 
 
+@pytest.mark.parametrize("eps_d", [1, -1])
+def test_bimodule_triples_are_real_even_triples_that_break_first_order(eps_d):
+    t = _bimodule_triple(eps_d)  # built with validation on
+    assert t.signs.eps_d == eps_d and check_ko_signs(t).worst == 0.0
+    assert check_zeroth_order(t).max_defect == 0.0
+    assert check_first_order(t).max_defect > 1.0  # so A_2 does real work
+
+
 def test_ko_sign_flip_is_detected(toy):
     wrong = dataclasses.replace(toy, signs=KOSigns(eps_j=+1, eps_d=+1, eps_gamma=+1))
     rep = check_ko_signs(wrong)
@@ -597,7 +580,7 @@ def test_tiles_must_partition_h_even_without_validation(toy, second, match, vali
 def test_non_finite_entries_rejected(toy, name):
     value = AntilinearOp(toy.j.m.copy()) if name == "j" else getattr(toy, name).copy()
     bad = value.m if name == "j" else value
-    bad[0, 2] = bad[2, 0] = np.nan  # J's inverse, computed at construction, stays finite
+    bad[0, 2] = bad[2, 0] = np.nan  # after J's own checks at construction
     with pytest.raises(ValueError, match="non-finite"):
         FiniteSpectralTriple(**_toy_kwargs(toy, **{name: value}))
 
@@ -622,7 +605,7 @@ def test_wrong_real_structure_breaks_zeroth_order(toy):
 def test_j_must_be_antiunitary(toy):
     # m' = s m s^{-1} with real s keeps J'^2 = s m conj(m) s^{-1} = eps_j but not m' m'* = 1
     s = np.diag([2.0] + [1.0] * 7)
-    j = AntilinearOp(s @ toy.j.m @ np.linalg.inv(s))
-    assert np.array_equal(j.square(), toy.j.square())
+    m = s @ toy.j.m @ np.linalg.inv(s)
+    assert np.array_equal(m @ np.conj(m), toy.j.square())
     with pytest.raises(ValueError, match="antiunitary"):
-        FiniteSpectralTriple(**_toy_kwargs(toy, j=j))
+        AntilinearOp(m)
