@@ -23,13 +23,12 @@ landscape, degenerate flat directions included.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .spectral_triple import FiniteSpectralTriple, _integer, _span_reps
+from .spectral_triple import FiniteSpectralTriple, _integer, _number, _span_reps
 from .toy_model import FieldPoint, ToyParams, closed_dirac
 
 __all__ = [
@@ -66,11 +65,7 @@ class ActionParams:
 
     def __post_init__(self):
         for name in ("f2", "f0", "lam"):
-            value = getattr(self, name)  # a bool or a string is not a number
-            if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
-                    and math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be finite and positive")
-            object.__setattr__(self, name, float(value))
+            object.__setattr__(self, name, _number(name, getattr(self, name), positive=True))
 
 
 def v_trace(tp: ToyParams, ap: ActionParams, fp: FieldPoint):
@@ -178,14 +173,13 @@ def _derivatives(values, h):
 
 def grad_hess(fun, point, step: float = 1e-5):
     """
-    Central-difference gradient and Hessian of the vectorized ``fun`` at ``point``,
-    from one call on the whole stencil.  Per-coordinate steps are
+    Central-difference gradient and Hessian of the vectorized ``fun`` at ``point`` (finite
+    reals), from one call on the whole stencil.  Per-coordinate steps are
     ``step * max(1, |x_i|)`` for a finite step > 0; the Hessian uses the
     standard four-point stencil off the diagonal and is exactly symmetric.
     """
-    if not 0.0 < step < math.inf:
-        raise ValueError(f"step must be a finite number > 0, got {step!r}")
-    h, points = _stencil(np.asarray(point, dtype=float), step)
+    x = np.array([_number(f"point[{i}]", c) for i, c in enumerate(point)], dtype=float)
+    h, points = _stencil(x, _number("step", step, positive=True))
     return _derivatives(_values(fun, points), h)
 
 
@@ -217,11 +211,12 @@ def minimize(fun, start, fixed: dict | None = None) -> MinimizeResult:
     below the gate) and the ``grad_hess`` stencil with step 1e-4 for the value
     and the Hessian.  The gate is checked on the returned point.  A non-finite
     value or a linear-algebra failure ends the run with ``converged=False`` and
-    the reason in ``message``.
+    the reason in ``message``; start coordinates and fixed values that are not
+    finite real numbers are refused before ``fun`` is called.
     """
-    start = np.array(start, dtype=float)
+    start = np.array([_number(f"start[{i}]", c) for i, c in enumerate(start)], dtype=float)
     name = f"a fixed index in range({start.size})"
-    fixed = {_integer(name, k, 0): float(v) for k, v in (fixed or {}).items()}
+    fixed = {_integer(name, k, 0): _number(f"fixed[{k}]", v) for k, v in (fixed or {}).items()}
     if any(k >= start.size for k in fixed):
         raise ValueError(f"{name} must be below {start.size}, got {list(fixed)}")
     start[list(fixed)] = list(fixed.values())

@@ -35,6 +35,7 @@ from . import toy_model as toy
 from .spectral_triple import (
     FiniteSpectralTriple,
     _integer,
+    _number,
     check_first_order,
     check_ko_signs,
     check_zeroth_order,
@@ -46,29 +47,21 @@ from .matrix_core import adjoint, frob_norm
 __all__ = ["main"]
 
 
-def _tol(name, value):
-    if not (type(value) in (int, float) and 0.0 < value < math.inf):  # a bool is not an int
-        raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
-    return value
-
-
 def _point(name, value):
-    if value is not None and not (isinstance(value, list) and len(value) == 3 and all(
-            type(c) in (int, float) and math.isfinite(c) for c in value)):
-        raise ValueError("config point must have three finite coordinates")
-    return value if value is None else tuple(map(float, value))
+    if value is not None and not (isinstance(value, list) and len(value) == 3):
+        raise ValueError(f"{name} must be a list of three numbers, got {value!r}")
+    return None if value is None else tuple(_number(f"{name}[{i}]", c) for i, c in enumerate(value))
 
 
 # setting: (default, check), one per config key; a check takes the name and a value and
-# returns it or raises.  A count is an integer by the library's one rule (``_integer``), tol an
-# int or a float, as JSON and argparse give them: a bool or a string is neither.  ToyParams and
-# ActionParams check the couplings.  seed and tol also have a flag and a SPECTRIPLE_* variable,
-# read as the type of the default, as argparse does.
+# returns it or raises.  Counts, tol and (in ToyParams and ActionParams) the couplings follow
+# the library's integer and number rules, ``_integer`` and ``_number``.  seed and tol also have
+# a flag and a SPECTRIPLE_* variable, read as the type of the default, as argparse does.
 _SETTINGS = {
     **dict.fromkeys(("k_x", "k_y"), (1.0, lambda name, value: mio.complex_from_json(value))),
     **dict.fromkeys(("f2", "f0", "lam"), (1.0, lambda name, value: value)),
     "seed": (0, partial(_integer, low=0)),
-    "tol": (1e-9, _tol),
+    "tol": (1e-9, partial(_number, positive=True)),
     "n_starts": (32, partial(_integer, low=1)),
     "grid_n": (201, partial(_integer, low=2)),
     "point": (None, _point),

@@ -73,7 +73,7 @@ def approx_eq(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bool:
 @dataclass(frozen=True, eq=False)
 class AntilinearOp:
     """
-    Antiunitary operator xi -> m @ conj(xi).  Only the matrix part m is stored, and
+    Antiunitary operator xi -> m @ conj(xi).  Only a read-only copy of m is stored, and
     construction refuses it unless it is finite and unitary (m m* = 1 to 1e-12), so
     conjugating a linear operator T gives J T J^{-1} = m @ conj(T) @ m*.
     """
@@ -81,9 +81,10 @@ class AntilinearOp:
     m: np.ndarray
 
     def __post_init__(self):
-        m = as_matrix(self.m)
+        m = as_matrix(self.m).copy()
         if m.shape[0] != m.shape[1]:
             raise ValueError("antilinear operator needs a square matrix part")
+        m.flags.writeable = False
         object.__setattr__(self, "m", m)
         if not np.isfinite(m).all():
             raise ValueError("antilinear operator matrix part has non-finite entries")

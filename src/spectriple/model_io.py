@@ -73,6 +73,8 @@ def element_to_json(e: AlgebraElement) -> list:
 
 
 def element_from_json(obj) -> AlgebraElement:
+    if not (isinstance(obj, list) and all(isinstance(b, list) for b in obj)):
+        raise ValueError(f"an algebra element must be a list of matrices, got {obj!r}")
     return AlgebraElement(tuple(matrix_from_json(b) for b in obj))
 
 

@@ -13,12 +13,13 @@ action is derived as pi_op(a) = J pi(a)* J^{-1}.
 Inside the package algebra data moves as ambient coordinates (..., d) in the
 ``AlgebraElement.vec()`` layout, with one draw (``_random_coords``), one
 membership test (``AlgebraSpec.outside``) and one representation kernel
-(``FiniteSpectralTriple.rep``); lists of elements are the public edge.  One
-rule, ``_integer``, checks the integer inputs, each where its value is built.
+(``FiniteSpectralTriple.rep``); lists of elements are the public edge.  Two
+rules check the scalar inputs where their values are built: ``_integer`` and ``_number``.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
@@ -314,7 +315,7 @@ class FiniteSpectralTriple:
         return table
 
     def _validate(self, tol: float = 1e-12):
-        for name, m in (("D", self.d), ("gamma", self.gamma), ("J", self.j.m)):
+        for name, m in (("D", self.d), ("gamma", self.gamma)):  # J's m is checked and read-only
             if not np.isfinite(m).all():
                 raise ValueError(f"{name} has non-finite entries")
         scale = max(1.0, frob_norm(self.d))
@@ -424,7 +425,7 @@ def check_ko_signs(t: FiniteSpectralTriple) -> KOReport:
 
 
 # ---------------------------------------------------------------------------
-# Shared privates: the integer rule and the random draw.
+# Shared privates: the integer rule, the number rule and the random draw.
 
 
 def _integer(name: str, value, low: int) -> int:
@@ -432,6 +433,18 @@ def _integer(name: str, value, low: int) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
     return int(value)
+
+
+def _number(name: str, value, positive: bool = False):
+    """
+    ``value`` as a float, or a complex if it is one, for a finite int, float or complex, numpy
+    scalars included; a bool or a string is not one.  With ``positive`` it must be real and > 0.
+    """
+    if (isinstance(value, bool) or not isinstance(value, (int, float, complex, np.number))
+            or not cmath.isfinite(value) or positive and (value.imag != 0 or value.real <= 0)):
+        bound = " > 0" if positive else ""
+        raise ValueError(f"{name} must be a finite number{bound}, got {value!r}")
+    return complex(value) if isinstance(value, (complex, np.complexfloating)) else float(value)
 
 
 def _random_coords(spec: AlgebraSpec, rng: np.random.Generator, shape: tuple) -> np.ndarray:

@@ -18,8 +18,6 @@ fields: a complex coefficient x multiplying the k_x entries and a complex
 
 from __future__ import annotations
 
-import cmath
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -32,6 +30,7 @@ from .spectral_triple import (
     FiniteSpectralTriple,
     KOSigns,
     RepBlock,
+    _number,
     spanning_set,
 )
 from .perturbation import UniversalOneForm
@@ -58,11 +57,7 @@ class ToyParams:
 
     def __post_init__(self):
         for name in ("k_x", "k_y"):
-            value = getattr(self, name)  # a bool or a string is not a number
-            if not (isinstance(value, numbers.Complex) and not isinstance(value, bool)
-                    and cmath.isfinite(value)):
-                raise ValueError(f"{name} must be finite")
-            object.__setattr__(self, name, complex(value))
+            object.__setattr__(self, name, complex(_number(name, getattr(self, name))))
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,8 @@ Rewrite the golden command-line transcripts that ``tests/test_golden.py`` compar
 
 Each case runs in a fresh temporary directory with the ``SPECTRIPLE_*`` variables unset
 and BLAS on one thread, as in the test suite.  ``<case>.json`` gets the arguments, the
-input files, the exit code, stdout, stderr and the fingerprints of the random draws;
-``<case>.out`` the ``--out`` bytes, if any.
+input files, the exit code, stdout, stderr and the fingerprints of the random draws and of
+the perturbations ``check_transitivity`` receives; ``<case>.out`` the ``--out`` bytes, if any.
 """
 
 import os

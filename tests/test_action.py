@@ -55,16 +55,19 @@ UNFLUCTUATED = FieldPoint(1.0, 1.0, 0.0)  # the point where the fluctuated opera
 
 
 def test_action_params_must_be_positive():
-    with pytest.raises(ValueError, match="positive"):
+    with pytest.raises(ValueError, match="f2 must be a finite number > 0, got 0.0"):
         ActionParams(f2=0.0)
-    with pytest.raises(ValueError, match="positive"):
+    with pytest.raises(ValueError, match="lam must be a finite number > 0, got -1.0"):
         ActionParams(lam=-1.0)
+    ap = ActionParams(f2=np.float32(0.5), f0=2)  # numpy scalars and ints are numbers
+    assert ap.f2 == 0.5 and type(ap.f2) is float and type(ap.f0) is float
 
 
 @pytest.mark.parametrize("name", ["f2", "f0", "lam"])
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, True, "2.5"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, True, "2.5", None, 1j,
+                                   [2.5], np.bool_(True)])
 def test_action_params_reject_non_finite_values(name, value):  # a bool or a string is no number
-    with pytest.raises(ValueError, match=f"{name} must be finite"):
+    with pytest.raises(ValueError, match=rf"{name} must be a finite number > 0, got "):
         ActionParams(**{name: value})
 
 
@@ -170,9 +173,17 @@ def test_grad_hess_recovers_a_quadratic():
     assert np.allclose(g, a @ z0 + b, atol=1e-9)
     assert np.allclose(h, a, atol=1e-5)
     assert np.array_equal(h, h.T)
-    for step in (0.0, -1e-5, math.nan, math.inf):
-        with pytest.raises(ValueError, match="step must be a finite number > 0"):
+    for step in (0.0, -1e-5, math.nan, math.inf, True, "1e-5"):  # a string once gave TypeError
+        with pytest.raises(ValueError, match=f"step must be a finite number > 0, got {step!r}"):
             grad_hess(f, z0, step)
+    for point, message in ((("0", 0, 0), r"point\[0\] must be a finite number, got '0'"),
+                           ((0.3, True, 0.1), r"point\[1\] .*, got True")):
+        with pytest.raises(ValueError, match=message):
+            grad_hess(f, point)
+    with pytest.raises(TypeError, match="complex"):  # a number, but the chart is real
+        grad_hess(f, (0.3, -0.2, 1j))
+    g32, _ = grad_hess(f, tuple(np.float32(c) for c in (0.5, -0.25, 0.125)))
+    assert np.allclose(g32, a @ [0.5, -0.25, 0.125] + b, atol=1e-9)
 
 
 def _reference_grad_hess(fun, x, step):
@@ -246,9 +257,23 @@ def test_minimize_makes_one_objective_call_per_trial_point(fixed, n_points):
 
 def test_minimize_respects_fixed_coordinates():
     fun = potential_fn(UNIT_TP, UNIT_AP)
-    res = minimize(fun, np.array([0.7, 0.2, 0.1]), fixed={0: 0.0})
+    res = minimize(fun, np.array([0.7, 0.2, 0.1]), fixed={0: np.float64(0.0)})
     assert res.converged
     assert res.coords[0] == 0.0
+    calls = []
+    # a string, a bool or a NaN is no coordinate: each is refused before any objective call,
+    # where a string once ran and a NaN ran scipy until the objective reported it
+    for start, fixed, message in (
+        ((0.7, 0.2, 0.1), {0: "0.5"}, "fixed[0] must be a finite number, got '0.5'"),
+        ((0.7, 0.2, 0.1), {0: True}, "fixed[0] must be a finite number, got True"),
+        ((0.7, 0.2, 0.1), {2: math.nan}, "fixed[2] must be a finite number, got nan"),
+        (("0", 0.2, 0.0), None, "start[0] must be a finite number, got '0'"),
+        ((0.7, False, 0.1), None, "start[1] must be a finite number, got False"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            minimize(lambda z: calls.append(z) or fun(z), start, fixed)
+        assert str(exc.value) == message
+    assert calls == []
 
 
 def test_minimize_with_everything_fixed_returns_immediately():

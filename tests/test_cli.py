@@ -146,12 +146,18 @@ def _bare_basis(payload):
     payload["basis"] = 5
 
 
+def _bare_basis_element(payload):
+    payload["basis"] = [5]  # once 'int' object is not iterable
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (_tile_without_left, "error: missing key 'left'\n"),
     (_bare_summands, "error: summands must be a list, got 2\n"),
     (_signs_without_eps_d, "error: missing key 'eps_d'\n"),
     (_bare_basis, "error: basis must be a list, got 5\n"),
-], ids=["tile-without-left", "bare-summands", "signs-without-eps-d", "bare-basis"])
+    (_bare_basis_element, "error: an algebra element must be a list of matrices, got 5\n"),
+], ids=["tile-without-left", "bare-summands", "signs-without-eps-d", "bare-basis",
+        "bare-basis-element"])
 def test_model_files_with_a_missing_key_or_a_bare_number_name_it(tmp_path, capsys, corrupt,
                                                                   message):
     model = tmp_path / "toy.json"
@@ -470,7 +476,7 @@ def test_a_non_finite_config_point_is_an_input_error(tmp_path, capsys, coord):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(f'{{"point": [{coord}, 0, 0]}}\n')
     assert main(["hessian", "--config", str(cfg)]) == 2
-    assert "config point must have three finite coordinates" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("error: point[0] must be a finite number, got ")
 
 
 @pytest.mark.parametrize(
@@ -481,7 +487,7 @@ def test_non_finite_couplings_are_input_errors(tmp_path, capsys, key, value):
     save_json(str(cfg), {key: value})
     out = tmp_path / "out"
     assert main(["minimize", "--config", str(cfg), "--out", str(out)]) == 2
-    assert f"{key} must be finite" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(f"error: {key} must be a finite number")
     assert not out.exists()
 
 
@@ -509,7 +515,7 @@ def test_every_subcommand_refuses_a_non_positive_coupling(tmp_path, capsys, comm
         argv += ["--pert", str(tmp_path / "none.json")]
     assert main(argv) == 2
     captured = capsys.readouterr()
-    assert captured.err == "error: f2 must be finite and positive\n"
+    assert captured.err == "error: f2 must be a finite number > 0, got -1\n"
     assert captured.out == "" and not (tmp_path / "out").exists()
 
 

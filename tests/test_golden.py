@@ -10,7 +10,9 @@ fail the test; the whitespace before a number belongs to the number, so a minus 
 take the place of a padding space.  Most residuals that ``morita-check`` and
 ``semigroup-verify`` print sit under that floor, so the draws behind them are compared
 instead: the Frobenius norms of the real and imaginary parts of each idempotent,
-perturbation and unitary drawn, in order, to a relative 1e-9.
+perturbation and unitary drawn, in order, to a relative 1e-9.  The perturbations that
+``check_transitivity`` receives are fingerprinted the same way, in argument order, so that
+a command which swaps the roles of two draws fails too.
 ``python tests/golden/regenerate.py`` rewrites the records; a change that alters the
 output regenerates them and says why.
 """
@@ -33,6 +35,8 @@ REL, ABS = 1e-6, 1e-8
 DRAW_REL = 1e-9
 # the random draws of the commands, by the module attribute the command calls
 DRAWS = ((morita, "random_idempotent"), (perturbation, "random_pert"), (cli, "random_unitary"))
+# the calls whose perturbation arguments are fingerprinted, in argument order
+CALLS = ((perturbation, "check_transitivity"),)
 _NUMBER = re.compile(r"\s*-?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 
 
@@ -45,7 +49,8 @@ def _fingerprint(x):
 def run_case(argv, inputs):
     """
     (exit code, stdout, stderr, --out bytes or None, draws) of one run in the working
-    directory; draws lists [function name, *fingerprint] of each random draw in order.
+    directory; draws lists [function name, *fingerprint] of each random draw and of each
+    perturbation argument of a watched call, in order.
     """
     for name, payload in inputs.items():
         pathlib.Path(name).write_text(json.dumps(payload), encoding="utf-8")
@@ -58,9 +63,17 @@ def run_case(argv, inputs):
             return x
         return wrapper
 
+    def watched(call):
+        def wrapper(*args, **kwargs):
+            draws.extend([call.__name__, *_fingerprint(a)] for a in args
+                         if isinstance(a, PertElement))
+            return call(*args, **kwargs)
+        return wrapper
+
     with contextlib.ExitStack() as stack:
-        for module, name in DRAWS:
-            stack.enter_context(mock.patch.object(module, name, recorded(getattr(module, name))))
+        patches = [(m, n, recorded) for m, n in DRAWS] + [(m, n, watched) for m, n in CALLS]
+        for module, name, wrap in patches:
+            stack.enter_context(mock.patch.object(module, name, wrap(getattr(module, name))))
         stack.enter_context(contextlib.redirect_stdout(out))
         stack.enter_context(contextlib.redirect_stderr(err))
         code = main(argv)

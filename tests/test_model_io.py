@@ -304,9 +304,12 @@ def test_config_rejects_bad_counts_and_tolerances(run, tmp_path, key, value):
 
 
 def test_config_rejects_bad_point(run):
-    for point in ("[1.0, 2.0]", "[NaN, 0, 0]", "[1e400, 0, 0]", "[0, -Infinity, 0]"):
+    for point, message in (("[1.0, 2.0]", "point must be a list of three numbers, got [1.0, 2.0]"),
+                           ("[NaN, 0, 0]", "point[0] must be a finite number, got nan"),
+                           ("[1e400, 0, 0]", "point[0] must be a finite number, got inf"),
+                           ("[0, -Infinity, 0]", "point[1] must be a finite number, got -inf")):
         code, _, err = run(["hessian"], f'{{"point": {point}}}\n')
-        assert code == 2 and "config point must have three finite coordinates" in err
+        assert code == 2 and err == f"error: {message}\n"
 
 
 def test_config_missing_file(run):

@@ -578,11 +578,16 @@ def test_tiles_must_partition_h_even_without_validation(toy, second, match, vali
 
 @pytest.mark.parametrize("name", ["d", "gamma", "j"])
 def test_non_finite_entries_rejected(toy, name):
-    value = AntilinearOp(toy.j.m.copy()) if name == "j" else getattr(toy, name).copy()
-    bad = value.m if name == "j" else value
-    bad[0, 2] = bad[2, 0] = np.nan  # after J's own checks at construction
+    bad = (toy.j.m if name == "j" else getattr(toy, name)).copy()
+    bad[0, 2] = bad[2, 0] = np.nan
+    if name == "j":  # J refuses the matrix itself, and its stored copy cannot be written later
+        with pytest.raises(ValueError, match="non-finite"):
+            AntilinearOp(bad)
+        with pytest.raises(ValueError, match="read-only"):
+            toy.j.m[0, 2] = np.nan
+        return
     with pytest.raises(ValueError, match="non-finite"):
-        FiniteSpectralTriple(**_toy_kwargs(toy, **{name: value}))
+        FiniteSpectralTriple(**_toy_kwargs(toy, **{name: bad}))
 
 
 def test_nan_in_d_comes_through_the_order_checks(toy):

@@ -47,14 +47,17 @@ def test_toy_params_coerce_to_complex():
     tp = ToyParams(2, 0)
     assert isinstance(tp.k_x, complex) and tp.k_x == 2.0
     assert tp.k_y == 0.0
+    tp = ToyParams(np.complex64(0.5 - 2j), np.float32(0.25))  # numpy scalars are numbers
+    assert tp.k_x == 0.5 - 2j and type(tp.k_x) is complex and type(tp.k_y) is complex
 
 
 @pytest.mark.parametrize("k_x, k_y", [
     (math.nan, 1.0), (1.0, math.inf), (complex(1.0, -math.inf), 0.0),
     (True, 1.0), (1.0, False), ("1+2j", 1.0), (1.0, [1.0]),  # a bool or a string is no number
+    (None, 1.0), (np.bool_(False), 1.0), (1.0, np.complex128(complex(math.nan, 0.0))),
 ])
 def test_toy_params_reject_non_finite_couplings(k_x, k_y):
-    with pytest.raises(ValueError, match="must be finite"):
+    with pytest.raises(ValueError, match=r"k_[xy] must be a finite number, got "):
         ToyParams(k_x, k_y)
 
 
