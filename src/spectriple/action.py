@@ -17,7 +17,11 @@ vectorized: ``fun`` maps chart points of shape (..., n) to values of shape
 finite-difference stencil is therefore one call.  The optimizer is scipy's
 trust-region Newton method ("trust-exact") on central-difference derivatives
 of the objective's values alone; it drives the gradient norm to 1e-10 on this
-landscape, degenerate flat directions included.
+landscape, degenerate flat directions included.  One cached table per number n
+of free coordinates holds every point of a trial point z as unit offsets with
+each row's step: the 2n gradient rows (3e-6), then the 1 + 2n + 2n(n - 1) rows
+of the Hessian stencil (1e-4), placed at z + table * (steps * max(1, |z|)).
+``grad_hess`` reads the Hessian rows of the same table.
 """
 
 from __future__ import annotations
@@ -72,11 +76,11 @@ def v_trace(tp: ToyParams, ap: ActionParams, fp: FieldPoint):
     """The potential from honest traces of D': a float, or an array for a batch of points."""
     d = closed_dirac(tp, fp)
     d2 = d @ d
-    tr2 = np.trace(d2, axis1=-2, axis2=-1)
-    if np.any(np.abs(tr2.imag) > 1e-12 * np.maximum(1.0, np.abs(tr2))):
+    tr2 = d2.trace(axis1=-2, axis2=-1)
+    if (np.abs(tr2.imag) > 1e-12 * np.maximum(1.0, np.abs(tr2))).any():
         raise ArithmeticError("trace of D'^2 acquired an imaginary part")
     # D'^2 is hermitian, so Tr(D'^4) is the sum of its squared moduli.
-    tr4 = np.sum(d2.real ** 2 + d2.imag ** 2, axis=(-2, -1))
+    tr4 = (d2.real ** 2 + d2.imag ** 2).sum(axis=(-2, -1))
     value = -ap.f2 / (2.0 * PI_SQ) * ap.lam ** 2 * tr2.real + ap.f0 / (8.0 * PI_SQ) * tr4
     return float(value) if value.ndim == 0 else value
 
@@ -109,7 +113,9 @@ def field_point(coords) -> FieldPoint:
     c = np.asarray(coords, dtype=float)
     if c.shape[-1:] != (3,):
         raise ValueError("coords must be real 3-vectors (last axis of length 3)")
-    return FieldPoint(c[..., 0], 1.0 + c[..., 1], c[..., 2])
+    z = c.astype(complex)  # one conversion for the three fields
+    z[..., 1] += 1.0
+    return FieldPoint(z[..., 0], z[..., 1], z[..., 2])
 
 
 def potential_fn(tp: ToyParams, ap: ActionParams):
@@ -126,23 +132,18 @@ def potential_fn(tp: ToyParams, ap: ActionParams):
 
 
 @lru_cache(maxsize=None)
-def _offsets(n: int):
+def _table(n: int):
     """
-    The stencil in units of the steps, 1 + 2n + 2n(n - 1) rows (0, +e_i, -e_i, then
-    ±e_i ±e_j in the order ++, +-, -+, -- over the pairs i < j), and the pairs (i, j).
+    The stencil table (module docstring): rows +e_i, -e_i, then 0, +e_i, -e_i, ±e_i ±e_j (++,
+    +-, -+, -- over the pairs i < j); each row's step as a column; and the pairs (i, j).
     """
     eye, (i, j) = np.eye(n), np.triu_indices(n, 1)
     corners = [a * eye[i] + b * eye[j] for a, b in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
-    tables = np.concatenate([np.zeros((1, n)), eye, -eye, *corners]), i, j
-    for t in tables:
+    table = np.concatenate([eye, -eye, np.zeros((1, n)), eye, -eye, *corners])
+    steps = np.where(np.arange(len(table)) < 2 * n, 3e-6, 1e-4)[:, None]
+    for t in (table, steps, i, j):
         t.setflags(write=False)  # cached: every caller shares these arrays
-    return tables
-
-
-def _stencil(x, step):
-    """Steps h_i = step * max(1, |x_i|) and the stencil's points x + offset * h."""
-    h = step * np.maximum(1.0, np.abs(x))
-    return h, x + _offsets(x.size)[0] * h
+    return table, steps, i, j
 
 
 def _values(fun, points, finite: bool = False) -> np.ndarray:
@@ -161,14 +162,13 @@ def _central(values, h):
     return (values[:h.size] - values[h.size:2 * h.size]) / (2.0 * h)
 
 
-def _derivatives(values, h):
-    """Gradient and Hessian from the values at the points of ``_stencil``."""
-    n, (_, i, j) = h.size, _offsets(h.size)
-    f0, plus, minus = values[0], values[1:n + 1], values[n + 1:2 * n + 1]
-    hess = np.diag((plus - 2.0 * f0 + minus) / h ** 2)
+def _hessian(values, h, i, j):
+    """The Hessian from the values at the Hessian rows of ``_table`` with steps h."""
+    n = h.size
+    hess = np.diag((values[1:n + 1] - 2.0 * values[0] + values[n + 1:2 * n + 1]) / h ** 2)
     fpp, fpm, fmp, fmm = values[2 * n + 1:].reshape(4, -1)
     hess[i, j] = hess[j, i] = (fpp - fpm - fmp + fmm) / (4.0 * h[i] * h[j])
-    return _central(values[1:], h), hess
+    return hess
 
 
 def grad_hess(fun, point, step: float = 1e-5):
@@ -179,8 +179,10 @@ def grad_hess(fun, point, step: float = 1e-5):
     standard four-point stencil off the diagonal and is exactly symmetric.
     """
     x = np.array([_number(f"point[{i}]", c) for i, c in enumerate(point)], dtype=float)
-    h, points = _stencil(x, _number("step", step, positive=True))
-    return _derivatives(_values(fun, points), h)
+    h = _number("step", step, positive=True) * np.maximum(1.0, np.abs(x))
+    table, _, i, j = _table(x.size)
+    values = _values(fun, x + table[2 * x.size:] * h)
+    return _central(values[1:], h), _hessian(values, h, i, j)
 
 
 # ---------------------------------------------------------------------------
@@ -229,14 +231,15 @@ def minimize(fun, start, fixed: dict | None = None) -> MinimizeResult:
         full[..., free] = z
         return full
 
+    k, (table, steps, i, j) = 2 * len(free), _table(len(free))
+
     @lru_cache(maxsize=1)  # scipy asks for the value, gradient and Hessian of a point apart
     def evaluate(key: bytes):
         z = np.frombuffer(key)
-        h_grad, grad_points = _stencil(z, 3e-6)
-        h_hess, hess_points = _stencil(z, 1e-4)
-        k = 2 * z.size
-        values = _values(fun, embed(np.concatenate([grad_points[1:k + 1], hess_points])), True)
-        return float(values[k]), _central(values, h_grad), _derivatives(values[k:], h_hess)[1]
+        h = steps * np.maximum(1.0, np.abs(z))  # row r: the steps of row r's kind
+        points = z + table * h
+        values = _values(fun, embed(points) if fixed else points, True)
+        return float(values[k]), _central(values, h[0]), _hessian(values[k:], h[k], i, j)
 
     # scipy.optimize costs about 0.2 s and 19 MB to import; only this needs it.
     from scipy.optimize import minimize as trust_region

@@ -87,23 +87,14 @@ def triple_to_dict(t: FiniteSpectralTriple) -> dict:
         "basis": basis,
         "dim_h": t.dim_h,
         "rep_blocks": [
-            {
-                "summand": rb.summand,
-                "left": rb.left_mult_dim,
-                "right": rb.right_mult_dim,
-                "mode": "plain",
-                "offset": rb.offset,
-            }
+            {"summand": rb.summand, "left": rb.left_mult_dim, "right": rb.right_mult_dim,
+             "mode": "plain", "offset": rb.offset}
             for rb in t.rep_blocks
         ],
         "d": matrix_to_json(t.d),
         "j_m": matrix_to_json(t.j.m),
         "gamma": matrix_to_json(t.gamma),
-        "signs": {
-            "eps_j": t.signs.eps_j,
-            "eps_d": t.signs.eps_d,
-            "eps_gamma": t.signs.eps_gamma,
-        },
+        "signs": {"eps_j": t.signs.eps_j, "eps_d": t.signs.eps_d, "eps_gamma": t.signs.eps_gamma},
     }
 
 
@@ -154,7 +145,11 @@ def pert_from_dict(spec: AlgebraSpec, payload: dict) -> PertElement:
         raise ValueError(f"perturbation files hold 'pairs' (format 1) or 'coeffs' (format 2), "
                          f"not format {fmt!r} with keys {sorted(payload)}")
     if fmt == 1:
-        pairs = tuple((element_from_json(a), element_from_json(b)) for a, b in payload["pairs"])
+        pairs = _field(payload, "pairs", list)
+        for k, ab in enumerate(pairs):
+            if not isinstance(ab, list) or len(ab) != 2:
+                raise ValueError(f"pairs[{k}] must be a list [a, b] of two elements, got {ab!r}")
+        pairs = tuple((element_from_json(a), element_from_json(b)) for a, b in pairs)
         return PertElement.from_pairs(spec, pairs)
     p = PertElement(spec, matrix_from_json(payload["coeffs"]))
     if not np.isfinite(p.coeffs).all():

@@ -426,11 +426,12 @@ def check_ko_signs(t: FiniteSpectralTriple) -> KOReport:
 
 # ---------------------------------------------------------------------------
 # Shared privates: the integer rule, the number rule and the random draw.
+_NOT_NUMBERS = (bool, np.timedelta64)  # an int and an np.signedinteger, yet no numbers
 
 
 def _integer(name: str, value, low: int) -> int:
-    """``value`` as an int, for an int or numpy integer >= ``low``; a bool is not one."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+    """``value`` as an int, for an int or numpy integer >= ``low``; a bool or timedelta is not."""
+    if isinstance(value, _NOT_NUMBERS) or not isinstance(value, (int, np.integer)) or value < low:
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
     return int(value)
 
@@ -438,9 +439,9 @@ def _integer(name: str, value, low: int) -> int:
 def _number(name: str, value, positive: bool = False):
     """
     ``value`` as a float, or a complex if it is one, for a finite int, float or complex, numpy
-    scalars included; a bool or a string is not one.  With ``positive`` it must be real and > 0.
+    scalars included; a bool, a timedelta or a string is not.  With ``positive`` it is real, > 0.
     """
-    if (isinstance(value, bool) or not isinstance(value, (int, float, complex, np.number))
+    if (isinstance(value, _NOT_NUMBERS) or not isinstance(value, (int, float, complex, np.number))
             or not cmath.isfinite(value) or positive and (value.imag != 0 or value.real <= 0)):
         bound = " > 0" if positive else ""
         raise ValueError(f"{name} must be a finite number{bound}, got {value!r}")

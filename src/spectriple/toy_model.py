@@ -115,12 +115,15 @@ def a_f() -> AlgebraSpec:
     )
 
 
-# The 16 non-zero slots of the model's operators: (row, column, source), the
-# source indexing (x, y00, y01, y10, y11) followed by the conjugates of the five.
+# The 16 non-zero slots of the model's operators: (row, column, source), in the order of the
+# source, which indexes (x, y00, y01, y10, y11) followed by the conjugates of the five.
 _SLOTS = np.array(
-    [(0, 2, 0), (1, 3, 0), (6, 4, 0), (7, 5, 0), (2, 0, 5), (3, 1, 5), (4, 6, 5), (5, 7, 5),
-     (4, 0, 1), (4, 1, 2), (5, 0, 3), (5, 1, 4), (0, 4, 6), (0, 5, 8), (1, 4, 7), (1, 5, 9)]
+    [(0, 2, 0), (1, 3, 0), (6, 4, 0), (7, 5, 0), (4, 0, 1), (4, 1, 2), (5, 0, 3), (5, 1, 4),
+     (2, 0, 5), (3, 1, 5), (4, 6, 5), (5, 7, 5), (0, 4, 6), (1, 4, 7), (0, 5, 8), (1, 5, 9)]
 ).T
+# Their flat indices in a row-major 8x8 operator: the four slots of x, those of y00 .. y11,
+# the four of conj(x) and those of conj(y00) .. conj(y11).
+_X, _Y, _X_BAR, _Y_BAR = (8 * _SLOTS[0] + _SLOTS[1]).reshape(4, 4)
 
 
 def assemble_dirac(x_entry, y_mat) -> np.ndarray:
@@ -135,12 +138,10 @@ def assemble_dirac(x_entry, y_mat) -> np.ndarray:
     y = np.asarray(y_mat, dtype=complex)
     if y.shape[-2:] != (2, 2):
         raise ValueError("y block must be 2x2")
-    batch = np.broadcast_shapes(x.shape[:-1], y.shape[:-2])
-    y = np.broadcast_to(y, batch + (2, 2)).reshape(batch + (4,))
-    source = np.concatenate([np.broadcast_to(x, batch + (1,)), y], axis=-1)
-    d = np.zeros(batch + (8, 8), dtype=complex)
-    d[..., _SLOTS[0], _SLOTS[1]] = np.concatenate([source, source.conj()], axis=-1)[..., _SLOTS[2]]
-    return d
+    y = y.reshape(y.shape[:-2] + (4,))
+    d = np.zeros(np.broadcast(x, y).shape[:-1] + (64,), dtype=complex)
+    d[..., _X], d[..., _X_BAR], d[..., _Y], d[..., _Y_BAR] = x, x.conj(), y, y.conj()
+    return d.reshape(d.shape[:-1] + (8, 8))
 
 
 def y_block(op) -> np.ndarray:

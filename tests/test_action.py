@@ -65,8 +65,9 @@ def test_action_params_must_be_positive():
 
 @pytest.mark.parametrize("name", ["f2", "f0", "lam"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, True, "2.5", None, 1j,
-                                   [2.5], np.bool_(True)])
-def test_action_params_reject_non_finite_values(name, value):  # a bool or a string is no number
+                                   [2.5], np.bool_(True), np.timedelta64(2)])
+def test_action_params_reject_non_finite_values(name, value):
+    # a bool, a string or a timedelta64 (an np.signedinteger, once read as 2.0) is no number
     with pytest.raises(ValueError, match=rf"{name} must be a finite number > 0, got "):
         ActionParams(**{name: value})
 
@@ -253,6 +254,63 @@ def test_minimize_makes_one_objective_call_per_trial_point(fixed, n_points):
     assert res.converged
     assert len(shapes) <= res.iterations + 2
     assert set(shapes) == {(n_points, 3)}
+
+
+def _two_stencil_points(z, step):
+    """The stencil of the former layout: 0, +e_i, -e_i, then ±e_i ±e_j (++, +-, -+, -- over i < j)."""
+    n, h = z.size, step * np.maximum(1.0, np.abs(z))
+    eye, pairs = np.eye(n), [(i, j) for i in range(n) for j in range(i + 1, n)]
+    corners = [a * eye[i] + b * eye[j] for a, b in ((1, 1), (1, -1), (-1, 1), (-1, -1))
+               for i, j in pairs]
+    return h, z + np.array([np.zeros(n), *eye, *-eye, *corners]) * h
+
+
+def _two_stencil_derivatives(fun, z):
+    """
+    A trial point of ``minimize`` the former way: the gradient rows x ± h e_i of one stencil
+    (step 3e-6), then the whole stencil with step 1e-4, in one call; (value, gradient, Hessian).
+    """
+    n = z.size
+    h_grad, grad_points = _two_stencil_points(z, 3e-6)
+    h_hess, hess_points = _two_stencil_points(z, 1e-4)
+    values = fun(np.concatenate([grad_points[1:2 * n + 1], hess_points]))
+    grad = (values[:n] - values[n:2 * n]) / (2.0 * h_grad)
+    f0, plus, minus = values[2 * n], values[2 * n + 1:3 * n + 1], values[3 * n + 1:4 * n + 1]
+    hess = np.diag((plus - 2.0 * f0 + minus) / h_hess ** 2)
+    fpp, fpm, fmp, fmm = values[4 * n + 1:].reshape(4, -1)
+    i, j = np.triu_indices(n, 1)
+    hess[i, j] = hess[j, i] = (fpp - fpm - fmp + fmm) / (4.0 * h_hess[i] * h_hess[j])
+    return float(f0), grad, hess
+
+
+@pytest.mark.parametrize("fixed", [None, {0: 0.0}])
+def test_minimize_first_call_holds_the_two_stencil_points(fixed):
+    # the single stencil table reproduces the former two-stencil layout, gradient rows first,
+    # bit for bit; with coordinate 0 fixed the free points are embedded at x = 0
+    fun = potential_fn(UNIT_TP, UNIT_AP)
+    start, calls = np.array([0.4, 0.2, 0.1]), []
+    minimize(lambda z: calls.append(z.copy()) or fun(z), start, fixed=fixed)
+    free = [1, 2] if fixed else [0, 1, 2]
+    _, grad_points = _two_stencil_points(start[free], 3e-6)
+    _, hess_points = _two_stencil_points(start[free], 1e-4)
+    want = np.concatenate([grad_points[1:2 * len(free) + 1], hess_points])
+    if fixed:
+        want = np.concatenate([np.zeros((len(want), 1)), want], axis=1)
+    assert np.array_equal(calls[0], want)
+
+
+@pytest.mark.parametrize("start", [(0.4, 0.2, 0.1), (-1.3, 0.7, 2.1), (2.2, -1.9, 0.05)])
+def test_minimize_matches_the_two_stencil_formulation(start):
+    from scipy.optimize import minimize as trust_region
+
+    fun = potential_fn(UNIT_TP, UNIT_AP)
+    want = trust_region(lambda z: _two_stencil_derivatives(fun, z)[0], np.array(start),
+                        method="trust-exact", jac=lambda z: _two_stencil_derivatives(fun, z)[1],
+                        hess=lambda z: _two_stencil_derivatives(fun, z)[2],
+                        options={"gtol": 1e-10})
+    got = minimize(fun, start)
+    assert np.array_equal(got.coords, want.x) and got.value == want.fun
+    assert got.grad_norm == np.linalg.norm(want.jac) and got.iterations == want.nit
 
 
 def test_minimize_respects_fixed_coordinates():
@@ -509,7 +567,7 @@ def test_grid_scan_breaks_a_planted_tie_in_row_major_order(monkeypatch):
     assert grid_scan(UNIT_TP, UNIT_AP, n=401) == ScanResult(-10.0, axis[188], axis[50])
 
 
-@pytest.mark.parametrize("n", [0, -3, 5.5, 5.0, "41", None, True])
+@pytest.mark.parametrize("n", [0, -3, 5.5, 5.0, "41", None, True, np.timedelta64(41)])
 def test_grid_scan_rejects_a_bad_size(n):
     with pytest.raises(ValueError, match="integer >= 1"):
         grid_scan(UNIT_TP, UNIT_AP, n=n)

@@ -33,7 +33,7 @@ from spectriple.model_io import (
 )
 from spectriple.spectral_triple import KOReport
 from spectriple.toy_model import a_ev
-from test_model_io import BAD_V2, _v1_payload
+from test_model_io import BAD_V1, BAD_V2, _v1_payload
 
 
 @pytest.fixture(autouse=True)
@@ -217,6 +217,15 @@ def test_fluctuate_exits_2_on_a_bad_format_2_file(case, tmp_path, capsys):
     path.write_text(json.dumps(payload))
     assert main(["fluctuate", "--pert", str(path)]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", sorted(BAD_V1))
+def test_fluctuate_exits_2_naming_a_malformed_format_1_pair(case, tmp_path, capsys):
+    payload, message = BAD_V1[case]
+    path = tmp_path / "pert.json"
+    path.write_text(json.dumps(payload))
+    assert main(["fluctuate", "--pert", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("seed", [0, 3])

@@ -173,6 +173,18 @@ def _bad_v2_payloads() -> dict:
 
 BAD_V2 = _bad_v2_payloads()
 
+# name -> (format-1 payload whose pairs are no list of [a, b] lists, the ValueError's text);
+# each once raised Python's bare unpacking error, which named neither the key nor the value
+_UNIT = element_to_json(a_ev().unit())
+BAD_V1 = {
+    "bare-pair": ({"pairs": [5]}, "pairs[0] must be a list [a, b] of two elements, got 5"),
+    "three-item-pair": ({"pairs": [[5, 6, 7]]},
+                        "pairs[0] must be a list [a, b] of two elements, got [5, 6, 7]"),
+    "second-pair-bare": ({"pairs": [[_UNIT, _UNIT], 7]},
+                         "pairs[1] must be a list [a, b] of two elements, got 7"),
+    "bare-pairs": ({"pairs": 5}, "pairs must be a list, got 5"),
+}
+
 
 def test_pert_round_trip(rng):
     spec = a_ev()
@@ -196,6 +208,14 @@ def test_pert_from_dict_rejects_a_bad_format_2_payload(case):
     payload, message = BAD_V2[case]
     with pytest.raises(ValueError, match=message):
         pert_from_dict(a_ev(), json.loads(json.dumps(payload)))
+
+
+@pytest.mark.parametrize("case", sorted(BAD_V1))
+def test_pert_from_dict_names_a_malformed_format_1_pair(case):
+    payload, message = BAD_V1[case]
+    with pytest.raises(ValueError) as exc:
+        pert_from_dict(a_ev(), json.loads(json.dumps(payload)))
+    assert str(exc.value) == message
 
 
 def test_pert_from_dict_validates(rng):

@@ -84,7 +84,8 @@ def test_spec_unit_zero_element():
     assert not spec.contains(AlgebraElement(([[1, 2], [3, 4]],) * 2))  # first summand is 1x1
 
 
-@pytest.mark.parametrize("summands", [(2.7, True), (2, 2.0), (2, "2"), (True,), (2, 0)])
+@pytest.mark.parametrize("summands", [(2.7, True), (2, 2.0), (2, "2"), (True,), (2, 0),
+                                      (2, np.timedelta64(2))])
 def test_summand_sizes_are_integers_at_least_one(summands):
     # (2.7, True) once read as (2, 1), and (2, "2") as (2, 2)
     with pytest.raises(ValueError, match="summand size must be an integer >= 1"):
@@ -537,7 +538,7 @@ def test_non_self_adjoint_d_rejected(toy):
     assert t.d[0, 2] == 5.0
 
 
-@pytest.mark.parametrize("dim_h", [8.0, 8.9, "8", True, None])
+@pytest.mark.parametrize("dim_h", [8.0, 8.9, "8", True, None, np.timedelta64(8)])
 def test_dim_h_must_be_an_integer(toy, dim_h):
     with pytest.raises(ValueError, match="dim_h must be an integer >= 1"):
         FiniteSpectralTriple(**_toy_kwargs(toy, dim_h=dim_h))

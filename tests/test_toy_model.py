@@ -8,6 +8,7 @@ from spectriple.matrix_core import adjoint, approx_eq
 from spectriple.perturbation import random_one_form
 from spectriple.spectral_triple import AlgebraSpec, random_element
 from spectriple.toy_model import (
+    _SLOTS,
     FieldPoint,
     ToyParams,
     a_ev,
@@ -55,6 +56,7 @@ def test_toy_params_coerce_to_complex():
     (math.nan, 1.0), (1.0, math.inf), (complex(1.0, -math.inf), 0.0),
     (True, 1.0), (1.0, False), ("1+2j", 1.0), (1.0, [1.0]),  # a bool or a string is no number
     (None, 1.0), (np.bool_(False), 1.0), (1.0, np.complex128(complex(math.nan, 0.0))),
+    (np.timedelta64(3), 1.0),  # an np.signedinteger that numpy's types count, once read as 3.0
 ])
 def test_toy_params_reject_non_finite_couplings(k_x, k_y):
     with pytest.raises(ValueError, match=r"k_[xy] must be a finite number, got "):
@@ -66,6 +68,48 @@ def test_assemble_dirac_is_self_adjoint():
     assert np.array_equal(d, adjoint(d))
     with pytest.raises(ValueError, match="2x2"):
         assemble_dirac(1.0, np.eye(3))
+
+
+def _slot_by_slot_dirac(x_entry, y_mat):
+    """assemble_dirac written out entry by entry from the (row, column, source) table."""
+    x, y = np.asarray(x_entry, dtype=complex), np.asarray(y_mat, dtype=complex)
+    batch = np.broadcast_shapes(x.shape, y.shape[:-2])
+    sources = [np.broadcast_to(x, batch)] + [np.broadcast_to(y[..., r, c], batch)
+                                             for r in range(2) for c in range(2)]
+    sources += [np.conj(s) for s in sources]
+    d = np.zeros(batch + (8, 8), dtype=complex)
+    for row, col, source in _SLOTS.T:
+        d[..., row, col] = sources[source]
+    return d
+
+
+def test_assemble_dirac_equals_its_slot_by_slot_reference(rng):
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    for x, y in (
+        (0.3 - 2j, cplx(5, 2, 2)),  # complex x, stacked y
+        (cplx(4), cplx(2, 2)),  # stacked x, one y
+        (cplx(3, 1), cplx(4, 2, 2)),  # both stacked, broadcasting
+        (-1.5, [[0.25, -2.0], [1.0, 3.5]]),  # scalar x, scalar y
+    ):
+        got, want = assemble_dirac(x, y), _slot_by_slot_dirac(x, y)
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("x, y, slots", [
+    (math.nan, np.zeros((2, 2)), {(0, 2), (1, 3), (6, 4), (7, 5), (2, 0), (3, 1), (4, 6), (5, 7)}),
+    (0.0, [[0.0, math.inf], [0.0, 0.0]], {(4, 1), (1, 4)}),
+    (0.0, [[0.0, 0.0], [complex(0.0, -math.inf), 0.0]], {(5, 0), (0, 5)}),
+])
+def test_a_non_finite_entry_stays_in_its_own_slots(x, y, slots):
+    d = assemble_dirac(x, y)
+    assert np.array_equal(d, _slot_by_slot_dirac(x, y), equal_nan=True)
+    bad = {(int(r), int(c)) for r, c in zip(*np.nonzero(~np.isfinite(d)))}
+    assert bad == slots
+    mask = np.ones((8, 8), dtype=bool)
+    mask[tuple(zip(*slots))] = False
+    assert np.array_equal(d[mask], np.zeros(64 - len(slots)))
 
 
 def test_y_block_reads_the_cross_coupling():
