@@ -15,13 +15,12 @@ so the origin of the chart is the unfluctuated point.  Objectives are
 vectorized: ``fun`` maps chart points of shape (..., n) to values of shape
 (...), and a single point of shape (n,) gives a float.  Every
 finite-difference stencil is therefore one call.  The optimizer is scipy's
-trust-region Newton method ("trust-exact") on central-difference derivatives
-of the objective's values alone; it drives the gradient norm to 1e-10 on this
-landscape, degenerate flat directions included.  One cached table per number n
-of free coordinates holds every point of a trial point z as unit offsets with
-each row's step: the 2n gradient rows (3e-6), then the 1 + 2n + 2n(n - 1) rows
-of the Hessian stencil (1e-4), placed at z + table * (steps * max(1, |z|)).
-``grad_hess`` reads the Hessian rows of the same table.
+truncated-CG trust-region Newton method ("trust-ncg") on central-difference
+derivatives of the objective's values alone, with a gradient-norm gate of 1e-10.
+One cached table per number n of free coordinates holds every point of a trial
+point z as unit offsets with each row's step: the 2n gradient rows (3e-6), then
+the 1 + 2n + 2n(n - 1) rows of the Hessian stencil (1e-4), placed at
+z + table * (steps * max(1, |z|)).  ``grad_hess`` reads the Hessian rows of the same table.
 """
 
 from __future__ import annotations
@@ -206,15 +205,15 @@ def minimize(fun, start, fixed: dict | None = None) -> MinimizeResult:
     """
     Drive the gradient norm of the vectorized ``fun`` below 1e-10 from ``start``.
 
-    ``fixed`` pins coordinates (index -> value) and optimizes the rest with
-    scipy's trust-region Newton method ("trust-exact").  Only values of ``fun``
-    are used, from one call per trial point: the 2n points of a central
-    difference with relative step 3e-6 for the gradient (difference noise sits
-    below the gate) and the ``grad_hess`` stencil with step 1e-4 for the value
-    and the Hessian.  The gate is checked on the returned point.  A non-finite
-    value or a linear-algebra failure ends the run with ``converged=False`` and
-    the reason in ``message``; start coordinates and fixed values that are not
-    finite real numbers are refused before ``fun`` is called.
+    ``fixed`` pins coordinates (index -> value) and optimizes the rest with scipy's
+    truncated-CG trust-region Newton method ("trust-ncg").  Only values of ``fun`` are
+    used, from one call per trial point: the 2n points of a central difference with
+    relative step 3e-6 for the gradient (difference noise sits below the gate) and the
+    ``grad_hess`` stencil with step 1e-4 for the value and the Hessian.  The gate is
+    checked on the returned point, so a run that scipy ends early reports
+    ``converged=False`` with scipy's message.  A non-finite value or a linear-algebra
+    failure ends the run with ``converged=False`` and the reason in ``message``; start
+    coordinates and fixed values that are not finite reals are refused before ``fun`` is called.
     """
     start = np.array([_number(f"start[{i}]", c) for i, c in enumerate(start)], dtype=float)
     name = f"a fixed index in range({start.size})"
@@ -245,7 +244,7 @@ def minimize(fun, start, fixed: dict | None = None) -> MinimizeResult:
     from scipy.optimize import minimize as trust_region
 
     try:
-        res = trust_region(lambda z: evaluate(z.tobytes())[0], start[free], method="trust-exact",
+        res = trust_region(lambda z: evaluate(z.tobytes())[0], start[free], method="trust-ncg",
                            jac=lambda z: evaluate(z.tobytes())[1],
                            hess=lambda z: evaluate(z.tobytes())[2], options={"gtol": _GATE})
     except (FloatingPointError, np.linalg.LinAlgError) as exc:

@@ -64,7 +64,7 @@ class ToyParams:
 class FieldPoint:
     """
     Values of the two fields: scalar x and 2-vector v = (v1, v2).  Each field
-    may also be an array, all of one shape: a batch of points.
+    may also be an array: a batch of points, the fields broadcast to one shape.
     """
 
     x: complex
@@ -72,8 +72,14 @@ class FieldPoint:
     v2: complex
 
     def __post_init__(self):
-        for name in ("x", "v1", "v2"):
-            value = np.asarray(getattr(self, name), dtype=complex)
+        values = [np.asarray(getattr(self, name), dtype=complex) for name in ("x", "v1", "v2")]
+        if len({value.shape for value in values}) > 1:
+            try:
+                values = np.broadcast_arrays(*values)
+            except ValueError:
+                shapes = [value.shape for value in values]
+                raise ValueError(f"fields of shapes {shapes} do not broadcast") from None
+        for name, value in zip(("x", "v1", "v2"), values):
             object.__setattr__(self, name, complex(value) if value.ndim == 0 else value)
 
     @property

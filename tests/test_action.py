@@ -303,9 +303,9 @@ def test_minimize_first_call_holds_the_two_stencil_points(fixed):
 def test_minimize_matches_the_two_stencil_formulation(start):
     from scipy.optimize import minimize as trust_region
 
-    fun = potential_fn(UNIT_TP, UNIT_AP)
+    fun = potential_fn(UNIT_TP, UNIT_AP)  # scipy driven as ``minimize`` drives it: trust-ncg
     want = trust_region(lambda z: _two_stencil_derivatives(fun, z)[0], np.array(start),
-                        method="trust-exact", jac=lambda z: _two_stencil_derivatives(fun, z)[1],
+                        method="trust-ncg", jac=lambda z: _two_stencil_derivatives(fun, z)[1],
                         hess=lambda z: _two_stencil_derivatives(fun, z)[2],
                         options={"gtol": 1e-10})
     got = minimize(fun, start)
@@ -360,6 +360,33 @@ def test_constrained_minimum_from_former_stall_and_mirror_starts(s1):
     res = minimize(fun, np.array([0.0, s1, 0.0]), fixed={0: 0.0})
     assert res.converged and res.grad_norm <= 1e-10
     assert res.coords[1] == pytest.approx(S1_SIGMA, abs=1e-8)
+
+
+def _valley_miss(coords) -> float:
+    """How far |v|^2 of a chart point lies from the x = 0 valley, |v|^2 = sqrt(2)."""
+    return abs((1.0 + coords[1]) ** 2 + coords[2] ** 2 - math.sqrt(2.0))
+
+
+def test_constrained_minimum_from_the_former_early_stop():
+    # trust-exact stopped here after 5 iterations at |g| = 5.9e-9, short of the gate
+    res = minimize(potential_fn(UNIT_TP, UNIT_AP), (0.0, 0.3, -0.2), fixed={0: 0.0})
+    assert res.converged and res.grad_norm <= 1e-10
+    assert _valley_miss(res.coords) <= 1e-8
+
+
+def test_constrained_grid_starts_reach_the_valley_or_say_why_not():
+    # 39 starts at x = 0: 32 converge (25 with trust-exact); the rest stop on the valley
+    # at |g| <= 1e-8, short of the 1e-10 gate, and say why with scipy's message
+    fun, converged = potential_fn(UNIT_TP, UNIT_AP), 0
+    for s1 in np.linspace(-0.9, 0.9, 13):
+        for s2 in (-0.3, 0.0, 0.3):
+            res = minimize(fun, (0.0, s1, s2), fixed={0: 0.0})
+            assert _valley_miss(res.coords) <= 1e-8, (s1, s2)
+            converged += res.converged
+            if not res.converged:
+                assert res.grad_norm <= 1e-8, (s1, s2)
+                assert res.message == "A bad approximation caused failure to predict improvement."
+    assert converged >= 32
 
 
 @pytest.mark.parametrize("index", [-1, 3, 5, 1.5, 1.0, "1", True])

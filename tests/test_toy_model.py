@@ -230,6 +230,30 @@ def test_field_point_vector_view():
     assert np.array_equal(fp.v, np.array([1j, 2.0 + 0j]))
 
 
+def test_field_point_broadcasts_its_fields_to_one_shape():
+    # a scalar field against a batch of the others once failed inside FieldPoint.v
+    fp = FieldPoint(0.5, np.ones(3), 2.0)
+    assert fp.x.shape == fp.v1.shape == fp.v2.shape == (3,)
+    assert np.array_equal(fp.v, np.broadcast_to([1.0 + 0j, 2.0 + 0j], (3, 2)))
+    tp = ToyParams(0.6 + 0.1j, 1.3 - 0.4j)
+    assert np.array_equal(closed_dirac(tp, fp)[1], closed_dirac(tp, FieldPoint(0.5, 1.0, 2.0)))
+    fp = FieldPoint(np.arange(2.0)[:, None], np.ones(3), 1j)
+    assert fp.x.shape == fp.v1.shape == fp.v2.shape == (2, 3)
+    # equal shapes are kept as they are: every chart point takes this path
+    fields = list(np.arange(6.0).reshape(3, 2).astype(complex))
+    fp = FieldPoint(*fields)
+    assert all(getattr(fp, name) is f for name, f in zip(("x", "v1", "v2"), fields))
+
+
+def test_field_point_refuses_fields_that_do_not_broadcast():
+    # this once constructed and then failed inside closed_dirac
+    shapes = r"fields of shapes \[\(2,\), \(3,\), \(3,\)\] do not broadcast"
+    with pytest.raises(ValueError, match=shapes):
+        FieldPoint(np.zeros(2), np.ones(3), np.ones(3))
+    with pytest.raises(ValueError, match=r"\[\(\), \(2, 3\), \(4,\)\]"):
+        FieldPoint(1.0, np.ones((2, 3)), np.ones(4))
+
+
 def test_even_subalgebra_excludes_offdiagonal_first_summand():
     z = np.zeros((2, 2), dtype=complex)
     off = AlgebraElement((np.array([[0, 1], [0, 0]], dtype=complex), z))
