@@ -31,6 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .matrix_core import _AXIOM_TOL, _within_each
 from .spectral_triple import FiniteSpectralTriple, _integer, _number, _span_reps
 from .toy_model import FieldPoint, ToyParams, closed_dirac
 
@@ -56,6 +57,8 @@ __all__ = [
 ]
 
 PI_SQ = math.pi ** 2
+_DEGENERATE = 1e-6  # classify_point: a Hessian eigenvalue this small, relative, is zero
+_RANK_CUT = 1e-8  # stabilizer_dim: a singular value this small, relative, is zero
 
 
 @dataclass(frozen=True)
@@ -76,7 +79,8 @@ def v_trace(tp: ToyParams, ap: ActionParams, fp: FieldPoint):
     d = closed_dirac(tp, fp)
     d2 = d @ d
     tr2 = d2.trace(axis1=-2, axis2=-1)
-    if (np.abs(tr2.imag) > 1e-12 * np.maximum(1.0, np.abs(tr2))).any():
+    # a trace that is not finite is left to the caller (minimize ends its run on it)
+    if (np.isfinite(tr2) & ~_within_each(np.abs(tr2.imag), _AXIOM_TOL, np.abs(tr2))).any():
         raise ArithmeticError("trace of D'^2 acquired an imaginary part")
     # D'^2 is hermitian, so Tr(D'^4) is the sum of its squared moduli.
     tr4 = (d2.real ** 2 + d2.imag ** 2).sum(axis=(-2, -1))
@@ -266,11 +270,11 @@ class CriticalPoint:
 def classify_point(fun, coords):
     """
     Label a critical point of the vectorized ``fun`` by its Hessian spectrum (step 1e-4);
-    an eigenvalue below 1e-6 times the largest (at least 1) makes it degenerate.
+    an eigenvalue below ``_DEGENERATE`` times the largest (at least 1) makes it degenerate.
     """
     eigs = np.linalg.eigvalsh(grad_hess(fun, coords, step=1e-4)[1])
     scale = max(1.0, float(np.max(np.abs(eigs))))
-    if np.any(np.abs(eigs) < 1e-6 * scale):
+    if np.any(np.abs(eigs) < _DEGENERATE * scale):
         return "degenerate", eigs
     return ("minimum" if np.all(eigs > 0) else "maximum" if np.all(eigs < 0) else "saddle"), eigs
 
@@ -326,7 +330,7 @@ def stabilizer_dim(t: FiniteSpectralTriple, d_op) -> int:
     d_op = np.asarray(d_op, dtype=complex)
     k = (ops @ d_op - d_op @ ops).reshape(len(ops), -1)
     svals = np.linalg.svd(np.concatenate([k.real, k.imag], axis=1), compute_uv=False)
-    return t.algebra.dim() - int(np.sum(svals > 1e-8 * svals.max(initial=0.0)))
+    return t.algebra.dim() - int(np.sum(svals > _RANK_CUT * svals.max(initial=0.0)))
 
 
 # ---------------------------------------------------------------------------

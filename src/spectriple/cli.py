@@ -42,7 +42,7 @@ from .spectral_triple import (
     random_unitary,
     represent,
 )
-from .matrix_core import adjoint, frob_norm
+from .matrix_core import _SEMIGROUP_TOL, _relative_defect, _within, adjoint, frob_norm
 
 __all__ = ["main"]
 
@@ -56,14 +56,15 @@ def _point(name, value):
 # setting: (default, check), one per config key; a check takes the name and a value and
 # returns it or raises.  Counts, tol and (in ToyParams and ActionParams) the couplings follow
 # the library's integer and number rules, ``_integer`` and ``_number``.  seed and tol also have
-# a flag and a SPECTRIPLE_* variable, read as the type of the default, as argparse does.
+# a flag and a SPECTRIPLE_* variable, read as the type of the default, as argparse does.  The
+# counts have a ceiling: grid_n 1001, five times the figures' 201, and n_starts 1024.
 _SETTINGS = {
     **dict.fromkeys(("k_x", "k_y"), (1.0, lambda name, value: mio.complex_from_json(value))),
     **dict.fromkeys(("f2", "f0", "lam"), (1.0, lambda name, value: value)),
     "seed": (0, partial(_integer, low=0)),
-    "tol": (1e-9, partial(_number, positive=True)),
-    "n_starts": (32, partial(_integer, low=1)),
-    "grid_n": (201, partial(_integer, low=2)),
+    "tol": (_SEMIGROUP_TOL, partial(_number, positive=True)),
+    "n_starts": (32, partial(_integer, low=1, high=1024)),
+    "grid_n": (201, partial(_integer, low=2, high=1001)),
     "point": (None, _point),
 }
 
@@ -121,15 +122,11 @@ def _emit_json(out, payload) -> None:
         mio.save_json(out, payload)
 
 
-def _emit_text(text: str) -> None:
-    sys.stdout.write(text + "\n")
-
-
 def _verdict(run: _Run, ok: bool, record: dict) -> int:
     """Write the --out record with "passed", print the status line, and return 0 or 1."""
     if run.out is not None:
         mio.save_json(run.out, {**record, "passed": ok})
-    _emit_text("status: ok" if ok else "status: FAILED")
+    print("status: ok" if ok else "status: FAILED")
     return 0 if ok else 1
 
 
@@ -137,11 +134,11 @@ def _cmd_check(run: _Run) -> int:
     zeroth = check_zeroth_order(run.triple)
     first = check_first_order(run.triple)
     ko = check_ko_signs(run.triple)
-    _emit_text(f"zeroth-order max defect : {zeroth.max_defect:.3e}")
-    _emit_text(f"first-order max defect  : {first.max_defect:.3e}")
-    _emit_text(f"KO sign residual        : {ko.worst:.3e}")
+    print(f"zeroth-order max defect : {zeroth.max_defect:.3e}")
+    print(f"first-order max defect  : {first.max_defect:.3e}")
+    print(f"KO sign residual        : {ko.worst:.3e}")
     tol = run.settings["tol"]
-    return _verdict(run, zeroth.max_defect <= tol and ko.passed(tol), {
+    return _verdict(run, _within(zeroth.max_defect, tol) and ko.passed(tol), {
         "zeroth_order": zeroth.max_defect,
         "first_order": first.max_defect,
         "ko_signs": [ko.res_j_squared, ko.res_jd, ko.res_jgamma],
@@ -150,12 +147,11 @@ def _cmd_check(run: _Run) -> int:
 
 def _cmd_fluctuate(run: _Run) -> int:
     d_prime = pert.fluctuate_combined(run.triple, run.perturbation)
-    _emit_text(f"fluctuated operator norm: {frob_norm(d_prime):.12g}")
+    print(f"fluctuated operator norm: {frob_norm(d_prime):.12g}")
     if run.model is None:
         fp = toy.extract_fields(pert.eta_one_form(run.perturbation))
-        _emit_text(f"x  = {fp.x:.12g}")
-        _emit_text(f"v1 = {fp.v1:.12g}")
-        _emit_text(f"v2 = {fp.v2:.12g}")
+        for name in ("x", "v1", "v2"):
+            print(f"{name:2} = {getattr(fp, name):.12g}")
     _emit_json(run.out, {"matrix": mio.matrix_to_json(d_prime)})
     return 0
 
@@ -181,7 +177,7 @@ def _cmd_minimize(run: _Run) -> int:
                                       seed=run.settings["seed"])
     for cp in points:
         coords = ", ".join(f"{c: .10f}" for c in cp.coords)
-        _emit_text(
+        print(
             f"V = {cp.value: .12f}  at ({coords})  [{cp.kind}, hits={cp.hits}, |g|={cp.grad_norm:.2e}]"
         )
     if run.out is not None:
@@ -192,7 +188,7 @@ def _cmd_minimize(run: _Run) -> int:
             for cp in points
         ]})
     if not points:
-        _emit_text("no converged critical points")
+        print("no converged critical points")
         return 1
     return 0
 
@@ -205,11 +201,11 @@ def _cmd_hessian(run: _Run) -> int:
         point = (0.0, math.sqrt(w) - 1.0 if w > 0 else 0.0, 0.0)
     grad, hess = act.grad_hess(fun, point)
     eigs = np.linalg.eigvalsh(hess)
-    _emit_text(f"point     : {list(point)}")
-    _emit_text(f"gradient  : {[float(g) for g in grad]}")
+    print(f"point     : {list(point)}")
+    print(f"gradient  : {[float(g) for g in grad]}")
     for row in hess:
-        _emit_text("hessian   : " + "  ".join(f"{v: .10e}" for v in row))
-    _emit_text(f"eigenvalues: {[float(e) for e in eigs]}")
+        print("hessian   : " + "  ".join(f"{v: .10e}" for v in row))
+    print(f"eigenvalues: {[float(e) for e in eigs]}")
     if run.out is not None:
         mio.save_json(run.out, {"point": list(point), "gradient": [float(g) for g in grad],
                                 "hessian": [[float(v) for v in row] for row in hess],
@@ -231,7 +227,7 @@ def _cmd_stabilizer(run: _Run) -> int:
     dims = {}
     for name, d_op in vacua.items():
         dims[name] = act.stabilizer_dim(t, d_op)
-        _emit_text(f"stabilizer dim ({name}): {dims[name]}")
+        print(f"stabilizer dim ({name}): {dims[name]}")
     if run.out is not None:
         mio.save_json(run.out, dims)
     return 0
@@ -247,18 +243,16 @@ def _cmd_morita_check(run: _Run) -> int:
             except RuntimeError as exc:  # the draw failed on valid input: exit 1, not 2
                 sys.stderr.write(f"error: {exc}\n")
                 return 1
-            conn = mor.random_conn_form(t, n, rng, e)
-            md = mor.MoritaData(t, n, e, conn)
-            left, right = mor.twisted_dirac_left(md), mor.twisted_dirac_right(md)
-            assoc = frob_norm(left - right) / max(1.0, frob_norm(right))
+            md = mor.MoritaData(t, n, e, mor.random_conn_form(t, n, rng, e))
+            assoc = _relative_defect(mor.twisted_dirac_left(md), mor.twisted_dirac_right(md))
             idem_res = mor.check_idempotent_identity(t, n, e)
             residuals += [assoc, idem_res]
             rows.append({"n": n, "self_adjoint": self_adjoint,
                          "assoc": assoc, "idempotent_identity": idem_res})
-            _emit_text(
+            print(
                 f"n={n} sa={int(self_adjoint)}  order defect {assoc:.3e}  e de e {idem_res:.3e}"
             )
-    return _verdict(run, bool(np.max(residuals) <= run.settings["tol"]), {"rows": rows})  # NaN fails
+    return _verdict(run, _within(np.max(residuals), run.settings["tol"]), {"rows": rows})
 
 
 def _cmd_semigroup_verify(run: _Run) -> int:
@@ -274,19 +268,18 @@ def _cmd_semigroup_verify(run: _Run) -> int:
         ru = represent(t, u)
         big = ru @ t.hat(ru)
         rhs = big @ pert.fluctuate_combined(t, p) @ adjoint(big)
-        runs["gauge"].append(frob_norm(lhs - rhs) / max(1.0, frob_norm(rhs)))
+        runs["gauge"].append(_relative_defect(lhs, rhs))
 
-        closed = pert.fluctuate(t, pert.eta_one_form(p))
-        combined = pert.fluctuate_combined(t, p)
-        runs["combined"].append(frob_norm(closed - combined) / max(1.0, frob_norm(combined)))
+        runs["combined"].append(_relative_defect(pert.fluctuate(t, pert.eta_one_form(p)),
+                                                 pert.fluctuate_combined(t, p)))
 
         cf_prod = pert.mu(t, pert.pert_mul(q, p)).canonical_form()
         cf_sep = pert.mu(t, q).canonical_form() @ pert.mu(t, p).canonical_form()
-        runs["cf_mult"].append(frob_norm(cf_prod - cf_sep) / max(1.0, frob_norm(cf_sep)))
+        runs["cf_mult"].append(_relative_defect(cf_prod, cf_sep))
     worst = {name: float(np.max(values)) for name, values in runs.items()}  # NaN comes through
     for name, value in worst.items():
-        _emit_text(f"{name:13s}: {value:.3e}")
-    return _verdict(run, bool(np.max(list(worst.values())) <= run.settings["tol"]), worst)
+        print(f"{name:13s}: {value:.3e}")
+    return _verdict(run, _within(np.max(list(worst.values())), run.settings["tol"]), worst)
 
 
 def _cmd_export_toy(run: _Run) -> int:

@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .matrix_core import commutator, identity
+from .matrix_core import _MORITA_TOL, _within, _within_each, commutator, identity
 from .perturbation import (
     UniversalOneForm,
     _eta,
@@ -45,6 +45,8 @@ from .spectral_triple import (
     _integer,
     _random_coords,
 )
+
+_MIN_EIG = 1e-6  # random_idempotent redraws when an eigenvalue is this close to zero
 
 __all__ = [
     "MoritaData",
@@ -72,7 +74,7 @@ def _entry_coords(x: AlgebraElement, n: int) -> np.ndarray:
 
 
 def _entries_outside(spec: AlgebraSpec, x: AlgebraElement, n: int) -> bool:
-    """Whether an entry of x in M_n(A) is off the algebra (``AlgebraSpec.outside``, 1e-9)."""
+    """Whether an entry of x in M_n(A) is off the algebra (``AlgebraSpec.outside``)."""
     return bool(spec.outside(_entry_coords(x, n)).any())
 
 
@@ -196,32 +198,21 @@ class MoritaData:
                 raise ValueError(f"connection must be an {n}x{n} matrix of one-forms")
             object.__setattr__(self, "conn", conn)
             object.__setattr__(self, "omega", conn_coefficients(self.triple.algebra, conn))
-        self._validate_entries()
-        if self.conn is not None:
-            self._validate_compressed()
-
-    def _validate_entries(self, tol: float = 1e-8):
-        spec, n = self.triple.algebra, self.size
         if not np.isfinite(self.idem.vec()).all():
             raise ValueError("idempotent has non-finite entries")
         if self.omega is not None and not np.isfinite(self.omega).all():
             raise ValueError("connection has non-finite entries")
-        if _entries_outside(spec, self.idem, n):
+        if _entries_outside(self.triple.algebra, self.idem, n):
             raise ValueError("idempotent entry is not in the algebra")
-        # the largest Frobenius norm of an entry, of e and of e^2 - e
-        norm, defect = (
-            np.max(np.linalg.norm(_entry_coords(x, n), axis=-1))
-            for x in (self.idem, self.idem * self.idem - self.idem)
-        )
-        if not defect <= tol * max(1.0, norm**2):
+        norm, defect = (np.linalg.norm(_entry_coords(x, n), axis=-1).max()  # largest entry norm
+                        for x in (self.idem, self.idem * self.idem - self.idem))
+        if not _within(defect, _MORITA_TOL, norm**2, "the squared norm of e's largest entry"):
             raise ValueError("matrix is not idempotent")
-
-    def _validate_compressed(self, tol: float = 1e-8):
-        defect = np.linalg.norm(
-            compress_coefficients(self.idem, self.omega) - self.omega, axis=(2, 3)
-        )
-        bound = tol * np.maximum(1.0, np.linalg.norm(self.omega, axis=(2, 3)))
-        if not np.all(defect <= bound):
+        if self.omega is None:
+            return
+        defect = np.linalg.norm(compress_coefficients(self.idem, self.omega) - self.omega,
+                                axis=(2, 3))
+        if not _within_each(defect, _MORITA_TOL, np.linalg.norm(self.omega, axis=(2, 3))).all():
             raise ValueError("connection is not compressed: e B e != B")
 
     cells = cached_property(lambda self: _cells(self.triple, self.size, self.idem, False))
@@ -326,7 +317,7 @@ def random_idempotent(
         h = _from_entry_coords(spec.summands, _random_coords(spec, rng, (n, n)))
         h = 0.5 * (h + h.star())
         eigs = [np.linalg.eigh(big) for big in h.blocks]
-        if any(np.min(np.abs(vals)) < 1e-6 for vals, _ in eigs):
+        if any(np.min(np.abs(vals)) < _MIN_EIG for vals, _ in eigs):
             continue
         pos = [vecs[:, vals > 0] for vals, vecs in eigs]
         e = AlgebraElement(tuple(v @ v.conj().T for v in pos))

@@ -27,6 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .matrix_core import _SEMIGROUP_TOL, _relative_defect, _within
 from .matrix_core import adjoint, approx_eq, frob_norm, identity
 from .spectral_triple import (
     AlgebraElement,
@@ -269,11 +270,12 @@ class PertElement:
 
 
 def _checked_pert(p: PertElement) -> PertElement:
-    """p, once m(P) = sum_j a_j b_j = 1 and P = flip(P) hold to 1e-9 (ValueError otherwise)."""
+    """p, once m(P) = sum_j a_j b_j = 1 and P = flip(P) hold (``_SEMIGROUP_TOL``), or ValueError."""
     total = _product_sum(p.spec.summands, p.coeffs)
-    if np.linalg.norm(total - p.spec.unit().vec()) > 1e-9 * max(1.0, float(np.linalg.norm(total))):
+    defect, norm = frob_norm(total - p.spec.unit().vec()), frob_norm(total)
+    if not _within(defect, _SEMIGROUP_TOL, norm, "the norm of sum a_j b_j"):
         raise ValueError("perturbation is not normalized: sum a_j b_j != 1")
-    if not approx_eq(p.coeffs, _flip(p.spec.summands, p.coeffs), 1e-9):
+    if not approx_eq(p.coeffs, _flip(p.spec.summands, p.coeffs), _SEMIGROUP_TOL):
         raise ValueError("perturbation is not self-adjoint under the flip involution")
     return p
 
@@ -303,11 +305,11 @@ def pert_mul(x: PertElement, y: PertElement) -> PertElement:
 
 
 def from_unitary(spec: AlgebraSpec, u: AlgebraElement) -> PertElement:
-    """The perturbation u (x) u* attached to a unitary u in A (to 1e-9)."""
+    """The perturbation u (x) u* attached to a unitary u in A (to ``_SEMIGROUP_TOL``)."""
     p = PertElement(spec, _pair_coeffs(spec, ((u, u.star()),)))
     unit = spec.unit().vec()
-    defect = np.linalg.norm(_product_sum(spec.summands, p.coeffs) - unit)
-    if defect > 1e-9 * max(1.0, np.linalg.norm(unit)):
+    defect = frob_norm(_product_sum(spec.summands, p.coeffs) - unit)
+    if not _within(defect, _SEMIGROUP_TOL, frob_norm(unit)):
         raise ValueError("element is not unitary")
     return p
 
@@ -377,14 +379,11 @@ def a2_with(t: FiniteSpectralTriple, w: UniversalOneForm, base: np.ndarray) -> n
 
 def fluctuate(t: FiniteSpectralTriple, w: UniversalOneForm) -> np.ndarray:
     """
-    D + A_1 + eps_d J A_1 J^{-1} + A_2 for a one-form with self-adjoint A_1.
-
-    The self-adjointness of the represented one-form is a precondition (it
-    holds automatically for eta of any valid perturbation) and is enforced
-    to 1e-9.
+    D + A_1 + eps_d J A_1 J^{-1} + A_2 for a one-form with self-adjoint A_1: a precondition,
+    automatic for eta of a valid perturbation, enforced to ``_SEMIGROUP_TOL``.
     """
     pot = a1(t, w)
-    if frob_norm(pot - adjoint(pot)) > 1e-9 * max(1.0, frob_norm(pot)):
+    if not _within(frob_norm(pot - adjoint(pot)), _SEMIGROUP_TOL, frob_norm(pot), "A_1's norm"):
         raise ValueError("represented one-form is not self-adjoint")
     return t.d + pot + t.signs.eps_d * t.hat(pot) + a2_with(t, w, pot)
 
@@ -439,10 +438,7 @@ def fluctuate_combined(t: FiniteSpectralTriple, p: PertElement) -> np.ndarray:
 
 
 def check_transitivity(t: FiniteSpectralTriple, p: PertElement, q: PertElement) -> float:
-    """
-    Relative defect of (D_p)_q = D_{q p}: fluctuating twice must agree with
-    fluctuating once by the semigroup product.
-    """
+    """Relative defect of (D_p)_q = D_{q p}: fluctuating twice against once by the product."""
     lhs = mu(t, q).apply(fluctuate_combined(t, p))
     rhs = fluctuate_combined(t, pert_mul(q, p))
-    return frob_norm(lhs - rhs) / max(1.0, frob_norm(rhs))
+    return _relative_defect(lhs, rhs)

@@ -24,13 +24,8 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .matrix_core import (
-    AntilinearOp,
-    adjoint,
-    as_matrix,
-    frob_norm,
-    identity,
-)
+from .matrix_core import _AXIOM_TOL, _SEMIGROUP_TOL, _within, _within_each
+from .matrix_core import AntilinearOp, adjoint, as_matrix, frob_norm, identity
 
 __all__ = [
     "AlgebraElement",
@@ -177,16 +172,13 @@ class AlgebraSpec:
         return [AlgebraElement(tuple(b[i] for b in blocks)) for i in range(len(rows))]
 
     def outside(self, rows) -> np.ndarray:
-        """
-        Mask of the coordinate rows (..., d) that are not finite or lie off the span by more
-        than 1e-9 * max(1, |row|).
-        """
+        """Mask of the coordinate rows (..., d) that are not finite or off the span (by |row|)."""
         rows = np.asarray(rows, dtype=complex)
         bad = ~np.isfinite(rows).all(-1)
         if self._proj is not None:
             rows = np.where(bad[..., None], 0.0, rows)  # measured as zero, already outside
             resid = np.linalg.norm(rows - rows @ self._proj.T, axis=-1)
-            bad |= resid > 1e-9 * np.maximum(1.0, np.linalg.norm(rows, axis=-1))
+            bad |= ~_within_each(resid, _SEMIGROUP_TOL, np.linalg.norm(rows, axis=-1))
         return bad
 
     def first_outside(self, elements) -> int | None:
@@ -258,7 +250,7 @@ class FiniteSpectralTriple:
     Construction checks that dim_h is an integer and the tiles partition H, keeps the
     read-only tables ``pi_table`` (Pi_alpha = pi(e_alpha) on the ambient matrix units,
     in ``AlgebraElement.vec()`` order) and ``pi_hat_table`` (J Pi_alpha J^{-1}), and
-    validates the real even-triple axioms to 1e-12: finite entries, D self-adjoint,
+    validates the real even-triple axioms to ``_AXIOM_TOL``: finite entries, D self-adjoint,
     gamma a self-adjoint involution anticommuting with D and commuting with pi(A),
     J^2 = eps_j, and order zero; :class:`AntilinearOp` makes J antiunitary in any case.
     JD = eps_d DJ and J gamma = eps_gamma gamma J are measured (``check_ko_signs``), not
@@ -314,26 +306,26 @@ class FiniteSpectralTriple:
             raise ValueError(f"representation blocks tile {int(covered.sum())} of {n} dimensions")
         return table
 
-    def _validate(self, tol: float = 1e-12):
+    def _validate(self):
         for name, m in (("D", self.d), ("gamma", self.gamma)):  # J's m is checked and read-only
             if not np.isfinite(m).all():
                 raise ValueError(f"{name} has non-finite entries")
-        scale = max(1.0, frob_norm(self.d))
-        if frob_norm(self.d - adjoint(self.d)) > tol * scale:
-            raise ValueError("D is not self-adjoint")
-        if frob_norm(self.gamma @ self.gamma - identity(self.dim_h)) > tol:
-            raise ValueError("gamma^2 != 1")
-        if frob_norm(self.gamma - adjoint(self.gamma)) > tol:
-            raise ValueError("gamma is not self-adjoint")
-        if frob_norm(self.gamma @ self.d + self.d @ self.gamma) > tol * scale:
-            raise ValueError("gamma does not anticommute with D")
+        d, g, one, norm = self.d, self.gamma, identity(self.dim_h), frob_norm(self.d)
         reps = _span_reps(self, self.algebra)
-        if np.any(np.linalg.norm(self.gamma @ reps - reps @ self.gamma, axis=(1, 2)) > tol):
-            raise ValueError("gamma does not commute with the represented algebra")
-        if frob_norm(self.j.square() - self.signs.eps_j * identity(self.dim_h)) > tol:
-            raise ValueError("J^2 does not match declared eps_j")
-        if _worst_pair(self, self.algebra, with_d=False).max_defect > tol:
-            raise ValueError("the order zero condition fails: [pi(a), J pi(b)* J^-1] != 0")
+        for message, defect, scale in (  # the scale is D's norm or 1
+            ("D is not self-adjoint", frob_norm(d - adjoint(d)), norm),
+            ("gamma^2 != 1", frob_norm(g @ g - one), 1.0),
+            ("gamma is not self-adjoint", frob_norm(g - adjoint(g)), 1.0),
+            ("gamma does not anticommute with D", frob_norm(g @ d + d @ g), norm),
+            ("gamma does not commute with the represented algebra",
+             np.linalg.norm(g @ reps - reps @ g, axis=(1, 2)).max(), 1.0),
+            ("J^2 does not match declared eps_j",
+             frob_norm(self.j.square() - self.signs.eps_j * one), 1.0),
+            ("the order zero condition fails: [pi(a), J pi(b)* J^-1] != 0",
+             _worst_pair(self, self.algebra, with_d=False).max_defect, 1.0),
+        ):
+            if not _within(defect, _AXIOM_TOL, scale, "D's norm"):
+                raise ValueError(message)
 
     def hat(self, t: np.ndarray) -> np.ndarray:
         """The hat operation T -> J T J^{-1}."""
@@ -409,8 +401,8 @@ class KOReport:
         """The largest residual; NaN when any residual is NaN."""
         return float(np.max([self.res_j_squared, self.res_jd, self.res_jgamma]))
 
-    def passed(self, tol: float = 1e-12) -> bool:
-        return self.worst <= tol
+    def passed(self, tol: float = _AXIOM_TOL) -> bool:
+        return _within(self.worst, tol)
 
 
 def check_ko_signs(t: FiniteSpectralTriple) -> KOReport:
@@ -429,10 +421,12 @@ def check_ko_signs(t: FiniteSpectralTriple) -> KOReport:
 _NOT_NUMBERS = (bool, np.timedelta64)  # an int and an np.signedinteger, yet no numbers
 
 
-def _integer(name: str, value, low: int) -> int:
-    """``value`` as an int, for an int or numpy integer >= ``low``; a bool or timedelta is not."""
-    if isinstance(value, _NOT_NUMBERS) or not isinstance(value, (int, np.integer)) or value < low:
-        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+def _integer(name: str, value, low: int, high: float = cmath.inf) -> int:
+    """An int or numpy integer in [low, high], as an int; a bool or a timedelta is not one."""
+    if isinstance(value, _NOT_NUMBERS) or not isinstance(value, (int, np.integer)) or not (
+            low <= value <= high):
+        bound = f">= {low}" if high == cmath.inf else f"in [{low}, {high}]"
+        raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
     return int(value)
 
 

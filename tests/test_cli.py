@@ -285,6 +285,32 @@ def test_potential_scan_figure_two(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command, key, ceiling, builder", [
+    ("potential-scan", "grid_n", 1001, "sigma_grid"),
+    ("minimize", "n_starts", 1024, "multi_start_minimize"),
+])
+def test_the_load_stage_refuses_a_count_above_its_ceiling(tmp_path, capsys, monkeypatch, command,
+                                                          key, ceiling, builder):
+    # the builders are stubs that record what they are asked for: no grid is allocated
+    asked = []
+
+    def stub(*args, **kwargs):
+        asked.append(kwargs)
+        return ([], [], np.zeros((0, 0))) if builder == "sigma_grid" else []
+
+    monkeypatch.setattr(action, builder, stub)
+    cfg = tmp_path / "cfg.json"
+    save_json(str(cfg), {key: 10**9})
+    assert main([command, "--config", str(cfg)]) == 2
+    low = 2 if key == "grid_n" else 1
+    assert capsys.readouterr().err == (
+        f"error: {key} must be an integer in [{low}, {ceiling}], got {10**9}\n")
+    assert asked == []
+    save_json(str(cfg), {key: ceiling})  # the ceiling itself is allowed
+    main([command, "--config", str(cfg)])
+    assert ceiling in asked[0].values()
+
+
 def test_minimize_finds_the_global_minimum(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     save_json(str(cfg), {"n_starts": 6})
