@@ -75,15 +75,15 @@ class ActionParams:
 
 
 def v_trace(tp: ToyParams, ap: ActionParams, fp: FieldPoint):
-    """The potential from honest traces of D': a float, or an array for a batch of points."""
+    """The potential from honest traces of D', read off D'^2 flat: a float, or a batch's array."""
     d = closed_dirac(tp, fp)
-    d2 = d @ d
-    tr2 = d2.trace(axis1=-2, axis2=-1)
+    d2 = (d @ d).reshape(d.shape[:-2] + (64,))  # every ninth entry is on the diagonal
+    tr2 = d2[..., ::9].sum(axis=-1)
     # a trace that is not finite is left to the caller (minimize ends its run on it)
     if (np.isfinite(tr2) & ~_within_each(np.abs(tr2.imag), _AXIOM_TOL, np.abs(tr2))).any():
         raise ArithmeticError("trace of D'^2 acquired an imaginary part")
     # D'^2 is hermitian, so Tr(D'^4) is the sum of its squared moduli.
-    tr4 = (d2.real ** 2 + d2.imag ** 2).sum(axis=(-2, -1))
+    tr4 = (d2.real ** 2 + d2.imag ** 2).sum(axis=-1)
     value = -ap.f2 / (2.0 * PI_SQ) * ap.lam ** 2 * tr2.real + ap.f0 / (8.0 * PI_SQ) * tr4
     return float(value) if value.ndim == 0 else value
 
@@ -116,9 +116,9 @@ def field_point(coords) -> FieldPoint:
     c = np.asarray(coords, dtype=float)
     if c.shape[-1:] != (3,):
         raise ValueError("coords must be real 3-vectors (last axis of length 3)")
-    z = c.astype(complex)  # one conversion for the three fields
+    z = c.astype(complex)  # one array for the three fields and v
     z[..., 1] += 1.0
-    return FieldPoint(z[..., 0], z[..., 1], z[..., 2])
+    return FieldPoint._from_array(z)
 
 
 def potential_fn(tp: ToyParams, ap: ActionParams):
@@ -137,16 +137,18 @@ def potential_fn(tp: ToyParams, ap: ActionParams):
 @lru_cache(maxsize=None)
 def _table(n: int):
     """
-    The stencil table (module docstring): rows +e_i, -e_i, then 0, +e_i, -e_i, ±e_i ±e_j (++,
-    +-, -+, -- over the pairs i < j); each row's step as a column; and the pairs (i, j).
+    The stencil table (module docstring): rows +e_i, -e_i, then 0, +e_i, -e_i, ±e_i ±e_j (++, +-,
+    -+, -- over pairs i < j); each row's step; the pairs (i, j) and the Hessian's layout in them.
     """
     eye, (i, j) = np.eye(n), np.triu_indices(n, 1)
     corners = [a * eye[i] + b * eye[j] for a, b in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
     table = np.concatenate([eye, -eye, np.zeros((1, n)), eye, -eye, *corners])
     steps = np.where(np.arange(len(table)) < 2 * n, 3e-6, 1e-4)[:, None]
-    for t in (table, steps, i, j):
+    layout = np.diag(np.arange(n))
+    layout[i, j] = layout[j, i] = n + np.arange(i.size)
+    for t in (table, steps, i, j, layout):
         t.setflags(write=False)  # cached: every caller shares these arrays
-    return table, steps, i, j
+    return table, steps, (i, j, layout)
 
 
 def _values(fun, points, finite: bool = False) -> np.ndarray:
@@ -165,13 +167,12 @@ def _central(values, h):
     return (values[:h.size] - values[h.size:2 * h.size]) / (2.0 * h)
 
 
-def _hessian(values, h, i, j):
-    """The Hessian from the values at the Hessian rows of ``_table`` with steps h."""
-    n = h.size
-    hess = np.diag((values[1:n + 1] - 2.0 * values[0] + values[n + 1:2 * n + 1]) / h ** 2)
+def _hessian(values, h, pairs):
+    """The Hessian from the values at the Hessian rows of ``_table`` with steps h, one gather."""
+    (i, j, layout), n = pairs, h.size
+    diag = (values[1:n + 1] - 2.0 * values[0] + values[n + 1:2 * n + 1]) / h ** 2
     fpp, fpm, fmp, fmm = values[2 * n + 1:].reshape(4, -1)
-    hess[i, j] = hess[j, i] = (fpp - fpm - fmp + fmm) / (4.0 * h[i] * h[j])
-    return hess
+    return np.concatenate([diag, (fpp - fpm - fmp + fmm) / (4.0 * h[i] * h[j])])[layout]
 
 
 def grad_hess(fun, point, step: float = 1e-5):
@@ -183,9 +184,9 @@ def grad_hess(fun, point, step: float = 1e-5):
     """
     x = np.array([_number(f"point[{i}]", c) for i, c in enumerate(point)], dtype=float)
     h = _number("step", step, positive=True) * np.maximum(1.0, np.abs(x))
-    table, _, i, j = _table(x.size)
+    table, _, pairs = _table(x.size)
     values = _values(fun, x + table[2 * x.size:] * h)
-    return _central(values[1:], h), _hessian(values, h, i, j)
+    return _central(values[1:], h), _hessian(values, h, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +235,7 @@ def minimize(fun, start, fixed: dict | None = None) -> MinimizeResult:
         full[..., free] = z
         return full
 
-    k, (table, steps, i, j) = 2 * len(free), _table(len(free))
+    k, (table, steps, pairs) = 2 * len(free), _table(len(free))
 
     @lru_cache(maxsize=1)  # scipy asks for the value, gradient and Hessian of a point apart
     def evaluate(key: bytes):
@@ -242,7 +243,7 @@ def minimize(fun, start, fixed: dict | None = None) -> MinimizeResult:
         h = steps * np.maximum(1.0, np.abs(z))  # row r: the steps of row r's kind
         points = z + table * h
         values = _values(fun, embed(points) if fixed else points, True)
-        return float(values[k]), _central(values, h[0]), _hessian(values[k:], h[k], i, j)
+        return float(values[k]), _central(values, h[0]), _hessian(values[k:], h[k], pairs)
 
     # scipy.optimize costs about 0.2 s and 19 MB to import; only this needs it.
     from scipy.optimize import minimize as trust_region

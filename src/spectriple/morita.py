@@ -202,12 +202,15 @@ class MoritaData:
             raise ValueError("idempotent has non-finite entries")
         if self.omega is not None and not np.isfinite(self.omega).all():
             raise ValueError("connection has non-finite entries")
-        if _entries_outside(self.triple.algebra, self.idem, n):
-            raise ValueError("idempotent entry is not in the algebra")
-        norm, defect = (np.linalg.norm(_entry_coords(x, n), axis=-1).max()  # largest entry norm
-                        for x in (self.idem, self.idem * self.idem - self.idem))
-        if not _within(defect, _MORITA_TOL, norm**2, "the squared norm of e's largest entry"):
-            raise ValueError("matrix is not idempotent")
+        with np.errstate(over="ignore"):  # refused by name, or as a defect past its tolerance
+            scale = np.linalg.norm(_entry_coords(self.idem, n), axis=-1).max() ** 2  # largest entry
+            if not np.isfinite(scale):
+                raise ValueError("the squared norm of e's largest entry overflows")
+            if _entries_outside(self.triple.algebra, self.idem, n):
+                raise ValueError("idempotent entry is not in the algebra")
+            defect = np.linalg.norm(_entry_coords(self.idem * self.idem - self.idem, n), axis=-1)
+            if not _within(defect.max(), _MORITA_TOL, scale):
+                raise ValueError("matrix is not idempotent")
         if self.omega is None:
             return
         defect = np.linalg.norm(compress_coefficients(self.idem, self.omega) - self.omega,

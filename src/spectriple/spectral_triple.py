@@ -310,22 +310,23 @@ class FiniteSpectralTriple:
         for name, m in (("D", self.d), ("gamma", self.gamma)):  # J's m is checked and read-only
             if not np.isfinite(m).all():
                 raise ValueError(f"{name} has non-finite entries")
-        d, g, one, norm = self.d, self.gamma, identity(self.dim_h), frob_norm(self.d)
-        reps = _span_reps(self, self.algebra)
-        for message, defect, scale in (  # the scale is D's norm or 1
-            ("D is not self-adjoint", frob_norm(d - adjoint(d)), norm),
-            ("gamma^2 != 1", frob_norm(g @ g - one), 1.0),
-            ("gamma is not self-adjoint", frob_norm(g - adjoint(g)), 1.0),
-            ("gamma does not anticommute with D", frob_norm(g @ d + d @ g), norm),
-            ("gamma does not commute with the represented algebra",
-             np.linalg.norm(g @ reps - reps @ g, axis=(1, 2)).max(), 1.0),
-            ("J^2 does not match declared eps_j",
-             frob_norm(self.j.square() - self.signs.eps_j * one), 1.0),
-            ("the order zero condition fails: [pi(a), J pi(b)* J^-1] != 0",
-             _worst_pair(self, self.algebra, with_d=False).max_defect, 1.0),
-        ):
-            if not _within(defect, _AXIOM_TOL, scale, "D's norm"):
-                raise ValueError(message)
+        with np.errstate(over="ignore"):  # each check refuses an overflow, D's norm by name
+            d, g, one, norm = self.d, self.gamma, identity(self.dim_h), frob_norm(self.d)
+            reps = _span_reps(self, self.algebra)
+            for message, defect, scale in (  # the scale is D's norm or 1
+                ("D is not self-adjoint", frob_norm(d - adjoint(d)), norm),
+                ("gamma^2 != 1", frob_norm(g @ g - one), 1.0),
+                ("gamma is not self-adjoint", frob_norm(g - adjoint(g)), 1.0),
+                ("gamma does not anticommute with D", frob_norm(g @ d + d @ g), norm),
+                ("gamma does not commute with the represented algebra",
+                 np.linalg.norm(g @ reps - reps @ g, axis=(1, 2)).max(), 1.0),
+                ("J^2 does not match declared eps_j",
+                 frob_norm(self.j.square() - self.signs.eps_j * one), 1.0),
+                ("the order zero condition fails: [pi(a), J pi(b)* J^-1] != 0",
+                 _worst_pair(self, self.algebra, with_d=False).max_defect, 1.0),
+            ):
+                if not _within(defect, _AXIOM_TOL, scale, "D's norm"):
+                    raise ValueError(message)
 
     def hat(self, t: np.ndarray) -> np.ndarray:
         """The hat operation T -> J T J^{-1}."""

@@ -18,7 +18,7 @@ fields: a complex coefficient x multiplying the k_x entries and a complex
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -63,13 +63,14 @@ class ToyParams:
 @dataclass(frozen=True)
 class FieldPoint:
     """
-    Values of the two fields: scalar x and 2-vector v = (v1, v2).  Each field
-    may also be an array: a batch of points, the fields broadcast to one shape.
+    Values of the two fields: scalar x and 2-vector v = (v1, v2), stacked once to shape (..., 2).
+    Each field may also be an array: a batch of points, the fields broadcast to one shape.
     """
 
     x: complex
     v1: complex
     v2: complex
+    v: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         values = [np.asarray(getattr(self, name), dtype=complex) for name in ("x", "v1", "v2")]
@@ -79,13 +80,17 @@ class FieldPoint:
             except ValueError:
                 shapes = [value.shape for value in values]
                 raise ValueError(f"fields of shapes {shapes} do not broadcast") from None
-        for name, value in zip(("x", "v1", "v2"), values):
-            object.__setattr__(self, name, complex(value) if value.ndim == 0 else value)
+        self._hold(*values, np.stack(values[1:], axis=-1))
 
-    @property
-    def v(self) -> np.ndarray:
-        """Shape (..., 2): the batch axes of the fields, then (v1, v2)."""
-        return np.stack([self.v1, self.v2], axis=-1)
+    @classmethod
+    def _from_array(cls, z: np.ndarray) -> FieldPoint:
+        """The point (x, v1, v2) = z[..., 0], z[..., 1], z[..., 2] of z, complex, shape (..., 3)."""
+        return cls.__new__(cls)._hold(z[..., 0], z[..., 1], z[..., 2], z[..., 1:])  # no copies
+
+    def _hold(self, *values) -> FieldPoint:
+        for name, value in zip(("x", "v1", "v2", "v"), values):
+            object.__setattr__(self, name, complex(value) if value.ndim == 0 else value)
+        return self
 
 
 def _ev_basis():
@@ -127,27 +132,28 @@ _SLOTS = np.array(
     [(0, 2, 0), (1, 3, 0), (6, 4, 0), (7, 5, 0), (4, 0, 1), (4, 1, 2), (5, 0, 3), (5, 1, 4),
      (2, 0, 5), (3, 1, 5), (4, 6, 5), (5, 7, 5), (0, 4, 6), (1, 4, 7), (0, 5, 8), (1, 5, 9)]
 ).T
-# Their flat indices in a row-major 8x8 operator: the four slots of x, those of y00 .. y11,
-# the four of conj(x) and those of conj(y00) .. conj(y11).
-_X, _Y, _X_BAR, _Y_BAR = (8 * _SLOTS[0] + _SLOTS[1]).reshape(4, 4)
+# The source of each entry of a row-major 8x8 operator; 10, a zero, fills the other 48.
+_GATHER = np.full(64, 10)
+_GATHER[8 * _SLOTS[0] + _SLOTS[1]] = _SLOTS[2]
 
 
 def assemble_dirac(x_entry, y_mat) -> np.ndarray:
     """
-    Hermitian 8x8 operator with the model's sparsity pattern: ``x_entry`` at
-    the four k_x positions (conjugated where hermiticity demands it) and the
-    2x2 block ``y_mat`` coupling the primed to the unprimed half.  Leading
-    axes of ``x_entry`` (shape (...)) and ``y_mat`` (shape (..., 2, 2)) are
-    batch axes; they broadcast, and the result has shape (..., 8, 8).
+    Hermitian 8x8 operator with the model's sparsity pattern: ``x_entry`` at the four k_x
+    positions (conjugated where hermiticity demands it) and the 2x2 block ``y_mat`` coupling the
+    primed to the unprimed half, in one gather from the ten sources of ``_SLOTS`` and a zero.
+    Leading axes of ``x_entry`` (shape (...)) and ``y_mat`` (shape (..., 2, 2)) are batch axes;
+    they broadcast, and the result has shape (..., 8, 8).
     """
     x = np.asarray(x_entry, dtype=complex)[..., None]
     y = np.asarray(y_mat, dtype=complex)
     if y.shape[-2:] != (2, 2):
         raise ValueError("y block must be 2x2")
     y = y.reshape(y.shape[:-2] + (4,))
-    d = np.zeros(np.broadcast(x, y).shape[:-1] + (64,), dtype=complex)
-    d[..., _X], d[..., _X_BAR], d[..., _Y], d[..., _Y_BAR] = x, x.conj(), y, y.conj()
-    return d.reshape(d.shape[:-1] + (8, 8))
+    src = np.zeros(np.broadcast(x, y).shape[:-1] + (11,), dtype=complex)
+    src[..., :1], src[..., 1:5] = x, y
+    np.conj(src[..., :5], out=src[..., 5:10])
+    return src[..., _GATHER].reshape(src.shape[:-1] + (8, 8))
 
 
 def y_block(op) -> np.ndarray:
@@ -181,8 +187,7 @@ def closed_dirac(params: ToyParams, fp: FieldPoint) -> np.ndarray:
     The fluctuated operator at a field point: x scales k_x, v v^T scales k_y.
     A batch of points gives the stack of operators, shape (..., 8, 8).
     """
-    v = fp.v
-    return assemble_dirac(params.k_x * fp.x, params.k_y * (v[..., :, None] * v[..., None, :]))
+    return assemble_dirac(params.k_x * fp.x, params.k_y * (fp.v[..., :, None] * fp.v[..., None, :]))
 
 
 def extract_fields(w: UniversalOneForm) -> FieldPoint:

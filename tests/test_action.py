@@ -41,7 +41,7 @@ from spectriple.action import (
 )
 from spectriple.matrix_core import adjoint
 from spectriple.spectral_triple import random_element, random_unitary
-from spectriple.toy_model import a_ev, a_f
+from spectriple.toy_model import _SLOTS, a_ev, a_f
 
 UNIT_TP = ToyParams()
 UNIT_AP = ActionParams()
@@ -156,6 +156,57 @@ def test_potential_fn_evaluates_a_batch_point_by_point(rng, shape):
     assert isinstance(fun(coords.reshape(-1, 3)[0]), float)
     with pytest.raises(ValueError, match="last axis"):
         fun(coords[..., :2])
+
+
+def _reference_potential(tp, ap, coords):
+    """
+    The objective written with one array per field: v by ``np.stack``, D' by four scatters
+    into zeros, Tr D'^2 by ``trace`` and Tr D'^4 over the last two axes.
+    """
+    z = np.asarray(coords, dtype=float).astype(complex)
+    z[..., 1] += 1.0
+    v = np.stack([z[..., 1], z[..., 2]], axis=-1)
+    x = (tp.k_x * z[..., 0])[..., None]
+    y = tp.k_y * (v[..., :, None] * v[..., None, :])
+    y = y.reshape(y.shape[:-2] + (4,))
+    xs, ys, xs_bar, ys_bar = (8 * _SLOTS[0] + _SLOTS[1]).reshape(4, 4)
+    d = np.zeros(np.broadcast(x, y).shape[:-1] + (64,), dtype=complex)
+    d[..., xs], d[..., xs_bar], d[..., ys], d[..., ys_bar] = x, x.conj(), y, y.conj()
+    d = d.reshape(d.shape[:-1] + (8, 8))
+    d2 = d @ d
+    tr2 = d2.trace(axis1=-2, axis2=-1)
+    tr4 = (d2.real ** 2 + d2.imag ** 2).sum(axis=(-2, -1))
+    return -ap.f2 / (2.0 * PI_SQ) * ap.lam ** 2 * tr2.real + ap.f0 / (8.0 * PI_SQ) * tr4
+
+
+@pytest.mark.parametrize("tp", [ToyParams(1.3, 0.8), ToyParams(0.3 - 2j, 1.7 + 0.4j)],
+                         ids=["real", "complex"])
+@pytest.mark.parametrize("shape", [(), (25,), (4, 25)], ids=str)
+def test_potential_fn_equals_the_one_array_per_field_reference(rng, tp, shape):
+    ap = ActionParams(f2=0.7, f0=1.3, lam=1.1)
+    coords = rng.uniform(-2.5, 2.5, size=shape + (3,))
+    assert np.array_equal(potential_fn(tp, ap)(coords), _reference_potential(tp, ap, coords))
+
+
+def test_field_point_v_is_the_stack_of_v1_and_v2(rng):
+    chart = field_point(rng.uniform(-2.5, 2.5, size=(4, 25, 3)))
+    user = FieldPoint(0.5, rng.standard_normal((2, 1)), 1j * rng.standard_normal(3))
+    for fp in (chart, user, field_point((0.3, -0.1, 0.2)), FieldPoint(1.0, 2j, 3.0)):
+        assert np.array_equal(fp.v, np.stack([fp.v1, fp.v2], axis=-1))
+    assert chart.x.base is chart.v1.base is chart.v2.base is chart.v.base  # one array
+    assert user.v.shape == (2, 3, 2)
+
+
+def test_potential_fn_calls_each_traced_layer_once_per_stack(monkeypatch):
+    calls = {"v_trace": 0, "closed_dirac": 0}
+    for name in calls:
+        def counted(*args, layer=getattr(action, name), name=name):
+            calls[name] += 1
+            return layer(*args)
+
+        monkeypatch.setattr(action, name, counted)
+    potential_fn(UNIT_TP, UNIT_AP)(np.zeros((25, 3)))
+    assert calls == {"v_trace": 1, "closed_dirac": 1}
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,12 @@ probes and the guard against bare tolerance literals live here too.
 
 import io
 import math
+import os
 import pathlib
+import subprocess
+import sys
 import tokenize
+import warnings
 
 import numpy as np
 import pytest
@@ -191,12 +195,26 @@ def test_check_refuses_a_model_whose_d_overflows_with_exit_2(toy, tmp_path, caps
     assert captured.out == ""
 
 
+def test_check_as_a_program_prints_only_the_refusal_when_d_overflows(toy, tmp_path):
+    # no np.errstate here: the overflow that validation refuses leaves no warning on stderr
+    payload = triple_to_dict(toy)
+    payload["d"] = matrix_to_json(_overflowing_d(toy))
+    model = tmp_path / "model.json"
+    save_json(str(model), payload)
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent), "PYTHONWARNINGS": "default"}
+    proc = subprocess.run([sys.executable, "-m", "spectriple", "check", "--model", str(model)],
+                          env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: D's norm overflows\n")
+
+
 def test_an_idempotent_whose_norm_overflows_is_refused(toy):
-    # its entries' norms overflow, so the elementwise rule fails them in the membership test,
-    # before the idempotent check would refuse the scale
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ValueError, match="^idempotent entry is not in the algebra$"):
+    # the scale is refused by name, and quietly, before the membership test, whose
+    # elementwise rule would fail the entries whose norms overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^the squared norm of e's largest entry overflows$"):
             MoritaData(toy, 1, 1e200 * toy.algebra.unit())
+    with np.errstate(over="ignore", invalid="ignore"):
         assert toy.algebra.outside(1e200 * toy.algebra.unit().vec())[()]
 
 
