@@ -22,7 +22,6 @@ __all__ = [
     "adjoint",
     "approx_eq",
     "as_matrix",
-    "commutator",
     "frob_norm",
     "identity",
 ]
@@ -43,14 +42,6 @@ def identity(n: int) -> np.ndarray:
 def adjoint(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
     return as_matrix(a).conj().T
-
-
-def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """ab - ba for square matrices of the same size."""
-    a, b = as_matrix(a), as_matrix(b)
-    if a.shape != b.shape or a.shape[0] != a.shape[1]:
-        raise ValueError(f"commutator needs equal square shapes, got {a.shape}, {b.shape}")
-    return a @ b - b @ a
 
 
 def frob_norm(a: np.ndarray) -> float:

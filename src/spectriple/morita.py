@@ -6,12 +6,13 @@ of size n*m_s, so the idempotent e is one ``AlgebraElement``: the (i, k)
 sub-block of size m_s of its block s is the s-block of entry (i, k).  Inside,
 entries move as their (n, n, d) ambient coordinates (:func:`_entry_coords`),
 which are drawn, tested for membership and represented by the primitives of
-``spectral_triple``.
+``spectral_triple``; a bundle (:class:`MoritaData`) gathers those of e once
+and derives its checks, cells and corner projector from them.
 
 Everything is phrased on the ambient space C^n (x) C^n (x) H.  M_n(A) acts
 there twice, reading the triple's tables pi(e_alpha) and hat(pi(e_alpha)):
 through the cells (i, k) of the left leg and, conjugated by the real
-structure, of the right leg (:func:`_cells`).  A connection is an n x n
+structure, of the right leg (``MoritaData.cells``).  A connection is an n x n
 matrix of universal one-forms B with e B e = B, each entry stored as its
 coefficients omega in A (x) A, so a connection is the (n, n, d, d) stack of
 :func:`conn_coefficients`; e B e is two matrix products on it
@@ -25,11 +26,11 @@ fluctuations.  Both are contractions over cells of operators on H
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .matrix_core import _MORITA_TOL, _within, _within_each, commutator, identity
+from .matrix_core import _MORITA_TOL, _within, _within_each, identity
 from .perturbation import (
     UniversalOneForm,
     _eta,
@@ -89,8 +90,12 @@ def _from_entry_coords(summands: tuple, coords: np.ndarray) -> AlgebraElement:
 
 def _mn_spec(spec: AlgebraSpec, n: int) -> AlgebraSpec:
     """M_n of the ambient multimatrix algebra of ``spec``, for a module size n: an integer >= 1."""
-    n = _integer("module size n", n, 1)
-    return AlgebraSpec(tuple(n * m for m in spec.summands))
+    return _mn_spec_of(spec.summands, _integer("module size n", n, 1))
+
+
+@lru_cache(maxsize=None)
+def _mn_spec_of(summands: tuple, n: int) -> AlgebraSpec:
+    return AlgebraSpec(tuple(n * m for m in summands))
 
 
 # ---------------------------------------------------------------------------
@@ -137,10 +142,10 @@ def compress_coefficients(e: AlgebraElement, omega: np.ndarray) -> np.ndarray:
     contraction of their coordinates with the cached multiplication tensor.
     """
     n, _, d, _ = omega.shape
-    coords = _entry_coords(e, n)
+    coords = _entry_coords(e, n).reshape(n * n, d)
     summands = tuple(len(b) // n for b in e.blocks)
-    maps = (np.tensordot(coords, _mult_tensor(summands, side), 1) for side in (True, False))
-    left, right = (m.transpose(0, 2, 1, 3).reshape(n * d, n * d) for m in maps)
+    maps = (coords @ _mult_tensor(summands, side).reshape(d, d * d) for side in (True, False))
+    left, right = (m.reshape(n, n, d, d).transpose(0, 2, 1, 3).reshape(n * d, n * d) for m in maps)
     big = omega.transpose(0, 2, 1, 3).reshape(n * d, n * d)
     return (left @ big @ right).reshape(n, d, n, d).transpose(0, 2, 1, 3)
 
@@ -158,7 +163,8 @@ def random_conn_form(
     """
     spec = t.algebra
     _mn_spec(spec, n)  # rejects a bad module size
-    x, y = np.moveaxis(_random_coords(spec, rng, (n, n, n_pairs, 2)), -2, 0)  # (n, n, pairs, d)
+    pairs = _random_coords(spec, rng, (n, n, _integer("n_pairs", n_pairs, 1), 2))
+    x, y = pairs[..., 0, :], pairs[..., 1, :]  # (n, n, pairs, d)
     omega = _hermitize(spec, _eta(spec, x.swapaxes(-1, -2) @ y))
     return _forms(spec, compress_coefficients(e, omega))
 
@@ -173,13 +179,14 @@ class MoritaData:
     An idempotent e in M_n(A), one element whose block s has size n*m_s (see
     :func:`_from_entry_coords`), together with an optional compressed connection.
 
-    The coefficients of the connection (:func:`conn_coefficients`) are
-    stacked once and kept as ``omega``; the cells pi(e_ik), hat(pi(e_ik)) of
-    the two legs (``cells``, ``cells_hat``) and their twist kernels
-    (:func:`_leg_kernel`) are kept from first use.  Validation checks that e
-    and omega are finite, e^2 = e, membership of the entries of e in the
-    algebra, and (when a connection is present) the compression identity
-    e B e = B on the coefficients.
+    The (n, n, d) coordinates of the entries of e (:func:`_entry_coords`) and
+    the coefficients of the connection (:func:`conn_coefficients`) are
+    computed once and kept as ``coords`` and ``omega``; the cells pi(e_ik),
+    hat(pi(e_ik)) of the two legs (``cells``, ``cells_hat``), their twist
+    kernels (:func:`_leg_kernel`) and the corner projector are kept from first
+    use.  Validation checks that e and omega are finite, e^2 = e, membership
+    of the entries of e in the algebra, and (when a connection is present)
+    the compression identity e B e = B on the coefficients.
     """
 
     triple: FiniteSpectralTriple
@@ -187,26 +194,28 @@ class MoritaData:
     idem: AlgebraElement
     conn: tuple | None = None
     omega: np.ndarray | None = field(init=False, default=None, repr=False)
+    coords: np.ndarray = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
-        n = self.size
-        if tuple(len(b) for b in self.idem.blocks) != _mn_spec(self.triple.algebra, n).summands:
+        n, spec = self.size, self.triple.algebra
+        if tuple(len(b) for b in self.idem.blocks) != _mn_spec(spec, n).summands:
             raise ValueError(f"idempotent must be an {n}x{n} matrix of elements")
         if self.conn is not None:
             conn = tuple(tuple(row) for row in self.conn)
             if len(conn) != n or any(len(row) != n for row in conn):
                 raise ValueError(f"connection must be an {n}x{n} matrix of one-forms")
             object.__setattr__(self, "conn", conn)
-            object.__setattr__(self, "omega", conn_coefficients(self.triple.algebra, conn))
-        if not np.isfinite(self.idem.vec()).all():
+            object.__setattr__(self, "omega", conn_coefficients(spec, conn))
+        object.__setattr__(self, "coords", _entry_coords(self.idem, n))
+        if not np.isfinite(self.coords).all():
             raise ValueError("idempotent has non-finite entries")
         if self.omega is not None and not np.isfinite(self.omega).all():
             raise ValueError("connection has non-finite entries")
         with np.errstate(over="ignore"):  # refused by name, or as a defect past its tolerance
-            scale = np.linalg.norm(_entry_coords(self.idem, n), axis=-1).max() ** 2  # largest entry
+            scale = np.linalg.norm(self.coords, axis=-1).max() ** 2  # largest entry
             if not np.isfinite(scale):
                 raise ValueError("the squared norm of e's largest entry overflows")
-            if _entries_outside(self.triple.algebra, self.idem, n):
+            if spec.outside(self.coords).any():
                 raise ValueError("idempotent entry is not in the algebra")
             defect = np.linalg.norm(_entry_coords(self.idem * self.idem - self.idem, n), axis=-1)
             if not _within(defect.max(), _MORITA_TOL, scale):
@@ -218,10 +227,11 @@ class MoritaData:
         if not _within_each(defect, _MORITA_TOL, np.linalg.norm(self.omega, axis=(2, 3))).all():
             raise ValueError("connection is not compressed: e B e != B")
 
-    cells = cached_property(lambda self: _cells(self.triple, self.size, self.idem, False))
-    cells_hat = cached_property(lambda self: _cells(self.triple, self.size, self.idem, True))
+    cells = cached_property(lambda self: self.triple.rep(self.coords, False))
+    cells_hat = cached_property(lambda self: self.triple.rep(self.coords, True))
     kernel = cached_property(lambda self: _leg_kernel(self, hatted=False))
     kernel_hat = cached_property(lambda self: _leg_kernel(self, hatted=True))
+    projector = cached_property(lambda self: corner_projector(self))
 
 
 def _leg_kernel(md: MoritaData, hatted: bool) -> tuple:
@@ -235,9 +245,9 @@ def _leg_kernel(md: MoritaData, hatted: bool) -> tuple:
     cells = md.cells_hat if hatted else md.cells
     if md.omega is None:
         return cells, None
-    weights, rho = _leg_weights(md.triple, md.omega, hatted)  # (beta, i, k, h, g), (beta, g, f)
-    weights[np.flatnonzero(md.triple.algebra.unit().vec())] += cells
-    return np.ascontiguousarray(np.moveaxis(weights, 0, 3)), rho
+    weights, rho = _leg_weights(md.triple, md.omega, hatted)  # (i, k, beta, h, g), (beta, g, f)
+    weights[:, :, np.flatnonzero(md.triple.algebra.unit().vec())] += cells[:, :, None]
+    return np.ascontiguousarray(weights.swapaxes(2, 3)), rho
 
 
 def _twist(md: MoritaData, hatted_first: bool) -> np.ndarray:
@@ -274,13 +284,13 @@ def corner_projector(md: MoritaData) -> np.ndarray:
     (i, j; I, J) is pi(e_iI) hat(pi(e_jJ)), a product over the fibre alone.
     """
     n, dim_h, dim = md.size, md.triple.dim_h, md.size**2 * md.triple.dim_h
-    p = md.cells.reshape(-1, dim_h) @ np.moveaxis(md.cells_hat, 2, 0).reshape(dim_h, -1)
+    p = md.cells.reshape(-1, dim_h) @ md.cells_hat.transpose(2, 0, 1, 3).reshape(dim_h, -1)
     return p.reshape(n, n, dim_h, n, n, dim_h).transpose(0, 3, 2, 1, 4, 5).reshape(dim, dim)
 
 
 def corner(md: MoritaData, op: np.ndarray) -> np.ndarray:
-    """P op P for the corner projector P."""
-    p = corner_projector(md)
+    """P op P for the corner projector P, built once per bundle."""
+    p = md.projector
     return p @ op @ p
 
 
@@ -289,12 +299,14 @@ def check_idempotent_identity(t: FiniteSpectralTriple, n: int, e: AlgebraElement
     Max norm over (i, l) of  sum_{jk} pi(e_ij) [D, pi(e_jk)] pi(e_kl),
     which vanishes identically for idempotent e (it is e de e in disguise).
     Computed as the (i, l) blocks of P [1 (x) D, P] P with P = pi(e) on
-    C^n (x) H, read from the table; a NaN anywhere gives NaN.
+    C^n (x) H, read from the table, the commutator as two blockwise products
+    with D; a NaN anywhere gives NaN.
     """
-    dim = n * t.dim_h
+    dim_h, dim = t.dim_h, n * t.dim_h
     p = _cells(t, n, e, hatted=False).transpose(0, 2, 1, 3).reshape(dim, dim)
-    acc = p @ commutator(np.kron(identity(n), t.d), p) @ p
-    blocks = acc.reshape(n, t.dim_h, n, t.dim_h)
+    dp = (t.d @ p.reshape(n, dim_h, dim)).reshape(dim, dim)  # (1 (x) D) P, row block by row block
+    dp -= (p.reshape(dim, n, dim_h) @ t.d).reshape(dim, dim)  # P (1 (x) D), column block by block
+    blocks = (p @ dp @ p).reshape(n, dim_h, n, dim_h)
     return float(np.max(np.linalg.norm(blocks, axis=(1, 3))))
 
 
@@ -315,12 +327,12 @@ def random_idempotent(
     invertible element so that it is no longer self-adjoint, in at most 50
     tries.  Each n x n grid of entries is one draw (:func:`_random_coords`).
     """
-    spec, unit = t.algebra, _mn_spec(t.algebra, n).unit()
+    spec = t.algebra
+    _mn_spec(spec, n)  # rejects a bad module size
     for _ in range(50):
         h = _from_entry_coords(spec.summands, _random_coords(spec, rng, (n, n)))
-        h = 0.5 * (h + h.star())
-        eigs = [np.linalg.eigh(big) for big in h.blocks]
-        if any(np.min(np.abs(vals)) < _MIN_EIG for vals, _ in eigs):
+        eigs = [np.linalg.eigh(0.5 * (big + big.conj().T)) for big in h.blocks]  # hermitized
+        if any(np.abs(vals).min() < _MIN_EIG for vals, _ in eigs):
             continue
         pos = [vecs[:, vals > 0] for vals, vecs in eigs]
         e = AlgebraElement(tuple(v @ v.conj().T for v in pos))
@@ -329,11 +341,10 @@ def random_idempotent(
         if self_adjoint:
             return e
         g = _from_entry_coords(spec.summands, _random_coords(spec, rng, (n, n)))
-        g = unit + 0.3 * g
-        if any(np.linalg.cond(big) > 1e6 for big in g.blocks):
+        g = [identity(len(big)) + 0.3 * big for big in g.blocks]  # 1 + 0.3 g, block by block
+        if any(np.linalg.cond(big) > 1e6 for big in g):
             continue
-        g_inv = AlgebraElement(tuple(np.linalg.inv(big) for big in g.blocks))
-        skewed = g * e * g_inv
+        skewed = AlgebraElement(tuple(a @ b @ np.linalg.inv(a) for a, b in zip(g, e.blocks)))
         if not _entries_outside(spec, skewed, n):
             return skewed
     raise RuntimeError("could not draw a clean random idempotent")

@@ -33,6 +33,7 @@ from .spectral_triple import (
     AlgebraElement,
     AlgebraSpec,
     FiniteSpectralTriple,
+    _integer,
     _random_coords,
 )
 
@@ -228,7 +229,8 @@ def one_form_cf(spec: AlgebraSpec, w: UniversalOneForm) -> np.ndarray:
 
 def _random_pairs_form(spec: AlgebraSpec, rng: np.random.Generator, n_pairs: int) -> np.ndarray:
     """omega of sum_j x_j d(y_j) over n_pairs random pairs, drawn pair by pair in one rng call."""
-    x, y = np.moveaxis(_random_coords(spec, rng, (n_pairs, 2)), 1, 0)  # (pairs, d) each
+    pairs = _random_coords(spec, rng, (_integer("n_pairs", n_pairs, 1), 2))
+    x, y = pairs[:, 0], pairs[:, 1]  # (pairs, d) each
     return _eta(spec, x.T @ y)
 
 
@@ -351,11 +353,10 @@ def normalize_one_form(spec: AlgebraSpec, w: UniversalOneForm) -> PertElement:
 
 def _leg_weights(t: FiniteSpectralTriple, omega: np.ndarray, hatted: bool = False):
     """
-    The stack over beta of W_beta = sum_alpha omega[..., alpha, beta] rho(e_alpha),
-    and rho, for rho = pi or, when ``hatted``, the antilinear hat o pi.
+    The stack over beta of W_beta = sum_alpha omega[..., alpha, beta] rho(e_alpha), laid out
+    (..., beta, N, N), and rho, for rho = pi or, when ``hatted``, the antilinear hat o pi.
     """
-    weights = t.rep(np.swapaxes(omega, -1, -2), hatted)
-    return np.moveaxis(weights, -3, 0), t.pi_hat_table if hatted else t.pi_table
+    return t.rep(np.swapaxes(omega, -1, -2), hatted), t.pi_hat_table if hatted else t.pi_table
 
 
 def _act(t: FiniteSpectralTriple, omega: np.ndarray, base: np.ndarray, hatted: bool = False):

@@ -449,8 +449,8 @@ def _random_coords(spec: AlgebraSpec, rng: np.random.Generator, shape: tuple) ->
     call: complex standard-normal coefficients, (re, im) in turn, over the spanning set.
     """
     rows = spec.span_coords()[0]
-    re, im = np.moveaxis(rng.standard_normal(shape + (len(rows), 2)), -1, 0)
-    return (re + 1j * im) @ rows
+    draws = rng.standard_normal(shape + (len(rows), 2))
+    return (draws[..., 0] + 1j * draws[..., 1]) @ rows
 
 
 def random_element(spec: AlgebraSpec, rng: np.random.Generator) -> AlgebraElement:

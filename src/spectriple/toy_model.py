@@ -63,7 +63,7 @@ class ToyParams:
 @dataclass(frozen=True)
 class FieldPoint:
     """
-    Values of the two fields: scalar x and 2-vector v = (v1, v2), stacked once to shape (..., 2).
+    Values of the two fields: scalar x and 2-vector v = (v1, v2), read from one (..., 3) array.
     Each field may also be an array: a batch of points, the fields broadcast to one shape.
     """
 
@@ -80,15 +80,17 @@ class FieldPoint:
             except ValueError:
                 shapes = [value.shape for value in values]
                 raise ValueError(f"fields of shapes {shapes} do not broadcast") from None
-        self._hold(*values, np.stack(values[1:], axis=-1))
+        self._hold(np.stack(values, axis=-1))  # one copy: later writes to the fields move none
 
     @classmethod
     def _from_array(cls, z: np.ndarray) -> FieldPoint:
         """The point (x, v1, v2) = z[..., 0], z[..., 1], z[..., 2] of z, complex, shape (..., 3)."""
-        return cls.__new__(cls)._hold(z[..., 0], z[..., 1], z[..., 2], z[..., 1:])  # no copies
+        return cls.__new__(cls)._hold(z)
 
-    def _hold(self, *values) -> FieldPoint:
-        for name, value in zip(("x", "v1", "v2", "v"), values):
+    def _hold(self, z: np.ndarray) -> FieldPoint:
+        """Hold the fields and v as views of z, no copies."""
+        views = (z[..., 0], z[..., 1], z[..., 2], z[..., 1:])
+        for name, value in zip(("x", "v1", "v2", "v"), views):
             object.__setattr__(self, name, complex(value) if value.ndim == 0 else value)
         return self
 

@@ -9,7 +9,6 @@ from spectriple.matrix_core import (
     adjoint,
     approx_eq,
     as_matrix,
-    commutator,
     frob_norm,
     identity,
 )
@@ -35,17 +34,6 @@ def test_frob_norm_is_root_sum_of_squared_moduli(a):
 def test_adjoint_involution_and_antihomomorphism(a, b):
     assert np.array_equal(adjoint(adjoint(a)), a)
     assert np.allclose(adjoint(a @ b), adjoint(b) @ adjoint(a), atol=1e-10)
-
-
-@given(cmatrices(3), cmatrices(3))
-def test_commutator_antisymmetry(a, b):
-    assert np.allclose(commutator(a, b), -commutator(b, a), atol=1e-10)
-
-
-def test_commutator_rejects_nonsquare():
-    # equal shapes that are not square: numpy's own matmul error reads otherwise
-    with pytest.raises(ValueError, match="equal square shapes"):
-        commutator(np.ones((2, 3)), np.ones((2, 3)))
 
 
 def test_identity_and_matrix_unit_entries():

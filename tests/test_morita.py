@@ -32,6 +32,7 @@ from spectriple.morita import _entries_outside, _entry_coords, _from_entry_coord
 from spectriple.perturbation import (
     UniversalOneForm,
     _leg_weights,
+    _mult_tensor,
     eta_one_form,
     fluctuate,
     fluctuate_combined,
@@ -179,11 +180,11 @@ def _rep_conn(t, n, omega, base, hatted=False):
     W^ik_beta = sum_alpha omega[i, k, alpha, beta] rho(e_alpha) in cell (i, k)
     of that leg.  Pair by pair this is (E_ik (x) 1 (x) rho(x)) [base, 1 (x) 1 (x) rho(y)].
     """
-    weights, rho = _leg_weights(t, omega, hatted)  # (beta, i, k, h, g), (beta, g, f)
+    weights, rho = _leg_weights(t, omega, hatted)  # (i, k, beta, h, g), (beta, g, f)
     dim_h, dim = t.dim_h, base.shape[-1]
     right = (base.reshape(-1, dim_h) @ rho).reshape(len(rho), n, n, dim_h, dim)
     # right[beta, i, j, g, c] = (base (1 (x) 1 (x) rho(e_beta)))[(i, j, g), c]
-    out = np.tensordot(weights, right, axes=((0, 2, 4), (0, 2 if hatted else 1, 3)))
+    out = np.tensordot(weights, right, axes=((2, 1, 4), (0, 2 if hatted else 1, 3)))
     # left leg: (i, h, j, c); hatted leg: (j, h, i, c)
     return out.transpose((2, 0, 1, 3) if hatted else (0, 2, 1, 3)).reshape(dim, dim)
 
@@ -539,15 +540,77 @@ def test_reducers_pass_nan_through(toy, monkeypatch):
 
 
 def test_morita_data_builds_its_projectors_once(toy, monkeypatch):
+    # a bundle with a connection, both twists and both corners: e's entry coordinates are
+    # gathered once for the bundle and once inside compress_coefficients (e^2 - e is gathered for
+    # its own defect), each leg's cells are one product with the table, one corner projector
     rng = np.random.default_rng(9)
     e = random_idempotent(toy, 2, rng)
-    md = MoritaData(toy, 2, e, random_conn_form(toy, 2, rng, e))
-    calls, cells = [], morita._cells
-    monkeypatch.setattr(morita, "_cells", lambda *args, **kw: calls.append(args) or cells(*args, **kw))
+    conn = random_conn_form(toy, 2, rng, e)
+    gathered, reps, projectors = [], [], []
+    coords_of, rep, projector = morita._entry_coords, type(toy).rep, morita.corner_projector
+    monkeypatch.setattr(morita, "_entry_coords", lambda x, n: gathered.append(x) or coords_of(x, n))
+    monkeypatch.setattr(type(toy), "rep", lambda t, c, h=False: reps.append(c) or rep(t, c, h))
+    monkeypatch.setattr(morita, "corner_projector",
+                        lambda md: projectors.append(md) or projector(md))
+    md = MoritaData(toy, 2, e, conn)
     left, right = twisted_dirac_left(md), twisted_dirac_right(md)
     assert approx_eq(corner(md, left), corner(md, right), 1e-12)
     assert _rel(left, right) < 1e-12
-    assert len(calls) == 2  # pi_big(e) and pi_hat_big(e), once each
+    assert [x is e for x in gathered] == [True, False, True]
+    assert sum(c is md.coords for c in reps) == 2  # pi_big(e) and pi_hat_big(e), once each
+    assert projectors == [md]
+
+
+def _reference_idempotent_identity(t, n, e):
+    """check_idempotent_identity with the commutator [1 (x) D, P] of the dense kron(1, D)."""
+    dim = n * t.dim_h
+    p = morita._cells(t, n, e, hatted=False).transpose(0, 2, 1, 3).reshape(dim, dim)
+    big_d = np.kron(identity(n), t.d)
+    acc = p @ (big_d @ p - p @ big_d) @ p
+    norms = np.linalg.norm(acc.reshape(n, t.dim_h, n, t.dim_h), axis=(1, 3))
+    return float(np.max(norms)), frob_norm(big_d @ p) * frob_norm(p) ** 2
+
+
+def _reference_compress_coefficients(e, omega):
+    """compress_coefficients with the maps of the entries from np.tensordot."""
+    n, _, d, _ = omega.shape
+    coords, summands = _entry_coords(e, n), tuple(len(b) // n for b in e.blocks)
+    maps = (np.tensordot(coords, _mult_tensor(summands, side), 1) for side in (True, False))
+    left, right = (m.transpose(0, 2, 1, 3).reshape(n * d, n * d) for m in maps)
+    big = omega.transpose(0, 2, 1, 3).reshape(n * d, n * d)
+    return (left @ big @ right).reshape(n, d, n, d).transpose(0, 2, 1, 3)
+
+
+@pytest.mark.parametrize("which", ["toy", "multi", "bimodule"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_blockwise_products_match_the_kron_and_tensordot_formulas(toy, which, n):
+    # the blockwise commutator rounds apart from the dense kron(1, D) one only at the scale of
+    # its terms, |(1 (x) D) P| |P|^2; the compression maps are the tensordot maps
+    t = {"toy": toy, "multi": _multi_triple(), "bimodule": _bimodule_triple(1)}[which]
+    for sa in (True, False):
+        rng = np.random.default_rng(130 + 2 * n + sa)
+        e = random_idempotent(t, n, rng, self_adjoint=sa)
+        want, scale = _reference_idempotent_identity(t, n, e)
+        assert abs(check_idempotent_identity(t, n, e) - want) <= 1e-15 * scale
+        omega = conn_coefficients(t.algebra, _forms(t.algebra, _raw_pairs(t.algebra, n, rng, 2)))
+        want = _reference_compress_coefficients(e, omega)
+        assert frob_norm(compress_coefficients(e, omega) - want) <= 1e-15 * frob_norm(want)
+
+
+def test_mn_spec_is_built_once_per_module_size(toy):
+    spec = toy.algebra
+    assert morita._mn_spec(spec, 2) is morita._mn_spec(spec, np.int64(2))
+    assert morita._mn_spec(spec, 2).summands == (4, 4)
+    for n in (0, True, 1.5):  # refused before the cache is read: True would hit n = 1
+        with pytest.raises(ValueError, match=f"^module size n must be an integer >= 1, got {n!r}$"):
+            morita._mn_spec(spec, n)
+
+
+@pytest.mark.parametrize("n_pairs", [0, -1, 2.5, True])
+def test_random_conn_form_refuses_a_pair_count_that_is_not_an_integer_from_one(toy, n_pairs):
+    e = random_idempotent(toy, 2, np.random.default_rng(0))
+    with pytest.raises(ValueError, match=f"^n_pairs must be an integer >= 1, got {n_pairs!r}$"):
+        random_conn_form(toy, 2, np.random.default_rng(1), e, n_pairs=n_pairs)
 
 
 def test_validation_rejects_non_idempotent(toy):

@@ -24,7 +24,7 @@ from spectriple import (
     random_pert,
     represent,
 )
-from spectriple.matrix_core import adjoint, approx_eq, commutator, frob_norm, identity
+from spectriple.matrix_core import adjoint, approx_eq, frob_norm, identity
 from spectriple.perturbation import (
     UniversalOneForm,
     _eta,
@@ -74,6 +74,11 @@ def _form_from_pairs(spec, pairs):
 def _norm(a) -> float:
     """The Frobenius norm of an element: that of its coordinates."""
     return float(np.linalg.norm(a.vec()))
+
+
+def _commutator(a, b):
+    """ab - ba, the reference commutator."""
+    return a @ b - b @ a
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +342,15 @@ def test_from_pairs_rejects_non_finite_and_foreign_entries():
         UniversalOneForm(SPEC, np.zeros((4, 4)))
 
 
+@pytest.mark.parametrize("n_pairs", [0, -1, 2.5, True])
+def test_random_draws_refuse_a_pair_count_that_is_not_an_integer_from_one(n_pairs):
+    # these once returned the zero form or the unit perturbation (0) or failed inside numpy
+    rng = np.random.default_rng(0)
+    for draw in (random_pert, random_one_form):
+        with pytest.raises(ValueError, match=f"^n_pairs must be an integer >= 1, got {n_pairs!r}$"):
+            draw(SPEC, rng, n_pairs)
+
+
 def test_random_one_forms_are_self_adjoint(toy, rng):
     w = random_one_form(SPEC, rng)
     pot = a1(toy, w)
@@ -368,14 +382,14 @@ def test_eta_intertwines_gauge_action_with_unitary_conjugation(toy, rng):
 
 def _reference_a1(t, w):
     """sum_j pi(x_j) [D, pi(y_j)], pair by pair."""
-    terms = (represent(t, x) @ commutator(t.d, represent(t, y)) for x, y in w.pairs)
+    terms = (represent(t, x) @ _commutator(t.d, represent(t, y)) for x, y in w.pairs)
     return sum(terms, np.zeros_like(t.d))
 
 
 def _reference_a2(t, w, base):
     """sum_j hat(pi(x_j)) [base, hat(pi(y_j))], pair by pair."""
     hats = [(t.hat(represent(t, x)), t.hat(represent(t, y))) for x, y in w.pairs]
-    return sum((hx @ commutator(base, hy) for hx, hy in hats), np.zeros_like(base))
+    return sum((hx @ _commutator(base, hy) for hx, hy in hats), np.zeros_like(base))
 
 
 @pytest.mark.parametrize("which", ["toy", "toy over a_f", "multi"])

@@ -239,10 +239,13 @@ def test_field_point_broadcasts_its_fields_to_one_shape():
     assert np.array_equal(closed_dirac(tp, fp)[1], closed_dirac(tp, FieldPoint(0.5, 1.0, 2.0)))
     fp = FieldPoint(np.arange(2.0)[:, None], np.ones(3), 1j)
     assert fp.x.shape == fp.v1.shape == fp.v2.shape == (2, 3)
-    # equal shapes are kept as they are (chart points come through FieldPoint._from_array)
+    # a point is a snapshot: a later write into a caller's array moves no field, v included
     fields = list(np.arange(6.0).reshape(3, 2).astype(complex))
     fp = FieldPoint(*fields)
-    assert all(getattr(fp, name) is f for name, f in zip(("x", "v1", "v2"), fields))
+    for f in fields:
+        f[0] = 5.0
+    assert np.array_equal(np.stack([fp.x, fp.v1, fp.v2]), np.arange(6.0).reshape(3, 2))
+    assert np.array_equal(fp.v, np.stack([fp.v1, fp.v2], axis=-1))
 
 
 def test_field_point_refuses_fields_that_do_not_broadcast():
