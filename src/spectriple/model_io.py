@@ -140,8 +140,8 @@ def pert_from_dict(spec: AlgebraSpec, payload: dict) -> PertElement:
     """Format 2 (P as ``coeffs``) or 1, the default (a_j, b_j as ``pairs``); both validated."""
     if not isinstance(payload, dict):
         raise ValueError("perturbation file must hold a JSON object")
-    fmt = payload.get("format", 1)
-    if ("pairs" if fmt == 1 else "coeffs" if fmt == 2 else None) not in payload:
+    fmt = payload.get("format", 1)  # the JSON integer 1 or 2: a bool or a float is none
+    if ({1: "pairs", 2: "coeffs"}.get(fmt) if type(fmt) is int else None) not in payload:
         raise ValueError(f"perturbation files hold 'pairs' (format 1) or 'coeffs' (format 2), "
                          f"not format {fmt!r} with keys {sorted(payload)}")
     if fmt == 1:

@@ -2,7 +2,7 @@
 Fluctuations induced by a finitely generated projective module e A^n.
 
 For A = M_{m_1} + ... + M_{m_k}, M_n(A) is the multimatrix algebra with blocks
-of size n*m_s, so the idempotent e is one ``AlgebraElement``: the (i, k)
+of size n*m_s (:func:`_mn_summands`), so e is one ``AlgebraElement``: the (i, k)
 sub-block of size m_s of its block s is the s-block of entry (i, k).  Inside,
 entries move as their (n, n, d) ambient coordinates (:func:`_entry_coords`),
 which are drawn, tested for membership and represented by the primitives of
@@ -15,28 +15,29 @@ through the cells (i, k) of the left leg and, conjugated by the real
 structure, of the right leg (``MoritaData.cells``).  A connection is an n x n
 matrix of universal one-forms B with e B e = B, each entry stored as its
 coefficients omega in A (x) A, so a connection is the (n, n, d, d) stack of
-:func:`conn_coefficients`; e B e is two matrix products on it
-(:func:`compress_coefficients`).  The module twist of D can be computed in
-two orders -- left leg first or right leg first -- and the two agree
-identically, which is the analogue of the transitivity of ordinary inner
-fluctuations.  Both are contractions over cells of operators on H
-(:func:`_twist`), with no operator on the whole ambient space multiplied.
+:func:`conn_coefficients`; e B e is two matrix products on it, their maps read
+from the multiplication table (:func:`compress_coefficients`).  The module
+twist of D can be computed in two orders -- left leg first or right leg first
+-- and the two agree identically, which is the analogue of the transitivity of
+ordinary inner fluctuations.  Both are contractions over cells of operators on
+H (:func:`_twist`), with no operator on the whole ambient space multiplied.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
 from .matrix_core import _MORITA_TOL, _within, _within_each, identity
 from .perturbation import (
     UniversalOneForm,
-    _eta,
     _flip,
     _leg_weights,
     _mult_tensor,
+    _random_pairs_form,
+    _tables,
     one_form_cf,
 )
 from .spectral_triple import (
@@ -88,14 +89,10 @@ def _from_entry_coords(summands: tuple, coords: np.ndarray) -> AlgebraElement:
     ))
 
 
-def _mn_spec(spec: AlgebraSpec, n: int) -> AlgebraSpec:
-    """M_n of the ambient multimatrix algebra of ``spec``, for a module size n: an integer >= 1."""
-    return _mn_spec_of(spec.summands, _integer("module size n", n, 1))
-
-
-@lru_cache(maxsize=None)
-def _mn_spec_of(summands: tuple, n: int) -> AlgebraSpec:
-    return AlgebraSpec(tuple(n * m for m in summands))
+def _mn_summands(spec: AlgebraSpec, n: int) -> tuple:
+    """The block sizes n*m_s of M_n of the ambient algebra of ``spec``, for n an integer >= 1."""
+    n = _integer("module size n", n, 1)
+    return tuple(n * m for m in spec.summands)
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +101,7 @@ def _mn_spec_of(summands: tuple, n: int) -> AlgebraSpec:
 
 def _cells(t: FiniteSpectralTriple, n: int, x: AlgebraElement, hatted: bool) -> np.ndarray:
     """pi (or hat o pi) of every entry of x in M_n(A), shape (n, n, N, N), by ``t.rep``."""
-    if tuple(len(b) for b in x.blocks) != _mn_spec(t.algebra, n).summands:
+    if tuple(len(b) for b in x.blocks) != _mn_summands(t.algebra, n):
         raise ValueError("element does not match the triple's algebra")
     return t.rep(_entry_coords(x, n), hatted)
 
@@ -150,22 +147,14 @@ def compress_coefficients(e: AlgebraElement, omega: np.ndarray) -> np.ndarray:
     return (left @ big @ right).reshape(n, d, n, d).transpose(0, 2, 1, 3)
 
 
-def random_conn_form(
-    t: FiniteSpectralTriple,
-    n: int,
-    rng: np.random.Generator,
-    e: AlgebraElement,
-    n_pairs: int = 1,
-):
+def random_conn_form(t: FiniteSpectralTriple, n: int, rng: np.random.Generator, e: AlgebraElement):
     """
-    A random connection compressed to the module of ``e``: entry (i, k) is sum_p x_p d(y_p) over
-    pairs drawn row by row (:func:`_random_coords`), hermitized and compressed on the stack.
+    A random connection compressed to the module of ``e``: entry (i, k) is x d(y) for one pair,
+    drawn row by row (``perturbation._random_pairs_form``), hermitized and compressed on the stack.
     """
     spec = t.algebra
-    _mn_spec(spec, n)  # rejects a bad module size
-    pairs = _random_coords(spec, rng, (n, n, _integer("n_pairs", n_pairs, 1), 2))
-    x, y = pairs[..., 0, :], pairs[..., 1, :]  # (n, n, pairs, d)
-    omega = _hermitize(spec, _eta(spec, x.swapaxes(-1, -2) @ y))
+    _mn_summands(spec, n)  # rejects a bad module size
+    omega = _hermitize(spec, _random_pairs_form(spec, rng, 1, (n, n)))
     return _forms(spec, compress_coefficients(e, omega))
 
 
@@ -198,7 +187,7 @@ class MoritaData:
 
     def __post_init__(self):
         n, spec = self.size, self.triple.algebra
-        if tuple(len(b) for b in self.idem.blocks) != _mn_spec(spec, n).summands:
+        if tuple(len(b) for b in self.idem.blocks) != _mn_summands(spec, n):
             raise ValueError(f"idempotent must be an {n}x{n} matrix of elements")
         if self.conn is not None:
             conn = tuple(tuple(row) for row in self.conn)
@@ -246,7 +235,7 @@ def _leg_kernel(md: MoritaData, hatted: bool) -> tuple:
     if md.omega is None:
         return cells, None
     weights, rho = _leg_weights(md.triple, md.omega, hatted)  # (i, k, beta, h, g), (beta, g, f)
-    weights[:, :, np.flatnonzero(md.triple.algebra.unit().vec())] += cells[:, :, None]
+    weights[:, :, np.flatnonzero(_tables(md.triple.algebra.summands).unit)] += cells[:, :, None]
     return np.ascontiguousarray(weights.swapaxes(2, 3)), rho
 
 
@@ -328,7 +317,7 @@ def random_idempotent(
     tries.  Each n x n grid of entries is one draw (:func:`_random_coords`).
     """
     spec = t.algebra
-    _mn_spec(spec, n)  # rejects a bad module size
+    _mn_summands(spec, n)  # rejects a bad module size
     for _ in range(50):
         h = _from_entry_coords(spec.summands, _random_coords(spec, rng, (n, n)))
         eigs = [np.linalg.eigh(0.5 * (big + big.conj().T)) for big in h.blocks]  # hermitized

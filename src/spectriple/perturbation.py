@@ -16,7 +16,8 @@ Perturbations (:class:`PertElement`) and universal one-forms
 over the ambient matrix units, whatever the number of pairs they came from.
 The product, the flip, normalization, eta, the module actions and the star are
 fixed linear maps on them; the canonical form (block-diagonal over ordered
-pairs of summands, multiplied by the semigroup product) rearranges them.
+pairs of summands, multiplied by the semigroup product) rearranges them.  All
+read one cached table (:func:`_tables`); the random draws share one pair draw.
 ``PertElement.from_pairs`` reads pairs, and ``pairs`` gives dim A pairs back.
 """
 
@@ -24,16 +25,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .matrix_core import _SEMIGROUP_TOL, _relative_defect, _within
-from .matrix_core import adjoint, approx_eq, frob_norm, identity
+from .matrix_core import adjoint, approx_eq, frob_norm
 from .spectral_triple import (
     AlgebraElement,
     AlgebraSpec,
     FiniteSpectralTriple,
-    _integer,
     _random_coords,
 )
 
@@ -84,48 +85,50 @@ def _pair_coeffs(spec: AlgebraSpec, pairs) -> np.ndarray:
     return v[:, 0].T @ v[:, 1]
 
 
+class _Table(NamedTuple):
+    """The fixed data of M_{n_1} + ... + M_{n_k} over its matrix units e_a, read-only."""
+
+    unit: np.ndarray  # (d,) coordinates of 1
+    perm: np.ndarray  # (d,) e_ij -> e_ji, summand by summand
+    mult: np.ndarray  # (d, d, d): e_a e_b = sum_g mult[a, b, g] e_g
+    cf: np.ndarray  # (d^2,) canonical-form block (i, k) [(a, c), (b, d)] is P[(i, a, b), (k, d, c)]
+
+
+@lru_cache(maxsize=None)
+def _tables(summands: tuple) -> _Table:
+    """The :class:`_Table` of the summands, built once per tuple."""
+    offsets = np.cumsum((0,) + tuple(n * n for n in summands))
+    side, dim, start = sum(summands) ** 2, offsets[-1], 0
+    unit, perm, mult = np.zeros(dim, complex), np.empty(dim, np.intp), np.zeros((dim,) * 3, complex)
+    pos = np.empty((dim, dim), dtype=np.intp)
+    for oi, ni in zip(offsets, summands):
+        units = oi + np.arange(ni * ni).reshape(ni, ni)
+        unit[units.diagonal()], perm[units] = 1, units.T
+        a, b, c = np.ogrid[:ni, :ni, :ni]
+        mult[units[a, b], units[b, c], units[a, c]] = 1  # e_ab e_bc = e_ac
+        for ok, nk in zip(offsets, summands):
+            a, b, d, c = np.ogrid[:ni, :ni, :nk, :nk]
+            pos[units[a, b], ok + d * nk + c] = (start + a * nk + c) * side + start + b * nk + d
+            start += ni * nk
+    for t in (unit, perm, mult, pos):
+        t.setflags(write=False)
+    return _Table(unit, perm, mult, pos.ravel())
+
+
 def _product_sum(summands, m: np.ndarray) -> np.ndarray:
-    """m(sum x (x) y) = vec(sum x y): m_s[a, d] = sum_b m[..., (s, a, b), (s, b, d)]."""
-    out, o, lead = [], 0, m.shape[:-2]
-    for n in summands:
-        tile = m[..., o:o + n * n, o:o + n * n].reshape(lead + (n, n, n, n))
-        out.append(np.einsum("...abbd->...ad", tile).reshape(lead + (n * n,)))
-        o += n * n
-    return np.concatenate(out, axis=-1)
+    """m(sum x (x) y) = vec(sum x y): m[..., a, b] times e_a e_b, one product with the table."""
+    return m.reshape(m.shape[:-2] + (-1,)) @ _tables(summands).mult.reshape(-1, m.shape[-1])
 
 
 def _eta(spec: AlgebraSpec, m: np.ndarray) -> np.ndarray:
     """sum x (x) y  ->  sum x (x) y - (sum x y) (x) 1, the image of sum x d(y), on m[..., :, :]."""
-    return m - _product_sum(spec.summands, m)[..., None] * spec.unit().vec()
+    return m - _product_sum(spec.summands, m)[..., None] * _tables(spec.summands).unit
 
 
 def _flip(summands, m: np.ndarray) -> np.ndarray:
     """a (x) b -> b* (x) a*: conj(m[..., :, :])^T with the units e_ij -> e_ji in both factors."""
-    offsets = np.cumsum((0,) + tuple(n * n for n in summands))
-    perm = np.concatenate(
-        [o + np.arange(n * n).reshape(n, n).T.ravel() for o, n in zip(offsets, summands)])
+    perm = _tables(summands).perm
     return np.conj(m[..., perm[:, None], perm]).swapaxes(-1, -2)
-
-
-@lru_cache(maxsize=None)
-def _cf_index(summands) -> np.ndarray:
-    """
-    For each coefficient (row-major), its flat position in the canonical form:
-    block (i, k) entry [(a, c), (b, d)] is P[(i, a, b), (k, d, c)].  Both hold
-    d^2 entries, so the canonical form is a rearrangement of P.
-    """
-    offsets = np.cumsum((0,) + tuple(n * n for n in summands))
-    side = sum(summands) ** 2
-    pos = np.empty((offsets[-1],) * 2, dtype=np.intp)
-    start = 0
-    for i, ni in enumerate(summands):
-        for k, nk in enumerate(summands):
-            a, b, d, c = np.ogrid[:ni, :ni, :nk, :nk]
-            at = (start + a * nk + c) * side + start + b * nk + d
-            pos[offsets[i] + a * ni + b, offsets[k] + d * nk + c] = at
-            start += ni * nk
-    pos.setflags(write=False)
-    return pos.ravel()
 
 
 def _view_coords(spec: AlgebraSpec, m: np.ndarray):
@@ -154,17 +157,9 @@ def _coefficients(spec: AlgebraSpec, m, what: str) -> np.ndarray:
 # Universal one-forms
 
 
-@lru_cache(maxsize=None)
 def _mult_tensor(summands: tuple, left: bool) -> np.ndarray:
     """Read-only (d, d, d): slice alpha is :func:`_mult_map` of the ambient matrix unit e_alpha."""
-    maps, o = np.zeros((sum(n * n for n in summands),) * 3, dtype=complex), 0
-    for n in summands:  # e_alpha of summand n fills only that summand's n^2 x n^2 tile
-        eye = identity(n)
-        for alpha, b in enumerate(identity(n * n).reshape(-1, n, n), start=o):
-            maps[alpha, o:o + n * n, o:o + n * n] = np.kron(b, eye) if left else np.kron(eye, b)
-        o += n * n
-    maps.setflags(write=False)
-    return maps
+    return _tables(summands).mult.transpose((0, 2, 1) if left else (1, 0, 2))
 
 
 def _mult_map(summands, a: AlgebraElement, left: bool) -> np.ndarray:
@@ -227,16 +222,16 @@ def one_form_cf(spec: AlgebraSpec, w: UniversalOneForm) -> np.ndarray:
     return w.omega
 
 
-def _random_pairs_form(spec: AlgebraSpec, rng: np.random.Generator, n_pairs: int) -> np.ndarray:
-    """omega of sum_j x_j d(y_j) over n_pairs random pairs, drawn pair by pair in one rng call."""
-    pairs = _random_coords(spec, rng, (_integer("n_pairs", n_pairs, 1), 2))
-    x, y = pairs[:, 0], pairs[:, 1]  # (pairs, d) each
-    return _eta(spec, x.T @ y)
+def _random_pairs_form(spec: AlgebraSpec, rng, n_pairs: int, shape: tuple = ()) -> np.ndarray:
+    """omega of sum_j x_j d(y_j) over n_pairs random pairs per entry of ``shape``, one rng call."""
+    pairs = _random_coords(spec, rng, shape + (n_pairs, 2))
+    x, y = pairs[..., 0, :], pairs[..., 1, :]  # (*shape, pairs, d) each
+    return _eta(spec, x.swapaxes(-1, -2) @ y)
 
 
-def random_one_form(spec: AlgebraSpec, rng: np.random.Generator, n_pairs: int = 2) -> UniversalOneForm:
-    """A random self-adjoint one-form, built as w + w* from random pairs."""
-    omega = _random_pairs_form(spec, rng, n_pairs)
+def random_one_form(spec: AlgebraSpec, rng: np.random.Generator) -> UniversalOneForm:
+    """A random self-adjoint one-form, built as w + w* from two random pairs."""
+    omega = _random_pairs_form(spec, rng, 2)
     return UniversalOneForm(spec, omega + _flip(spec.summands, omega))
 
 
@@ -274,7 +269,7 @@ class PertElement:
 def _checked_pert(p: PertElement) -> PertElement:
     """p, once m(P) = sum_j a_j b_j = 1 and P = flip(P) hold (``_SEMIGROUP_TOL``), or ValueError."""
     total = _product_sum(p.spec.summands, p.coeffs)
-    defect, norm = frob_norm(total - p.spec.unit().vec()), frob_norm(total)
+    defect, norm = frob_norm(total - _tables(p.spec.summands).unit), frob_norm(total)
     if not _within(defect, _SEMIGROUP_TOL, norm, "the norm of sum a_j b_j"):
         raise ValueError("perturbation is not normalized: sum a_j b_j != 1")
     if not approx_eq(p.coeffs, _flip(p.spec.summands, p.coeffs), _SEMIGROUP_TOL):
@@ -286,7 +281,7 @@ def canonical_form(p: PertElement) -> np.ndarray:
     """The block-diagonal matrix of p in A (x) A^op, a rearrangement of its coefficients."""
     side = sum(p.spec.summands) ** 2
     cf = np.zeros(side * side, dtype=complex)
-    cf[_cf_index(p.spec.summands)] = p.coeffs.ravel()
+    cf[_tables(p.spec.summands).cf] = p.coeffs.ravel()
     return cf.reshape(side, side)
 
 
@@ -303,13 +298,13 @@ def pert_mul(x: PertElement, y: PertElement) -> PertElement:
     if x.spec is not y.spec and x.spec.summands != y.spec.summands:
         raise ValueError("cannot multiply perturbations over different algebras")
     prod = canonical_form(x) @ canonical_form(y)
-    return PertElement(x.spec, prod.ravel()[_cf_index(x.spec.summands)].reshape(x.coeffs.shape))
+    return PertElement(x.spec, prod.ravel()[_tables(x.spec.summands).cf].reshape(x.coeffs.shape))
 
 
 def from_unitary(spec: AlgebraSpec, u: AlgebraElement) -> PertElement:
     """The perturbation u (x) u* attached to a unitary u in A (to ``_SEMIGROUP_TOL``)."""
     p = PertElement(spec, _pair_coeffs(spec, ((u, u.star()),)))
-    unit = spec.unit().vec()
+    unit = _tables(spec.summands).unit
     defect = frob_norm(_product_sum(spec.summands, p.coeffs) - unit)
     if not _within(defect, _SEMIGROUP_TOL, frob_norm(unit)):
         raise ValueError("element is not unitary")
@@ -321,12 +316,12 @@ def gauge_transform(p: PertElement, u: AlgebraElement) -> PertElement:
     return pert_mul(from_unitary(p.spec, u), p)
 
 
-def random_pert(spec: AlgebraSpec, rng: np.random.Generator, n_pairs: int = 3) -> PertElement:
+def random_pert(spec: AlgebraSpec, rng: np.random.Generator) -> PertElement:
     """
-    Random pairs behind the normalizer (1 - sum xy) (x) 1, symmetrized: the
+    Three random pairs behind the normalizer (1 - sum xy) (x) 1, symmetrized: the
     section normalize_one_form of the one-form of the pairs.
     """
-    return normalize_one_form(spec, UniversalOneForm(spec, _random_pairs_form(spec, rng, n_pairs)))
+    return normalize_one_form(spec, UniversalOneForm(spec, _random_pairs_form(spec, rng, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +338,7 @@ def normalize_one_form(spec: AlgebraSpec, w: UniversalOneForm) -> PertElement:
     Section of eta: omega + 1 (x) 1, then symmetrized.  For self-adjoint w the
     image maps back to w under eta; in general one gets the symmetrization of w.
     """
-    unit = spec.unit().vec()
+    unit = _tables(spec.summands).unit
     return symmetrize(PertElement(spec, w.omega + np.outer(unit, unit)))
 
 

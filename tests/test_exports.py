@@ -3,7 +3,9 @@ Every name a spectriple module exports resolves, so ``import *`` cannot break, a
 caller, so library code that nothing calls does not linger.  The same holds one level
 down: a public method or property of an exported class has a caller, and an optional
 parameter of an exported function or method has a caller that passes it.  A classmethod
-counts as called only where a caller loads it off its class, ``ClassName.method``.
+counts as called only where a caller loads it off its class, ``ClassName.method``.  A
+private function or method is loaded somewhere in the package itself: a helper that only
+tests call is library code that nothing calls.
 """
 
 import ast
@@ -21,14 +23,10 @@ MODULES = ["spectriple"] + [
     f"spectriple.{info.name}" for info in pkgutil.iter_modules(spectriple.__path__)
 ]
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC_FILES = sorted((ROOT / "src").rglob("*.py"))
 # a caller is code in the package, the benchmark or the acceptance claims
-CALLER_FILES = [*(ROOT / "src").rglob("*.py"), *(ROOT / "perfbench").glob("*.py"),
+CALLER_FILES = [*SRC_FILES, *(ROOT / "perfbench").glob("*.py"),
                 ROOT / "tests" / "test_acceptance.py"]
-# optional parameters that only tests pass, each on purpose
-TEST_ONLY_OPTIONS = {
-    "n_pairs": "tests draw forms of several pairs to check that the maps do not depend "
-               "on how a coefficient matrix was split into pairs",
-}
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -154,9 +152,27 @@ def _options():
 def test_every_optional_parameter_has_a_caller_that_passes_it():
     calls = [call for path in CALLER_FILES for call in _calls(path)]
     unset = [
-        label for label, name, param, index in _options() if param not in TEST_ONLY_OPTIONS
-        and not any(callee == name and (param in keywords or unpacks
+        label for label, name, param, index in _options()
+        if not any(callee == name and (param in keywords or unpacks
                                         or index is not None and n_args > index)
                     for callee, n_args, keywords, unpacks in calls)
     ]
     assert unset == []
+
+
+def _private_defs(path):
+    """(label, name) of each private function at module level and private method of a class."""
+    body = _tree(path).body
+    scopes = [(None, body)] + [(node.name, node.body) for node in body
+                               if isinstance(node, ast.ClassDef)]
+    return [(f"{path.stem}.{owner + '.' if owner else ''}{node.name}", node.name)
+            for owner, nodes in scopes for node in nodes
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name.startswith("_") and not node.name.endswith("__")]
+
+
+def test_every_private_function_and_method_is_loaded_in_the_package():
+    loaded = set().union(*map(_loaded_names, SRC_FILES))
+    unloaded = [label for path in SRC_FILES for label, name in _private_defs(path)
+                if name not in loaded]
+    assert unloaded == []

@@ -159,6 +159,7 @@ def _bad_v2_payloads() -> dict:
 
     return {
         "unknown_format": ({**v2(coeffs), "format": 3}, "format 3"),
+        "float_format": ({**v2(coeffs), "format": 2.0}, "not format 2.0 with keys"),
         "no_coeffs": ({"format": 2}, "format 2 with keys"),
         "non_finite_entry": (v2(nan), "non-finite"),
         "wrong_shape": (v2(coeffs[:, :-1]), "must be 8x8"),
@@ -174,9 +175,14 @@ def _bad_v2_payloads() -> dict:
 BAD_V2 = _bad_v2_payloads()
 
 # name -> (format-1 payload whose pairs are no list of [a, b] lists, the ValueError's text);
-# each once raised Python's bare unpacking error, which named neither the key nor the value
+# each once raised Python's bare unpacking error, which named neither the key nor the value.
+# A format that equals 1 but is no JSON integer is refused too: it once loaded as format 1.
 _UNIT = element_to_json(a_ev().unit())
+_NOT_A_FORMAT = ("perturbation files hold 'pairs' (format 1) or 'coeffs' (format 2), "
+                 "not format {} with keys ['format', 'pairs']")
 BAD_V1 = {
+    "format-true": ({"format": True, "pairs": [[_UNIT, _UNIT]]}, _NOT_A_FORMAT.format(True)),
+    "format-1.0": ({"format": 1.0, "pairs": [[_UNIT, _UNIT]]}, _NOT_A_FORMAT.format(1.0)),
     "bare-pair": ({"pairs": [5]}, "pairs[0] must be a list [a, b] of two elements, got 5"),
     "three-item-pair": ({"pairs": [[5, 6, 7]]},
                         "pairs[0] must be a list [a, b] of two elements, got [5, 6, 7]"),

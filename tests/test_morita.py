@@ -33,6 +33,7 @@ from spectriple.perturbation import (
     UniversalOneForm,
     _leg_weights,
     _mult_tensor,
+    _random_pairs_form,
     eta_one_form,
     fluctuate,
     fluctuate_combined,
@@ -499,8 +500,12 @@ def test_random_draws_match_the_sequential_draws_bit_for_bit(toy, monkeypatch, n
     spec = toy.algebra
     e = random_idempotent(toy, n, np.random.default_rng(120 + n), self_adjoint=False)
     rng, ref = np.random.default_rng(n), np.random.default_rng(n)
-    conn = random_conn_form(toy, n, rng, e, n_pairs=n_pairs)
+    # the pair draw of an n x n grid of forms of n_pairs pairs each, then random_conn_form's (one)
+    omega = _random_pairs_form(spec, rng, n_pairs, (n, n))
     raw = _forms(spec, _raw_pairs(spec, n, ref, n_pairs))
+    assert np.array_equal(omega, conn_coefficients(spec, raw))
+    conn = random_conn_form(toy, n, rng, e)
+    raw = _forms(spec, _raw_pairs(spec, n, ref))
     herm = [[UniversalOneForm(spec, 0.5 * (raw[j][k] + one_form_star(raw[k][j])).omega)
              for k in range(n)] for j in range(n)]
     want = compress_coefficients(e, conn_coefficients(spec, herm))
@@ -597,20 +602,12 @@ def test_blockwise_products_match_the_kron_and_tensordot_formulas(toy, which, n)
         assert frob_norm(compress_coefficients(e, omega) - want) <= 1e-15 * frob_norm(want)
 
 
-def test_mn_spec_is_built_once_per_module_size(toy):
+def test_mn_summands_are_the_block_sizes_of_an_integer_module_size(toy):
     spec = toy.algebra
-    assert morita._mn_spec(spec, 2) is morita._mn_spec(spec, np.int64(2))
-    assert morita._mn_spec(spec, 2).summands == (4, 4)
-    for n in (0, True, 1.5):  # refused before the cache is read: True would hit n = 1
+    assert morita._mn_summands(spec, 2) == morita._mn_summands(spec, np.int64(2)) == (4, 4)
+    for n in (0, True, 1.5):  # True is no module size, although it equals 1
         with pytest.raises(ValueError, match=f"^module size n must be an integer >= 1, got {n!r}$"):
-            morita._mn_spec(spec, n)
-
-
-@pytest.mark.parametrize("n_pairs", [0, -1, 2.5, True])
-def test_random_conn_form_refuses_a_pair_count_that_is_not_an_integer_from_one(toy, n_pairs):
-    e = random_idempotent(toy, 2, np.random.default_rng(0))
-    with pytest.raises(ValueError, match=f"^n_pairs must be an integer >= 1, got {n_pairs!r}$"):
-        random_conn_form(toy, 2, np.random.default_rng(1), e, n_pairs=n_pairs)
+            morita._mn_summands(spec, n)
 
 
 def test_validation_rejects_non_idempotent(toy):

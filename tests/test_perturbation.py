@@ -32,6 +32,8 @@ from spectriple.perturbation import (
     _mult_map,
     _mult_tensor,
     _pair_coeffs,
+    _random_pairs_form,
+    _tables,
     a1,
     a2_with,
     check_transitivity,
@@ -69,6 +71,12 @@ def _zero(spec):
 def _form_from_pairs(spec, pairs):
     """sum_j x_j d(y_j) for finite x_j, y_j in ``spec``, through the package's pair kernel."""
     return UniversalOneForm(spec, _eta(spec, _pair_coeffs(spec, pairs)))
+
+
+def _self_adjoint_form(spec, rng, n_pairs):
+    """The draw of ``random_one_form`` over n_pairs pairs: w + w* for the form w of the pairs."""
+    w = UniversalOneForm(spec, _random_pairs_form(spec, rng, n_pairs))
+    return w + one_form_star(w)
 
 
 def _norm(a) -> float:
@@ -216,6 +224,49 @@ def test_mult_map_matches_the_kronecker_reference(spec, left):
     assert not _mult_tensor(spec.summands, left).flags.writeable
 
 
+def _reference_cf_index(summands):
+    """The canonical-form index as a loop over ordered pairs of summands (block (i, k))."""
+    offsets = np.cumsum((0,) + tuple(n * n for n in summands))
+    side = sum(summands) ** 2
+    pos = np.empty((offsets[-1],) * 2, dtype=np.intp)
+    start = 0
+    for i, ni in enumerate(summands):
+        for k, nk in enumerate(summands):
+            a, b, d, c = np.ogrid[:ni, :ni, :nk, :nk]
+            at = (start + a * nk + c) * side + start + b * nk + d
+            pos[offsets[i] + a * ni + b, offsets[k] + d * nk + c] = at
+            start += ni * nk
+    return pos.ravel()
+
+
+_TABLE_SUMMANDS = {
+    "toy": (2, 2),
+    "bimodule": _bimodule_triple(+1).algebra.summands,
+    "multi": _multi_triple().algebra.summands,
+    "4+1": (4, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TABLE_SUMMANDS))
+def test_the_algebra_table_matches_the_element_operations(name):
+    # each fixed map reads this one table: the product against AlgebraElement.__mul__, the
+    # permutation against the blockwise transpose, the unit, the loop-built canonical index
+    summands = _TABLE_SUMMANDS[name]
+    spec, rng = AlgebraSpec(summands), np.random.default_rng(len(summands))
+    table = _tables(summands)
+    assert _tables(tuple(int(n) for n in summands)) is table  # built once per tuple
+    assert not any(t.flags.writeable for t in table)
+    for _ in range(4):
+        a, b = random_element(spec, rng), random_element(spec, rng)
+        want = (a * b).vec()
+        got = np.einsum("a,b,abg->g", a.vec(), b.vec(), table.mult)
+        assert frob_norm(got - want) <= 1e-15 * frob_norm(a.vec()) * frob_norm(b.vec())
+        transposed = np.concatenate([blk.T.ravel() for blk in a.blocks])
+        assert np.array_equal(a.vec()[table.perm], transposed)
+    assert np.array_equal(table.unit, spec.unit().vec())
+    assert np.array_equal(table.cf, _reference_cf_index(summands))
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.sampled_from([SPEC, AlgebraSpec((1, 3, 2))]),
@@ -302,17 +353,19 @@ def test_one_form_maps_match_the_leibniz_pair_formulas(name, seed, n_pairs):
 @pytest.mark.parametrize("name", ["a_ev", "a_f", "multi", "complex basis"])
 @pytest.mark.parametrize("n_pairs", [1, 3])
 def test_random_draws_match_the_element_by_element_draws_bit_for_bit(name, n_pairs):
-    # one rng call per draw against random_element pairs read through the reference
+    # one rng call per draw against random_element pairs read through the reference: the pair
+    # draw over n_pairs pairs, then random_pert (three pairs) and random_one_form (two)
     spec = _SPECS[name] if name in _SPECS else _complex_basis_spec()
     rng, ref = np.random.default_rng(n_pairs), np.random.default_rng(n_pairs)
 
-    def reference_form():
-        pairs = [(random_element(spec, ref), random_element(spec, ref)) for _ in range(n_pairs)]
-        return _form_from_pairs(spec, pairs)
+    def reference_form(k):
+        return _form_from_pairs(spec, [(random_element(spec, ref), random_element(spec, ref))
+                                       for _ in range(k)])
 
-    got, want = random_pert(spec, rng, n_pairs), normalize_one_form(spec, reference_form())
+    assert np.array_equal(_random_pairs_form(spec, rng, n_pairs), reference_form(n_pairs).omega)
+    got, want = random_pert(spec, rng), normalize_one_form(spec, reference_form(3))
     assert np.array_equal(got.coeffs, want.coeffs)
-    w, v = random_one_form(spec, rng, n_pairs), reference_form()
+    w, v = random_one_form(spec, rng), reference_form(2)
     assert np.array_equal(w.omega, (v + one_form_star(v)).omega)
     assert rng.bit_generator.state == ref.bit_generator.state
 
@@ -320,7 +373,7 @@ def test_random_draws_match_the_element_by_element_draws_bit_for_bit(name, n_pai
 @pytest.mark.parametrize("name", ["a_ev", "a_f", "multi", "complex basis"])
 def test_derived_pairs_give_omega_back_and_lie_in_the_algebra(name):
     spec = _SPECS[name] if name in _SPECS else _complex_basis_spec()
-    w = random_one_form(spec, np.random.default_rng(5), n_pairs=3)
+    w = _self_adjoint_form(spec, np.random.default_rng(5), 3)
     pairs = w.pairs
     assert len(pairs) == len(spanning_set(spec))
     assert spec.first_outside([e for pair in pairs for e in pair]) is None
@@ -340,15 +393,6 @@ def test_from_pairs_rejects_non_finite_and_foreign_entries():
         PertElement.from_pairs(SPEC, ((off, unit),))
     with pytest.raises(ValueError, match="8x8"):
         UniversalOneForm(SPEC, np.zeros((4, 4)))
-
-
-@pytest.mark.parametrize("n_pairs", [0, -1, 2.5, True])
-def test_random_draws_refuse_a_pair_count_that_is_not_an_integer_from_one(n_pairs):
-    # these once returned the zero form or the unit perturbation (0) or failed inside numpy
-    rng = np.random.default_rng(0)
-    for draw in (random_pert, random_one_form):
-        with pytest.raises(ValueError, match=f"^n_pairs must be an integer >= 1, got {n_pairs!r}$"):
-            draw(SPEC, rng, n_pairs)
 
 
 def test_random_one_forms_are_self_adjoint(toy, rng):
@@ -401,7 +445,7 @@ def test_one_form_kernels_match_the_pair_formulas(toy, which):
     }[which]
     rng = np.random.default_rng(11)
     for _ in range(5):
-        w = random_one_form(t.algebra, rng, n_pairs=3)
+        w = _self_adjoint_form(t.algebra, rng, 3)
         pot = _reference_a1(t, w)
         assert approx_eq(a1(t, w), pot, 1e-12)
         base = represent(t, random_element(t.algebra, rng)) @ t.d

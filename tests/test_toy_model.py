@@ -15,7 +15,7 @@ from spectriple.toy_model import (
     assemble_dirac,
     y_block,
 )
-from test_perturbation import _form_from_pairs
+from test_perturbation import _form_from_pairs, _self_adjoint_form
 
 
 def test_dirac_entries():
@@ -179,7 +179,7 @@ def _reference_fields(w):
 
 def test_extract_fields_matches_the_pair_formula(rng):
     for n_pairs in (1, 2, 5):
-        w = random_one_form(a_ev(), rng, n_pairs=n_pairs)
+        w = _self_adjoint_form(a_ev(), rng, n_pairs)
         fp = extract_fields(w)
         want = _reference_fields(w)
         assert np.allclose([fp.x, fp.v1, fp.v2], want, rtol=0.0, atol=1e-12 * np.abs(want).max())
