@@ -294,6 +294,7 @@ def multi_start_minimize(fun, n_starts: int = 32, seed: int = 0) -> list:
     1e-5, so each gauge class is one point, represented by its lowest value
     and classified once.  Returns CriticalPoint entries sorted by value.
     """
+    n_starts, seed = _integer("n_starts", n_starts, 1), _integer("seed", seed, 0)
     found: list[CriticalPoint] = []
     for i in range(n_starts):
         res = minimize(fun, np.random.default_rng(seed + i).uniform(-2.5, 2.5, size=3))

@@ -137,13 +137,17 @@ def pert_to_dict(p: PertElement) -> dict:
 
 
 def pert_from_dict(spec: AlgebraSpec, payload: dict) -> PertElement:
-    """Format 2 (P as ``coeffs``) or 1, the default (a_j, b_j as ``pairs``); both validated."""
+    """Format 2 (P as ``coeffs``) or 1, the default (a_j, b_j as ``pairs``), and no other key."""
     if not isinstance(payload, dict):
         raise ValueError("perturbation file must hold a JSON object")
     fmt = payload.get("format", 1)  # the JSON integer 1 or 2: a bool or a float is none
-    if ({1: "pairs", 2: "coeffs"}.get(fmt) if type(fmt) is int else None) not in payload:
+    layout = {1: "pairs", 2: "coeffs"}.get(fmt) if type(fmt) is int else None
+    if layout not in payload:
         raise ValueError(f"perturbation files hold 'pairs' (format 1) or 'coeffs' (format 2), "
                          f"not format {fmt!r} with keys {sorted(payload)}")
+    for key in payload:
+        if key not in ("format", layout):
+            raise ValueError(f"unknown perturbation key: {key}")
     if fmt == 1:
         pairs = _field(payload, "pairs", list)
         for k, ab in enumerate(pairs):

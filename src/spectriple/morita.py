@@ -96,17 +96,6 @@ def _mn_summands(spec: AlgebraSpec, n: int) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Representations on C^n (x) C^n (x) H
-
-
-def _cells(t: FiniteSpectralTriple, n: int, x: AlgebraElement, hatted: bool) -> np.ndarray:
-    """pi (or hat o pi) of every entry of x in M_n(A), shape (n, n, N, N), by ``t.rep``."""
-    if tuple(len(b) for b in x.blocks) != _mn_summands(t.algebra, n):
-        raise ValueError("element does not match the triple's algebra")
-    return t.rep(_entry_coords(x, n), hatted)
-
-
-# ---------------------------------------------------------------------------
 # Connections
 
 
@@ -291,8 +280,10 @@ def check_idempotent_identity(t: FiniteSpectralTriple, n: int, e: AlgebraElement
     C^n (x) H, read from the table, the commutator as two blockwise products
     with D; a NaN anywhere gives NaN.
     """
+    if tuple(len(b) for b in e.blocks) != _mn_summands(t.algebra, n):
+        raise ValueError("element does not match the triple's algebra")
     dim_h, dim = t.dim_h, n * t.dim_h
-    p = _cells(t, n, e, hatted=False).transpose(0, 2, 1, 3).reshape(dim, dim)
+    p = t.rep(_entry_coords(e, n)).transpose(0, 2, 1, 3).reshape(dim, dim)  # pi(e_ij) per cell
     dp = (t.d @ p.reshape(n, dim_h, dim)).reshape(dim, dim)  # (1 (x) D) P, row block by row block
     dp -= (p.reshape(dim, n, dim_h) @ t.d).reshape(dim, dim)  # P (1 (x) D), column block by block
     blocks = (p @ dp @ p).reshape(n, dim_h, n, dim_h)

@@ -78,10 +78,13 @@ def _pair_coeffs(spec: AlgebraSpec, pairs) -> np.ndarray:
     finite = [bool(np.isfinite(v).all()) for v in vecs]
     if not all(finite):
         raise ValueError(f"pair {finite.index(False) // 2} has non-finite entries")
-    outside = spec.first_outside(flat)
-    if outside is not None:
-        raise ValueError(f"pair {outside // 2} is not in the algebra")
-    v = np.array(vecs, dtype=complex).reshape(-1, 2, spec.ambient_dim)
+    d = spec.ambient_dim
+    fits = np.array([tuple(b.shape[0] for b in e.blocks) == spec.summands for e in flat], bool)
+    v = np.array([x if ok else np.zeros(d) for x, ok in zip(vecs, fits)], complex).reshape(-1, d)
+    outside = np.flatnonzero(~fits | spec.outside(v))
+    if outside.size:
+        raise ValueError(f"pair {outside[0] // 2} is not in the algebra")
+    v = v.reshape(-1, 2, d)
     return v[:, 0].T @ v[:, 1]
 
 

@@ -11,8 +11,9 @@ J Pi_alpha J^{-1}: pi(a) sums a's coordinates against Pi, and hat(pi(a)) the
 conjugated coordinates against the hats (the e_alpha are real).  The right
 action is derived as pi_op(a) = J pi(a)* J^{-1}.
 Inside the package algebra data moves as ambient coordinates (..., d) in the
-``AlgebraElement.vec()`` layout, with one draw (``_random_coords``), one
-membership test (``AlgebraSpec.outside``) and one representation kernel
+``AlgebraElement.vec()`` layout, with one factorization of each algebra's span
+(``AlgebraSpec``, at construction), one draw (``_random_coords``), one membership
+test (``AlgebraSpec.outside``) and one representation kernel
 (``FiniteSpectralTriple.rep``); lists of elements are the public edge.  Two
 rules check the scalar inputs where their values are built: ``_integer`` and ``_number``.
 """
@@ -42,7 +43,6 @@ __all__ = [
     "random_hermitian",
     "random_unitary",
     "represent",
-    "spanning_set",
 ]
 
 
@@ -98,12 +98,14 @@ class AlgebraSpec:
     constrained to the span of an explicit basis of elements.
 
     A constraint basis must be finite, closed under products and adjoints
-    (checked at construction on the spanning set), which makes the span a
-    *-subalgebra, and span the unit, which everything downstream assumes (the
-    normalizer 1 (x) 1, rho(1) = 1).  The orthogonal projector onto the span
-    over ``AlgebraElement.vec()`` coordinates (a thin SVD, with the rank cutoff
-    of ``scipy.linalg.orth``) is kept; a membership test is one product with
-    it.  So are the spanning set's coordinates and pseudo-inverse.
+    (checked at construction), which makes the span a *-subalgebra, and span
+    the unit, which everything downstream assumes (the normalizer 1 (x) 1,
+    rho(1) = 1).  The span is factored once, at construction: the rows B of
+    ``AlgebraElement.vec()`` coordinates of its spanning set (the basis, or the
+    matrix units), the pseudo-inverse of B^T (with the rank cutoff of
+    ``scipy.linalg.orth``) and the orthogonal projector B^T (B^T)^+ onto the
+    span, all three the identity without a basis.  Membership is one test,
+    :meth:`outside`, a product with the projector.
     """
 
     summands: tuple
@@ -114,8 +116,7 @@ class AlgebraSpec:
         if not summands:
             raise ValueError("need at least one summand")
         object.__setattr__(self, "summands", summands)
-        object.__setattr__(self, "_proj", None)
-        object.__setattr__(self, "_span", None)
+        rows = inv = proj = identity(self.ambient_dim)  # the matrix units: B = (B^T)^+ = 1
         if self.basis is not None:
             basis = tuple(self.basis)
             if not basis:
@@ -123,25 +124,24 @@ class AlgebraSpec:
             for e in basis:
                 if tuple(b.shape[0] for b in e.blocks) != summands:
                     raise ValueError("constraint basis element has wrong summand shapes")
-            cols = np.column_stack([e.vec() for e in basis])
-            if not np.isfinite(cols).all():
+            rows = np.array([e.vec() for e in basis])
+            if not np.isfinite(rows).all():
                 raise ValueError("constraint basis has non-finite entries")
             object.__setattr__(self, "basis", basis)
-            u, s, _ = np.linalg.svd(cols, full_matrices=False)
-            q = u[:, s > s.max() * np.finfo(float).eps * max(cols.shape)]
-            object.__setattr__(self, "_proj", q @ q.conj().T)
-            self._check_closure()
+            inv = np.linalg.pinv(rows.T)
+            proj = rows.T @ inv
+        object.__setattr__(self, "_span", (rows, inv))
+        object.__setattr__(self, "_proj", proj)
+        if self.basis is not None:
+            stars = np.flatnonzero(self.outside([a.star().vec() for a in basis]))
+            if stars.size:
+                raise ValueError(f"constraint basis not closed under adjoint (element {stars[0]})")
+            prods = np.flatnonzero(self.outside([(a * b).vec() for a in basis for b in basis]))
+            if prods.size:
+                i, k = divmod(int(prods[0]), len(basis))
+                raise ValueError(f"constraint basis not closed under product ({i},{k})")
             if self.outside(self.unit().vec())[()]:
                 raise ValueError("constraint basis does not span the unit")
-
-    def _check_closure(self):
-        stars = self.first_outside([a.star() for a in self.basis])
-        if stars is not None:
-            raise ValueError(f"constraint basis not closed under adjoint (element {stars})")
-        prods = self.first_outside([a * b for a in self.basis for b in self.basis])
-        if prods is not None:
-            i, k = divmod(prods, len(self.basis))
-            raise ValueError(f"constraint basis not closed under product ({i},{k})")
 
     @property
     def ambient_dim(self) -> int:
@@ -149,16 +149,10 @@ class AlgebraSpec:
 
     def dim(self) -> int:
         """Complex dimension of the (sub)algebra: the rank of its span."""
-        return self.ambient_dim if self._proj is None else round(self._proj.trace().real)
+        return round(self._proj.trace().real)
 
     def span_coords(self):
-        """
-        Rows B of the ambient coordinates of ``spanning_set(self)`` and the
-        pseudo-inverse of B^T, computed on the first call and kept.
-        """
-        if self._span is None:
-            rows = np.array([b.vec() for b in spanning_set(self)])
-            object.__setattr__(self, "_span", (rows, np.linalg.pinv(rows.T)))
+        """Rows B of the ambient coordinates of the spanning set and the pseudo-inverse of B^T."""
         return self._span
 
     def unit(self) -> AlgebraElement:
@@ -175,38 +169,13 @@ class AlgebraSpec:
         """Mask of the coordinate rows (..., d) that are not finite or off the span (by |row|)."""
         rows = np.asarray(rows, dtype=complex)
         bad = ~np.isfinite(rows).all(-1)
-        if self._proj is not None:
-            rows = np.where(bad[..., None], 0.0, rows)  # measured as zero, already outside
-            resid = np.linalg.norm(rows - rows @ self._proj.T, axis=-1)
-            bad |= ~_within_each(resid, _SEMIGROUP_TOL, np.linalg.norm(rows, axis=-1))
-        return bad
-
-    def first_outside(self, elements) -> int | None:
-        """
-        Index of the first element not in the algebra (other summand shapes, or
-        :meth:`outside` on its coordinates), None if all are.
-        """
-        fits = np.array(
-            [tuple(b.shape[0] for b in a.blocks) == self.summands for a in elements], dtype=bool
-        )
-        if fits.any():
-            fits[fits] = ~self.outside([a.vec() for a, ok in zip(elements, fits) if ok])
-        bad = np.flatnonzero(~fits)
-        return int(bad[0]) if bad.size else None
+        rows = np.where(bad[..., None], 0.0, rows)  # measured as zero, already outside
+        resid = np.linalg.norm(rows - rows @ self._proj.T, axis=-1)
+        return bad | ~_within_each(resid, _SEMIGROUP_TOL, np.linalg.norm(rows, axis=-1))
 
     def contains(self, a: AlgebraElement) -> bool:
         """Membership test: the shapes match, the entries are finite and a is in the span."""
-        return self.first_outside([a]) is None
-
-
-def spanning_set(spec: AlgebraSpec) -> list:
-    """
-    A spanning set of the algebra as a complex vector space: the constraint
-    basis when present, otherwise the matrix units of every summand.
-    """
-    if spec.basis is not None:
-        return list(spec.basis)
-    return spec.from_coords(identity(spec.ambient_dim))  # the matrix units, in vec() order
+        return tuple(b.shape[0] for b in a.blocks) == self.summands and not self.outside(a.vec())
 
 
 @dataclass(frozen=True)
@@ -384,7 +353,8 @@ def check_first_order(t: FiniteSpectralTriple, sub: AlgebraSpec | None = None) -
     Max over spanning pairs (a, b) of ||[[D, pi(a)], pi_op(b)]||_F, over the
     triple's algebra or a contained subalgebra ``sub``.
     """
-    if sub is not None and t.algebra.first_outside(spanning_set(sub)) is not None:
+    if sub is not None and (sub.summands != t.algebra.summands
+                            or t.algebra.outside(sub.span_coords()[0]).any()):
         raise ValueError("sub is not contained in the triple's algebra")
     return _worst_pair(t, sub if sub is not None else t.algebra, with_d=True)
 

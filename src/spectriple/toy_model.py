@@ -31,7 +31,6 @@ from .spectral_triple import (
     KOSigns,
     RepBlock,
     _number,
-    spanning_set,
 )
 from .perturbation import UniversalOneForm
 
@@ -203,7 +202,8 @@ def extract_fields(w: UniversalOneForm) -> FieldPoint:
     represented one-form is self-adjoint, the full fluctuation of the model's
     D equals ``closed_dirac`` at this point.
     """
-    if a_ev().first_outside(spanning_set(w.spec)) is not None:
+    ev = a_ev()
+    if w.spec.summands != ev.summands or ev.outside(w.spec.span_coords()[0]).any():
         raise ValueError("one-form is not over the even subalgebra")
     omega = w.omega
     return FieldPoint(1.0 + omega[0, 3] - omega[0, 0], 1.0 + omega[4, 0], omega[6, 0])

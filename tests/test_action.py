@@ -523,6 +523,23 @@ def test_multi_start_is_deterministic():
     assert all(np.array_equal(p.coords, q.coords) for p, q in zip(a, b))
 
 
+@pytest.mark.parametrize("n_starts, seed, message", [
+    (0, 0, "n_starts must be an integer >= 1, got 0"),
+    (-3, 0, "n_starts must be an integer >= 1, got -3"),
+    (True, 0, "n_starts must be an integer >= 1, got True"),
+    (2.0, 0, "n_starts must be an integer >= 1, got 2.0"),
+    (2, -1, "seed must be an integer >= 0, got -1"),
+    (2, 1.5, "seed must be an integer >= 0, got 1.5"),
+    (2, "7", "seed must be an integer >= 0, got '7'"),
+])
+def test_multi_start_refuses_a_bad_count_or_seed_before_any_start(n_starts, seed, message):
+    calls = []
+    with pytest.raises(ValueError) as exc:
+        multi_start_minimize(lambda z: calls.append(z) or 0.0, n_starts=n_starts, seed=seed)
+    assert str(exc.value) == message
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # Symmetry diagnostics
 

@@ -159,6 +159,10 @@ def _bad_v2_payloads() -> dict:
 
     return {
         "unknown_format": ({**v2(coeffs), "format": 3}, "format 3"),
+        # a key other than format and coeffs is refused, after the format check
+        "extra_key": ({**v2(coeffs), "extra": 5}, "unknown perturbation key: extra"),
+        "pairs_beside_coeffs": ({**v2(coeffs), "pairs": "junk"}, "unknown perturbation key: pairs"),
+        "unknown_format_and_key": ({**v2(coeffs), "format": 3, "extra": 5}, "format 3"),
         "float_format": ({**v2(coeffs), "format": 2.0}, "not format 2.0 with keys"),
         "no_coeffs": ({"format": 2}, "format 2 with keys"),
         "non_finite_entry": (v2(nan), "non-finite"),
@@ -189,6 +193,8 @@ BAD_V1 = {
     "second-pair-bare": ({"pairs": [[_UNIT, _UNIT], 7]},
                          "pairs[1] must be a list [a, b] of two elements, got 7"),
     "bare-pairs": ({"pairs": 5}, "pairs must be a list, got 5"),
+    "coeffs-beside-pairs": ({"format": 1, "pairs": [[_UNIT, _UNIT]], "coeffs": [[0]]},
+                            "unknown perturbation key: coeffs"),
 }
 
 

@@ -46,11 +46,10 @@ from spectriple.spectral_triple import (
     _random_coords,
     random_element,
     represent,
-    spanning_set,
 )
 from spectriple.toy_model import a_f
 from test_perturbation import _form_from_pairs, _reference_rmul, _reference_star
-from triples import _bimodule_triple, _multi_triple
+from triples import _bimodule_triple, _multi_triple, spanning_set
 
 
 def _rel(a, b):
@@ -154,14 +153,19 @@ def _on_leg(cells, hatted):
     return np.einsum(layout, cells, identity(n)).reshape(cells.shape[:-4] + (dim, dim))
 
 
+def _cells(t, n, x, hatted=False):
+    """pi (or hat o pi) of every entry of x in M_n(A), shape (n, n, N, N)."""
+    return t.rep(_entry_coords(x, n), hatted)
+
+
 def _pi_big(t, n, x):
     """M_n(A) acting through the left C^n leg."""
-    return _on_leg(morita._cells(t, n, x, hatted=False), hatted=False)
+    return _on_leg(_cells(t, n, x), hatted=False)
 
 
 def _pi_hat_big(t, n, x):
     """M_n(A) acting through the right C^n leg, with hatted fibre operators."""
-    return _on_leg(morita._cells(t, n, x, hatted=True), hatted=True)
+    return _on_leg(_cells(t, n, x, hatted=True), hatted=True)
 
 
 def _d_big(t, n):
@@ -569,7 +573,7 @@ def test_morita_data_builds_its_projectors_once(toy, monkeypatch):
 def _reference_idempotent_identity(t, n, e):
     """check_idempotent_identity with the commutator [1 (x) D, P] of the dense kron(1, D)."""
     dim = n * t.dim_h
-    p = morita._cells(t, n, e, hatted=False).transpose(0, 2, 1, 3).reshape(dim, dim)
+    p = _cells(t, n, e).transpose(0, 2, 1, 3).reshape(dim, dim)
     big_d = np.kron(identity(n), t.d)
     acc = p @ (big_d @ p - p @ big_d) @ p
     norms = np.linalg.norm(acc.reshape(n, t.dim_h, n, t.dim_h), axis=(1, 3))
@@ -736,7 +740,7 @@ def test_validation_rejects_an_idempotent_of_the_wrong_size(toy, rng):
     with pytest.raises(ValueError, match="must be an 3x3 matrix"):
         MoritaData(toy, 3, e)
     with pytest.raises(ValueError, match="does not match the triple's algebra"):
-        _pi_big(toy, 3, e)
+        check_idempotent_identity(toy, 3, e)
     # a module size that is not an integer >= 1, with one message
     for n in (0, -1, 1.5, True, "2"):
         for call in (lambda: random_idempotent(toy, n, rng), lambda: MoritaData(toy, n, e),

@@ -20,16 +20,15 @@ from spectriple import (
     represent,
 )
 from spectriple.matrix_core import adjoint, approx_eq, frob_norm, identity
-from spectriple.perturbation import PertElement, UniversalOneForm, a1, mu
+from spectriple.perturbation import PertElement, UniversalOneForm, _pair_coeffs, a1, mu
 from spectriple.spectral_triple import (
     KOReport,
     random_element,
     random_hermitian,
     random_unitary,
-    spanning_set,
 )
 from spectriple.toy_model import ToyParams, a_ev, a_f, build_toy
-from triples import _bimodule_triple, _multi_triple, _tiled_triple
+from triples import _bimodule_triple, _multi_triple, _tiled_triple, spanning_set
 
 Z2 = np.zeros((2, 2), dtype=complex)
 
@@ -102,9 +101,9 @@ def test_spec_dims():
     assert AlgebraSpec((2, 2)).ambient_dim == 8
     assert a_ev().dim() == 6
     assert a_f().dim() == 3
-    assert len(spanning_set(AlgebraSpec((2, 2)))) == 8
-    assert len(spanning_set(a_ev())) == 6
-    assert len(spanning_set(a_f())) == 3
+    assert len(AlgebraSpec((2, 2)).span_coords()[0]) == 8
+    assert len(a_ev().span_coords()[0]) == 6
+    assert len(a_f().span_coords()[0]) == 3
 
 
 def test_membership_in_even_subalgebra():
@@ -152,15 +151,27 @@ def test_batched_membership_matches_a_least_squares_reference(spec):
     rows = np.array([a.vec() for a in elems])
     assert (~spec.outside(rows)).tolist() == want
     assert (~spec.outside(rows.reshape(4, 50, -1))).ravel().tolist() == want
+    # the first element off the algebra, on its rows and as the pair that _pair_coeffs names
     for start in range(0, 200, 7):
-        first = next((k for k, ok in enumerate(want[start:]) if not ok), None)
-        assert spec.first_outside(elems[start:]) == first
-    # other summand shapes and non-finite entries are never members, with or without a basis
+        first = next(k for k, ok in enumerate(want[start:]) if not ok)
+        assert np.flatnonzero(spec.outside(rows[start:]))[0] == first
+        tail = elems[start:] + [spec.unit()] * (start % 2)  # an even count, the pad inside
+        with pytest.raises(ValueError, match=f"^pair {first // 2} is not in the algebra$"):
+            _pair_coeffs(spec, list(zip(tail[::2], tail[1::2])))
+    # other summand shapes, also with the same ambient dimension, and non-finite entries are
+    # never members, with or without a basis; a non-finite pair is named before a foreign one
+    wide = AlgebraSpec((1, 1, 1, 1, 2)).unit()  # ambient dimension 8, as (2, 2)
     for spec in (spec, AlgebraSpec(spec.summands)):
+        unit = spec.unit()
         nan = _from_vec(spec.summands, np.full(spec.ambient_dim, np.nan))
         inf = _from_vec(spec.summands, np.where(np.arange(spec.ambient_dim) == 0, np.inf, 0.0))
-        assert spec.first_outside([spec.unit(), AlgebraElement(([[1]],)), nan]) == 1
-        assert spec.first_outside([spec.unit(), nan]) == 1
+        for foreign in (AlgebraElement(([[1]],)), wide):
+            assert not spec.contains(foreign)
+            with pytest.raises(ValueError, match="^pair 1 is not in the algebra$"):
+                _pair_coeffs(spec, [(unit, unit), (unit, foreign)])
+            with pytest.raises(ValueError, match="^pair 1 has non-finite entries$"):
+                _pair_coeffs(spec, [(foreign, unit), (unit, nan)])
+        assert spec.contains(unit)
         assert not spec.contains(nan) and not spec.contains(inf)
         rows = np.array([spec.unit().vec(), nan.vec(), inf.vec()])
         assert spec.outside(rows).tolist() == [False, True, True]
@@ -208,6 +219,42 @@ def test_span_projector_matches_the_scipy_orth_reference(make):
     assert spec.dim() == q.shape[1]
 
 
+def _thin_svd_projector(spec):
+    """The projector onto the span as a thin SVD of its columns, with the cutoff of scipy's orth."""
+    cols = np.column_stack([e.vec() for e in spanning_set(spec)])
+    u, s, _ = np.linalg.svd(cols, full_matrices=False)
+    q = u[:, s > s.max() * np.finfo(float).eps * max(cols.shape)]
+    return q @ q.conj().T
+
+
+def _complex_ev_spec():
+    """a_ev spanned by random complex combinations of its basis: the same *-subalgebra."""
+    rows = np.array([e.vec() for e in a_ev().basis])
+    rng = np.random.default_rng(17)
+    mix = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    return AlgebraSpec((2, 2), basis=tuple(a_ev().from_coords(mix @ rows)))
+
+
+@pytest.mark.parametrize("name", ["a_ev", "a_f", "redundant", "bimodule", "multi", "complex"])
+def test_one_factorization_gives_the_thin_svd_projector(name):
+    spec = {"a_ev": a_ev, "a_f": a_f, "redundant": _redundant_spec, "complex": _complex_ev_spec,
+            "bimodule": lambda: _bimodule_triple(1).algebra,
+            "multi": lambda: _multi_triple().algebra}[name]()
+    want = _thin_svd_projector(spec)
+    if name == "a_ev":
+        assert np.array_equal(spec._proj, want)
+    # the two factorizations round apart by about eps times the condition number of the rows
+    rows, inv = spec.span_coords()
+    s = np.linalg.svd(rows, compute_uv=False)
+    cond = s[0] / s[s > s[0] * 1e-12][-1]
+    assert np.abs(spec._proj - want).max() <= 1e-15 * cond
+    assert spec.dim() == round(want.trace().real) == np.linalg.matrix_rank(want)
+    assert np.array_equal(rows, np.array([e.vec() for e in spanning_set(spec)]))
+    assert np.array_equal(spec._proj, rows.T @ inv)
+    if spec.basis is None:  # the identity: only rows that are not finite are outside
+        assert np.array_equal(spec._proj, identity(spec.ambient_dim))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_constraint_basis_must_be_finite(bad):
     e11 = AlgebraElement((np.diag([1.0, 0.0]),))
@@ -223,6 +270,12 @@ def test_constraint_basis_must_be_closed():
     e21 = e12.star()
     with pytest.raises(ValueError, match="product"):
         AlgebraSpec((2,), basis=(e12, e21))
+    # the first element, and the first pair in row-major order, off the span are named
+    one = AlgebraSpec((2,)).unit()
+    with pytest.raises(ValueError, match=r"^constraint basis not closed under adjoint \(element 1\)$"):
+        AlgebraSpec((2,), basis=(one, e12))
+    with pytest.raises(ValueError, match=r"^constraint basis not closed under product \(1,2\)$"):
+        AlgebraSpec((2,), basis=(one, e12, e21))  # e12 e12 = 0 is in, e12 e21 = e11 is not
 
 
 def test_constraint_basis_must_span_the_unit():
@@ -475,8 +528,10 @@ def test_first_order_holds_when_the_cross_coupling_vanishes():
 
 
 def test_first_order_rejects_non_subalgebra(toy):
-    with pytest.raises(ValueError, match="not contained"):
-        check_first_order(toy, sub=AlgebraSpec((2, 2)))
+    # off the span, other summands of the same ambient dimension, another ambient dimension
+    for summands in ((2, 2), (1, 1, 1, 1, 2), (3,)):
+        with pytest.raises(ValueError, match="^sub is not contained in the triple's algebra$"):
+            check_first_order(toy, sub=AlgebraSpec(summands))
 
 
 def test_ko_signs_all_match(toy):

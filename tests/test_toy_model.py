@@ -5,7 +5,7 @@ import pytest
 
 from spectriple import AlgebraElement, build_toy, closed_dirac, extract_fields, fluctuate
 from spectriple.matrix_core import adjoint, approx_eq
-from spectriple.perturbation import random_one_form
+from spectriple.perturbation import UniversalOneForm, random_one_form
 from spectriple.spectral_triple import AlgebraSpec, random_element
 from spectriple.toy_model import (
     _SLOTS,
@@ -199,6 +199,11 @@ def test_extract_fields_rejects_elements_outside_the_even_subalgebra(rng):
     w = _form_from_pairs(full, ((random_element(full, rng),) * 2,))
     with pytest.raises(ValueError, match="not over the even subalgebra"):
         extract_fields(w)
+    # over other summands, of the same ambient dimension or another
+    for summands in ((1, 1, 1, 1, 2), (3,)):
+        spec = AlgebraSpec(summands)
+        with pytest.raises(ValueError, match="^one-form is not over the even subalgebra$"):
+            extract_fields(UniversalOneForm(spec, np.zeros((spec.ambient_dim,) * 2)))
 
 
 def test_fluctuation_closes_on_the_two_fields(rng):

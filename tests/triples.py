@@ -5,7 +5,7 @@ Test triples other than the toy.
 part of J and gamma = 1, and are built with ``validate=False``: they break order
 zero, so they check formulas against reference code, not the paper's theorems.
 ``_bimodule_triple`` is a real even triple that passes validation; the theorems
-are checked on it.
+are checked on it.  ``spanning_set`` lists an algebra's spanning set as elements.
 """
 
 from functools import lru_cache
@@ -14,6 +14,11 @@ import numpy as np
 
 from spectriple import AlgebraSpec, AntilinearOp, FiniteSpectralTriple, KOSigns, RepBlock
 from spectriple.matrix_core import adjoint, identity
+
+
+def spanning_set(spec: AlgebraSpec) -> list:
+    """The constraint basis of ``spec``, or else the matrix units of every summand in vec() order."""
+    return list(spec.basis) if spec.basis is not None else spec.from_coords(identity(spec.ambient_dim))
 
 
 def _tiled_triple(summands, tiles, order, seed=0):
