@@ -44,9 +44,20 @@ def adjoint(a: np.ndarray) -> np.ndarray:
     return as_matrix(a).conj().T
 
 
-def frob_norm(a: np.ndarray) -> float:
-    """Frobenius norm: square root of the sum of squared entry moduli."""
-    return float(np.linalg.norm(np.asarray(a, dtype=complex)))
+@np.errstate(over="ignore", invalid="ignore")  # overflow, and an inf entry's inf * 0
+def frob_norm(a: np.ndarray, axis=None):
+    """
+    Frobenius norm (over ``axis``, an array): root of the sum of squared entry moduli, or where
+    that overflows on finite entries m ||a / m||, m = max|a| (Blue's scaling, as LAPACK dznrm2
+    does), so it is inf only when the norm is; NaN entries give NaN, and nothing warns.
+    """
+    a = np.asarray(a, dtype=complex)
+    norm = np.linalg.norm(a, axis=axis)
+    if np.count_nonzero(norm == np.inf):  # rescaled where not NaN (an inf entry): m ||a / m||
+        m = np.abs(a).max(axis=axis, keepdims=True)
+        scaled = (m * np.linalg.norm(a / m, axis=axis, keepdims=True)).reshape(np.shape(norm))
+        norm = np.where(np.isinf(norm) & ~np.isnan(scaled), scaled, norm)
+    return float(norm) if axis is None else norm
 
 
 _AXIOM_TOL = 1e-12  # the axioms of a real triple, J antiunitary and Tr(D'^2) real

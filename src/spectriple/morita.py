@@ -25,12 +25,12 @@ H (:func:`_twist`), with no operator on the whole ambient space multiplied.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .matrix_core import _MORITA_TOL, _within, _within_each, identity
+from .matrix_core import _MORITA_TOL, _within, _within_each, frob_norm, identity
 from .perturbation import (
     UniversalOneForm,
     _flip,
@@ -73,11 +73,6 @@ def _entry_coords(x: AlgebraElement, n: int) -> np.ndarray:
     """Ambient coordinates of the entries of x in M_n(A), shape (n, n, d)."""
     grid = [b.reshape(n, len(b) // n, n, -1).transpose(0, 2, 1, 3) for b in x.blocks]
     return np.concatenate([g.reshape(n, n, -1) for g in grid], axis=-1)
-
-
-def _entries_outside(spec: AlgebraSpec, x: AlgebraElement, n: int) -> bool:
-    """Whether an entry of x in M_n(A) is off the algebra (``AlgebraSpec.outside``)."""
-    return bool(spec.outside(_entry_coords(x, n)).any())
 
 
 def _from_entry_coords(summands: tuple, coords: np.ndarray) -> AlgebraElement:
@@ -157,8 +152,8 @@ class MoritaData:
     An idempotent e in M_n(A), one element whose block s has size n*m_s (see
     :func:`_from_entry_coords`), together with an optional compressed connection.
 
-    The (n, n, d) coordinates of the entries of e (:func:`_entry_coords`) and
-    the coefficients of the connection (:func:`conn_coefficients`) are
+    The (n, n, d) coordinates of the entries of e (:func:`_entry_coords`) and the
+    coefficients of the connection (:func:`conn_coefficients`), an init-only argument, are
     computed once and kept as ``coords`` and ``omega``; the cells pi(e_ik),
     hat(pi(e_ik)) of the two legs (``cells``, ``cells_hat``), their twist
     kernels (:func:`_leg_kernel`) and the corner projector are kept from first
@@ -170,19 +165,17 @@ class MoritaData:
     triple: FiniteSpectralTriple
     size: int
     idem: AlgebraElement
-    conn: tuple | None = None
+    conn: InitVar[tuple | None] = None
     omega: np.ndarray | None = field(init=False, default=None, repr=False)
     coords: np.ndarray = field(init=False, default=None, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, conn):
         n, spec = self.size, self.triple.algebra
         if tuple(len(b) for b in self.idem.blocks) != _mn_summands(spec, n):
             raise ValueError(f"idempotent must be an {n}x{n} matrix of elements")
-        if self.conn is not None:
-            conn = tuple(tuple(row) for row in self.conn)
+        if conn is not None:
             if len(conn) != n or any(len(row) != n for row in conn):
                 raise ValueError(f"connection must be an {n}x{n} matrix of one-forms")
-            object.__setattr__(self, "conn", conn)
             object.__setattr__(self, "omega", conn_coefficients(spec, conn))
         object.__setattr__(self, "coords", _entry_coords(self.idem, n))
         if not np.isfinite(self.coords).all():
@@ -190,19 +183,18 @@ class MoritaData:
         if self.omega is not None and not np.isfinite(self.omega).all():
             raise ValueError("connection has non-finite entries")
         with np.errstate(over="ignore"):  # refused by name, or as a defect past its tolerance
-            scale = np.linalg.norm(self.coords, axis=-1).max() ** 2  # largest entry
+            scale = frob_norm(self.coords, axis=-1).max() ** 2  # largest entry
             if not np.isfinite(scale):
                 raise ValueError("the squared norm of e's largest entry overflows")
             if spec.outside(self.coords).any():
                 raise ValueError("idempotent entry is not in the algebra")
-            defect = np.linalg.norm(_entry_coords(self.idem * self.idem - self.idem, n), axis=-1)
+            defect = frob_norm(_entry_coords(self.idem * self.idem - self.idem, n), axis=-1)
             if not _within(defect.max(), _MORITA_TOL, scale):
                 raise ValueError("matrix is not idempotent")
         if self.omega is None:
             return
-        defect = np.linalg.norm(compress_coefficients(self.idem, self.omega) - self.omega,
-                                axis=(2, 3))
-        if not _within_each(defect, _MORITA_TOL, np.linalg.norm(self.omega, axis=(2, 3))).all():
+        defect = frob_norm(compress_coefficients(self.idem, self.omega) - self.omega, axis=(2, 3))
+        if not _within_each(defect, _MORITA_TOL, frob_norm(self.omega, axis=(2, 3))).all():
             raise ValueError("connection is not compressed: e B e != B")
 
     cells = cached_property(lambda self: self.triple.rep(self.coords, False))
@@ -287,7 +279,7 @@ def check_idempotent_identity(t: FiniteSpectralTriple, n: int, e: AlgebraElement
     dp = (t.d @ p.reshape(n, dim_h, dim)).reshape(dim, dim)  # (1 (x) D) P, row block by row block
     dp -= (p.reshape(dim, n, dim_h) @ t.d).reshape(dim, dim)  # P (1 (x) D), column block by block
     blocks = (p @ dp @ p).reshape(n, dim_h, n, dim_h)
-    return float(np.max(np.linalg.norm(blocks, axis=(1, 3))))
+    return float(np.max(frob_norm(blocks, axis=(1, 3))))
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +308,7 @@ def random_idempotent(
             continue
         pos = [vecs[:, vals > 0] for vals, vecs in eigs]
         e = AlgebraElement(tuple(v @ v.conj().T for v in pos))
-        if _entries_outside(spec, e, n):
+        if spec.outside(_entry_coords(e, n)).any():
             continue
         if self_adjoint:
             return e
@@ -325,6 +317,6 @@ def random_idempotent(
         if any(np.linalg.cond(big) > 1e6 for big in g):
             continue
         skewed = AlgebraElement(tuple(a @ b @ np.linalg.inv(a) for a, b in zip(g, e.blocks)))
-        if not _entries_outside(spec, skewed, n):
+        if not spec.outside(_entry_coords(skewed, n)).any():
             return skewed
     raise RuntimeError("could not draw a clean random idempotent")

@@ -11,9 +11,9 @@ J Pi_alpha J^{-1}: pi(a) sums a's coordinates against Pi, and hat(pi(a)) the
 conjugated coordinates against the hats (the e_alpha are real).  The right
 action is derived as pi_op(a) = J pi(a)* J^{-1}.
 Inside the package algebra data moves as ambient coordinates (..., d) in the
-``AlgebraElement.vec()`` layout, with one factorization of each algebra's span
-(``AlgebraSpec``, at construction), one draw (``_random_coords``), one membership
-test (``AlgebraSpec.outside``) and one representation kernel
+``AlgebraElement.vec()`` layout, with one SVD of each algebra's span (``AlgebraSpec``, at
+construction), one draw (``_random_coords``), one membership test (``AlgebraSpec.outside``),
+one subalgebra test on it (``AlgebraSpec.includes``) and one representation kernel
 (``FiniteSpectralTriple.rep``); lists of elements are the public edge.  Two
 rules check the scalar inputs where their values are built: ``_integer`` and ``_number``.
 """
@@ -100,12 +100,12 @@ class AlgebraSpec:
     A constraint basis must be finite, closed under products and adjoints
     (checked at construction), which makes the span a *-subalgebra, and span
     the unit, which everything downstream assumes (the normalizer 1 (x) 1,
-    rho(1) = 1).  The span is factored once, at construction: the rows B of
-    ``AlgebraElement.vec()`` coordinates of its spanning set (the basis, or the
-    matrix units), the pseudo-inverse of B^T (with the rank cutoff of
-    ``scipy.linalg.orth``) and the orthogonal projector B^T (B^T)^+ onto the
-    span, all three the identity without a basis.  Membership is one test,
-    :meth:`outside`, a product with the projector.
+    rho(1) = 1).  The span is factored once, by one SVD of B^T, B the rows of the
+    ``AlgebraElement.vec()`` coordinates of the basis; its rank counts the singular values above
+    eps * max(rows, d) * s_max (``numpy.linalg.matrix_rank``'s cut-off).  Kept: B and (B^T)^+
+    (``span_coords``) and an orthonormal basis N of the span's complement; without a basis B
+    and (B^T)^+ are the identity and N has no columns.  :meth:`outside`, |N^H row| against the
+    row's norm, is the one membership test, and :meth:`includes` the one subalgebra test.
     """
 
     summands: tuple
@@ -116,32 +116,32 @@ class AlgebraSpec:
         if not summands:
             raise ValueError("need at least one summand")
         object.__setattr__(self, "summands", summands)
-        rows = inv = proj = identity(self.ambient_dim)  # the matrix units: B = (B^T)^+ = 1
-        if self.basis is not None:
-            basis = tuple(self.basis)
-            if not basis:
-                raise ValueError("constraint basis must be nonempty")
-            for e in basis:
-                if tuple(b.shape[0] for b in e.blocks) != summands:
-                    raise ValueError("constraint basis element has wrong summand shapes")
-            rows = np.array([e.vec() for e in basis])
-            if not np.isfinite(rows).all():
-                raise ValueError("constraint basis has non-finite entries")
-            object.__setattr__(self, "basis", basis)
-            inv = np.linalg.pinv(rows.T)
-            proj = rows.T @ inv
-        object.__setattr__(self, "_span", (rows, inv))
-        object.__setattr__(self, "_proj", proj)
-        if self.basis is not None:
-            stars = np.flatnonzero(self.outside([a.star().vec() for a in basis]))
-            if stars.size:
-                raise ValueError(f"constraint basis not closed under adjoint (element {stars[0]})")
-            prods = np.flatnonzero(self.outside([(a * b).vec() for a in basis for b in basis]))
-            if prods.size:
-                i, k = divmod(int(prods[0]), len(basis))
-                raise ValueError(f"constraint basis not closed under product ({i},{k})")
-            if self.outside(self.unit().vec())[()]:
-                raise ValueError("constraint basis does not span the unit")
+        if self.basis is None:  # the matrix units: B = (B^T)^+ = 1, and N has no columns
+            object.__setattr__(self, "_span", (identity(self.ambient_dim),) * 2)
+            object.__setattr__(self, "_null", np.empty((self.ambient_dim, 0), dtype=complex))
+            return
+        basis = tuple(self.basis)
+        object.__setattr__(self, "basis", basis)
+        if not basis:
+            raise ValueError("constraint basis must be nonempty")
+        if any(tuple(b.shape[0] for b in e.blocks) != summands for e in basis):
+            raise ValueError("constraint basis element has wrong summand shapes")
+        rows = np.array([e.vec() for e in basis])
+        if not np.isfinite(rows).all():
+            raise ValueError("constraint basis has non-finite entries")
+        u, s, vh = np.linalg.svd(rows.T.conj())  # B^H = U S V^H, so B^T = conj(U) S V^T
+        r = np.count_nonzero(s > s.max() * max(rows.shape) * np.finfo(float).eps)  # the rank
+        object.__setattr__(self, "_span", (rows, vh[:r].T @ (1 / s[:r, None] * u[:, :r].T)))
+        object.__setattr__(self, "_null", u[:, r:].conj())  # orthonormal, orthogonal to the rows
+        stars = np.flatnonzero(self.outside([a.star().vec() for a in basis]))
+        if stars.size:
+            raise ValueError(f"constraint basis not closed under adjoint (element {stars[0]})")
+        prods = np.flatnonzero(self.outside([(a * b).vec() for a in basis for b in basis]))
+        if prods.size:
+            i, k = divmod(int(prods[0]), len(basis))
+            raise ValueError(f"constraint basis not closed under product ({i},{k})")
+        if self.outside(self.unit().vec())[()]:
+            raise ValueError("constraint basis does not span the unit")
 
     @property
     def ambient_dim(self) -> int:
@@ -149,7 +149,7 @@ class AlgebraSpec:
 
     def dim(self) -> int:
         """Complex dimension of the (sub)algebra: the rank of its span."""
-        return round(self._proj.trace().real)
+        return self.ambient_dim - self._null.shape[1]
 
     def span_coords(self):
         """Rows B of the ambient coordinates of the spanning set and the pseudo-inverse of B^T."""
@@ -167,15 +167,18 @@ class AlgebraSpec:
 
     def outside(self, rows) -> np.ndarray:
         """Mask of the coordinate rows (..., d) that are not finite or off the span (by |row|)."""
-        rows = np.asarray(rows, dtype=complex)
         bad = ~np.isfinite(rows).all(-1)
         rows = np.where(bad[..., None], 0.0, rows)  # measured as zero, already outside
-        resid = np.linalg.norm(rows - rows @ self._proj.T, axis=-1)
-        return bad | ~_within_each(resid, _SEMIGROUP_TOL, np.linalg.norm(rows, axis=-1))
+        resid = frob_norm(rows @ self._null.conj(), axis=-1)  # |N^H row|, the part off the span
+        return bad | ~_within_each(resid, _SEMIGROUP_TOL, frob_norm(rows, axis=-1))
 
     def contains(self, a: AlgebraElement) -> bool:
         """Membership test: the shapes match, the entries are finite and a is in the span."""
         return tuple(b.shape[0] for b in a.blocks) == self.summands and not self.outside(a.vec())
+
+    def includes(self, sub: "AlgebraSpec") -> bool:
+        """Subalgebra test: the summands match and no spanning row of ``sub`` is outside."""
+        return sub.summands == self.summands and not self.outside(sub.span_coords()[0]).any()
 
 
 @dataclass(frozen=True)
@@ -242,10 +245,9 @@ class FiniteSpectralTriple:
         object.__setattr__(self, "rep_blocks", tuple(self.rep_blocks))
         object.__setattr__(self, "d", as_matrix(self.d))
         object.__setattr__(self, "gamma", as_matrix(self.gamma))
-        n = self.dim_h
         for name, m in (("d", self.d), ("gamma", self.gamma), ("J", self.j.m)):
-            if m.shape != (n, n):
-                raise ValueError(f"{name} must be {n}x{n}, got {m.shape}")
+            if m.shape != (self.dim_h,) * 2:
+                raise ValueError(f"{name} must be {self.dim_h}x{self.dim_h}, got {m.shape}")
         pi = self._build_table()
         for name, table in (("pi_table", pi), ("pi_hat_table", self.j.conjugate(pi))):
             table.flags.writeable = False
@@ -288,7 +290,7 @@ class FiniteSpectralTriple:
                 ("gamma is not self-adjoint", frob_norm(g - adjoint(g)), 1.0),
                 ("gamma does not anticommute with D", frob_norm(g @ d + d @ g), norm),
                 ("gamma does not commute with the represented algebra",
-                 np.linalg.norm(g @ reps - reps @ g, axis=(1, 2)).max(), 1.0),
+                 frob_norm(g @ reps - reps @ g, axis=(1, 2)).max(), 1.0),
                 ("J^2 does not match declared eps_j",
                  frob_norm(self.j.square() - self.signs.eps_j * one), 1.0),
                 ("the order zero condition fails: [pi(a), J pi(b)* J^-1] != 0",
@@ -338,7 +340,7 @@ def _worst_pair(t: FiniteSpectralTriple, spec: AlgebraSpec, with_d: bool) -> Che
     rights = t.j.conjugate(reps.conj().swapaxes(1, 2))  # pi_op of each spanning element
     lefts = t.d @ reps - reps @ t.d if with_d else reps
     comm = lefts[:, None] @ rights[None] - rights[None] @ lefts[:, None]
-    defects = np.linalg.norm(comm, axis=(2, 3))
+    defects = frob_norm(comm, axis=(2, 3))
     i, k = np.unravel_index(np.argmax(defects), defects.shape)
     return CheckReport(float(np.max(defects)), (int(i), int(k)))
 
@@ -353,8 +355,7 @@ def check_first_order(t: FiniteSpectralTriple, sub: AlgebraSpec | None = None) -
     Max over spanning pairs (a, b) of ||[[D, pi(a)], pi_op(b)]||_F, over the
     triple's algebra or a contained subalgebra ``sub``.
     """
-    if sub is not None and (sub.summands != t.algebra.summands
-                            or t.algebra.outside(sub.span_coords()[0]).any()):
+    if sub is not None and not t.algebra.includes(sub):
         raise ValueError("sub is not contained in the triple's algebra")
     return _worst_pair(t, sub if sub is not None else t.algebra, with_d=True)
 
@@ -378,8 +379,7 @@ class KOReport:
 
 def check_ko_signs(t: FiniteSpectralTriple) -> KOReport:
     """Verify J^2 = eps_j, JD = eps_d DJ and J gamma = eps_gamma gamma J."""
-    m = t.j.m
-    n = t.dim_h
+    m, n = t.j.m, t.dim_h
     res_j = frob_norm(t.j.square() - t.signs.eps_j * identity(n))
     # JD and DJ are antilinear; comparing their linear matrix parts:
     res_jd = frob_norm(m @ np.conj(t.d) - t.signs.eps_d * (t.d @ m))

@@ -114,17 +114,9 @@ def a_f() -> AlgebraSpec:
     diagonal entry of the first summand is tied to the upper diagonal entry
     of the second.
     """
-    z = np.zeros((2, 2), dtype=complex)
-    e11 = np.diag([1.0, 0.0]).astype(complex)
-    e22 = np.diag([0.0, 1.0]).astype(complex)
-    return AlgebraSpec(
-        (2, 2),
-        basis=(
-            AlgebraElement((e11, e11)),
-            AlgebraElement((e22, z)),
-            AlgebraElement((z, e22)),
-        ),
-    )
+    z, (e11, _, _, e22) = np.zeros((2, 2), dtype=complex), identity(4).reshape(4, 2, 2)
+    basis = (AlgebraElement((e11, e11)), AlgebraElement((e22, z)), AlgebraElement((z, e22)))
+    return AlgebraSpec((2, 2), basis=basis)
 
 
 # The 16 non-zero slots of the model's operators: (row, column, source), in the order of the
@@ -202,8 +194,7 @@ def extract_fields(w: UniversalOneForm) -> FieldPoint:
     represented one-form is self-adjoint, the full fluctuation of the model's
     D equals ``closed_dirac`` at this point.
     """
-    ev = a_ev()
-    if w.spec.summands != ev.summands or ev.outside(w.spec.span_coords()[0]).any():
+    if not a_ev().includes(w.spec):
         raise ValueError("one-form is not over the even subalgebra")
     omega = w.omega
     return FieldPoint(1.0 + omega[0, 3] - omega[0, 0], 1.0 + omega[4, 0], omega[6, 0])

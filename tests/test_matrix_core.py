@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,6 +31,26 @@ def cmatrices(rows, cols=None):
 def test_frob_norm_is_root_sum_of_squared_moduli(a):
     want = sum(abs(a[i, j]) ** 2 for i in range(3) for j in range(3)) ** 0.5
     assert abs(frob_norm(a) - want) <= 1e-10 * max(1.0, want)
+
+
+def test_frob_norm_overflows_only_when_its_value_does():
+    # unscaled, the squares of 1e160 overflow; the norm itself, about 1.4e160, does not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert frob_norm(np.eye(2) * 1e160) == pytest.approx(2**0.5 * 1e160, rel=1e-15)
+        assert frob_norm(np.full((2, 2), 1e308)) == np.inf  # 2e308 is not a float
+        assert math.isnan(frob_norm([[np.nan, 1e300], [1e300, 0]]))
+        assert frob_norm([[np.inf, 1e300]]) == np.inf
+        rows = np.array([[1e200, 1e200j], [3, 4], [np.nan, 1e300], [np.inf, 1e300],
+                         [1.5e308, 1.5e308]])
+        got = frob_norm(rows, axis=-1)
+        assert got[:2] == pytest.approx([2**0.5 * 1e200, 5.0], rel=1e-15)
+        assert math.isnan(got[2]) and list(got[3:]) == [np.inf, np.inf]
+        stack = np.full((2, 1, 3, 3), 1e300)
+        assert frob_norm(stack, axis=(2, 3)) == pytest.approx(np.full((2, 1), 3e300), rel=1e-15)
+    small = np.arange(6.0).reshape(2, 3) + 1j  # the common path is numpy's norm, bit for bit
+    assert frob_norm(small) == np.linalg.norm(small)
+    assert np.array_equal(frob_norm(small, axis=-1), np.linalg.norm(small, axis=-1))
 
 
 @given(cmatrices(3), cmatrices(3))

@@ -28,7 +28,7 @@ from spectriple.morita import (
     random_conn_form,
     random_idempotent,
 )
-from spectriple.morita import _entries_outside, _entry_coords, _from_entry_coords, _hermitize
+from spectriple.morita import _entry_coords, _from_entry_coords, _hermitize
 from spectriple.perturbation import (
     UniversalOneForm,
     _leg_weights,
@@ -328,7 +328,7 @@ def test_random_idempotents_are_what_they_claim(toy, rng):
         return np.max(np.linalg.norm(_entry_coords(x, 2) - _entry_coords(y, 2), axis=-1))
 
     assert gap(e * e, e) < 1e-10 and gap(e.star(), e) < 1e-10
-    assert not _entries_outside(toy.algebra, e, 2)
+    assert not toy.algebra.outside(_entry_coords(e, 2)).any()
     skew = random_idempotent(toy, 2, rng, self_adjoint=False)
     assert gap(skew.star(), skew) > 1e-3  # genuinely not self-adjoint
     assert gap(skew * skew, skew) < 1e-8
@@ -339,7 +339,8 @@ def test_the_draw_and_the_bundle_share_one_membership_tolerance(toy, monkeypatch
     # redraw it too instead of handing MoritaData an idempotent it then refuses
     e = random_idempotent(toy, 2, np.random.default_rng(0))
     off = np.random.default_rng(1).standard_normal(toy.algebra.ambient_dim)
-    off = off - off @ toy.algebra._proj.T
+    null = toy.algebra._null  # orthonormal basis of the complement of the span
+    off = off @ null.conj() @ null.T  # the part of a random row off the span
     off /= np.linalg.norm(off)
 
     def pushed(x, n):
@@ -359,6 +360,9 @@ def test_corner_projector_is_idempotent_and_corner_self_adjoint(toy):
     e = random_idempotent(toy, 2, rng, self_adjoint=True)
     conn = random_conn_form(toy, 2, rng, e)
     md = MoritaData(toy, 2, e, conn)
+    # the connection is stored once, as its coefficient stack
+    assert "conn" not in vars(md) and "conn" not in {f.name for f in dataclasses.fields(md)}
+    assert np.array_equal(md.omega, conn_coefficients(toy.algebra, conn))
     p = corner_projector(md)
     assert approx_eq(p @ p, p, 1e-10)
     c = corner(md, twisted_dirac_left(md))

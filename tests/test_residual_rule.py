@@ -107,7 +107,7 @@ def _order_zero(toy, monkeypatch):
 
 def _outside(toy, monkeypatch):
     spec = AlgebraSpec(a_ev().summands, a_ev().basis)  # a copy: a_ev() is cached
-    object.__setattr__(spec, "_proj", _nan_like(spec._proj))
+    object.__setattr__(spec, "_null", _nan_like(spec._null))
     return lambda: not spec.outside(spec.unit().vec()), None
 
 
@@ -170,10 +170,13 @@ def test_a_nan_residual_fails_each_check(toy, monkeypatch, case):
             check()
 
 
-def _overflowing_d(toy):
-    """The toy's D scaled by 1e200, off self-adjoint by 1e195 at [0, 1]: its norm overflows."""
-    d = toy.d * 1e200
-    d[0, 1] += 1e195
+def _overflowing_d(toy, scale=1e308):
+    """
+    The toy's D (ten unit entries) scaled by ``scale``, off self-adjoint by scale / 1e5 at
+    [0, 1]: at 1e308 its norm, about 3.2e308, overflows; at 1e200 it does not.
+    """
+    d = toy.d * scale
+    d[0, 1] += scale / 1e5
     return d
 
 
@@ -181,6 +184,18 @@ def test_a_d_whose_norm_overflows_is_refused(toy):
     with np.errstate(over="ignore"):
         with pytest.raises(ValueError, match="^D's norm overflows$"):
             _triple(toy, _overflowing_d(toy))
+
+
+def test_a_d_with_huge_entries_and_a_finite_norm_is_measured(toy):
+    # the norm, about 3.2e200, is rescaled instead of overflowing, so the defect is measured
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^D is not self-adjoint$"):
+            _triple(toy, _overflowing_d(toy, 1e200))
+        # without the defect the triple is valid, and its first-order defect scales with D
+        big = _triple(toy, toy.d * 1e200)
+        want = spectral_triple.check_first_order(toy).max_defect * 1e200
+        assert spectral_triple.check_first_order(big).max_defect == pytest.approx(want, rel=1e-14)
 
 
 def test_check_refuses_a_model_whose_d_overflows_with_exit_2(toy, tmp_path, capsys):
@@ -208,14 +223,14 @@ def test_check_as_a_program_prints_only_the_refusal_when_d_overflows(toy, tmp_pa
 
 
 def test_an_idempotent_whose_norm_overflows_is_refused(toy):
-    # the scale is refused by name, and quietly, before the membership test, whose
-    # elementwise rule would fail the entries whose norms overflow
+    # the scale, the square of the largest entry's norm, is refused by name and quietly
+    # before the membership test
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="^the squared norm of e's largest entry overflows$"):
             MoritaData(toy, 1, 1e200 * toy.algebra.unit())
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert toy.algebra.outside(1e200 * toy.algebra.unit().vec())[()]
+        # the norm of the entry itself, about 1.4e200, is finite: the entry is in the algebra
+        assert not toy.algebra.outside(1e200 * toy.algebra.unit().vec())[()]
 
 
 def test_a_nan_trace_is_left_to_the_caller_and_minimize_reports_it():

@@ -211,11 +211,17 @@ def test_dim_is_the_rank_of_a_redundant_constraint_basis():
     assert _redundant_spec().dim() == 2
 
 
+def _complement_projector(spec):
+    """1 - N N^H, the projector onto the span, from the complement basis N the spec keeps."""
+    null = spec._null
+    return identity(spec.ambient_dim) - null @ null.conj().T
+
+
 @pytest.mark.parametrize("make", [a_ev, a_f, _redundant_spec])
 def test_span_projector_matches_the_scipy_orth_reference(make):
     spec = make()
     q = orth(np.column_stack([e.vec() for e in spec.basis]))
-    assert np.abs(spec._proj - q @ q.conj().T).max() < 1e-12
+    assert np.abs(_complement_projector(spec) - q @ q.conj().T).max() < 1e-12
     assert spec.dim() == q.shape[1]
 
 
@@ -235,24 +241,44 @@ def _complex_ev_spec():
     return AlgebraSpec((2, 2), basis=tuple(a_ev().from_coords(mix @ rows)))
 
 
-@pytest.mark.parametrize("name", ["a_ev", "a_f", "redundant", "bimodule", "multi", "complex"])
+_SPECS = {"a_ev": a_ev, "a_f": a_f, "redundant": _redundant_spec, "complex": _complex_ev_spec,
+          "bimodule": lambda: _bimodule_triple(1).algebra, "multi": lambda: _multi_triple().algebra}
+
+
+@pytest.mark.parametrize("name", list(_SPECS))
 def test_one_factorization_gives_the_thin_svd_projector(name):
-    spec = {"a_ev": a_ev, "a_f": a_f, "redundant": _redundant_spec, "complex": _complex_ev_spec,
-            "bimodule": lambda: _bimodule_triple(1).algebra,
-            "multi": lambda: _multi_triple().algebra}[name]()
-    want = _thin_svd_projector(spec)
+    spec = _SPECS[name]()
+    want, proj, null = _thin_svd_projector(spec), _complement_projector(spec), spec._null
     if name == "a_ev":
-        assert np.array_equal(spec._proj, want)
+        assert np.array_equal(proj, want)
     # the two factorizations round apart by about eps times the condition number of the rows
     rows, inv = spec.span_coords()
     s = np.linalg.svd(rows, compute_uv=False)
     cond = s[0] / s[s > s[0] * 1e-12][-1]
-    assert np.abs(spec._proj - want).max() <= 1e-15 * cond
+    assert np.abs(proj - want).max() <= 1e-15 * cond
     assert spec.dim() == round(want.trace().real) == np.linalg.matrix_rank(want)
+    assert spec.dim() == np.linalg.matrix_rank(rows) == spec.ambient_dim - null.shape[1]
+    # N: orthonormal columns, orthogonal to the span rows
+    assert np.abs(null.conj().T @ null - identity(null.shape[1])).max(initial=0.0) <= 1e-15
+    assert np.abs(rows @ null.conj()).max(initial=0.0) <= 1e-15 * frob_norm(rows, axis=-1).max()
     assert np.array_equal(rows, np.array([e.vec() for e in spanning_set(spec)]))
-    assert np.array_equal(spec._proj, rows.T @ inv)
-    if spec.basis is None:  # the identity: only rows that are not finite are outside
-        assert np.array_equal(spec._proj, identity(spec.ambient_dim))
+    assert np.array_equal(inv, np.linalg.pinv(rows.T))  # numpy's pinv, from the same SVD
+    assert np.abs(rows.T @ inv - proj).max() <= 1e-15 * cond
+    if spec.basis is None:  # N has no columns: every finite row is in, bar an overflowing norm
+        assert null.shape == (spec.ambient_dim, 0)
+        assert np.array_equal(inv, identity(spec.ambient_dim))
+
+
+def test_includes_a_contained_subalgebra_and_nothing_else():
+    full, ev, f = AlgebraSpec((2, 2)), a_ev(), a_f()
+    assert full.includes(full) and full.includes(ev) and full.includes(f)
+    assert ev.includes(f) and ev.includes(ev) and f.includes(f)
+    # a span that sticks out: a_f inside a_ev inside M2 + M2, not the other way round
+    assert not ev.includes(full) and not f.includes(ev) and not f.includes(full)
+    # other summands, of the same ambient dimension (8) or another
+    for summands in ((1, 1, 1, 1, 2), (3,), (2,)):
+        assert not full.includes(AlgebraSpec(summands))
+        assert not AlgebraSpec(summands).includes(full)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
